@@ -225,33 +225,6 @@ void BM_LayerNormUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerNormUnfused)->Arg(16)->Arg(256);
 
-// Fused bias+GELU (the batched FFN activation) vs Gelu(Add(a, bias)).
-void BM_BiasGeluFused(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const int cols = 96;
-  qpe::nn::NoGradGuard no_grad;
-  const qpe::nn::Tensor a = RandomTensor(rows, cols, 24, false);
-  const qpe::nn::Tensor bias = RandomTensor(1, cols, 25, false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BiasGelu(a, bias).at(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-}
-BENCHMARK(BM_BiasGeluFused)->Arg(16)->Arg(256);
-
-void BM_BiasGeluUnfused(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const int cols = 96;
-  qpe::nn::NoGradGuard no_grad;
-  const qpe::nn::Tensor a = RandomTensor(rows, cols, 24, false);
-  const qpe::nn::Tensor bias = RandomTensor(1, cols, 25, false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Gelu(Add(a, bias)).at(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-}
-BENCHMARK(BM_BiasGeluUnfused)->Arg(16)->Arg(256);
-
 // Masked row softmax (the batched attention kernel) with all rows fully
 // valid, against the unmasked kernel it must match bit-for-bit.
 void BM_SoftmaxRowsMasked(benchmark::State& state) {
@@ -492,41 +465,11 @@ void BM_EmbedGatherSimd(benchmark::State& state) {
 BENCHMARK(BM_EmbedGatherScalar)->Arg(512);
 BENCHMARK(BM_EmbedGatherSimd)->Arg(512);
 
-// Int8 GEMM (quantized serving engine) vs the fp32 forward kernel at the
-// same shape — the quantization win on top of vectorization. Uses the
-// dispatched (best) table for both rows. Args: {m, k, n}.
-void BM_Int8Gemm(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const int n = static_cast<int>(state.range(2));
-  const qpe::nn::simd::Kernels& kern = BestKernels();
-  qpe::util::Rng rng(40);
-  std::vector<int8_t> a(static_cast<size_t>(m) * k);
-  std::vector<int8_t> b(static_cast<size_t>(n) * k);
-  for (int8_t& x : a) {
-    x = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  }
-  for (int8_t& x : b) {
-    x = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  }
-  const std::vector<float> a_scale(m, 0.01f);
-  const std::vector<float> b_scale(n, 0.02f);
-  const std::vector<float> bias = RandomBuffer(n, 41);
-  std::vector<float> c(static_cast<size_t>(m) * n);
-  for (auto _ : state) {
-    kern.int8_gemm(a.data(), b.data(), c.data(), m, k, n, a_scale.data(),
-                   b_scale.data(), bias.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
-  state.SetLabel(kern.name);
-}
-BENCHMARK(BM_Int8Gemm)->Args({256, 48, 48})->Args({256, 256, 256});
-
-// Int8 GEMM over pre-packed weight tiles (the serving layout after
-// Quantize() repacks). Packing happens once outside the loop, exactly as
-// in QuantizedLinear; the pair against BM_Int8Gemm isolates the tile
-// layout's win. Args: {m, k, n}.
+// Int8 GEMM over pre-packed weight tiles (the quantized serving engine's
+// layout after Quantize() packs). Packing happens once outside the loop,
+// exactly as in QuantizedLinear; compare against BM_MatMulForwardSimd at
+// the same shape for the quantization win on top of vectorization. Uses
+// the dispatched (best) table. Args: {m, k, n}.
 void BM_Int8GemmPacked(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));

@@ -24,7 +24,8 @@
 #     training-step benchmarks (BM_TrainStepPpsr, BM_TrainStepPerfEncoder)
 #     or on the dispatched SIMD kernel benchmarks (BM_MatMulForwardSimd,
 #     BM_LayerNormSimd, BM_SoftmaxMaskedSimd, BM_AttentionPackedSimd,
-#     BM_Int8Gemm) fails with exit 1. The threshold is coarser than
+#     BM_AttentionBlockedSimd, BM_EmbedGatherSimd, BM_Int8GemmPacked)
+#     fails with exit 1. The threshold is coarser than
 #     serving because single-process micro loops see more run-to-run
 #     frequency variance than the best-of-N serving measurements. The
 #     compared statistic is the median-of-repetitions aggregate (the only
@@ -73,7 +74,7 @@ trap 'rm -f "${FRESH_SERVING}" "${FRESH_MICRO}"' EXIT
 "./${BUILD_DIR}/bench/bench_serving" "${FRESH_SERVING}"
 echo
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LayerNormSimd|BM_SoftmaxMaskedSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_EmbedGatherSimd|BM_Int8Gemm' \
+  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LayerNormSimd|BM_SoftmaxMaskedSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -106,7 +107,7 @@ MICRO_PREFIXES = (
     "BM_AttentionPackedSimd",
     "BM_AttentionBlockedSimd",
     "BM_EmbedGatherSimd",
-    "BM_Int8Gemm",
+    "BM_Int8GemmPacked",
 )
 # Absolute floors on the fresh run, independent of the baseline: the
 # packed batch path must beat per-plan encode by a real margin, and the

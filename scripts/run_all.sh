@@ -11,6 +11,11 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# Benchmark self-test: qpebench compiles src/ into its own tree, so a
+# library change that breaks a header it uses fails here, and every
+# workload gets a short smoke run (see qpebench/README.md).
+python3 qpebench/run.py --self-test 2>&1 | tee -a test_output.txt
+
 # Fault-tolerance verification: ASan robustness suites, fault injection,
 # and the crash-resume smoke (see scripts/verify_robustness.sh).
 ./scripts/verify_robustness.sh 2>&1 | tee -a test_output.txt

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds bench_micro and records the parallel-engine micro-benchmarks
-# (blocked vs reference MatMul kernels, fused vs unfused serving kernels,
-# and full training steps at 1 vs 4 threads) into BENCH_micro.json, then
+# (blocked vs reference MatMul kernels, fused vs unfused layer norm, the
+# scalar vs dispatched SIMD kernels, the packed int8 GEMM, and full
+# training steps at 1 vs 4 threads) into BENCH_micro.json, then
 # builds bench_serving and records the end-to-end serving numbers
 # (per-plan vs batched vs warm-cache plans/sec, request latency
 # percentiles) into BENCH_serving.json at the repo root.
@@ -42,7 +43,7 @@ cmake --build "${BUILD_DIR}" --target bench_micro bench_serving -j"$(nproc)"
 # file cuts its size by ~4x (per-repetition rows added ~4.7k lines of
 # diff per re-record and carry no information the gate uses).
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_MatMul|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_SoftmaxMasked|BM_AttentionPacked|BM_AttentionBlocked|BM_EmbedGather|BM_Int8Gemm' \
+  --benchmark_filter='BM_MatMul|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_SoftmaxMasked|BM_AttentionPacked|BM_AttentionBlocked|BM_EmbedGather|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \

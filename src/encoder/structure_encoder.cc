@@ -280,8 +280,7 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchPacked(
 std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchGrad(
     std::span<const plan::PlanNode* const> plans, util::Rng* dropout_rng) const {
   if (plans.empty()) return {};
-  if (!nn::GradEnabled() || !nn::PackedEnvEnabled() ||
-      !nn::PackedTrainEnvEnabled()) {
+  if (!nn::GradEnabled() || !nn::PackedTrainEnvEnabled()) {
     return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
   }
   // Pack in REVERSE caller order: the autograd engine runs later-built
@@ -391,53 +390,14 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchGrad(
 std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatch(
     std::span<const plan::PlanNode* const> plans, util::Rng* dropout_rng) const {
   if (plans.empty()) return {};
-  if (dropout_rng != nullptr && training()) {
-    // Dropout draws are defined per sequence; the packed path cannot
-    // reproduce them, so training-mode batches take the per-plan loop.
+  // The packed engine records no graph and draws no dropout, so it serves
+  // exactly the NoGradGuard inference batches. Graph-recording callers and
+  // training-mode dropout (whose draws are defined per sequence) take the
+  // per-plan loop, which is the packed engine's oracle.
+  if (nn::GradEnabled() || (dropout_rng != nullptr && training())) {
     return PlanSequenceEncoder::EncodeBatch(plans, dropout_rng);
   }
-  if (!nn::GradEnabled() && nn::PackedEnvEnabled()) {
-    // Inference batches under NoGradGuard take the columnar packed engine;
-    // the op-chain path below remains for graph-recording callers and as
-    // the QPE_PACKED=0 reference.
-    return EncodeBatchPacked(plans);
-  }
-  // Linearize and pack every plan's (truncated) token sequence into one
-  // ragged batch.
-  TokenIds packed;
-  std::vector<int> lengths;
-  lengths.reserve(plans.size());
-  for (const plan::PlanNode* p : plans) {
-    std::vector<plan::OperatorType> tokens = plan::LinearizeDfsBracket(*p);
-    if (static_cast<int>(tokens.size()) > config_.max_len) {
-      tokens.resize(config_.max_len);
-    }
-    const TokenIds ids = TokensToIds(tokens);
-    packed.level1.insert(packed.level1.end(), ids.level1.begin(),
-                         ids.level1.end());
-    packed.level2.insert(packed.level2.end(), ids.level2.begin(),
-                         ids.level2.end());
-    packed.level3.insert(packed.level3.end(), ids.level3.begin(),
-                         ids.level3.end());
-    lengths.push_back(static_cast<int>(tokens.size()));
-  }
-  const nn::BatchLayout layout = nn::BatchLayout::FromLengths(lengths);
-  // One embedding gather + one transformer pass for the whole batch.
-  const nn::Tensor embedded =
-      nn::ConcatCols({embed1_->Forward(packed.level1),
-                      embed2_->Forward(packed.level2),
-                      embed3_->Forward(packed.level3)});
-  const nn::Tensor contextual = transformer_->ForwardBatch(embedded, layout);
-  // CLS pooling: row 0 of each sequence, gathered into a [B, d] matrix so
-  // the optional projection is itself one batched GEMM.
-  nn::Tensor cls = GatherRows(contextual, layout.offsets);
-  if (projection_ != nullptr) cls = projection_->Forward(cls);
-  std::vector<nn::Tensor> out;
-  out.reserve(plans.size());
-  for (int i = 0; i < layout.size(); ++i) {
-    out.push_back(SliceRows(cls, i, 1));
-  }
-  return out;
+  return EncodeBatchPacked(plans);
 }
 
 // --- LstmPlanEncoder ---

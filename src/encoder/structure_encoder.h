@@ -102,12 +102,14 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   nn::Tensor EncodeTokens(const std::vector<plan::OperatorType>& tokens,
                           util::Rng* dropout_rng) const;
 
-  // Batched inference: linearizes all plans, packs the token sequences into
-  // one ragged batch (nn::BatchLayout) and runs a single transformer
-  // forward, so the embedding lookup, q/k/v/output projections, layer
-  // norms and feed-forward GEMMs are amortized across the batch.
-  // Bit-identical to per-plan Encode. With a non-null dropout RNG during
-  // training it falls back to the per-plan path (dropout draws are
+  // Batched inference: under an active NoGradGuard, linearizes all plans,
+  // packs the token sequences into one ragged batch (nn::PackedBatch) and
+  // runs the columnar packed engine once, so the embedding lookup,
+  // q/k/v/output projections, layer norms and feed-forward GEMMs are
+  // amortized across the batch. Bit-identical to per-plan Encode at the
+  // scalar level, within epsilon at vector levels. With gradients enabled,
+  // or with a non-null dropout RNG during training, it falls back to the
+  // per-plan loop (the engine records no graph, and dropout draws are
   // per-sequence by contract).
   std::vector<nn::Tensor> EncodeBatch(
       std::span<const plan::PlanNode* const> plans,
@@ -120,8 +122,8 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   // Bit-identical to the per-plan loop — values, dropout streams and
   // accumulated parameter gradients — at every SIMD level. Falls back to
   // the per-plan loop under NoGradGuard (it would record no graph there;
-  // eval paths keep their existing numerics) or when QPE_PACKED /
-  // QPE_PACKED_TRAIN disable it.
+  // eval paths keep their existing numerics) or when QPE_PACKED_TRAIN
+  // disables it.
   std::vector<nn::Tensor> EncodeBatchGrad(
       std::span<const plan::PlanNode* const> plans,
       util::Rng* dropout_rng) const override;
@@ -158,9 +160,7 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
 
   // The columnar fast path of EncodeBatch: packs into the thread-local
   // nn::PackedBatch and runs the graph-free packed engine with fp32 GEMMs.
-  // Bit-identical to the op-chain path at every SIMD level. Engaged only
-  // under an active NoGradGuard (it records no graph) when QPE_PACKED
-  // allows.
+  // Engaged only under an active NoGradGuard (it records no graph).
   std::vector<nn::Tensor> EncodeBatchPacked(
       std::span<const plan::PlanNode* const> plans) const;
 

@@ -1,7 +1,6 @@
 #include "nn/arena.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -13,11 +12,13 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 
 // Registry of live arenas plus the accumulated counters of destroyed ones
 // (thread_local arenas die with their thread; their traffic must still show
-// up in GlobalMemoryStats).
+// up in GlobalMemoryStats). The registry is never destroyed: global
+// thread-pool workers can still be exiting during static destruction, and
+// their thread_local arenas deregister here.
 std::mutex g_registry_mu;
 std::vector<const TensorArena*>& Registry() {
-  static std::vector<const TensorArena*> registry;
-  return registry;
+  static auto* registry = new std::vector<const TensorArena*>;
+  return *registry;
 }
 MemoryStats& RetiredStats() {
   static MemoryStats retired;
@@ -36,10 +37,7 @@ void Accumulate(MemoryStats* total, const MemoryStats& s) {
 
 thread_local TensorArena* tl_current_arena = nullptr;
 
-std::atomic<bool> g_enabled{[] {
-  const char* env = std::getenv("QPE_ARENA");
-  return !(env != nullptr && env[0] == '0');
-}()};
+std::atomic<bool> g_enabled{true};
 
 // Smallest bucket such that n floats fit in 2^bucket.
 int BucketFor(size_t n) {

@@ -90,9 +90,8 @@ class TensorArena {
   // thread exit).
   static TensorArena* ThreadLocal();
 
-  // Process-wide kill switch (also honoured from the QPE_ARENA environment
-  // variable: QPE_ARENA=0 disables). When disabled, ArenaScope installs
-  // nothing and every tensor takes the plain heap path — the A/B lever for
+  // Process-wide switch, on by default. When disabled, ArenaScope installs
+  // nothing and every tensor takes the plain heap path — the test hook for
   // the arena-on ≡ arena-off bit-exactness tests.
   static void SetEnabled(bool enabled);
   static bool Enabled();

@@ -78,10 +78,6 @@ class Linear : public Module {
   Tensor ForwardRelu(const Tensor& x) const;
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
-  // Parameter access for callers fusing the bias add into a follow-on
-  // activation kernel (BiasRelu/BiasGelu): y = act(MatMul(x, weight()) + bias).
-  const Tensor& weight() const { return weight_; }
-  const Tensor& bias() const { return bias_; }
 
  private:
   int in_features_;

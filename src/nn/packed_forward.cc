@@ -1,19 +1,8 @@
 #include "nn/packed_forward.h"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace qpe::nn {
-
-bool PackedEnvEnabled() {
-  const char* s = std::getenv("QPE_PACKED");
-  return s == nullptr || std::strcmp(s, "0") != 0;
-}
-
-bool HeadBlockEnabled() {
-  const char* s = std::getenv("QPE_HEAD_BLOCK");
-  return s == nullptr || std::strcmp(s, "0") != 0;
-}
 
 void RepackHeadsKT(const float* k, int rows, int dim, int num_heads,
                    float* kbt) {

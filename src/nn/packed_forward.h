@@ -10,16 +10,6 @@
 
 namespace qpe::nn {
 
-// Pipeline knobs, re-read from the environment on every call so tests can
-// A/B both settings in one process with setenv. Both default on.
-//
-// QPE_PACKED=0: the fp32 encoder falls back to its tensor op-chain
-// EncodeBatch instead of the packed engine (the engine itself ignores it).
-bool PackedEnvEnabled();
-// QPE_HEAD_BLOCK=0: the engine keeps the interleaved attention kernel
-// instead of repacking K/V into head blocks.
-bool HeadBlockEnabled();
-
 // Repacks the interleaved key projection k [rows, dim] into kbt
 // [head][head_dim][rows]: row (h, c) of kbt holds column h*head_dim + c of
 // k, contiguous across packed rows. Plain copies.
@@ -39,18 +29,19 @@ void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
 // then the projection at num_layers * 6. `relu` is true exactly for the
 // ff1 site — the callback owns the activation so a fused implementation
 // (simd linear_bias_act) can apply it in the GEMM epilogue; implementations
-// must reproduce BiasRelu's `> 0` clamp bit for bit. Returns a pointer into ws (ws.cls or
-// ws.proj) holding the [num_seqs, output_dim] result — valid until the
-// workspace's next use.
+// must reproduce the bias_relu kernel's `> 0` clamp bit for bit. Returns a
+// pointer into ws (ws.cls or ws.proj) holding the [num_seqs, output_dim]
+// result — valid until the workspace's next use.
 //
 // Numerics: every kernel call and elementwise loop below reproduces the
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
-// BiasRelu's `> 0` select so -0.0 maps to +0.0 exactly like the fused
-// kernel), so with an exact fp32 `linear` this forward is bit-identical to
-// per-plan Encode at the scalar level and epsilon-equal at vector levels
-// (the one sanctioned divergence is the vector exp). The head-blocked
-// attention kernel is bit-identical to the interleaved one at every level,
-// so QPE_HEAD_BLOCK changes addressing, never bits.
+// the `> 0` select so -0.0 maps to +0.0 exactly like the fused kernel), so
+// with an exact fp32 `linear` this forward is bit-identical to per-plan
+// Encode at the scalar level and epsilon-equal at vector levels (the one
+// sanctioned divergence is the vector exp). Attention runs on K/V repacked
+// into head blocks; the head-blocked kernel is bit-identical to the
+// interleaved attention_forward_packed kernel per-plan Encode uses, at
+// every level, so the repack changes addressing, never bits.
 template <typename LinearFn>
 const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
                                  LinearFn&& linear) {
@@ -63,8 +54,11 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
   const int head_dim = d / mv.num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const simd::Kernels& kern = simd::K();
-  const bool blocked = HeadBlockEnabled();
 
+  int max_len = 0;
+  for (const int len : layout.lengths) {
+    if (len > max_len) max_len = len;
+  }
   const size_t rd = static_cast<size_t>(rows) * d;
   ws.EnsureF(&ws.h, rd);
   ws.EnsureF(&ws.normed, rd);
@@ -74,15 +68,9 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
   ws.EnsureF(&ws.ctx, rd);
   ws.EnsureF(&ws.ff, static_cast<size_t>(rows) * f);
   ws.EnsureF(&ws.cls, static_cast<size_t>(num_seqs) * d);
-  if (blocked) {
-    int max_len = 0;
-    for (const int len : layout.lengths) {
-      if (len > max_len) max_len = len;
-    }
-    ws.EnsureF(&ws.kbt, rd);
-    ws.EnsureF(&ws.vb, rd);
-    ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
-  }
+  ws.EnsureF(&ws.kbt, rd);
+  ws.EnsureF(&ws.vb, rd);
+  ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
 
   kern.embed_gather_add(mv.embed1, mv.embed2, mv.embed3, mv.positional,
                         ws.ids1.data(), ws.ids2.data(), ws.ids3.data(),
@@ -101,19 +89,12 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     linear(base + 0, normed, rows, d, d, ws.q.data(), false);
     linear(base + 1, normed, rows, d, d, ws.k.data(), false);
     linear(base + 2, normed, rows, d, d, ws.v.data(), false);
-    if (blocked) {
-      RepackHeadsKT(ws.k.data(), rows, d, mv.num_heads, ws.kbt.data());
-      RepackHeadsVB(ws.v.data(), rows, d, mv.num_heads, ws.vb.data());
-      kern.attention_forward_blocked(
-          ws.q.data(), ws.kbt.data(), ws.vb.data(), ws.ctx.data(),
-          layout.offsets.data(), layout.lengths.data(), num_seqs,
-          mv.num_heads, rows, d, scale, ws.probs.data());
-    } else {
-      kern.attention_forward_packed(ws.q.data(), ws.k.data(), ws.v.data(),
-                                    ws.ctx.data(), layout.offsets.data(),
-                                    layout.lengths.data(), num_seqs,
-                                    mv.num_heads, d, scale);
-    }
+    RepackHeadsKT(ws.k.data(), rows, d, mv.num_heads, ws.kbt.data());
+    RepackHeadsVB(ws.v.data(), rows, d, mv.num_heads, ws.vb.data());
+    kern.attention_forward_blocked(
+        ws.q.data(), ws.kbt.data(), ws.vb.data(), ws.ctx.data(),
+        layout.offsets.data(), layout.lengths.data(), num_seqs, mv.num_heads,
+        rows, d, scale, ws.probs.data());
     linear(base + 3, ws.ctx.data(), rows, d, d, normed, false);
     kern.add_rows(h, normed, rd);
     // Pre-norm feed-forward block (ReLU) with residual.

@@ -113,8 +113,7 @@ class PackedTrainBatch {
 };
 
 // QPE_PACKED_TRAIN=0 falls back to the per-plan op-chain training path
-// (the bitwise reference); defaults on. Orthogonal to QPE_PACKED, which
-// gates the whole columnar family.
+// (the bitwise reference); defaults on.
 bool PackedTrainEnvEnabled();
 
 // Runs the recording columnar forward over the packed workspace (columns

@@ -2,24 +2,11 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "nn/simd.h"
 
 namespace qpe::nn {
-
-namespace {
-
-// Packed-tile int8 GEMM knob, re-read per call so tests can A/B the two
-// layouts in-process with setenv. Default on; QPE_INT8_PACKED=0 falls back
-// to the channel-contiguous int8_gemm layout.
-bool Int8PackedEnabled() {
-  const char* s = std::getenv("QPE_INT8_PACKED");
-  return s == nullptr || std::strcmp(s, "0") != 0;
-}
-
-}  // namespace
 
 int8_t QuantizeValue(float x, float inv_scale) {
   // Round to nearest, ties away from zero — matches the reference
@@ -62,7 +49,8 @@ QuantizedLinear QuantizedLinear::FromLinear(const Tensor& weight,
   q.in_ = in;
   q.out_ = out;
   q.input_scale_ = input_scale > kMinQuantScale ? input_scale : kMinQuantScale;
-  q.weight_.resize(static_cast<size_t>(out) * in);
+  // Channel-major [out][in] staging for the tile packer.
+  std::vector<int8_t> channels(static_cast<size_t>(out) * in);
   q.weight_scale_.resize(out);
   q.bias_.assign(bias.value().begin(), bias.value().end());
   const std::vector<float>& w = weight.value();  // [in, out] row-major
@@ -76,17 +64,15 @@ QuantizedLinear QuantizedLinear::FromLinear(const Tensor& weight,
     const float safe = scale > kMinQuantScale ? scale : kMinQuantScale;
     q.weight_scale_[j] = safe;
     const float inv = 1.0f / safe;
-    int8_t* channel = q.weight_.data() + static_cast<size_t>(j) * in;
+    int8_t* channel = channels.data() + static_cast<size_t>(j) * in;
     for (int p = 0; p < in; ++p) {
       channel[p] = QuantizeValue(w[static_cast<size_t>(p) * out + j], inv);
     }
   }
-  // Pre-pack the weight tiles once here so the serve path never touches
-  // the channel-contiguous layout when the packed GEMM is enabled.
+  // Pack the weight tiles once here; the serve path reads only the tiles.
   q.k_pad_ = simd::Int8PackedKPad(in);
   q.packed_tiles_.resize(simd::Int8PackedSize(in, out));
-  simd::PackInt8WeightTiles(q.weight_.data(), in, out,
-                            q.packed_tiles_.data());
+  simd::PackInt8WeightTiles(channels.data(), in, out, q.packed_tiles_.data());
   return q;
 }
 
@@ -98,29 +84,21 @@ void QuantizedLinear::Forward(const float* x, int m, float* y,
   // Static per-tensor activation scale: every row shares input_scale_.
   row_scale_scratch->assign(static_cast<size_t>(m), input_scale_);
   const auto& kern = simd::K();
-  if (Int8PackedEnabled()) {
-    // Packed path: activations quantized into [m, k_pad] rows with zeroed
-    // k tails (the padding contributes exact zeros to the integer dots).
-    qx_scratch->resize(static_cast<size_t>(m) * k_pad_);
-    if (in_ == k_pad_) {
-      kern.quantize_buffer(x, m * in_, inv, qx_scratch->data());
-    } else {
-      for (int i = 0; i < m; ++i) {
-        int8_t* row = qx_scratch->data() + static_cast<size_t>(i) * k_pad_;
-        kern.quantize_buffer(x + static_cast<size_t>(i) * in_, in_, inv, row);
-        std::memset(row + in_, 0, static_cast<size_t>(k_pad_ - in_));
-      }
+  // Activations quantized into [m, k_pad] rows with zeroed k tails (the
+  // padding contributes exact zeros to the integer dots).
+  qx_scratch->resize(static_cast<size_t>(m) * k_pad_);
+  if (in_ == k_pad_) {
+    kern.quantize_buffer(x, m * in_, inv, qx_scratch->data());
+  } else {
+    for (int i = 0; i < m; ++i) {
+      int8_t* row = qx_scratch->data() + static_cast<size_t>(i) * k_pad_;
+      kern.quantize_buffer(x + static_cast<size_t>(i) * in_, in_, inv, row);
+      std::memset(row + in_, 0, static_cast<size_t>(k_pad_ - in_));
     }
-    kern.int8_gemm_packed(qx_scratch->data(), packed_tiles_.data(), y, m, in_,
-                          out_, row_scale_scratch->data(),
-                          weight_scale_.data(), bias_.data());
-    return;
   }
-  qx_scratch->resize(static_cast<size_t>(m) * in_);
-  kern.quantize_buffer(x, m * in_, inv, qx_scratch->data());
-  kern.int8_gemm(qx_scratch->data(), weight_.data(), y, m, in_, out_,
-                 row_scale_scratch->data(), weight_scale_.data(),
-                 bias_.data());
+  kern.int8_gemm_packed(qx_scratch->data(), packed_tiles_.data(), y, m, in_,
+                        out_, row_scale_scratch->data(), weight_scale_.data(),
+                        bias_.data());
 }
 
 void QuantizedLinear::ForwardPrequantized(
@@ -128,18 +106,10 @@ void QuantizedLinear::ForwardPrequantized(
     std::vector<float>* row_scale_scratch) const {
   assert(in_ > 0 && out_ > 0);
   row_scale_scratch->assign(static_cast<size_t>(m), input_scale_);
-  const auto& kern = simd::K();
-  if (Int8PackedEnabled()) {
-    assert(qx_scratch.size() == static_cast<size_t>(m) * k_pad_);
-    kern.int8_gemm_packed(qx_scratch.data(), packed_tiles_.data(), y, m, in_,
-                          out_, row_scale_scratch->data(),
-                          weight_scale_.data(), bias_.data());
-    return;
-  }
-  assert(qx_scratch.size() == static_cast<size_t>(m) * in_);
-  kern.int8_gemm(qx_scratch.data(), weight_.data(), y, m, in_, out_,
-                 row_scale_scratch->data(), weight_scale_.data(),
-                 bias_.data());
+  assert(qx_scratch.size() == static_cast<size_t>(m) * k_pad_);
+  simd::K().int8_gemm_packed(qx_scratch.data(), packed_tiles_.data(), y, m,
+                             in_, out_, row_scale_scratch->data(),
+                             weight_scale_.data(), bias_.data());
 }
 
 }  // namespace qpe::nn

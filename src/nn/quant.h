@@ -20,8 +20,9 @@ namespace qpe::nn {
 // data-dependent range analysis at serve time, so a plan always produces
 // the same embedding regardless of what else is in its batch.
 //
-// The matmul itself runs in int8 x int8 -> int32 (simd::Kernels::int8_gemm,
-// exact integer accumulation, bit-identical across SIMD levels), and the
+// The matmul itself runs in int8 x int8 -> int32 over pre-packed weight
+// tiles (simd::Kernels::int8_gemm_packed, exact integer accumulation,
+// bit-identical across SIMD levels), and the
 // int32 result is rescaled to float by input_scale * weight_scale[channel]
 // before the float bias is added.
 
@@ -61,9 +62,9 @@ class QuantizedLinear {
 
   // Quantizes a trained fp32 Linear. `weight` is [in, out] (the layout
   // nn::Linear trains), `bias` is [1, out]; `input_scale` comes from a
-  // QuantCalibrator run over this layer's inputs. Weights are repacked to
-  // [out][in] — each output channel contiguous — which is the layout the
-  // int8 GEMM kernel consumes.
+  // QuantCalibrator run over this layer's inputs. Weights are packed once
+  // into the tiled layout the int8 GEMM kernel consumes
+  // (simd::PackInt8WeightTiles).
   static QuantizedLinear FromLinear(const Tensor& weight, const Tensor& bias,
                                     float input_scale);
 
@@ -91,7 +92,6 @@ class QuantizedLinear {
   int out_features() const { return out_; }
   float input_scale() const { return input_scale_; }
   const std::vector<float>& weight_scales() const { return weight_scale_; }
-  const std::vector<int8_t>& packed_weight() const { return weight_; }
   const std::vector<int16_t>& packed_tiles() const { return packed_tiles_; }
 
  private:
@@ -99,7 +99,6 @@ class QuantizedLinear {
   int out_ = 0;
   int k_pad_ = 0;  // simd::Int8PackedKPad(in_)
   float input_scale_ = 1.0f;
-  std::vector<int8_t> weight_;        // [out][in], channel-contiguous
   std::vector<int16_t> packed_tiles_;  // simd::PackInt8WeightTiles layout
   std::vector<float> weight_scale_;   // [out]
   std::vector<float> bias_;           // [out]

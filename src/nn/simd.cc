@@ -76,28 +76,6 @@ void ScalarAttentionForwardPacked(const float* q, const float* k,
                                      num_heads, dim, scale);
 }
 
-// Reference int8 GEMM: plain int32 dot products. Integer arithmetic is
-// exact, so the vector variants must match this bit for bit.
-void ScalarInt8Gemm(const int8_t* a, const int8_t* b, float* c, int m, int k,
-                    int n, const float* a_scale, const float* b_scale,
-                    const float* bias) {
-  for (int i = 0; i < m; ++i) {
-    const int8_t* arow = a + static_cast<size_t>(i) * k;
-    float* crow = c + static_cast<size_t>(i) * n;
-    const float as = a_scale[i];
-    for (int j = 0; j < n; ++j) {
-      const int8_t* brow = b + static_cast<size_t>(j) * k;
-      int32_t acc = 0;
-      for (int p = 0; p < k; ++p) {
-        acc += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(brow[p]);
-      }
-      float y = static_cast<float>(acc) * as * b_scale[j];
-      if (bias != nullptr) y += bias[j];
-      crow[j] = y;
-    }
-  }
-}
-
 void ScalarEmbedGatherAdd(const float* e1, const float* e2, const float* e3,
                           const float* pos, const int* ids1, const int* ids2,
                           const int* ids3, const int* positions, float* out,
@@ -189,7 +167,6 @@ const Kernels kScalarTable = {
     &ScalarLayerNormRows,
     &ScalarSoftmaxRowsMasked,
     &ScalarAttentionForwardPacked,
-    &ScalarInt8Gemm,
     &ScalarEmbedGatherAdd,
     &ScalarAttentionForwardBlocked,
     &ScalarInt8GemmPacked,

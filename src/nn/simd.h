@@ -61,15 +61,6 @@ struct Kernels {
                                    const int* offsets, const int* lengths,
                                    int num_seqs, int num_heads, int dim,
                                    float scale);
-  // Quantized GEMM with int32 accumulation:
-  //   c[i, j] = dot(a[i, :], b[j, :]) * a_scale[i] * b_scale[j] + bias[j]
-  // a is [m, k] row-major int8 (quantized activations), b is [n, k] —
-  // each output channel's weights contiguous (column-major of the [k, n]
-  // weight matrix), bias may be null. The integer accumulation is exact,
-  // so results are bit-identical across levels.
-  void (*int8_gemm)(const int8_t* a, const int8_t* b, float* c, int m, int k,
-                    int n, const float* a_scale, const float* b_scale,
-                    const float* bias);
   // Fused embedding gather + positional add for the packed batch pipeline:
   //   out[r, :] = concat(e1[ids1[r]], e2[ids2[r]], e3[ids3[r]]) +
   //               pos[positions[r], :]
@@ -95,17 +86,20 @@ struct Kernels {
                                     int num_seqs, int num_heads,
                                     int total_rows, int dim, float scale,
                                     float* probs);
-  // int8 GEMM over pre-packed weight tiles (see PackInt8WeightTiles): bp
-  // holds kInt8TileN output channels x kInt8TileK k-steps per tile in the
-  // exact order the micro-kernel consumes, zero-padded in both dimensions
-  // and pre-sign-extended to int16 — the values are still int8-range, but
+  // Quantized GEMM with int32 accumulation over pre-packed weight tiles:
+  //   c[i, j] = dot(a[i, :], w[j, :]) * a_scale[i] * b_scale[j] + bias[j]
+  // where w [n][k] is the channel-major int8 weight matrix that
+  // PackInt8WeightTiles turned into bp; bias may be null. bp holds
+  // kInt8TileN output channels x kInt8TileK k-steps per tile in the exact
+  // order the micro-kernel consumes, zero-padded in both dimensions and
+  // pre-sign-extended to int16 — the values are still int8-range, but
   // widening them once at pack time removes the per-step sign-extension
   // shuffles from the hot loop (on AVX2 that was 4 of the 5 shuffles per
   // k-block). a is [m, Int8PackedKPad(k)] row-major int8 with the k tail
-  // of every row zeroed by the caller. Same dequantization as int8_gemm;
-  // the padded entries contribute exact zeros to the integer dots, so the
-  // result is bit-identical to int8_gemm on the unpacked operands —
-  // across levels and across the two layouts.
+  // of every row zeroed by the caller. The padded entries contribute exact
+  // zeros and integer accumulation is exact, so the result is
+  // bit-identical to a plain int32 dot loop over the unpacked operands, at
+  // every level.
   void (*int8_gemm_packed)(const int8_t* a, const int16_t* bp, float* c,
                            int m, int k, int n, const float* a_scale,
                            const float* b_scale, const float* bias);
@@ -216,8 +210,8 @@ inline size_t Int8PackedSize(int k, int n) {
   return tiles * static_cast<size_t>(Int8PackedKPad(k)) * kInt8TileN;
 }
 
-// Repacks channel-contiguous int8 weights w [n][k] (the int8_gemm layout)
-// into the tiled layout int8_gemm_packed consumes:
+// Repacks channel-contiguous int8 weights w [n][k] into the tiled layout
+// int8_gemm_packed consumes:
 //   packed[((t*KB + b)*kInt8TileN + ch)*kInt8TileK + kk] = w[(t*kInt8TileN +
 //   ch)][b*kInt8TileK + kk]
 // with KB = Int8PackedKPad(k)/kInt8TileK; out-of-range channels and k

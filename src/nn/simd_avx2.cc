@@ -106,48 +106,6 @@ void Avx2AttentionForwardPacked(const float* q, const float* k, const float* v,
                                    num_heads, dim, scale);
 }
 
-// int8 dot products, 16 elements per step: sign-extend both operands to
-// int16 and _mm256_madd_epi16 into int32 pairs. Every intermediate fits
-// comfortably (|a*b| <= 127*127, summed pairwise into int32), so the
-// accumulation is exact and bit-identical to the scalar reference.
-void Avx2Int8Gemm(const int8_t* a, const int8_t* b, float* c, int m, int k,
-                  int n, const float* a_scale, const float* b_scale,
-                  const float* bias) {
-  const int kv = (k / 16) * 16;
-  for (int i = 0; i < m; ++i) {
-    const int8_t* arow = a + static_cast<size_t>(i) * k;
-    float* crow = c + static_cast<size_t>(i) * n;
-    const float as = a_scale[i];
-    for (int j = 0; j < n; ++j) {
-      const int8_t* brow = b + static_cast<size_t>(j) * k;
-      __m256i acc = _mm256_setzero_si256();
-      int p = 0;
-      for (; p < kv; p += 16) {
-        const __m128i av =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + p));
-        const __m128i bv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow + p));
-        const __m256i a16 = _mm256_cvtepi8_epi16(av);
-        const __m256i b16 = _mm256_cvtepi8_epi16(bv);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, b16));
-      }
-      // Horizontal sum of the 8 int32 partials.
-      __m128i lo = _mm256_castsi256_si128(acc);
-      __m128i hi = _mm256_extracti128_si256(acc, 1);
-      __m128i s = _mm_add_epi32(lo, hi);
-      s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-      int32_t total = _mm_cvtsi128_si32(s);
-      for (; p < k; ++p) {
-        total += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(brow[p]);
-      }
-      float y = static_cast<float>(total) * as * b_scale[j];
-      if (bias != nullptr) y += bias[j];
-      crow[j] = y;
-    }
-  }
-}
-
 void Avx2EmbedGatherAdd(const float* e1, const float* e2, const float* e3,
                         const float* pos, const int* ids1, const int* ids2,
                         const int* ids3, const int* positions, float* out,
@@ -169,16 +127,15 @@ void Avx2AttentionForwardBlocked(const float* q, const float* kbt,
 // Packed-tile int8 GEMM. The tile layout (kInt8TileN = 4 channels x
 // kInt8TileK = 16 k-steps, pre-sign-extended to int16 — see
 // PackInt8WeightTiles) lets one sign-extended activation vector feed four
-// madd_epi16 against four direct 256-bit weight loads — versus
-// Avx2Int8Gemm's one madd plus a full horizontal sum per (i, j), and with
-// no cvtepi8_epi16 on the weight side at all (the widening happened once
-// at pack time; inline it was 4 of the 5 shuffles per k-block and capped
-// the kernel at roughly fp32 speed). The four int32 accumulators are
-// folded with two hadds at tile end, amortizing the horizontal reduction
-// across four output channels, and every weight byte is a sequential
-// read. Integer accumulation is exact in any order, so the result is
-// bit-identical to Int8GemmPackedRef and to int8_gemm on the unpacked
-// operands.
+// madd_epi16 against four direct 256-bit weight loads — instead of one
+// madd plus a full horizontal sum per (i, j), and with no cvtepi8_epi16 on
+// the weight side at all (the widening happened once at pack time; inline
+// it was 4 of the 5 shuffles per k-block and capped the kernel at roughly
+// fp32 speed). The four int32 accumulators are folded with two hadds at
+// tile end, amortizing the horizontal reduction across four output
+// channels, and every weight byte is a sequential read. Integer
+// accumulation is exact in any order, so the result is bit-identical to
+// Int8GemmPackedRef.
 void Avx2Int8GemmPacked(const int8_t* a, const int16_t* bp, float* c, int m,
                         int k, int n, const float* a_scale,
                         const float* b_scale, const float* bias) {
@@ -336,7 +293,6 @@ const Kernels kAvx2Table = {
     &Avx2LayerNormRows,
     &Avx2SoftmaxRowsMasked,
     &Avx2AttentionForwardPacked,
-    &Avx2Int8Gemm,
     &Avx2EmbedGatherAdd,
     &Avx2AttentionForwardBlocked,
     &Avx2Int8GemmPacked,

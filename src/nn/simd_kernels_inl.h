@@ -194,7 +194,7 @@ void BiasReluT(const float* __restrict av, const float* __restrict bv,
 // Fused linear layer for the packed pipeline: out = act(A * B + bias) with
 // A [m, k], B [k, n], bias [n], act = ReLU when `relu` is nonzero, identity
 // otherwise. Per output element this is the op chain's exact sequence —
-// zero, ascending-k mul/add pairs, one bias add, then BiasRelu's `> 0`
+// zero, ascending-k mul/add pairs, one bias add, then bias_relu's `> 0`
 // clamp — but the zero lives in a register instead of a pre-filled buffer
 // and the bias/ReLU ride the GEMM epilogue, so the fused kernel never
 // makes the zero-fill and bias passes over the output. Dropping the
@@ -1586,7 +1586,7 @@ inline void QuantizeBufferRef(const float* x, int n, float inv_scale,
 // Reference walk of the packed int8 tile layout (see simd.h). Integer
 // accumulation is exact in any order, so this is the bit-exactness anchor
 // for the vector micro-kernels — and, because the padding contributes
-// exact zeros, for plain int8_gemm on the unpacked operands too.
+// exact zeros, equal to a plain int32 dot loop on the unpacked operands.
 inline void Int8GemmPackedRef(const int8_t* a, const int16_t* bp, float* c,
                               int m, int k, int n, const float* a_scale,
                               const float* b_scale, const float* bias) {

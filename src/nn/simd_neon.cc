@@ -88,38 +88,6 @@ void NeonAttentionForwardPacked(const float* q, const float* k, const float* v,
                                    num_heads, dim, scale);
 }
 
-// int8 dot products 16 elements per step via widening multiplies:
-// vmull_s8 (int8x8 -> int16x8) then vpadalq_s16 into int32 accumulators.
-// Exact integer arithmetic, bit-identical to the scalar reference.
-void NeonInt8Gemm(const int8_t* a, const int8_t* b, float* c, int m, int k,
-                  int n, const float* a_scale, const float* b_scale,
-                  const float* bias) {
-  const int kv = (k / 16) * 16;
-  for (int i = 0; i < m; ++i) {
-    const int8_t* arow = a + static_cast<size_t>(i) * k;
-    float* crow = c + static_cast<size_t>(i) * n;
-    const float as = a_scale[i];
-    for (int j = 0; j < n; ++j) {
-      const int8_t* brow = b + static_cast<size_t>(j) * k;
-      int32x4_t acc = vdupq_n_s32(0);
-      int p = 0;
-      for (; p < kv; p += 16) {
-        const int8x16_t av = vld1q_s8(arow + p);
-        const int8x16_t bv = vld1q_s8(brow + p);
-        acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(av), vget_low_s8(bv)));
-        acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(av), vget_high_s8(bv)));
-      }
-      int32_t total = vaddvq_s32(acc);
-      for (; p < k; ++p) {
-        total += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(brow[p]);
-      }
-      float y = static_cast<float>(total) * as * b_scale[j];
-      if (bias != nullptr) y += bias[j];
-      crow[j] = y;
-    }
-  }
-}
-
 void NeonEmbedGatherAdd(const float* e1, const float* e2, const float* e3,
                         const float* pos, const int* ids1, const int* ids2,
                         const int* ids3, const int* positions, float* out,
@@ -293,7 +261,6 @@ const Kernels kNeonTable = {
     &NeonLayerNormRows,
     &NeonSoftmaxRowsMasked,
     &NeonAttentionForwardPacked,
-    &NeonInt8Gemm,
     &NeonEmbedGatherAdd,
     &NeonAttentionForwardBlocked,
     &NeonInt8GemmPacked,

@@ -546,26 +546,6 @@ Tensor Relu(const Tensor& a) {
       [](float x, float) { return x > 0 ? 1.0f : 0.0f; });
 }
 
-namespace {
-
-// Exact (erf-form) GELU and its derivative Phi(x) + x * phi(x).
-inline float GeluFwd(float x) {
-  return 0.5f * x * (1.0f + std::erf(x * 0.70710678118654752f));
-}
-inline float GeluDeriv(float x) {
-  const float cdf = 0.5f * (1.0f + std::erf(x * 0.70710678118654752f));
-  const float pdf = 0.39894228040143268f * std::exp(-0.5f * x * x);
-  return cdf + x * pdf;
-}
-
-}  // namespace
-
-Tensor Gelu(const Tensor& a) {
-  return Unary(
-      a, [](float x) { return GeluFwd(x); },
-      [](float x, float) { return GeluDeriv(x); });
-}
-
 Tensor Sigmoid(const Tensor& a) {
   return Unary(
       a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
@@ -1088,67 +1068,6 @@ Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w,
             MatMulBackwardB(xv, og, wg, static_cast<int>(p0),
                             static_cast<int>(p1), m, k, n);
           });
-        }
-      }
-    };
-  }
-  return out;
-}
-
-Tensor BiasRelu(const Tensor& a, const Tensor& bias) {
-  const int m = a.rows(), n = a.cols();
-  assert(bias.rows() == 1 && bias.cols() == n);
-  Tensor out = Tensor::MakeResult(m, n, {a.impl_, bias.impl_},
-                                  Tensor::Fill::kOverwrite);
-  simd::K().bias_relu(a.impl_->value.data(), bias.impl_->value.data(),
-                      out.impl_->value.data(), m, n);
-  if (out.requires_grad()) {
-    Tensor::Impl* const ai = a.impl_.get();
-    Tensor::Impl* const bi = bias.impl_.get();
-    Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [ai, bi, oi, m, n]() {
-      // out > 0 iff the pre-activation a + bias was > 0; the gated
-      // accumulation lives in the dispatch table (BiasActBackwardT).
-      float* ag = ai->requires_grad ? GradPtr(ai) : nullptr;
-      float* bg = bi->requires_grad ? GradPtr(bi) : nullptr;
-      simd::K().bias_act_backward(oi->value.data(), oi->grad.data(), ag, bg,
-                                  m, n);
-    };
-  }
-  return out;
-}
-
-Tensor BiasGelu(const Tensor& a, const Tensor& bias) {
-  const int m = a.rows(), n = a.cols();
-  assert(bias.rows() == 1 && bias.cols() == n);
-  Tensor out = Tensor::MakeResult(m, n, {a.impl_, bias.impl_},
-                                  Tensor::Fill::kOverwrite);
-  {
-    const float* __restrict av = a.impl_->value.data();
-    const float* __restrict bv = bias.impl_->value.data();
-    float* __restrict ov = out.impl_->value.data();
-    for (int r = 0; r < m; ++r) {
-      const float* __restrict arow = av + static_cast<size_t>(r) * n;
-      float* __restrict orow = ov + static_cast<size_t>(r) * n;
-      for (int c = 0; c < n; ++c) orow[c] = GeluFwd(arow[c] + bv[c]);
-    }
-  }
-  if (out.requires_grad()) {
-    Tensor::Impl* const ai = a.impl_.get();
-    Tensor::Impl* const bi = bias.impl_.get();
-    Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [ai, bi, oi, m, n]() {
-      const float* __restrict av = ai->value.data();
-      const float* __restrict bv = bi->value.data();
-      const float* __restrict og = oi->grad.data();
-      float* __restrict ag = ai->requires_grad ? GradPtr(ai) : nullptr;
-      float* __restrict bg = bi->requires_grad ? GradPtr(bi) : nullptr;
-      for (int r = 0; r < m; ++r) {
-        const size_t base = static_cast<size_t>(r) * n;
-        for (int c = 0; c < n; ++c) {
-          const float g = og[base + c] * GeluDeriv(av[base + c] + bv[c]);
-          if (ag) ag[base + c] += g;
-          if (bg) bg[c] += g;
         }
       }
     };

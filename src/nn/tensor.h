@@ -124,7 +124,6 @@ class Tensor {
   friend Tensor Scale(const Tensor& a, float s);
   friend Tensor AddScalar(const Tensor& a, float s);
   friend Tensor Relu(const Tensor& a);
-  friend Tensor Gelu(const Tensor& a);
   friend Tensor Sigmoid(const Tensor& a);
   friend Tensor Tanh(const Tensor& a);
   friend Tensor Exp(const Tensor& a);
@@ -143,8 +142,6 @@ class Tensor {
                               const Tensor& bias);
   friend Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w,
                                   const Tensor& bias);
-  friend Tensor BiasRelu(const Tensor& a, const Tensor& bias);
-  friend Tensor BiasGelu(const Tensor& a, const Tensor& bias);
   friend Tensor LayerNormRows(const Tensor& x, const Tensor& gamma,
                               const Tensor& beta);
   friend Tensor SoftmaxRowsMasked(const Tensor& a,
@@ -215,7 +212,6 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Scale(const Tensor& a, float s);
 Tensor AddScalar(const Tensor& a, float s);
 Tensor Relu(const Tensor& a);
-Tensor Gelu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Exp(const Tensor& a);
@@ -263,15 +259,6 @@ Tensor LinearRowBias(const Tensor& x, const Tensor& w, const Tensor& bias);
 // memory passes per hidden MLP layer; the MLP training hot path.
 Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w, const Tensor& bias);
 
-// max(a + bias, 0) with a [1, n] bias row: fuses Linear's bias add with the
-// ReLU that follows it (one pass instead of two ops).
-Tensor BiasRelu(const Tensor& a, const Tensor& bias);
-
-// gelu(a + bias) (exact erf form, as in BERT/PyTorch defaults). The GELU
-// feed-forward variant of BiasRelu; selected by TransformerEncoderLayer's
-// ff_activation config.
-Tensor BiasGelu(const Tensor& a, const Tensor& bias);
-
 // Row-wise layer normalization: y = (x - mean) / sqrt(var + 1e-5) * gamma
 // + beta, one kernel instead of the 8-op autograd chain LayerNorm::Forward
 // used to build. Forward arithmetic replicates the original chain exactly
@@ -297,9 +284,10 @@ Tensor SoftmaxRowsMasked(const Tensor& a, const std::vector<int>& valid);
 // but runs as one op instead of ~8 per sequence per head: on short plan
 // sequences the chain's per-op dispatch/allocation dominates the actual
 // arithmetic. Keys never cross sequence boundaries, so packing imposes an
-// exact attention mask by construction. Both MultiHeadSelfAttention paths
-// (single-sequence Forward and packed ForwardBatch) route through this op,
-// so batched-vs-single equality is bitwise at every dispatch level.
+// exact attention mask by construction. MultiHeadSelfAttention::Forward
+// routes through this op, and the packed engine's head-blocked kernel
+// reproduces it bit for bit, so batched-vs-single agreement does not
+// depend on the attention kernel.
 Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
                                 const Tensor& v,
                                 const std::vector<int>& offsets,

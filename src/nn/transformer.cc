@@ -73,38 +73,16 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
   const Tensor v = wv_->Forward(x);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   // Single sequence = a packed batch of one. Routing through the same
-  // fused kernel as ForwardBatch (instead of the per-head
-  // MatMul/SoftmaxRows/MatMul chain it replaced) keeps Forward and
-  // ForwardBatch bit-identical at EVERY dispatch level: under a vector
+  // fused kernel as the packed engine (instead of the per-head
+  // MatMul/SoftmaxRows/MatMul chain it replaced) keeps per-plan Encode and
+  // the packed batch in agreement at every dispatch level: under a vector
   // level the kernel's exp is a polynomial (epsilon contract, see
-  // simd_kernels_inl.h), so an op-chain softmax here would diverge from
-  // the batched path's. At the scalar level the kernel reproduces the old
-  // chain bit for bit, and the op carries a full backward, so training
+  // simd_kernels_inl.h), so an op-chain softmax here would diverge further
+  // from the batched path's. At the scalar level the kernel reproduces the
+  // old chain bit for bit, and the op carries a full backward, so training
   // gradients flow exactly as before.
   const Tensor context = MultiHeadAttentionPacked(q, k, v, {0}, {x.rows()},
                                                   num_heads_, scale);
-  return wo_->Forward(context);
-}
-
-Tensor MultiHeadSelfAttention::ForwardBatch(const Tensor& x,
-                                            const BatchLayout& layout) const {
-  assert(x.cols() == dim_);
-  assert(x.rows() == layout.total_rows);
-  // One GEMM per projection for the whole batch — this is where batching
-  // amortizes the matmul cost vs. B per-sequence projections.
-  const Tensor q = wq_->Forward(x);
-  const Tensor k = wk_->Forward(x);
-  const Tensor v = wv_->Forward(x);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Keys never cross sequence boundaries inside the fused kernel, so the
-  // attention mask is exact by construction; per (sequence, head) block the
-  // kernel computes exactly what the single-sequence Forward computes (both
-  // go through the same dispatched kernel), but replaces ~8 tensor ops per
-  // sequence per head with one op — on short plan sequences the chain's
-  // dispatch/allocation overhead would dominate.
-  const Tensor context = MultiHeadAttentionPacked(
-      q, k, v, layout.offsets, layout.lengths, num_heads_, scale);
-  // Output projection, again batched over the packed matrix.
   return wo_->Forward(context);
 }
 
@@ -112,9 +90,8 @@ Tensor MultiHeadSelfAttention::ForwardBatch(const Tensor& x,
 
 TransformerEncoderLayer::TransformerEncoderLayer(int dim, int num_heads,
                                                  int ff_dim, float dropout,
-                                                 util::Rng* rng,
-                                                 FfActivation activation)
-    : dropout_(dropout), activation_(activation) {
+                                                 util::Rng* rng)
+    : dropout_(dropout) {
   attention_ = RegisterModule(
       "attention", std::make_unique<MultiHeadSelfAttention>(dim, num_heads, rng));
   norm1_ = RegisterModule("norm1", std::make_unique<LayerNorm>(dim));
@@ -130,40 +107,24 @@ Tensor TransformerEncoderLayer::Forward(const Tensor& x,
   if (use_dropout) attended = Dropout(attended, dropout_, dropout_rng);
   const Tensor h = Add(x, attended);
   const Tensor pre = ff1_->Forward(norm2_->Forward(h));
-  Tensor ff = ff2_->Forward(activation_ == FfActivation::kGelu ? Gelu(pre)
-                                                               : Relu(pre));
+  Tensor ff = ff2_->Forward(Relu(pre));
   if (use_dropout) ff = Dropout(ff, dropout_, dropout_rng);
   return Add(h, ff);
-}
-
-Tensor TransformerEncoderLayer::ForwardBatch(const Tensor& x,
-                                             const BatchLayout& layout) const {
-  const Tensor attended = attention_->ForwardBatch(norm1_->Forward(x), layout);
-  const Tensor h = Add(x, attended);
-  // Fused bias+activation on the packed matrix: bit-identical to
-  // Relu/Gelu(Add(MatMul(h2, W1), b1)) but one kernel pass instead of
-  // three ops.
-  const Tensor pre = MatMul(norm2_->Forward(h), ff1_->weight());
-  const Tensor activated = activation_ == FfActivation::kGelu
-                               ? BiasGelu(pre, ff1_->bias())
-                               : BiasRelu(pre, ff1_->bias());
-  return Add(h, ff2_->Forward(activated));
 }
 
 // --- TransformerEncoder ---
 
 TransformerEncoder::TransformerEncoder(int dim, int num_heads, int ff_dim,
                                        int num_layers, int max_len,
-                                       float dropout, util::Rng* rng,
-                                       FfActivation activation)
+                                       float dropout, util::Rng* rng)
     : dim_(dim), max_len_(max_len) {
   positional_ = RegisterParameter(
       "positional", Tensor::Gaussian(max_len, dim, 0.02f, rng));
   for (int i = 0; i < num_layers; ++i) {
-    layers_.push_back(
-        RegisterModule("layer" + std::to_string(i),
-                       std::make_unique<TransformerEncoderLayer>(
-                           dim, num_heads, ff_dim, dropout, rng, activation)));
+    layers_.push_back(RegisterModule(
+        "layer" + std::to_string(i),
+        std::make_unique<TransformerEncoderLayer>(dim, num_heads, ff_dim,
+                                                  dropout, rng)));
   }
 }
 
@@ -175,25 +136,6 @@ Tensor TransformerEncoder::Forward(const Tensor& x,
   h = Add(h, SliceRows(positional_, 0, t));
   for (const TransformerEncoderLayer* layer : layers_) {
     h = layer->Forward(h, dropout_rng);
-  }
-  return h;
-}
-
-Tensor TransformerEncoder::ForwardBatch(const Tensor& x,
-                                        const BatchLayout& layout) const {
-  assert(x.cols() == dim_);
-  assert(x.rows() == layout.total_rows);
-  // Positional embeddings gathered per packed row: row t of sequence s gets
-  // positional_[t], exactly as the single-sequence path adds
-  // SliceRows(positional_, 0, T_s). The index column is precomputed once in
-  // BatchLayout::FromLengths and shared by every layer-free consumer.
-#ifndef NDEBUG
-  for (const int len : layout.lengths) assert(len <= max_len_);
-#endif
-  assert(static_cast<int>(layout.positions.size()) == layout.total_rows);
-  Tensor h = Add(x, GatherRows(positional_, layout.positions));
-  for (const TransformerEncoderLayer* layer : layers_) {
-    h = layer->ForwardBatch(h, layout);
   }
   return h;
 }

@@ -44,11 +44,6 @@ struct BatchLayout {
   int size() const { return static_cast<int>(lengths.size()); }
 };
 
-// Feed-forward activation of a transformer encoder layer. kRelu is the
-// repo default (bit-compatible with all existing checkpoints); kGelu is
-// the BERT-style variant, served by the fused BiasGelu kernel.
-enum class FfActivation { kRelu, kGelu };
-
 // Multi-head self-attention (Vaswani et al. 2017, as used by the paper's
 // structure encoder §3.1.2). Operates on one sequence: x is [T, d].
 class MultiHeadSelfAttention : public Module {
@@ -56,12 +51,6 @@ class MultiHeadSelfAttention : public Module {
   MultiHeadSelfAttention(int dim, int num_heads, util::Rng* rng);
 
   Tensor Forward(const Tensor& x) const;  // [T, d] -> [T, d]
-
-  // Packed-batch forward: x is [layout.total_rows, d]. The q/k/v/output
-  // projections are batched across all sequences in single GEMMs; scores
-  // and the masked softmax stay within each sequence's row range.
-  // Bit-identical to running Forward on each sequence separately.
-  Tensor ForwardBatch(const Tensor& x, const BatchLayout& layout) const;
 
   int dim() const { return dim_; }
   int num_heads() const { return num_heads_; }
@@ -81,16 +70,10 @@ class MultiHeadSelfAttention : public Module {
 class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(int dim, int num_heads, int ff_dim, float dropout,
-                          util::Rng* rng,
-                          FfActivation activation = FfActivation::kRelu);
+                          util::Rng* rng);
 
   // [T, d] -> [T, d]. `dropout_rng` may be null to disable dropout (eval).
   Tensor Forward(const Tensor& x, util::Rng* dropout_rng) const;
-
-  // Packed-batch forward (inference: no dropout). The feed-forward block
-  // runs through the fused BiasRelu/BiasGelu kernel on the packed matrix.
-  // Bit-identical to Forward(x_s, nullptr) per sequence.
-  Tensor ForwardBatch(const Tensor& x, const BatchLayout& layout) const;
 
  private:
   MultiHeadSelfAttention* attention_;
@@ -99,23 +82,16 @@ class TransformerEncoderLayer : public Module {
   Linear* ff1_;
   Linear* ff2_;
   float dropout_;
-  FfActivation activation_;
 };
 
 // Stack of encoder layers with learned positional embeddings.
 class TransformerEncoder : public Module {
  public:
   TransformerEncoder(int dim, int num_heads, int ff_dim, int num_layers,
-                     int max_len, float dropout, util::Rng* rng,
-                     FfActivation activation = FfActivation::kRelu);
+                     int max_len, float dropout, util::Rng* rng);
 
   // [T, d] token embeddings -> [T, d] contextualized embeddings.
   Tensor Forward(const Tensor& x, util::Rng* dropout_rng) const;
-
-  // Packed-batch forward (inference). Every sequence length must already
-  // be <= max_len (the caller truncates before packing). Bit-identical to
-  // Forward(x_s, nullptr) per sequence.
-  Tensor ForwardBatch(const Tensor& x, const BatchLayout& layout) const;
 
   int dim() const { return dim_; }
 

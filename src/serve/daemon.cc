@@ -24,6 +24,24 @@ namespace {
 constexpr double kInfiniteDeadline = std::numeric_limits<double>::infinity();
 constexpr int kPollTimeoutMs = 50;
 
+// Writes `s` as the body of a JSON string literal. Tenant names are
+// arbitrary client bytes, so quotes, backslashes and control bytes must be
+// escaped for STATS to stay valid JSON.
+void WriteJsonEscaped(std::ostream& os, const std::string& s) {
+  for (const char ch : s) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    if (c == '"' || c == '\\') {
+      os << '\\' << ch;
+    } else if (c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      os << buf;
+    } else {
+      os << ch;
+    }
+  }
+}
+
 }  // namespace
 
 // One client connection. The IO thread owns the receive buffer and the
@@ -776,7 +794,9 @@ std::string ServingDaemon::StatsJson() const {
   for (const auto& [name, counters] : stats.tenants) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "    \"" << name << "\": {"
+    os << "    \"";
+    WriteJsonEscaped(os, name);
+    os << "\": {"
        << "\"admitted\": " << counters.admitted
        << ", \"completed\": " << counters.completed
        << ", \"plans\": " << counters.plans

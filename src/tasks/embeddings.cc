@@ -97,8 +97,9 @@ std::vector<float> EmbeddingFeaturizer::FeaturizeImpl(
 
 std::vector<std::vector<float>> EmbeddingFeaturizer::FeaturizeAll(
     const std::vector<simdb::ExecutedQuery>& records) const {
-  // Batch the structural encodes across the whole dataset: one packed
-  // transformer forward instead of a per-record pass.
+  // Batch the structural encodes across the whole dataset: EncodeBatch runs
+  // one packed forward under a caller's NoGradGuard, and the per-plan loop
+  // (same bits as Encode) otherwise.
   std::vector<nn::Tensor> structure;
   if (config_.structure != nullptr) {
     std::vector<const plan::PlanNode*> roots;

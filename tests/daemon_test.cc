@@ -877,6 +877,35 @@ TEST_F(DaemonTest, PingEncodeStatsEndToEnd) {
   EXPECT_EQ(stats.tenants[0].second.plans, 5u);
 }
 
+TEST_F(DaemonTest, StatsEscapesHostileTenantNames) {
+  const ServingDaemonConfig config = BaseConfig("hostilename");
+  ServingDaemon daemon(&encoder_, config);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  auto client = DaemonClient::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  EncodeRequest request;
+  request.tenant = "a\"b\\c\n\x01";
+  request.plans = SamplePlanTexts(1, 7);
+  ASSERT_TRUE(client->Encode(request).ok());
+
+  const auto stats_json = client->StatsJson();
+  ASSERT_TRUE(stats_json.ok()) << stats_json.status().ToString();
+  EXPECT_NE(stats_json->find("\"a\\\"b\\\\c\\u000a\\u0001\": {"),
+            std::string::npos)
+      << *stats_json;
+  // Newlines separate the JSON lines; every other control byte must have
+  // been escaped.
+  for (const char ch : *stats_json) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    if (c != '\n') {
+      EXPECT_GE(c, 0x20) << *stats_json;
+    }
+  }
+  EXPECT_EQ(stats_json->find(request.tenant), std::string::npos);
+  daemon.Stop();
+}
+
 TEST_F(DaemonTest, ZeroQuotaTenantGetsTypedShedOverTheWire) {
   ServingDaemonConfig config = BaseConfig("zeroquota");
   TenantConfig zero;

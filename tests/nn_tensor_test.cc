@@ -304,72 +304,6 @@ TEST(TensorTest, DeepGraphBackwardDoesNotOverflowStack) {
 // The fused kernels promise bit-identical forwards to the op chains they
 // replace; these tests enforce exact (==) float equality, not tolerance.
 
-// Values bounded away from the ReLU kink so central differences and the
-// subgradient agree.
-Tensor KinkFreeTensor(int rows, int cols, util::Rng* rng) {
-  Tensor t = Tensor::Zeros(rows, cols, /*requires_grad=*/true);
-  for (float& v : t.value()) {
-    const float x = static_cast<float>(rng->Uniform(0.1, 1.0));
-    v = rng->Bernoulli(0.5) ? x : -x;
-  }
-  return t;
-}
-
-TEST(FusedKernelTest, BiasReluMatchesUnfusedBitExact) {
-  util::Rng rng(71);
-  const Tensor a = RandTensor(5, 7, &rng);
-  const Tensor bias = RandTensor(1, 7, &rng);
-  const Tensor fused = BiasRelu(a, bias);
-  const Tensor unfused = Relu(Add(a, bias));
-  ASSERT_EQ(fused.numel(), unfused.numel());
-  for (int i = 0; i < fused.numel(); ++i) {
-    EXPECT_EQ(fused.value()[i], unfused.value()[i]) << "element " << i;
-  }
-  // Gradients accumulate in the same row-major order as the Add/Relu
-  // chain, so they are exact too.
-  Sum(fused).Backward();
-  const std::vector<float> fused_a = a.grad(), fused_b = bias.grad();
-  a.ZeroGrad();
-  bias.ZeroGrad();
-  Sum(unfused).Backward();
-  for (int i = 0; i < a.numel(); ++i) EXPECT_EQ(fused_a[i], a.grad()[i]);
-  for (int i = 0; i < bias.numel(); ++i) EXPECT_EQ(fused_b[i], bias.grad()[i]);
-}
-
-TEST(FusedKernelTest, BiasGeluMatchesGeluOfAddBitExact) {
-  util::Rng rng(72);
-  const Tensor a = RandTensor(4, 6, &rng);
-  const Tensor bias = RandTensor(1, 6, &rng);
-  const Tensor fused = BiasGelu(a, bias);
-  const Tensor unfused = Gelu(Add(a, bias));
-  for (int i = 0; i < fused.numel(); ++i) {
-    EXPECT_EQ(fused.value()[i], unfused.value()[i]) << "element " << i;
-  }
-}
-
-TEST(FusedKernelTest, BiasReluGradient) {
-  util::Rng rng(73);
-  const Tensor a = KinkFreeTensor(3, 5, &rng);
-  Tensor bias = Tensor::Zeros(1, 5, /*requires_grad=*/true);  // keeps a+b off 0
-  CheckGradients({a, bias}, [&]() { return Sum(BiasRelu(a, bias)); });
-}
-
-TEST(FusedKernelTest, GeluForwardAndGradient) {
-  // Exact erf form: gelu(0) = 0, gelu(x) -> x for large x, -> 0 for small.
-  const Tensor x =
-      Tensor::FromVector(1, 3, {0.0f, 10.0f, -10.0f}, /*requires_grad=*/true);
-  const Tensor y = Gelu(x);
-  EXPECT_EQ(y.value()[0], 0.0f);
-  EXPECT_NEAR(y.value()[1], 10.0f, 1e-4f);
-  EXPECT_NEAR(y.value()[2], 0.0f, 1e-4f);
-  util::Rng rng(74);
-  const Tensor a = RandTensor(3, 4, &rng);
-  CheckGradients({a}, [&]() { return Sum(Gelu(a)); });
-  const Tensor b = RandTensor(2, 4, &rng);
-  const Tensor bias = RandTensor(1, 4, &rng, 0.3f);
-  CheckGradients({b, bias}, [&]() { return Sum(BiasGelu(b, bias)); });
-}
-
 TEST(FusedKernelTest, LayerNormRowsMatchesCompositeChainBitExact) {
   util::Rng rng(75);
   const Tensor x = RandTensor(6, 9, &rng);
@@ -446,7 +380,7 @@ TEST(FusedKernelTest, SoftmaxRowsMaskedGradient) {
 }
 
 // Compares the fused packed attention against the per-sequence, per-head
-// op chain ForwardBatch used before the fused kernel existed. tol == 0
+// op chain attention used before the fused kernel existed. tol == 0
 // demands bitwise equality (valid at the scalar dispatch level); a
 // positive tol applies the epsilon contract (vector levels, where the
 // kernel's exp lanes are polynomial).

@@ -2,9 +2,9 @@
 // embedding-gather kernel, the head-blocked attention kernel, the packed
 // int8 GEMM, the quantize_buffer contract (ties away from zero,
 // saturation), packed-vs-per-plan encoder parity at adversarial batch
-// shapes x SIMD levels x thread counts, the QPE_PACKED / QPE_HEAD_BLOCK /
-// QPE_INT8_PACKED A/B knobs, and the arena-steady-state contract (zero
-// heap acquisitions per micro-batch after warmup).
+// shapes x SIMD levels x thread counts, packed-vs-per-plan training
+// parity, and the arena-steady-state contract (zero heap acquisitions per
+// micro-batch after warmup).
 
 #include <climits>
 #include <cmath>
@@ -18,7 +18,6 @@
 #include "data/datasets.h"
 #include "data/plan_corpus.h"
 #include "encoder/ppsr.h"
-#include "encoder/quantized_encoder.h"
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
 #include "nn/arena.h"
@@ -62,8 +61,8 @@ class ThreadCountGuard {
 };
 
 // Sets an environment variable for the scope, restoring the previous value
-// (or unsetting) on exit. The pipeline knobs re-read the environment on
-// every call, so this is enough for in-process A/B.
+// (or unsetting) on exit. QPE_PACKED_TRAIN is re-read on every call, so
+// this is enough for in-process A/B.
 class EnvVarGuard {
  public:
   EnvVarGuard(const char* name, const char* value) : name_(name) {
@@ -292,6 +291,29 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
 
 // --- Packed int8 GEMM -------------------------------------------------------
 
+// Reference int8 GEMM over the unpacked operands: plain int32 dot products
+// of a [m, k] against channel-major w [n, k]. Integer arithmetic is exact,
+// so every level's packed kernel must match it bit for bit.
+void Int8GemmReference(const int8_t* a, const int8_t* w, float* c, int m,
+                       int k, int n, const float* a_scale,
+                       const float* b_scale, const float* bias) {
+  for (int i = 0; i < m; ++i) {
+    const int8_t* arow = a + static_cast<size_t>(i) * k;
+    float* crow = c + static_cast<size_t>(i) * n;
+    const float as = a_scale[i];
+    for (int j = 0; j < n; ++j) {
+      const int8_t* wrow = w + static_cast<size_t>(j) * k;
+      int32_t acc = 0;
+      for (int p = 0; p < k; ++p) {
+        acc += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(wrow[p]);
+      }
+      float y = static_cast<float>(acc) * as * b_scale[j];
+      if (bias != nullptr) y += bias[j];
+      crow[j] = y;
+    }
+  }
+}
+
 TEST(PackedKernelTest, Int8GemmPackedMatchesUnpackedBitwise) {
   const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
   const Kernels* vec = VectorTable();
@@ -325,7 +347,7 @@ TEST(PackedKernelTest, Int8GemmPackedMatchesUnpackedBitwise) {
     for (const float* b_ptr : {bias.data(), static_cast<const float*>(
                                                 nullptr)}) {
       std::vector<float> ref(static_cast<size_t>(m) * n, 0.0f);
-      scalar->int8_gemm(a.data(), w.data(), ref.data(), m, k, n,
+      Int8GemmReference(a.data(), w.data(), ref.data(), m, k, n,
                         a_scale.data(), b_scale.data(), b_ptr);
       for (const Kernels* table : {scalar, vec}) {
         if (table == nullptr) continue;
@@ -452,90 +474,6 @@ TEST(PackedEncoderTest, AdversarialShapesAcrossLevelsAndThreads) {
              std::to_string(threads))
                 .c_str());
       }
-    }
-  }
-}
-
-// --- Env-knob A/B -----------------------------------------------------------
-
-TEST(PackedEncoderTest, PackedKnobMatchesLegacyOpChainBitwise) {
-  // QPE_PACKED=0 re-routes EncodeBatch through the tensor op-chain; at
-  // forced scalar the two pipelines must agree bit for bit.
-  SimdLevelGuard guard;
-  if (nn::simd::ForceLevel(Level::kScalar) != Level::kScalar) GTEST_SKIP();
-  util::Rng rng(96);
-  const encoder::TransformerPlanEncoder enc(SmallConfig(), &rng);
-  const auto plans = SamplePlans(7, 205);
-  const auto ptrs = Pointers(plans);
-  nn::NoGradGuard no_grad;
-  std::vector<nn::Tensor> legacy, packed;
-  {
-    EnvVarGuard off("QPE_PACKED", "0");
-    legacy = enc.EncodeBatch(ptrs, nullptr);
-  }
-  {
-    EnvVarGuard on("QPE_PACKED", "1");
-    packed = enc.EncodeBatch(ptrs, nullptr);
-  }
-  ASSERT_EQ(legacy.size(), packed.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    for (int c = 0; c < legacy[i].cols(); ++c) {
-      ASSERT_EQ(legacy[i].at(0, c), packed[i].at(0, c))
-          << "plan " << i << " dim " << c;
-    }
-  }
-}
-
-TEST(PackedEncoderTest, HeadBlockKnobNeverChangesBits) {
-  // The blocked attention kernel is bit-identical to the interleaved one
-  // at every level, so QPE_HEAD_BLOCK must not change any output bit even
-  // at the hardware level.
-  util::Rng rng(97);
-  const encoder::TransformerPlanEncoder enc(SmallConfig(), &rng);
-  const auto plans = SamplePlans(7, 206);
-  const auto ptrs = Pointers(plans);
-  nn::NoGradGuard no_grad;
-  std::vector<nn::Tensor> interleaved, blocked;
-  {
-    EnvVarGuard off("QPE_HEAD_BLOCK", "0");
-    interleaved = enc.EncodeBatch(ptrs, nullptr);
-  }
-  {
-    EnvVarGuard on("QPE_HEAD_BLOCK", "1");
-    blocked = enc.EncodeBatch(ptrs, nullptr);
-  }
-  ASSERT_EQ(interleaved.size(), blocked.size());
-  for (size_t i = 0; i < interleaved.size(); ++i) {
-    for (int c = 0; c < interleaved[i].cols(); ++c) {
-      ASSERT_EQ(interleaved[i].at(0, c), blocked[i].at(0, c))
-          << "plan " << i << " dim " << c;
-    }
-  }
-}
-
-TEST(PackedEncoderTest, Int8PackedKnobNeverChangesBits) {
-  // Both int8 layouts accumulate the same integer dots, so the quantized
-  // encoder's output must be bit-identical with the knob on and off.
-  util::Rng rng(98);
-  const encoder::TransformerPlanEncoder fp32(SmallConfig(), &rng);
-  const auto calib = SamplePlans(8, 207);
-  const auto qenc = fp32.Quantize(Pointers(calib));
-  const auto plans = SamplePlans(7, 208);
-  const auto ptrs = Pointers(plans);
-  std::vector<nn::Tensor> legacy, packed;
-  {
-    EnvVarGuard off("QPE_INT8_PACKED", "0");
-    legacy = qenc->EncodeBatch(ptrs, nullptr);
-  }
-  {
-    EnvVarGuard on("QPE_INT8_PACKED", "1");
-    packed = qenc->EncodeBatch(ptrs, nullptr);
-  }
-  ASSERT_EQ(legacy.size(), packed.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    for (int c = 0; c < legacy[i].cols(); ++c) {
-      ASSERT_EQ(legacy[i].at(0, c), packed[i].at(0, c))
-          << "plan " << i << " dim " << c;
     }
   }
 }

@@ -15,8 +15,8 @@
 #include "data/plan_corpus.h"
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
+#include "nn/simd.h"
 #include "nn/tensor.h"
-#include "nn/transformer.h"
 #include "plan/fingerprint.h"
 #include "plan/linearize.h"
 #include "plan/plan_node.h"
@@ -72,6 +72,16 @@ class ThreadCountGuard {
 
  private:
   int saved_;
+};
+
+// Restores the dispatched kernel table on scope exit.
+class SimdLevelGuard {
+ public:
+  SimdLevelGuard() : saved_(nn::simd::ActiveLevel()) {}
+  ~SimdLevelGuard() { nn::simd::ForceLevel(saved_); }
+
+ private:
+  nn::simd::Level saved_;
 };
 
 // --- Batched-vs-single bit-exactness ---------------------------------------
@@ -156,37 +166,34 @@ TEST(EncodeBatchTest, BaseClassLoopMatchesEncode) {
   }
 }
 
-TEST(EncodeBatchTest, GeluTransformerBatchedMatchesSingleBitExact) {
-  // The GELU feed-forward variant routes the batched path through the
-  // fused BiasGelu kernel; it must match the single-sequence Gelu chain.
+TEST(EncodeBatchTest, GradEnabledBatchMatchesEncodeAndBackpropagates) {
+  // Without a NoGradGuard EncodeBatch must record a graph, so it takes the
+  // per-plan loop: the same bits as Encode even at the hardware SIMD level,
+  // with gradients that reach the embedding tables.
+  SimdLevelGuard level_guard;
+  nn::simd::ForceLevel(nn::simd::HardwareLevel());
   util::Rng rng(46);
-  const nn::TransformerEncoder transformer(
-      /*dim=*/24, /*num_heads=*/2, /*ff_dim=*/48, /*num_layers=*/1,
-      /*max_len=*/64, /*dropout=*/0.0f, &rng, nn::FfActivation::kGelu);
-  util::Rng data_rng(47);
-  const auto random_seq = [&](int t) {
-    nn::Tensor x = nn::Tensor::Zeros(t, 24);
-    for (float& v : x.value()) {
-      v = static_cast<float>(data_rng.Uniform(-1.0, 1.0));
-    }
-    return x;
-  };
-  const nn::Tensor x1 = random_seq(5);
-  const nn::Tensor x2 = random_seq(9);
-  nn::NoGradGuard no_grad;
-  const nn::BatchLayout layout = nn::BatchLayout::FromLengths({5, 9});
-  const nn::Tensor batched =
-      transformer.ForwardBatch(nn::ConcatRows({x1, x2}), layout);
-  const nn::Tensor single1 = transformer.Forward(x1, nullptr);
-  const nn::Tensor single2 = transformer.Forward(x2, nullptr);
-  for (int r = 0; r < 5; ++r) {
-    for (int c = 0; c < 24; ++c) EXPECT_EQ(batched.at(r, c), single1.at(r, c));
-  }
-  for (int r = 0; r < 9; ++r) {
-    for (int c = 0; c < 24; ++c) {
-      EXPECT_EQ(batched.at(5 + r, c), single2.at(r, c));
+  encoder::TransformerPlanEncoder encoder(SmallConfig(), &rng);
+  const auto plans = SamplePlans(4, 17);
+  const std::vector<nn::Tensor> batched =
+      encoder.EncodeBatch(Pointers(plans), nullptr);
+  ASSERT_EQ(batched.size(), plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const nn::Tensor single = encoder.Encode(*plans[i], nullptr);
+    ASSERT_EQ(batched[i].cols(), single.cols());
+    for (int c = 0; c < single.cols(); ++c) {
+      EXPECT_EQ(batched[i].at(0, c), single.at(0, c)) << "plan " << i;
     }
   }
+
+  encoder.ZeroGrad();
+  Sum(batched[0]).Backward();
+  bool nonzero = false;
+  for (const auto& [name, tensor] : encoder.NamedParameters()) {
+    if (name != "embed1.table") continue;
+    for (const float g : tensor.grad()) nonzero = nonzero || g != 0.0f;
+  }
+  EXPECT_TRUE(nonzero);
 }
 
 // --- Plan fingerprints ------------------------------------------------------

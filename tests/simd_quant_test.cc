@@ -483,46 +483,6 @@ TEST(SimdParityTest, AttentionBackwardPacked) {
   }
 }
 
-TEST(SimdParityTest, Int8GemmBitExactAcrossLevels) {
-  const Kernels* vec = VectorTable();
-  const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
-  util::Rng rng(47);
-  const int shapes[][3] = {{1, 1, 1}, {3, 17, 5}, {7, 48, 33}, {5, 96, 24},
-                           {2, 129, 9}};
-  for (const auto& s : shapes) {
-    const int m = s[0], k = s[1], n = s[2];
-    std::vector<int8_t> a(static_cast<size_t>(m) * k);
-    std::vector<int8_t> b(static_cast<size_t>(n) * k);
-    for (int8_t& x : a) {
-      x = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255) - 127);
-    }
-    for (int8_t& x : b) {
-      x = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255) - 127);
-    }
-    const std::vector<float> a_scale = RandomVec(m, &rng, 0.01f);
-    const std::vector<float> b_scale = RandomVec(n, &rng, 0.01f);
-    const std::vector<float> bias = RandomVec(n, &rng);
-    std::vector<float> c_s(static_cast<size_t>(m) * n);
-    std::vector<float> c_v(static_cast<size_t>(m) * n);
-    scalar->int8_gemm(a.data(), b.data(), c_s.data(), m, k, n, a_scale.data(),
-                      b_scale.data(), bias.data());
-    vec->int8_gemm(a.data(), b.data(), c_v.data(), m, k, n, a_scale.data(),
-                   b_scale.data(), bias.data());
-    // Integer accumulation is exact: results must match bit for bit.
-    for (size_t i = 0; i < c_s.size(); ++i) {
-      ASSERT_EQ(c_s[i], c_v[i]) << "index " << i;
-    }
-    // Null bias path.
-    scalar->int8_gemm(a.data(), b.data(), c_s.data(), m, k, n, a_scale.data(),
-                      b_scale.data(), nullptr);
-    vec->int8_gemm(a.data(), b.data(), c_v.data(), m, k, n, a_scale.data(),
-                   b_scale.data(), nullptr);
-    for (size_t i = 0; i < c_s.size(); ++i) {
-      ASSERT_EQ(c_s[i], c_v[i]) << "index " << i;
-    }
-  }
-}
-
 // Dispatched ops keep producing the same bits when the level is forced
 // down to scalar: the autograd kernels' contract with the rest of the repo.
 TEST(SimdParityTest, DispatchedOpsBitIdenticalScalarVsVector) {
