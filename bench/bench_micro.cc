@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -570,19 +571,38 @@ BENCHMARK(BM_TrainStepPerfEncoder)
 
 // --- train_step_speedup context stamp ---------------------------------------
 
+// Routes EncodeBatchGrad through the per-plan op-chain loop of the base
+// class (the packed training step's bitwise oracle).
+class PerPlanTrainEncoder : public qpe::encoder::TransformerPlanEncoder {
+ public:
+  using TransformerPlanEncoder::TransformerPlanEncoder;
+  std::vector<qpe::nn::Tensor> EncodeBatchGrad(
+      std::span<const qpe::plan::PlanNode* const> plans,
+      qpe::util::Rng* dropout_rng) const override {
+    return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
+  }
+};
+
 // Best-of-3 single-threaded PPSR training epochs (same model shape and data
 // as BM_TrainStepPpsr), fresh model per repetition so every measurement
-// times epoch 1 from identical weights.
-double BestTrainEpochMs(const qpe::data::PlanPairDataset& dataset) {
+// times epoch 1 from identical weights. `packed` selects the encoder's
+// packed training step, otherwise the per-plan oracle.
+double BestTrainEpochMs(const qpe::data::PlanPairDataset& dataset,
+                        bool packed) {
   qpe::util::SetMaxThreads(1);
   double best_ms = 0;
   for (int rep = 0; rep < 3; ++rep) {
     qpe::util::Rng rng(14);
     qpe::encoder::StructureEncoderConfig config;
     config.num_layers = 1;
-    qpe::encoder::PpsrModel model(
-        std::make_unique<qpe::encoder::TransformerPlanEncoder>(config, &rng),
-        &rng);
+    std::unique_ptr<qpe::encoder::PlanSequenceEncoder> encoder;
+    if (packed) {
+      encoder =
+          std::make_unique<qpe::encoder::TransformerPlanEncoder>(config, &rng);
+    } else {
+      encoder = std::make_unique<PerPlanTrainEncoder>(config, &rng);
+    }
+    qpe::encoder::PpsrModel model(std::move(encoder), &rng);
     qpe::encoder::PpsrTrainOptions train_options;
     train_options.epochs = 1;
     const auto start = std::chrono::steady_clock::now();
@@ -599,10 +619,10 @@ double BestTrainEpochMs(const qpe::data::PlanPairDataset& dataset) {
 
 // The packed-training win, measured in-process so the regression gate can
 // hold an absolute floor on it: per-plan op-chain training graphs
-// (QPE_PACKED_TRAIN=0) vs the packed columnar forward/backward (the
-// default) on the exact same single-threaded epoch. A ratio of wall-clock
-// ratios is largely frequency-insensitive, which is what an absolute
-// floor needs on shared hosts.
+// (PerPlanTrainEncoder) vs the packed columnar forward/backward on the
+// exact same single-threaded epoch. A ratio of wall-clock ratios is
+// largely frequency-insensitive, which is what an absolute floor needs on
+// shared hosts.
 std::string MeasureTrainStepSpeedup() {
   qpe::data::PairDatasetOptions options;
   options.num_pairs = 24;
@@ -610,15 +630,8 @@ std::string MeasureTrainStepSpeedup() {
   options.corpus.max_nodes = 16;
   const qpe::data::PlanPairDataset dataset =
       qpe::data::BuildCorpusPairDataset(options);
-  const char* saved = std::getenv("QPE_PACKED_TRAIN");
-  setenv("QPE_PACKED_TRAIN", "0", 1);
-  const double per_plan_ms = BestTrainEpochMs(dataset);
-  if (saved != nullptr) {
-    setenv("QPE_PACKED_TRAIN", saved, 1);
-  } else {
-    unsetenv("QPE_PACKED_TRAIN");
-  }
-  const double packed_ms = BestTrainEpochMs(dataset);
+  const double per_plan_ms = BestTrainEpochMs(dataset, /*packed=*/false);
+  const double packed_ms = BestTrainEpochMs(dataset, /*packed=*/true);
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f",
                 packed_ms > 0 ? per_plan_ms / packed_ms : 0.0);

@@ -123,12 +123,13 @@ SERVING_SPEEDUP_FLOORS = {
     "quantized_speedup": 0.95,
 }
 # Same idea for training: bench_micro stamps train_step_speedup into its
-# JSON context — per-plan op-chain training graphs (QPE_PACKED_TRAIN=0)
-# vs the packed columnar forward/backward, best-of-3 single-threaded PPSR
-# epochs measured in-process, so the ratio is frequency-insensitive. The
-# packed step records ~1.5x on this container; a floor of 1.2 absorbs the
-# ±10% noise while still failing any structural regression (losing the
-# packed path entirely measures 1.0x).
+# JSON context — per-plan op-chain training graphs (the per-plan oracle
+# encoder, a TransformerPlanEncoder subclass whose EncodeBatchGrad is the
+# base-class loop) vs the packed engine's recording forward + columnar
+# backward, best-of-3 single-threaded PPSR epochs measured in-process, so
+# the ratio is frequency-insensitive. The packed step records ~1.5x; a
+# floor of 1.2 absorbs the ±10% noise while still failing any structural
+# regression (losing the packed path entirely measures 1.0x).
 MICRO_SPEEDUP_FLOORS = {
     "train_step_speedup": 1.2,
 }

@@ -1,133 +1,56 @@
 #include "encoder/quantized_encoder.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "nn/arena.h"
 #include "nn/packed_forward.h"
 #include "nn/simd.h"
-#include "plan/linearize.h"
 
 namespace qpe::encoder {
-
-namespace {
-
-// Sites per transformer layer, in fixed order: the three input projections,
-// the output projection, then the two feed-forward matrices.
-constexpr int kSitesPerLayer = 6;
-constexpr const char* kLayerSites[kSitesPerLayer] = {
-    "attention.wq", "attention.wk", "attention.wv",
-    "attention.wo", "ff1",          "ff2",
-};
-
-}  // namespace
 
 QuantizedPlanEncoder::QuantizedPlanEncoder(
     const TransformerPlanEncoder& fp32,
     std::span<const plan::PlanNode* const> calibration)
     : config_(fp32.config()) {
-  model_dim_ = config_.ModelDim();
-  head_dim_ = model_dim_ / config_.num_heads;
   assert(!calibration.empty());
-
-  // Pull the trained weights through their stable dotted names (the same
-  // names the checkpoint format serializes).
-  std::unordered_map<std::string, nn::Tensor> params;
-  for (auto& [name, tensor] : fp32.NamedParameters()) {
-    params.emplace(name, tensor);
-  }
-  auto get = [&](const std::string& name) -> const nn::Tensor& {
-    auto it = params.find(name);
-    assert(it != params.end() && "missing parameter in fp32 encoder");
-    return it->second;
+  const nn::PackedRefs& refs = fp32.packed_refs();
+  // The copies are long-lived: build them outside any active arena.
+  nn::ArenaScope noarena(nullptr);
+  auto copy = [](const nn::Tensor& t) {
+    return nn::Tensor::FromVector(t.rows(), t.cols(), t.value());
   };
-  auto copy = [&](const std::string& name) {
-    const std::vector<float>& v = get(name).value();
-    return std::vector<float>(v.begin(), v.end());
-  };
-
-  embed1_ = copy("embed1.table");
-  embed2_ = copy("embed2.table");
-  embed3_ = copy("embed3.table");
-  positional_ = copy("transformer.positional");
-
-  struct Fp32Site {
-    nn::Tensor weight;
-    nn::Tensor bias;
-  };
-  std::vector<Fp32Site> fp32_sites;
-  layers_.reserve(config_.num_layers);
-  for (int i = 0; i < config_.num_layers; ++i) {
-    const std::string prefix = "transformer.layer" + std::to_string(i) + ".";
-    LayerParams lp;
-    lp.norm1_gamma = copy(prefix + "norm1.gamma");
-    lp.norm1_beta = copy(prefix + "norm1.beta");
-    lp.norm2_gamma = copy(prefix + "norm2.gamma");
-    lp.norm2_beta = copy(prefix + "norm2.beta");
-    layers_.push_back(std::move(lp));
-    for (const char* site : kLayerSites) {
-      fp32_sites.push_back({get(prefix + site + ".weight"),
-                            get(prefix + site + ".bias")});
-    }
+  params_.embed1 = copy(refs.embed1);
+  params_.embed2 = copy(refs.embed2);
+  params_.embed3 = copy(refs.embed3);
+  params_.positional = copy(refs.positional);
+  for (const nn::PackedRefs::Layer& l : refs.layers) {
+    params_.layers.push_back({copy(l.norm1_gamma), copy(l.norm1_beta),
+                              copy(l.norm2_gamma), copy(l.norm2_beta)});
   }
-  has_projection_ = params.count("projection.weight") > 0;
-  if (has_projection_) {
-    fp32_sites.push_back(
-        {get("projection.weight"), get("projection.bias")});
-  }
+  BindPackedView(config_, params_, &view_);
 
-  // The owned weight vectors are final now: build the model view the
-  // packed engine consumes. The pointers stay valid for the encoder's
-  // lifetime.
-  view_.model_dim = model_dim_;
-  view_.ff_dim = config_.ff_dim;
-  view_.num_heads = config_.num_heads;
-  view_.num_layers = config_.num_layers;
-  view_.level1_dim = config_.level1_dim;
-  view_.level2_dim = config_.level2_dim;
-  view_.level3_dim = config_.level3_dim;
-  view_.output_dim = has_projection_ ? config_.output_dim : model_dim_;
-  view_.has_projection = has_projection_;
-  view_.embed1 = embed1_.data();
-  view_.embed2 = embed2_.data();
-  view_.embed3 = embed3_.data();
-  view_.positional = positional_.data();
-  view_.layers.reserve(layers_.size());
-  for (const LayerParams& lp : layers_) {
-    view_.layers.push_back({lp.norm1_gamma.data(), lp.norm1_beta.data(),
-                            lp.norm2_gamma.data(), lp.norm2_beta.data()});
-  }
-
-  // Calibration pass: replay the packed forward with the fp32 weights,
-  // recording every site's input absmax. The fp32 GEMM below goes through
-  // the same simd matmul kernel the autograd path uses, so the observed
-  // ranges are exactly the ranges the fp32 encoder produces.
-  std::vector<nn::QuantCalibrator> calibrators(fp32_sites.size());
+  // Calibration pass: replay the packed forward with the fp32 GEMMs,
+  // recording every site's input absmax. The GEMM is the fp32 encoder's
+  // own, so the observed ranges are exactly the ranges it produces.
+  std::vector<nn::QuantCalibrator> calibrators(refs.sites.size());
   nn::PackedBatch& ws = nn::PackedBatch::ThreadLocal();
   PackPlansColumns(calibration, config_.max_len, &ws);
-  auto fp32_linear = [&](int site, const float* x, int m, int in, int out,
-                         float* y, bool relu) {
+  const nn::Fp32Linear fp32_linear{&refs};
+  auto tap = [&](int site, const float* x, int m, int in, int out, float* y,
+                 bool relu) {
     calibrators[site].Observe(x, static_cast<size_t>(m) * in);
-    nn::simd::K().linear_bias_act(x, fp32_sites[site].weight.value().data(),
-                                  fp32_sites[site].bias.value().data(), y, m,
-                                  in, out, relu ? 1 : 0);
+    fp32_linear(site, x, m, in, out, y, relu);
   };
-  (void)nn::PackedEncodeForward(view_, ws, fp32_linear);
+  (void)nn::PackedEncodeForward(view_, ws, tap);
 
-  sites_.reserve(fp32_sites.size());
-  for (size_t s = 0; s < fp32_sites.size(); ++s) {
+  sites_.reserve(refs.sites.size());
+  for (size_t s = 0; s < refs.sites.size(); ++s) {
     sites_.push_back(nn::QuantizedLinear::FromLinear(
-        fp32_sites[s].weight, fp32_sites[s].bias, calibrators[s].scale()));
+        refs.sites[s].weight, refs.sites[s].bias, calibrators[s].scale()));
   }
 }
 
-int QuantizedPlanEncoder::output_dim() const {
-  return has_projection_ ? config_.output_dim : model_dim_;
-}
+int QuantizedPlanEncoder::output_dim() const { return view_.output_dim; }
 
 std::vector<float> QuantizedPlanEncoder::input_scales() const {
   std::vector<float> scales;

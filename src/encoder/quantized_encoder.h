@@ -14,8 +14,9 @@ namespace qpe::encoder {
 // Int8-quantized serving twin of a trained TransformerPlanEncoder.
 //
 // Construction copies the fp32 weights out of the trained encoder (via its
-// stable dotted parameter names), replays the packed forward over a
-// held-out calibration sample to record each linear layer's input range
+// packed site table, TransformerPlanEncoder::packed_refs), replays the
+// packed forward over a held-out calibration sample to record each linear
+// layer's input range
 // (nn::QuantCalibrator, static per-tensor activation scales), and quantizes
 // every Linear — q/k/v/output projections, both feed-forward matrices, and
 // the optional output projection — to per-channel symmetric int8.
@@ -55,22 +56,14 @@ class QuantizedPlanEncoder : public PlanSequenceEncoder {
   std::vector<float> input_scales() const;
 
  private:
-  struct LayerParams {
-    std::vector<float> norm1_gamma, norm1_beta;
-    std::vector<float> norm2_gamma, norm2_beta;
-  };
-
   StructureEncoderConfig config_;
-  int model_dim_ = 0;
-  int head_dim_ = 0;
-  std::vector<float> embed1_, embed2_, embed3_;  // [vocab, level dim] each
-  std::vector<float> positional_;                // [max_len, model dim]
-  std::vector<LayerParams> layers_;
+  // Private copies of the fp32 encoder's non-GEMM parameters (embeddings,
+  // positional table, layer norms; no sites), so this encoder stands alone.
+  nn::PackedRefs params_;
   std::vector<nn::QuantizedLinear> sites_;  // layer-major, then projection
-  bool has_projection_ = false;
-  // Model view over the owned weight vectors above, consumed by the shared
-  // packed engine (nn::PackedEncodeForward). The vectors never move after
-  // construction, so the pointers are built once and stay valid.
+  // Model view over params_, consumed by the shared packed engine
+  // (nn::PackedEncodeForward). The copies never move after construction,
+  // so the pointers are bound once and stay valid.
   nn::PackedModelView view_;
 };
 

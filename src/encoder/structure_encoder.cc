@@ -12,7 +12,6 @@
 #include "nn/packed_forward.h"
 #include "nn/packed_train.h"
 #include "nn/parallel.h"
-#include "nn/simd.h"
 
 namespace qpe::encoder {
 
@@ -148,11 +147,10 @@ TransformerPlanEncoder::TransformerPlanEncoder(
         std::make_unique<nn::Linear>(config.ModelDim(), config.output_dim, rng));
   }
 
-  // Resolve the packed engine's parameter handles once, through the same
-  // dotted names the checkpoint format uses. Tensor handles stay valid
-  // across LoadCheckpoint (which replaces value buffers, not tensors), so
-  // this never needs re-running — only the raw pointers are re-read per
-  // call.
+  // Resolve the packed engine's site table once, through the same dotted
+  // names the checkpoint format uses. Tensor handles stay valid across
+  // LoadCheckpoint (which replaces value buffers, not tensors), so this
+  // never needs re-running — only the raw pointers are re-bound per call.
   std::unordered_map<std::string, nn::Tensor> params;
   for (auto& [name, tensor] : NamedParameters()) params.emplace(name, tensor);
   auto get = [&](const std::string& name) -> nn::Tensor {
@@ -160,31 +158,33 @@ TransformerPlanEncoder::TransformerPlanEncoder(
     assert(it != params.end() && "missing parameter for packed refs");
     return it->second;
   };
-  packed_refs_.embed1 = get("embed1.table");
-  packed_refs_.embed2 = get("embed2.table");
-  packed_refs_.embed3 = get("embed3.table");
-  packed_refs_.positional = get("transformer.positional");
+  nn::PackedRefs refs;
+  refs.embed1 = get("embed1.table");
+  refs.embed2 = get("embed2.table");
+  refs.embed3 = get("embed3.table");
+  refs.positional = get("transformer.positional");
   static constexpr const char* kSiteNames[] = {
       "attention.wq", "attention.wk", "attention.wv",
       "attention.wo", "ff1",          "ff2",
   };
   for (int i = 0; i < config.num_layers; ++i) {
     const std::string prefix = "transformer.layer" + std::to_string(i) + ".";
-    PackedRefs::Layer layer;
+    nn::PackedRefs::Layer layer;
     layer.norm1_gamma = get(prefix + "norm1.gamma");
     layer.norm1_beta = get(prefix + "norm1.beta");
     layer.norm2_gamma = get(prefix + "norm2.gamma");
     layer.norm2_beta = get(prefix + "norm2.beta");
-    packed_refs_.layers.push_back(std::move(layer));
+    refs.layers.push_back(std::move(layer));
     for (const char* site : kSiteNames) {
-      packed_refs_.sites.push_back(
+      refs.sites.push_back(
           {get(prefix + site + ".weight"), get(prefix + site + ".bias")});
     }
   }
   if (projection_ != nullptr) {
-    packed_refs_.sites.push_back(
+    refs.sites.push_back(
         {get("projection.weight"), get("projection.bias")});
   }
+  packed_refs_ = std::make_shared<const nn::PackedRefs>(std::move(refs));
 }
 
 int TransformerPlanEncoder::output_dim() const {
@@ -216,57 +216,49 @@ nn::Tensor TransformerPlanEncoder::Encode(const plan::PlanNode& root,
   return EncodeTokens(plan::LinearizeDfsBracket(root), dropout_rng);
 }
 
+void BindPackedView(const StructureEncoderConfig& config,
+                    const nn::PackedRefs& refs, nn::PackedModelView* view) {
+  view->model_dim = config.ModelDim();
+  view->ff_dim = config.ff_dim;
+  view->num_heads = config.num_heads;
+  view->num_layers = config.num_layers;
+  view->level1_dim = config.level1_dim;
+  view->level2_dim = config.level2_dim;
+  view->level3_dim = config.level3_dim;
+  view->has_projection =
+      config.output_dim > 0 && config.output_dim != config.ModelDim();
+  view->output_dim =
+      view->has_projection ? config.output_dim : config.ModelDim();
+  view->embed1 = refs.embed1.value().data();
+  view->embed2 = refs.embed2.value().data();
+  view->embed3 = refs.embed3.value().data();
+  view->positional = refs.positional.value().data();
+  view->layers.resize(refs.layers.size());
+  for (size_t i = 0; i < refs.layers.size(); ++i) {
+    const nn::PackedRefs::Layer& l = refs.layers[i];
+    view->layers[i] = {l.norm1_gamma.value().data(),
+                       l.norm1_beta.value().data(),
+                       l.norm2_gamma.value().data(),
+                       l.norm2_beta.value().data()};
+  }
+}
+
 std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchPacked(
     std::span<const plan::PlanNode* const> plans) const {
   nn::PackedBatch& ws = nn::PackedBatch::ThreadLocal();
   PackPlansColumns(plans, config_.max_len, &ws);
-
-  // Refresh the model view's raw pointers from the parameter handles (the
-  // buffers move on checkpoint load). The view lives in the thread-local
-  // workspace so concurrent encoder threads never write a shared view.
-  nn::PackedModelView& mv = ws.view;
-  mv.model_dim = config_.ModelDim();
-  mv.ff_dim = config_.ff_dim;
-  mv.num_heads = config_.num_heads;
-  mv.num_layers = config_.num_layers;
-  mv.level1_dim = config_.level1_dim;
-  mv.level2_dim = config_.level2_dim;
-  mv.level3_dim = config_.level3_dim;
-  mv.output_dim = output_dim();
-  mv.has_projection = projection_ != nullptr;
-  mv.embed1 = packed_refs_.embed1.value().data();
-  mv.embed2 = packed_refs_.embed2.value().data();
-  mv.embed3 = packed_refs_.embed3.value().data();
-  mv.positional = packed_refs_.positional.value().data();
-  if (mv.layers.size() != packed_refs_.layers.size()) {
-    mv.layers.resize(packed_refs_.layers.size());
-  }
-  for (size_t i = 0; i < packed_refs_.layers.size(); ++i) {
-    const PackedRefs::Layer& src = packed_refs_.layers[i];
-    mv.layers[i] = {src.norm1_gamma.value().data(),
-                    src.norm1_beta.value().data(),
-                    src.norm2_gamma.value().data(),
-                    src.norm2_beta.value().data()};
-  }
-
-  // fp32 GEMM: the fused linear kernel reproduces the op chain's
-  // fill + blocked matmul + bias add (+ ReLU clamp) value stream per
-  // output element, so the packed result is bit-identical to it — without
-  // the zero-fill and bias passes over the output buffer.
-  auto fp32_linear = [&](int site, const float* x, int m, int in, int out,
-                         float* y, bool relu) {
-    const PackedRefs::Site& s = packed_refs_.sites[site];
-    nn::simd::K().linear_bias_act(x, s.weight.value().data(),
-                                  s.bias.value().data(), y, m, in, out,
-                                  relu ? 1 : 0);
-  };
-  const float* result = nn::PackedEncodeForward(mv, ws, fp32_linear);
+  // The view lives in the thread-local workspace (re-bound per call: the
+  // buffers move on checkpoint load), so concurrent encoder threads never
+  // write a shared view.
+  BindPackedView(config_, *packed_refs_, &ws.view);
+  const float* result =
+      nn::PackedEncodeForward(ws.view, ws, nn::Fp32Linear{packed_refs_.get()});
 
   // Result tensors are plain heap tensors, constructed outside any arena:
   // they escape this call, and routing them through the serving arena
   // would turn every micro-batch into arena misses.
   nn::ArenaScope noarena(nullptr);
-  const int od = mv.output_dim;
+  const int od = ws.view.output_dim;
   std::vector<nn::Tensor> out;
   out.reserve(plans.size());
   for (int i = 0; i < ws.layout.size(); ++i) {
@@ -280,89 +272,43 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchPacked(
 std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchGrad(
     std::span<const plan::PlanNode* const> plans, util::Rng* dropout_rng) const {
   if (plans.empty()) return {};
-  if (!nn::GradEnabled() || !nn::PackedTrainEnvEnabled()) {
+  if (!nn::GradEnabled()) {
     return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
   }
   // Pack in REVERSE caller order: the autograd engine runs later-built
   // sibling subtrees' backward first, so under the reversed packing the
   // backward kernels' ascending-row accumulation reproduces the per-plan
   // gradient accumulation order at every shared memory location.
-  nn::PackedBatch& pb = nn::PackedBatch::ThreadLocal();
-  std::vector<const plan::PlanNode*> reversed(plans.rbegin(), plans.rend());
-  PackPlansColumns(reversed, config_.max_len, &pb);
-
   nn::PackedTrainBatch& ws = nn::PackedTrainBatch::ThreadLocal();
-  ws.ids1.assign(pb.ids1.begin(), pb.ids1.end());
-  ws.ids2.assign(pb.ids2.begin(), pb.ids2.end());
-  ws.ids3.assign(pb.ids3.begin(), pb.ids3.end());
-  ws.positions.assign(pb.layout.positions.begin(), pb.layout.positions.end());
-  ws.offsets.assign(pb.layout.offsets.begin(), pb.layout.offsets.end());
-  ws.lengths.assign(pb.layout.lengths.begin(), pb.layout.lengths.end());
-  ws.rows = pb.layout.total_rows;
-  ws.num_seqs = pb.layout.size();
-
-  // Refresh the training view's raw pointers from the stable parameter
-  // handles (checkpoint loads replace value buffers, never the autograd
-  // nodes the gradients route through).
-  auto param = [](const nn::Tensor& t) {
-    return nn::PackedTrainParam{t.value().data(), t.impl()};
-  };
-  nn::PackedTrainView& tv = ws.view;
-  tv.model_dim = config_.ModelDim();
-  tv.ff_dim = config_.ff_dim;
-  tv.num_heads = config_.num_heads;
-  tv.num_layers = config_.num_layers;
-  tv.level1_dim = config_.level1_dim;
-  tv.level2_dim = config_.level2_dim;
-  tv.level3_dim = config_.level3_dim;
-  tv.output_dim = output_dim();
-  tv.has_projection = projection_ != nullptr;
-  tv.dropout = config_.dropout;
-  tv.embed1 = param(packed_refs_.embed1);
-  tv.embed2 = param(packed_refs_.embed2);
-  tv.embed3 = param(packed_refs_.embed3);
-  tv.positional = param(packed_refs_.positional);
-  if (tv.layers.size() != packed_refs_.layers.size()) {
-    tv.layers.resize(packed_refs_.layers.size());
-  }
-  for (size_t i = 0; i < packed_refs_.layers.size(); ++i) {
-    const PackedRefs::Layer& src = packed_refs_.layers[i];
-    tv.layers[i] = {param(src.norm1_gamma), param(src.norm1_beta),
-                    param(src.norm2_gamma), param(src.norm2_beta)};
-  }
-  if (tv.sites.size() != packed_refs_.sites.size()) {
-    tv.sites.resize(packed_refs_.sites.size());
-  }
-  for (size_t i = 0; i < packed_refs_.sites.size(); ++i) {
-    tv.sites[i] = {param(packed_refs_.sites[i].weight),
-                   param(packed_refs_.sites[i].bias)};
-  }
-
-  // Dropout engages exactly when the per-plan path would engage it; the
-  // rate check happens inside the forward.
-  util::Rng* rng = training() ? dropout_rng : nullptr;
-  const float* result = nn::PackedTrainForward(ws, rng);
+  std::vector<const plan::PlanNode*> reversed(plans.rbegin(), plans.rend());
+  PackPlansColumns(reversed, config_.max_len, &ws.batch);
+  const nn::PackedRefs& refs = *packed_refs_;
+  BindPackedView(config_, refs, &ws.batch.view);
+  // Dropout engages exactly when the per-plan path would engage it.
+  const uint64_t gen =
+      ws.BeginForward(config_.dropout, training() ? dropout_rng : nullptr);
+  const float* result = nn::PackedEncodeForward(
+      ws.batch.view, ws.batch, nn::Fp32Linear{&refs}, &ws.tape);
 
   // One graph node for the whole batch. Its parents are every parameter
   // the backward writes, so requires_grad propagates; the gradients
   // themselves flow through GradPtr inside PackedTrainBackward, not
   // through graph edges (the parameters are leaves).
-  const int S = ws.num_seqs;
-  const int od = tv.output_dim;
+  const int S = ws.batch.layout.size();
+  const int od = ws.batch.view.output_dim;
   std::vector<std::shared_ptr<nn::Tensor::Impl>> parents;
-  parents.reserve(4 + 4 * packed_refs_.layers.size() +
-                  2 * packed_refs_.sites.size());
-  parents.push_back(packed_refs_.embed1.impl_);
-  parents.push_back(packed_refs_.embed2.impl_);
-  parents.push_back(packed_refs_.embed3.impl_);
-  parents.push_back(packed_refs_.positional.impl_);
-  for (const PackedRefs::Layer& l : packed_refs_.layers) {
+  parents.reserve(4 + 4 * refs.layers.size() + 2 * refs.sites.size());
+  parents.push_back(refs.embed1.impl_);
+  parents.push_back(refs.embed2.impl_);
+  parents.push_back(refs.embed3.impl_);
+  parents.push_back(refs.positional.impl_);
+  for (const nn::PackedRefs::Layer& l : refs.layers) {
     parents.push_back(l.norm1_gamma.impl_);
     parents.push_back(l.norm1_beta.impl_);
     parents.push_back(l.norm2_gamma.impl_);
     parents.push_back(l.norm2_beta.impl_);
   }
-  for (const PackedRefs::Site& s : packed_refs_.sites) {
+  for (const nn::PackedRefs::Site& s : refs.sites) {
     parents.push_back(s.weight.impl_);
     parents.push_back(s.bias.impl_);
   }
@@ -372,10 +318,11 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchGrad(
               sizeof(float) * static_cast<size_t>(S) * od);
   nn::PackedTrainBatch* wsp = &ws;
   nn::Tensor::Impl* oi = packed_out.impl();
-  const uint64_t gen = ws.generation;
-  oi->backward_fn = [wsp, oi, gen]() {
+  // The closure shares ownership of the site table, so a graph may outlive
+  // this encoder, as op-chain graphs can.
+  oi->backward_fn = [wsp, refs = packed_refs_, oi, gen]() {
     oi->EnsureGrad();
-    nn::PackedTrainBackward(*wsp, oi->grad.data(), gen);
+    nn::PackedTrainBackward(*wsp, *refs, oi->grad.data(), gen);
   };
 
   // Caller plan ci is packed sequence S-1-ci.

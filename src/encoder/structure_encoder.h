@@ -90,6 +90,11 @@ struct StructureEncoderConfig {
   int ModelDim() const { return level1_dim + level2_dim + level3_dim; }
 };
 
+// Fills `view` for the packed engine: dimensions from `config`, parameter
+// pointers bound from `refs`' current value buffers.
+void BindPackedView(const StructureEncoderConfig& config,
+                    const nn::PackedRefs& refs, nn::PackedModelView* view);
+
 // The paper's structure encoder (§3.1.2): DFS-bracket linearization,
 // three-subtype concatenated input embeddings, multi-head self-attentive
 // (transformer) layers, CLS pooling.
@@ -106,24 +111,22 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   // packs the token sequences into one ragged batch (nn::PackedBatch) and
   // runs the columnar packed engine once, so the embedding lookup,
   // q/k/v/output projections, layer norms and feed-forward GEMMs are
-  // amortized across the batch. Bit-identical to per-plan Encode at the
-  // scalar level, within epsilon at vector levels. With gradients enabled,
-  // or with a non-null dropout RNG during training, it falls back to the
-  // per-plan loop (the engine records no graph, and dropout draws are
-  // per-sequence by contract).
+  // amortized across the batch. Bit-identical to per-plan Encode at every
+  // SIMD level. With gradients enabled, or with a non-null dropout RNG
+  // during training, it falls back to the per-plan loop (the engine
+  // records no graph, and dropout draws are per-sequence by contract).
   std::vector<nn::Tensor> EncodeBatch(
       std::span<const plan::PlanNode* const> plans,
       util::Rng* dropout_rng) const override;
 
   // Training fast path: packs the batch (in reverse caller order — see
-  // nn/packed_train.h) and runs the columnar recording forward, returning
-  // slices of one graph node whose backward replays the op chain's
-  // gradient arithmetic through the dispatched backward kernels.
-  // Bit-identical to the per-plan loop — values, dropout streams and
-  // accumulated parameter gradients — at every SIMD level. Falls back to
-  // the per-plan loop under NoGradGuard (it would record no graph there;
-  // eval paths keep their existing numerics) or when QPE_PACKED_TRAIN
-  // disables it.
+  // nn/packed_train.h) and runs the packed engine with an activation tape,
+  // returning slices of one graph node whose backward replays the op
+  // chain's gradient arithmetic through the dispatched backward kernels.
+  // Bit-identical to the per-plan loop (PlanSequenceEncoder's, the oracle)
+  // — values, dropout streams and accumulated parameter gradients — at
+  // every SIMD level. Falls back to the per-plan loop under NoGradGuard (it
+  // would record no graph there).
   std::vector<nn::Tensor> EncodeBatchGrad(
       std::span<const plan::PlanNode* const> plans,
       util::Rng* dropout_rng) const override;
@@ -140,24 +143,11 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   std::unique_ptr<QuantizedPlanEncoder> Quantize(
       std::span<const plan::PlanNode* const> calibration) const;
 
- private:
-  // Stable Tensor handles to every parameter the packed engine touches,
-  // resolved once from the dotted parameter names. Checkpoint loads
-  // replace a tensor's value *buffer* but not its identity, so the handles
-  // survive LoadCheckpoint; EncodeBatchPacked re-reads the raw data
-  // pointers from them on every call.
-  struct PackedRefs {
-    nn::Tensor embed1, embed2, embed3, positional;
-    struct Layer {
-      nn::Tensor norm1_gamma, norm1_beta, norm2_gamma, norm2_beta;
-    };
-    std::vector<Layer> layers;
-    struct Site {
-      nn::Tensor weight, bias;
-    };
-    std::vector<Site> sites;  // layer-major wq,wk,wv,wo,ff1,ff2; projection
-  };
+  // The packed engine's site table over this encoder's parameters,
+  // resolved once from the dotted parameter names.
+  const nn::PackedRefs& packed_refs() const { return *packed_refs_; }
 
+ private:
   // The columnar fast path of EncodeBatch: packs into the thread-local
   // nn::PackedBatch and runs the graph-free packed engine with fp32 GEMMs.
   // Engaged only under an active NoGradGuard (it records no graph).
@@ -170,7 +160,8 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   nn::Embedding* embed3_;
   nn::TransformerEncoder* transformer_;
   nn::Linear* projection_ = nullptr;  // only when output_dim != model dim
-  PackedRefs packed_refs_;
+  // Shared with in-flight packed training graphs (see EncodeBatchGrad).
+  std::shared_ptr<const nn::PackedRefs> packed_refs_;
 };
 
 // LSTM baseline over the same linearization (LSTM-PPSR in §6.1).

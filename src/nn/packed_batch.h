@@ -23,7 +23,8 @@ struct PackedLayerView {
 // Everything the packed engine needs to know about a model, as plain
 // dimensions and borrowed pointers. The GEMM weights are deliberately
 // absent — they reach the engine through its `linear` callback, which is
-// how the same skeleton serves fp32, calibration-tap, and int8 callers.
+// how the same skeleton serves fp32, calibration-tap, int8 and recording
+// training callers.
 struct PackedModelView {
   int model_dim = 0;
   int ff_dim = 0;
@@ -39,6 +40,26 @@ struct PackedModelView {
   const float* embed3 = nullptr;  // [vocab3, level3_dim]
   const float* positional = nullptr;  // [max_len, model_dim]
   std::vector<PackedLayerView> layers;
+};
+
+// Stable handles to every parameter of one packed transformer, in engine
+// order: the one site table that fp32 inference, the calibration tap, int8
+// quantization and the training backward all read. A checkpoint load
+// replaces a tensor's value buffer but never the tensor, so the handles are
+// resolved once; raw pointers are re-read from them per call
+// (encoder::BindPackedView).
+struct PackedRefs {
+  Tensor embed1, embed2, embed3, positional;
+  struct Layer {
+    Tensor norm1_gamma, norm1_beta, norm2_gamma, norm2_beta;
+  };
+  std::vector<Layer> layers;
+  struct Site {
+    Tensor weight;  // [in, out] row-major
+    Tensor bias;    // [1, out]
+  };
+  std::vector<Site> sites;  // layer-major wq, wk, wv, wo, ff1, ff2; then
+                            // the output projection when present
 };
 
 // Reusable columnar workspace of the packed batch pipeline: the token-id
@@ -73,7 +94,7 @@ class PackedBatch {
   std::vector<int8_t> qx;
   std::vector<float> row_scale;
 
-  // Model view the fp32 encoder refreshes per call (the quantized encoder
+  // Model view the fp32 encoder binds per call (the quantized encoder
   // carries its own stable view instead).
   PackedModelView view;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
 #include "nn/packed_batch.h"
 #include "nn/simd.h"
@@ -20,7 +21,46 @@ void RepackHeadsKT(const float* k, int rows, int dim, int num_heads,
 void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
                    float* vb);
 
-// The shared packed inference skeleton: embedding gather -> pre-norm
+// One layer's activations a recording forward retains for the backward,
+// row-major over the packed rows.
+struct PackedLayerTape {
+  std::vector<float> x;        // [rows, d] layer input
+  std::vector<float> n1;       // [rows, d] norm1 output
+  std::vector<float> q, k, v;  // [rows, d] attention projections
+  std::vector<float> att;      // [rows, d] attention context
+  std::vector<float> hm;       // [rows, d] post-attention residual
+  std::vector<float> n2;       // [rows, d] norm2 output
+  std::vector<float> ffa;      // [rows, f] ff1 ReLU output
+  std::vector<float> mask_att, mask_ff;  // [rows, d] dropout multipliers
+};
+
+// Activation tape of a recording forward. Inference reuses one set of
+// buffers across layers; with a tape every layer writes its own, so the
+// backward can read them all. When `masked`, the caller has drawn every
+// layer's dropout multipliers, and the forward scales the attention and
+// feed-forward branches by them before each residual add.
+struct PackedTape {
+  std::vector<PackedLayerTape> layers;
+  std::vector<float> hout;  // [rows, d] final hidden state
+  bool masked = false;
+};
+
+// The fp32 `linear` of the engine over a site table: the fused linear
+// kernel reproduces the op chain's fill + blocked matmul + bias add (+ ReLU
+// clamp) value stream per output element, so the packed result is
+// bit-identical to it — without the zero-fill and bias passes.
+struct Fp32Linear {
+  const PackedRefs* refs;
+  void operator()(int site, const float* x, int m, int in, int out, float* y,
+                  bool relu) const {
+    const PackedRefs::Site& s = refs->sites[site];
+    simd::K().linear_bias_act(x, s.weight.value().data(),
+                              s.bias.value().data(), y, m, in, out,
+                              relu ? 1 : 0);
+  }
+};
+
+// The one packed transformer forward: embedding gather -> pre-norm
 // attention blocks -> pre-norm feed-forward blocks -> CLS pooling ->
 // optional output projection, all over raw contiguous buffers in `ws`.
 // The caller packs the batch first (ws.ids*/ws.layout via
@@ -33,23 +73,29 @@ void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
 // pointer into ws (ws.cls or ws.proj) holding the [num_seqs, output_dim]
 // result — valid until the workspace's next use.
 //
+// Four callers share it: fp32 inference, the int8 calibration tap, int8
+// inference, and the recording training step, which passes a `tape` (see
+// PackedTape). Without a tape the forward allocates and computes nothing
+// for one.
+//
 // Numerics: every kernel call and elementwise loop below reproduces the
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
 // the `> 0` select so -0.0 maps to +0.0 exactly like the fused kernel), so
 // with an exact fp32 `linear` this forward is bit-identical to per-plan
-// Encode at the scalar level and epsilon-equal at vector levels (the one
-// sanctioned divergence is the vector exp). Attention runs on K/V repacked
-// into head blocks; the head-blocked kernel is bit-identical to the
-// interleaved attention_forward_packed kernel per-plan Encode uses, at
-// every level, so the repack changes addressing, never bits.
+// Encode at every SIMD level. Attention runs on K/V repacked into head
+// blocks; the head-blocked kernel is bit-identical to the interleaved
+// attention_forward_packed kernel per-plan Encode uses, at every level, so
+// the repack changes addressing, never bits.
 template <typename LinearFn>
 const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
-                                 LinearFn&& linear) {
+                                 LinearFn&& linear,
+                                 PackedTape* tape = nullptr) {
   const BatchLayout& layout = ws.layout;
   const int rows = layout.total_rows;
   const int num_seqs = layout.size();
   const int d = mv.model_dim;
   const int f = mv.ff_dim;
+  const int num_layers = mv.num_layers;
   const float invd = 1.0f / static_cast<float>(d);
   const int head_dim = d / mv.num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
@@ -60,49 +106,95 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     if (len > max_len) max_len = len;
   }
   const size_t rd = static_cast<size_t>(rows) * d;
-  ws.EnsureF(&ws.h, rd);
+  const size_t rf = static_cast<size_t>(rows) * f;
+  if (tape == nullptr) {
+    ws.EnsureF(&ws.h, rd);
+    ws.EnsureF(&ws.q, rd);
+    ws.EnsureF(&ws.k, rd);
+    ws.EnsureF(&ws.v, rd);
+    ws.EnsureF(&ws.ctx, rd);
+    ws.EnsureF(&ws.ff, rf);
+  } else {
+    if (tape->layers.size() < static_cast<size_t>(num_layers)) {
+      tape->layers.resize(num_layers);
+    }
+    for (int li = 0; li < num_layers; ++li) {
+      PackedLayerTape& t = tape->layers[li];
+      for (std::vector<float>* buf :
+           {&t.x, &t.n1, &t.q, &t.k, &t.v, &t.att, &t.hm, &t.n2}) {
+        ws.EnsureF(buf, rd);
+      }
+      ws.EnsureF(&t.ffa, rf);
+    }
+    ws.EnsureF(&tape->hout, rd);
+  }
   ws.EnsureF(&ws.normed, rd);
-  ws.EnsureF(&ws.q, rd);
-  ws.EnsureF(&ws.k, rd);
-  ws.EnsureF(&ws.v, rd);
-  ws.EnsureF(&ws.ctx, rd);
-  ws.EnsureF(&ws.ff, static_cast<size_t>(rows) * f);
   ws.EnsureF(&ws.cls, static_cast<size_t>(num_seqs) * d);
   ws.EnsureF(&ws.kbt, rd);
   ws.EnsureF(&ws.vb, rd);
   ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
 
+  float* h = tape == nullptr   ? ws.h.data()
+             : num_layers > 0 ? tape->layers[0].x.data()
+                              : tape->hout.data();
   kern.embed_gather_add(mv.embed1, mv.embed2, mv.embed3, mv.positional,
                         ws.ids1.data(), ws.ids2.data(), ws.ids3.data(),
-                        layout.positions.data(), ws.h.data(), rows,
-                        mv.level1_dim, mv.level2_dim, mv.level3_dim);
+                        layout.positions.data(), h, rows, mv.level1_dim,
+                        mv.level2_dim, mv.level3_dim);
 
-  float* h = ws.h.data();
+  // `normed` doubles as the scratch of the pre-residual linear outputs.
   float* normed = ws.normed.data();
-  float* ff = ws.ff.data();
-  for (int li = 0; li < mv.num_layers; ++li) {
+  // dst = x + delta: in place for inference, a copy first when the tape
+  // keeps x.
+  auto residual = [&](float* dst, const float* x, const float* delta) {
+    if (dst != x) std::memcpy(dst, x, sizeof(float) * rd);
+    kern.add_rows(dst, delta, rd);
+  };
+  for (int li = 0; li < num_layers; ++li) {
     const PackedLayerView& lp = mv.layers[li];
     const int base = li * 6;
+    PackedLayerTape* t = tape != nullptr ? &tape->layers[li] : nullptr;
+    float* n1 = t != nullptr ? t->n1.data() : normed;
+    float* q = t != nullptr ? t->q.data() : ws.q.data();
+    float* k = t != nullptr ? t->k.data() : ws.k.data();
+    float* v = t != nullptr ? t->v.data() : ws.v.data();
+    float* att = t != nullptr ? t->att.data() : ws.ctx.data();
+    float* hm = t != nullptr ? t->hm.data() : h;
+    float* n2 = t != nullptr ? t->n2.data() : normed;
+    float* ffa = t != nullptr ? t->ffa.data() : ws.ff.data();
+    float* out = t == nullptr             ? h
+                 : li + 1 < num_layers ? tape->layers[li + 1].x.data()
+                                       : tape->hout.data();
+    const bool masked = t != nullptr && tape->masked;
+
     // Pre-norm attention block with residual.
-    kern.layer_norm_rows(h, lp.norm1_gamma, lp.norm1_beta, normed, rows, d,
-                         invd);
-    linear(base + 0, normed, rows, d, d, ws.q.data(), false);
-    linear(base + 1, normed, rows, d, d, ws.k.data(), false);
-    linear(base + 2, normed, rows, d, d, ws.v.data(), false);
-    RepackHeadsKT(ws.k.data(), rows, d, mv.num_heads, ws.kbt.data());
-    RepackHeadsVB(ws.v.data(), rows, d, mv.num_heads, ws.vb.data());
+    kern.layer_norm_rows(h, lp.norm1_gamma, lp.norm1_beta, n1, rows, d, invd);
+    linear(base + 0, n1, rows, d, d, q, false);
+    linear(base + 1, n1, rows, d, d, k, false);
+    linear(base + 2, n1, rows, d, d, v, false);
+    RepackHeadsKT(k, rows, d, mv.num_heads, ws.kbt.data());
+    RepackHeadsVB(v, rows, d, mv.num_heads, ws.vb.data());
     kern.attention_forward_blocked(
-        ws.q.data(), ws.kbt.data(), ws.vb.data(), ws.ctx.data(),
-        layout.offsets.data(), layout.lengths.data(), num_seqs, mv.num_heads,
-        rows, d, scale, ws.probs.data());
-    linear(base + 3, ws.ctx.data(), rows, d, d, normed, false);
-    kern.add_rows(h, normed, rd);
+        q, ws.kbt.data(), ws.vb.data(), att, layout.offsets.data(),
+        layout.lengths.data(), num_seqs, mv.num_heads, rows, d, scale,
+        ws.probs.data());
+    linear(base + 3, att, rows, d, d, normed, false);
+    if (masked) {
+      const float* m = t->mask_att.data();
+      for (size_t i = 0; i < rd; ++i) normed[i] *= m[i];
+    }
+    residual(hm, h, normed);
     // Pre-norm feed-forward block (ReLU) with residual.
-    kern.layer_norm_rows(h, lp.norm2_gamma, lp.norm2_beta, normed, rows, d,
+    kern.layer_norm_rows(hm, lp.norm2_gamma, lp.norm2_beta, n2, rows, d,
                          invd);
-    linear(base + 4, normed, rows, d, f, ff, /*relu=*/true);
-    linear(base + 5, ff, rows, f, d, normed, false);
-    kern.add_rows(h, normed, rd);
+    linear(base + 4, n2, rows, d, f, ffa, /*relu=*/true);
+    linear(base + 5, ffa, rows, f, d, normed, false);
+    if (masked) {
+      const float* m = t->mask_ff.data();
+      for (size_t i = 0; i < rd; ++i) normed[i] *= m[i];
+    }
+    residual(out, hm, normed);
+    h = out;
   }
 
   // CLS pooling, then the optional output projection on the [B, d] matrix.
@@ -113,7 +205,7 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
   }
   if (!mv.has_projection) return cls;
   ws.EnsureF(&ws.proj, static_cast<size_t>(num_seqs) * mv.output_dim);
-  linear(mv.num_layers * 6, cls, num_seqs, d, mv.output_dim, ws.proj.data(),
+  linear(num_layers * 6, cls, num_seqs, d, mv.output_dim, ws.proj.data(),
          false);
   return ws.proj.data();
 }

@@ -1,5 +1,6 @@
 #include "nn/packed_train.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,158 +19,68 @@ void Ensure(std::vector<float>* buf, size_t n) {
 // Gradient pointer for one parameter, resolved at backward time so a
 // GradientCapture alive on this thread redirects the write into its shard
 // buffer — exactly like the op-chain closures.
-float* Gp(const PackedTrainParam& p) {
-  return p.impl != nullptr && p.impl->requires_grad ? GradPtr(p.impl) : nullptr;
+float* Gp(const Tensor& t) {
+  return t.impl()->requires_grad ? GradPtr(t.impl()) : nullptr;
 }
+
+// Value pointer of one parameter.
+const float* V(const Tensor& t) { return t.value().data(); }
 
 }  // namespace
-
-bool PackedTrainEnvEnabled() {
-  const char* v = std::getenv("QPE_PACKED_TRAIN");
-  return v == nullptr || std::strcmp(v, "0") != 0;
-}
 
 PackedTrainBatch& PackedTrainBatch::ThreadLocal() {
   thread_local PackedTrainBatch ws;
   return ws;
 }
 
-const float* PackedTrainForward(PackedTrainBatch& ws, util::Rng* rng) {
-  const PackedTrainView& view = ws.view;
-  const simd::Kernels& kern = simd::K();
-  const int rows = ws.rows;
-  const int S = ws.num_seqs;
-  const int d = view.model_dim;
-  const int f = view.ff_dim;
-  const float invd = 1.0f / static_cast<float>(d);
-  const int head_dim = d / view.num_heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  const size_t rd = static_cast<size_t>(rows) * d;
-  const size_t rf = static_cast<size_t>(rows) * f;
-
-  ++ws.generation;
-  ws.used_dropout = rng != nullptr && view.dropout > 0.0f;
-
-  if (static_cast<int>(ws.layers.size()) < view.num_layers) {
-    ws.layers.resize(view.num_layers);
-  }
-  for (int li = 0; li < view.num_layers; ++li) {
-    PackedTrainLayerActs& acts = ws.layers[li];
-    Ensure(&acts.x, rd);
-    Ensure(&acts.n1, rd);
-    Ensure(&acts.q, rd);
-    Ensure(&acts.k, rd);
-    Ensure(&acts.v, rd);
-    Ensure(&acts.att, rd);
-    Ensure(&acts.hm, rd);
-    Ensure(&acts.n2, rd);
-    Ensure(&acts.ffa, rf);
-    if (ws.used_dropout) {
-      Ensure(&acts.mask_att, rd);
-      Ensure(&acts.mask_ff, rd);
+uint64_t PackedTrainBatch::BeginForward(float dropout, util::Rng* rng) {
+  tape.masked = rng != nullptr && dropout > 0.0f;
+  if (tape.masked) {
+    const BatchLayout& layout = batch.layout;
+    const int num_layers = batch.view.num_layers;
+    const int d = batch.view.model_dim;
+    const size_t rd = static_cast<size_t>(layout.total_rows) * d;
+    if (tape.layers.size() < static_cast<size_t>(num_layers)) {
+      tape.layers.resize(num_layers);
     }
-  }
-  Ensure(&ws.hout, rd);
-  Ensure(&ws.cls, static_cast<size_t>(S) * d);
-  Ensure(&ws.scratch, rd);
-
-  // Dropout masks are drawn up front, consuming the RNG stream in the
-  // exact order the per-plan op chain does: plans in caller order (caller
-  // plan ci is packed sequence S-1-ci under the reversed packing), and
-  // within a plan layer by layer, attention mask before feed-forward
-  // mask, row-major over the plan's rows.
-  if (ws.used_dropout) {
-    const float p = view.dropout;
-    const float keep = 1.0f / (1.0f - p);
+    for (int li = 0; li < num_layers; ++li) {
+      Ensure(&tape.layers[li].mask_att, rd);
+      Ensure(&tape.layers[li].mask_ff, rd);
+    }
+    const float keep = 1.0f / (1.0f - dropout);
+    const int S = layout.size();
     for (int ci = 0; ci < S; ++ci) {
       const int s = S - 1 - ci;
-      const size_t base = static_cast<size_t>(ws.offsets[s]) * d;
-      const size_t count = static_cast<size_t>(ws.lengths[s]) * d;
-      for (int li = 0; li < view.num_layers; ++li) {
-        PackedTrainLayerActs& acts = ws.layers[li];
-        float* ma = acts.mask_att.data() + base;
+      const size_t base = static_cast<size_t>(layout.offsets[s]) * d;
+      const size_t count = static_cast<size_t>(layout.lengths[s]) * d;
+      for (int li = 0; li < num_layers; ++li) {
+        float* ma = tape.layers[li].mask_att.data() + base;
         for (size_t i = 0; i < count; ++i) {
-          ma[i] = rng->Bernoulli(p) ? 0.0f : keep;
+          ma[i] = rng->Bernoulli(dropout) ? 0.0f : keep;
         }
-        float* mf = acts.mask_ff.data() + base;
+        float* mf = tape.layers[li].mask_ff.data() + base;
         for (size_t i = 0; i < count; ++i) {
-          mf[i] = rng->Bernoulli(p) ? 0.0f : keep;
+          mf[i] = rng->Bernoulli(dropout) ? 0.0f : keep;
         }
       }
     }
   }
-
-  auto linear = [&](int site, const float* x, int m, int in, int out, float* y,
-                    int relu) {
-    const PackedTrainSite& s = view.sites[site];
-    kern.linear_bias_act(x, s.weight.v, s.bias.v, y, m, in, out, relu);
-  };
-
-  kern.embed_gather_add(view.embed1.v, view.embed2.v, view.embed3.v,
-                        view.positional.v, ws.ids1.data(), ws.ids2.data(),
-                        ws.ids3.data(), ws.positions.data(),
-                        ws.layers[0].x.data(), rows, view.level1_dim,
-                        view.level2_dim, view.level3_dim);
-
-  float* scratch = ws.scratch.data();
-  for (int li = 0; li < view.num_layers; ++li) {
-    PackedTrainLayerActs& acts = ws.layers[li];
-    const PackedTrainLayerParams& lp = view.layers[li];
-    const int base = li * 6;
-    kern.layer_norm_rows(acts.x.data(), lp.norm1_gamma.v, lp.norm1_beta.v,
-                         acts.n1.data(), rows, d, invd);
-    linear(base + 0, acts.n1.data(), rows, d, d, acts.q.data(), 0);
-    linear(base + 1, acts.n1.data(), rows, d, d, acts.k.data(), 0);
-    linear(base + 2, acts.n1.data(), rows, d, d, acts.v.data(), 0);
-    kern.attention_forward_packed(acts.q.data(), acts.k.data(), acts.v.data(),
-                                  acts.att.data(), ws.offsets.data(),
-                                  ws.lengths.data(), S, view.num_heads, d,
-                                  scale);
-    linear(base + 3, acts.att.data(), rows, d, d, scratch, 0);
-    if (ws.used_dropout) {
-      const float* m = acts.mask_att.data();
-      for (size_t i = 0; i < rd; ++i) scratch[i] *= m[i];
-    }
-    std::memcpy(acts.hm.data(), acts.x.data(), sizeof(float) * rd);
-    kern.add_rows(acts.hm.data(), scratch, rd);
-    kern.layer_norm_rows(acts.hm.data(), lp.norm2_gamma.v, lp.norm2_beta.v,
-                         acts.n2.data(), rows, d, invd);
-    linear(base + 4, acts.n2.data(), rows, d, f, acts.ffa.data(), 1);
-    linear(base + 5, acts.ffa.data(), rows, f, d, scratch, 0);
-    if (ws.used_dropout) {
-      const float* m = acts.mask_ff.data();
-      for (size_t i = 0; i < rd; ++i) scratch[i] *= m[i];
-    }
-    float* xout = li + 1 < view.num_layers ? ws.layers[li + 1].x.data()
-                                           : ws.hout.data();
-    std::memcpy(xout, acts.hm.data(), sizeof(float) * rd);
-    kern.add_rows(xout, scratch, rd);
-  }
-
-  float* cls = ws.cls.data();
-  for (int s = 0; s < S; ++s) {
-    std::memcpy(cls + static_cast<size_t>(s) * d,
-                ws.hout.data() + static_cast<size_t>(ws.offsets[s]) * d,
-                sizeof(float) * d);
-  }
-  if (!view.has_projection) return cls;
-  Ensure(&ws.proj, static_cast<size_t>(S) * view.output_dim);
-  linear(view.num_layers * 6, cls, S, d, view.output_dim, ws.proj.data(), 0);
-  return ws.proj.data();
+  return ++generation;
 }
 
-void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
-                         uint64_t generation) {
+void PackedTrainBackward(PackedTrainBatch& ws, const PackedRefs& refs,
+                         const float* out_grad, uint64_t generation) {
   if (ws.generation != generation) {
     std::fprintf(stderr,
                  "PackedTrainBackward: retained activations were overwritten "
                  "by a newer forward before Backward() ran\n");
     std::abort();
   }
-  const PackedTrainView& view = ws.view;
+  const PackedModelView& view = ws.batch.view;
+  const BatchLayout& layout = ws.batch.layout;
   const simd::Kernels& kern = simd::K();
-  const int rows = ws.rows;
-  const int S = ws.num_seqs;
+  const int rows = layout.total_rows;
+  const int S = layout.size();
   const int d = view.model_dim;
   const int f = view.ff_dim;
   const int od = view.output_dim;
@@ -200,28 +111,48 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
   float* d_act = ws.d_act.data();
   float* d_pre = ws.d_pre.data();
 
+  // Linear-site backward over rows of its input `x`: accumulates the input
+  // gradient into dx and the weight/bias gradients, for the output
+  // gradient dy [m, out].
+  auto linear_backward = [&](const PackedRefs::Site& site, const float* x,
+                             const float* dy, float* dx, int m, int in,
+                             int out) {
+    kern.matmul_backward_a(dy, V(site.weight), dx, 0, m, in, out);
+    if (float* wg = Gp(site.weight)) {
+      kern.matmul_backward_b(x, dy, wg, 0, in, m, in, out);
+    }
+    if (float* bg = Gp(site.bias)) {
+      for (int i = 0; i < m; ++i) {
+        kern.add_rows(bg, dy + static_cast<size_t>(i) * out, out);
+      }
+    }
+  };
+  // The gradient entering a residual branch, through its dropout mask when
+  // one was drawn.
+  auto branch_grad = [&](const std::vector<float>& mask) {
+    if (ws.tape.masked) {
+      std::fill_n(d_tmp, rd, 0.0f);
+      const float* m = mask.data();
+      for (size_t i = 0; i < rd; ++i) d_tmp[i] += d_h[i] * m[i];
+    } else {
+      std::memcpy(d_tmp, d_h, sizeof(float) * rd);
+    }
+  };
+
   // Projection backward (when present), then scatter each sequence's
   // pooled-CLS gradient back onto its first packed row.
   const float* d_cls_rows = out_grad;
   if (view.has_projection) {
-    const PackedTrainSite& ps = view.sites[view.num_layers * 6];
     Ensure(&ws.d_cls, static_cast<size_t>(S) * d);
     float* d_cls = ws.d_cls.data();
     std::fill_n(d_cls, static_cast<size_t>(S) * d, 0.0f);
-    kern.matmul_backward_a(out_grad, ps.weight.v, d_cls, 0, S, d, od);
-    if (float* wg = Gp(ps.weight)) {
-      kern.matmul_backward_b(ws.cls.data(), out_grad, wg, 0, d, S, d, od);
-    }
-    if (float* bg = Gp(ps.bias)) {
-      for (int s = 0; s < S; ++s) {
-        kern.add_rows(bg, out_grad + static_cast<size_t>(s) * od, od);
-      }
-    }
+    linear_backward(refs.sites[view.num_layers * 6], ws.batch.cls.data(),
+                    out_grad, d_cls, S, d, od);
     d_cls_rows = d_cls;
   }
   std::fill_n(d_h, rd, 0.0f);
   for (int s = 0; s < S; ++s) {
-    kern.add_rows(d_h + static_cast<size_t>(ws.offsets[s]) * d,
+    kern.add_rows(d_h + static_cast<size_t>(layout.offsets[s]) * d,
                   d_cls_rows + static_cast<size_t>(s) * d, d);
   }
 
@@ -229,113 +160,70 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
   // current step consumes: the layer output on entry, the post-attention
   // residual after the norm2 step, the layer input after the norm1 step.
   for (int li = view.num_layers - 1; li >= 0; --li) {
-    PackedTrainLayerActs& acts = ws.layers[li];
-    const PackedTrainLayerParams& lp = view.layers[li];
-    const int base = li * 6;
+    const PackedLayerTape& t = ws.tape.layers[li];
+    const PackedRefs::Layer& lr = refs.layers[li];
+    const PackedRefs::Site* sites = refs.sites.data() + li * 6;
 
-    // Feed-forward branch of the output residual (through the ff dropout
-    // mask when one was drawn).
-    if (ws.used_dropout) {
-      std::fill_n(d_tmp, rd, 0.0f);
-      const float* m = acts.mask_ff.data();
-      for (size_t i = 0; i < rd; ++i) d_tmp[i] += d_h[i] * m[i];
-    } else {
-      std::memcpy(d_tmp, d_h, sizeof(float) * rd);
-    }
-    const PackedTrainSite& ff2 = view.sites[base + 5];
+    // Feed-forward branch of the output residual.
+    branch_grad(t.mask_ff);
     std::fill_n(d_act, rf, 0.0f);
-    kern.matmul_backward_a(d_tmp, ff2.weight.v, d_act, 0, rows, f, d);
-    if (float* wg = Gp(ff2.weight)) {
-      kern.matmul_backward_b(acts.ffa.data(), d_tmp, wg, 0, f, rows, f, d);
-    }
-    if (float* bg = Gp(ff2.bias)) {
-      for (int i = 0; i < rows; ++i) {
-        kern.add_rows(bg, d_tmp + static_cast<size_t>(i) * d, d);
-      }
-    }
-    const PackedTrainSite& ff1 = view.sites[base + 4];
+    linear_backward(sites[5], t.ffa.data(), d_tmp, d_act, rows, f, d);
     std::fill_n(d_pre, rf, 0.0f);
-    kern.bias_act_backward(acts.ffa.data(), d_act, d_pre, Gp(ff1.bias), rows,
-                           f);
+    kern.bias_act_backward(t.ffa.data(), d_act, d_pre, Gp(sites[4].bias),
+                           rows, f);
     std::fill_n(d_n2, rd, 0.0f);
-    kern.matmul_backward_a(d_pre, ff1.weight.v, d_n2, 0, rows, d, f);
-    if (float* wg = Gp(ff1.weight)) {
-      kern.matmul_backward_b(acts.n2.data(), d_pre, wg, 0, d, rows, d, f);
+    kern.matmul_backward_a(d_pre, V(sites[4].weight), d_n2, 0, rows, d, f);
+    if (float* wg = Gp(sites[4].weight)) {
+      kern.matmul_backward_b(t.n2.data(), d_pre, wg, 0, d, rows, d, f);
     }
-    kern.layer_norm_rows_backward(acts.hm.data(), lp.norm2_gamma.v, d_n2, d_h,
-                                  Gp(lp.norm2_gamma), Gp(lp.norm2_beta), rows,
+    kern.layer_norm_rows_backward(t.hm.data(), V(lr.norm2_gamma), d_n2, d_h,
+                                  Gp(lr.norm2_gamma), Gp(lr.norm2_beta), rows,
                                   d, invd);
 
     // Attention branch of the post-attention residual.
-    if (ws.used_dropout) {
-      std::fill_n(d_tmp, rd, 0.0f);
-      const float* m = acts.mask_att.data();
-      for (size_t i = 0; i < rd; ++i) d_tmp[i] += d_h[i] * m[i];
-    } else {
-      std::memcpy(d_tmp, d_h, sizeof(float) * rd);
-    }
-    const PackedTrainSite& wo = view.sites[base + 3];
+    branch_grad(t.mask_att);
     std::fill_n(d_att, rd, 0.0f);
-    kern.matmul_backward_a(d_tmp, wo.weight.v, d_att, 0, rows, d, d);
-    if (float* wg = Gp(wo.weight)) {
-      kern.matmul_backward_b(acts.att.data(), d_tmp, wg, 0, d, rows, d, d);
-    }
-    if (float* bg = Gp(wo.bias)) {
-      for (int i = 0; i < rows; ++i) {
-        kern.add_rows(bg, d_tmp + static_cast<size_t>(i) * d, d);
-      }
-    }
+    linear_backward(sites[3], t.att.data(), d_tmp, d_att, rows, d, d);
     std::fill_n(d_q, rd, 0.0f);
     std::fill_n(d_k, rd, 0.0f);
     std::fill_n(d_v, rd, 0.0f);
-    kern.attention_backward_packed(acts.q.data(), acts.k.data(), acts.v.data(),
-                                   d_att, d_q, d_k, d_v, ws.offsets.data(),
-                                   ws.lengths.data(), S, view.num_heads, d,
-                                   scale);
+    kern.attention_backward_packed(t.q.data(), t.k.data(), t.v.data(), d_att,
+                                   d_q, d_k, d_v, layout.offsets.data(),
+                                   layout.lengths.data(), S, view.num_heads,
+                                   d, scale);
     std::fill_n(d_n1, rd, 0.0f);
     // The op chain backpropagates the projections in reverse build order:
     // values, keys, queries.
-    const float* d_proj[3] = {d_v, d_k, d_q};
-    const int proj_site[3] = {base + 2, base + 1, base + 0};
-    for (int p = 0; p < 3; ++p) {
-      const PackedTrainSite& site = view.sites[proj_site[p]];
-      kern.matmul_backward_a(d_proj[p], site.weight.v, d_n1, 0, rows, d, d);
-      if (float* wg = Gp(site.weight)) {
-        kern.matmul_backward_b(acts.n1.data(), d_proj[p], wg, 0, d, rows, d,
-                               d);
-      }
-      if (float* bg = Gp(site.bias)) {
-        for (int i = 0; i < rows; ++i) {
-          kern.add_rows(bg, d_proj[p] + static_cast<size_t>(i) * d, d);
-        }
-      }
-    }
-    kern.layer_norm_rows_backward(acts.x.data(), lp.norm1_gamma.v, d_n1, d_h,
-                                  Gp(lp.norm1_gamma), Gp(lp.norm1_beta), rows,
+    linear_backward(sites[2], t.n1.data(), d_v, d_n1, rows, d, d);
+    linear_backward(sites[1], t.n1.data(), d_k, d_n1, rows, d, d);
+    linear_backward(sites[0], t.n1.data(), d_q, d_n1, rows, d, d);
+    kern.layer_norm_rows_backward(t.x.data(), V(lr.norm1_gamma), d_n1, d_h,
+                                  Gp(lr.norm1_gamma), Gp(lr.norm1_beta), rows,
                                   d, invd);
   }
 
   // Embedding + positional scatter of the bottom gradient.
-  float* pg = Gp(view.positional);
-  float* e1g = Gp(view.embed1);
-  float* e2g = Gp(view.embed2);
-  float* e3g = Gp(view.embed3);
+  float* pg = Gp(refs.positional);
+  float* e1g = Gp(refs.embed1);
+  float* e2g = Gp(refs.embed2);
+  float* e3g = Gp(refs.embed3);
   const int d1 = view.level1_dim;
   const int d2 = view.level2_dim;
   const int d3 = view.level3_dim;
+  const PackedBatch& pb = ws.batch;
   for (int r = 0; r < rows; ++r) {
     const float* g = d_h + static_cast<size_t>(r) * d;
     if (pg != nullptr) {
-      kern.add_rows(pg + static_cast<size_t>(ws.positions[r]) * d, g, d);
+      kern.add_rows(pg + static_cast<size_t>(layout.positions[r]) * d, g, d);
     }
     if (e1g != nullptr) {
-      kern.add_rows(e1g + static_cast<size_t>(ws.ids1[r]) * d1, g, d1);
+      kern.add_rows(e1g + static_cast<size_t>(pb.ids1[r]) * d1, g, d1);
     }
     if (e2g != nullptr) {
-      kern.add_rows(e2g + static_cast<size_t>(ws.ids2[r]) * d2, g + d1, d2);
+      kern.add_rows(e2g + static_cast<size_t>(pb.ids2[r]) * d2, g + d1, d2);
     }
     if (e3g != nullptr) {
-      kern.add_rows(e3g + static_cast<size_t>(ws.ids3[r]) * d3, g + d1 + d2,
+      kern.add_rows(e3g + static_cast<size_t>(pb.ids3[r]) * d3, g + d1 + d2,
                     d3);
     }
   }

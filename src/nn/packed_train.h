@@ -4,16 +4,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/tensor.h"
+#include "nn/packed_batch.h"
+#include "nn/packed_forward.h"
 #include "util/rng.h"
 
 namespace qpe::nn {
 
-// Gradient-capable sibling of the packed inference engine
-// (nn/packed_forward.h): one columnar transformer forward that retains
-// every activation the backward needs, plus a hand-scheduled columnar
-// backward that replays the autograd op chain's gradient arithmetic
-// through the dispatched simd::Kernels backward table.
+// The packed training step: the recording forward is PackedEncodeForward
+// with a tape (nn/packed_forward.h); this file holds its workspace, the
+// dropout-mask draw, and a hand-scheduled columnar backward that replays
+// the autograd op chain's gradient arithmetic through the dispatched
+// simd::Kernels backward table.
 //
 // Bit-exactness contract: for a batch packed in REVERSE caller order (the
 // autograd engine executes later-built sibling subtrees first, so caller
@@ -28,110 +29,47 @@ namespace qpe::nn {
 // reversed packing). Dropout masks are pre-drawn in caller plan order so
 // the RNG consumption matches the per-plan path stream for stream.
 
-// Raw view of one trainable parameter: the value pointer for the forward
-// and the autograd node for gradient routing. Gradients are always
-// resolved through GradPtr(impl) at backward time, so data-parallel
-// shards under a GradientCapture accumulate into their private buffers
-// exactly like the op-chain closures do.
-struct PackedTrainParam {
-  const float* v = nullptr;
-  Tensor::Impl* impl = nullptr;
-};
-
-struct PackedTrainSite {
-  PackedTrainParam weight;  // [in, out] row-major
-  PackedTrainParam bias;    // [1, out]
-};
-
-struct PackedTrainLayerParams {
-  PackedTrainParam norm1_gamma, norm1_beta, norm2_gamma, norm2_beta;
-};
-
-// Model view the encoder refreshes per call (checkpoint loads replace the
-// parameter value buffers, never the autograd nodes).
-struct PackedTrainView {
-  int model_dim = 0;
-  int ff_dim = 0;
-  int num_heads = 0;
-  int num_layers = 0;
-  int level1_dim = 0;
-  int level2_dim = 0;
-  int level3_dim = 0;
-  int output_dim = 0;  // == model_dim when has_projection is false
-  bool has_projection = false;
-  float dropout = 0.0f;
-  PackedTrainParam embed1, embed2, embed3, positional;
-  std::vector<PackedTrainLayerParams> layers;
-  std::vector<PackedTrainSite> sites;  // layer-major wq,wk,wv,wo,ff1,ff2;
-                                       // projection last when present
-};
-
-// Per-layer retained activations, all row-major over the packed rows.
-struct PackedTrainLayerActs {
-  std::vector<float> x;    // [rows, d] layer input
-  std::vector<float> n1;   // [rows, d] norm1 output
-  std::vector<float> q, k, v;  // [rows, d] attention projections
-  std::vector<float> att;  // [rows, d] attention context
-  std::vector<float> hm;   // [rows, d] post-attention residual
-  std::vector<float> n2;   // [rows, d] norm2 output
-  std::vector<float> ffa;  // [rows, f] ff1 ReLU output
-  std::vector<float> mask_att, mask_ff;  // [rows, d] dropout multipliers
-};
-
-// Reusable training workspace: packing columns, retained activations and
-// backward scratch, all growing to the high-water shape and persisting.
-// One instance per thread via ThreadLocal(); the generation counter lets a
-// deferred backward closure detect (and abort on) a workspace that a newer
-// forward has overwritten — the shard-per-pair training loop runs exactly
-// one forward per Backward(), so this never fires in practice.
+// Reusable training workspace, one instance per thread via ThreadLocal().
+// Every buffer grows to the high-water shape and persists.
 class PackedTrainBatch {
  public:
-  // --- packing columns (copied from the assembled nn::PackedBatch) ---
-  std::vector<int> ids1, ids2, ids3;  // [rows]
-  std::vector<int> positions;         // [rows]
-  std::vector<int> offsets, lengths;  // [num_seqs]
-  int rows = 0;
-  int num_seqs = 0;
+  // Packing columns, model view, and forward scratch of the recording
+  // forward. Deliberately its own workspace, not PackedBatch::ThreadLocal():
+  // an inference batch encoded on this thread between the forward and
+  // Backward() leaves everything the backward reads untouched.
+  PackedBatch batch;
+  PackedTape tape;
 
-  PackedTrainView view;
+  // Bumped by every recording forward (BeginForward). Only the recording
+  // forward writes `batch` and `tape`, so a backward presenting a stale
+  // generation — a second recording forward on this thread ran before it —
+  // is exactly the case where its inputs were overwritten; it aborts.
   uint64_t generation = 0;
-  bool used_dropout = false;
-
-  // --- forward activations ---
-  std::vector<PackedTrainLayerActs> layers;
-  std::vector<float> hout;     // [rows, d] final hidden state
-  std::vector<float> cls;      // [num_seqs, d] pooled CLS rows
-  std::vector<float> proj;     // [num_seqs, output_dim]
-  std::vector<float> scratch;  // [rows, d] pre-residual linear outputs
 
   // --- backward scratch ---
   std::vector<float> d_h, d_tmp, d_att, d_q, d_k, d_v, d_n1, d_n2;  // [rows,d]
   std::vector<float> d_act, d_pre;  // [rows, f]
   std::vector<float> d_cls;         // [num_seqs, d]
 
+  // Starts a recording forward over the packed, bound batch: bumps the
+  // generation and, when `rng` is non-null and `dropout` > 0, draws every
+  // layer's masks into the tape — in caller plan order (sequence S-1-ci for
+  // ci ascending), layer by layer, attention mask before feed-forward
+  // mask, the exact stream order of the per-plan Dropout ops. Returns the
+  // generation the backward must present.
+  uint64_t BeginForward(float dropout, util::Rng* rng);
+
   static PackedTrainBatch& ThreadLocal();
 };
 
-// QPE_PACKED_TRAIN=0 falls back to the per-plan op-chain training path
-// (the bitwise reference); defaults on.
-bool PackedTrainEnvEnabled();
-
-// Runs the recording columnar forward over the packed workspace (columns
-// and view already filled). A non-null `rng` enables dropout with the
-// view's rate; masks are drawn in caller plan order (sequence S-1-ci for
-// ci ascending), layer by layer, attention mask before feed-forward mask —
-// the exact stream order of the per-plan Dropout ops. Bumps the
-// workspace generation and returns the [num_seqs, output_dim] result
-// (the projection output, or the pooled CLS rows when the model has no
-// projection).
-const float* PackedTrainForward(PackedTrainBatch& ws, util::Rng* rng);
-
-// Columnar backward: consumes the retained activations and accumulates
-// parameter gradients (through GradPtr) for the upstream gradient
-// `out_grad` [num_seqs, output_dim]. `generation` must match the forward
-// that produced the activations; a mismatch aborts.
-void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
-                         uint64_t generation);
+// Columnar backward: consumes the tape of the recording forward and
+// accumulates parameter gradients (through GradPtr, so a GradientCapture
+// alive on this thread redirects them into its shard buffers) for the
+// upstream gradient `out_grad` [num_seqs, output_dim]. Weights and gradient
+// nodes come from `refs`, dimensions and layout from ws.batch. `generation`
+// must match the forward that filled the workspace; a mismatch aborts.
+void PackedTrainBackward(PackedTrainBatch& ws, const PackedRefs& refs,
+                         const float* out_grad, uint64_t generation);
 
 }  // namespace qpe::nn
 

@@ -93,7 +93,11 @@ std::vector<nn::Tensor> EmbeddingService::EncodeAll(
     plans_ += static_cast<uint64_t>(n);
     encoded_plans_ += static_cast<uint64_t>(misses);
     total_seconds_ += seconds;
-    request_latencies_ms_.push_back(seconds * 1e3);
+    if (request_latencies_ms_.size() < kLatencyWindow) {
+      request_latencies_ms_.push_back(seconds * 1e3);
+    } else {
+      request_latencies_ms_[(requests_ - 1) % kLatencyWindow] = seconds * 1e3;
+    }
   }
   return results;
 }
@@ -110,7 +114,9 @@ void EmbeddingService::SwapEncoder(const encoder::PlanSequenceEncoder* encoder) 
 
 ServiceStats EmbeddingService::GetStats() const {
   ServiceStats stats;
+  std::vector<double> latencies_ms;
   {
+    // Copy only: the sorts run outside the lock every EncodeAll takes.
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats.requests = requests_;
     stats.plans = plans_;
@@ -119,10 +125,12 @@ ServiceStats EmbeddingService::GetStats() const {
     if (total_seconds_ > 0) {
       stats.plans_per_second = static_cast<double>(plans_) / total_seconds_;
     }
-    if (!request_latencies_ms_.empty()) {
-      stats.p50_ms = util::Percentile(request_latencies_ms_, 50.0);
-      stats.p99_ms = util::Percentile(request_latencies_ms_, 99.0);
-    }
+    latencies_ms = request_latencies_ms_;
+  }
+  stats.latency_samples = latencies_ms.size();
+  if (!latencies_ms.empty()) {
+    stats.p50_ms = util::Percentile(latencies_ms, 50.0);
+    stats.p99_ms = util::Percentile(std::move(latencies_ms), 99.0);
   }
   if (cache_enabled_) stats.cache = cache_.GetStats();
   stats.memory = nn::GlobalMemoryStats();

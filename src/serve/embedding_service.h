@@ -25,7 +25,8 @@ struct EmbeddingServiceConfig {
   bool enable_cache = true;
 };
 
-// Serving statistics. Latency percentiles are over EncodeAll requests;
+// Serving statistics. Latency percentiles are over the most recent
+// EncodeAll requests (at most EmbeddingService::kLatencyWindow of them);
 // throughput is total plans over total request wall time.
 struct ServiceStats {
   uint64_t requests = 0;
@@ -35,6 +36,7 @@ struct ServiceStats {
   double plans_per_second = 0;
   double p50_ms = 0;
   double p99_ms = 0;
+  uint64_t latency_samples = 0;  // request latencies behind p50/p99
   EmbeddingCache::Stats cache;
   // Process-wide allocation telemetry (all TensorArenas, not just this
   // service's worker threads) plus peak RSS, snapshotted by GetStats().
@@ -71,6 +73,10 @@ struct ServiceStats {
 // concurrently (the cache is sharded-locked; stats are mutex-protected).
 class EmbeddingService {
  public:
+  // Request latencies retained for the percentiles: a ring of the most
+  // recent requests, so a long-running daemon's stats stay constant-size.
+  static constexpr size_t kLatencyWindow = 4096;
+
   // `encoder` must outlive the service. Encoding runs with no dropout and
   // no autograd, regardless of the encoder's training flag.
   EmbeddingService(const encoder::PlanSequenceEncoder* encoder,
@@ -105,7 +111,7 @@ class EmbeddingService {
   uint64_t plans_ = 0;
   uint64_t encoded_plans_ = 0;
   double total_seconds_ = 0;
-  std::vector<double> request_latencies_ms_;
+  std::vector<double> request_latencies_ms_;  // ring, <= kLatencyWindow
 };
 
 }  // namespace qpe::serve

@@ -9,7 +9,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -18,6 +18,7 @@
 #include "data/datasets.h"
 #include "data/plan_corpus.h"
 #include "encoder/ppsr.h"
+#include "encoder/quantized_encoder.h"
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
 #include "nn/arena.h"
@@ -60,29 +61,16 @@ class ThreadCountGuard {
   int saved_;
 };
 
-// Sets an environment variable for the scope, restoring the previous value
-// (or unsetting) on exit. QPE_PACKED_TRAIN is re-read on every call, so
-// this is enough for in-process A/B.
-class EnvVarGuard {
+// Routes EncodeBatchGrad through the per-plan op-chain loop of the base
+// class: the bitwise oracle the packed training step must reproduce.
+class PerPlanTrainEncoder : public encoder::TransformerPlanEncoder {
  public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    setenv(name, value, /*overwrite=*/1);
+  using TransformerPlanEncoder::TransformerPlanEncoder;
+  std::vector<nn::Tensor> EncodeBatchGrad(
+      std::span<const plan::PlanNode* const> plans,
+      util::Rng* dropout_rng) const override {
+    return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
   }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
 };
 
 std::vector<float> RandomVec(size_t n, util::Rng* rng, float scale = 1.0f) {
@@ -407,13 +395,13 @@ TEST(PackedKernelTest, QuantizeBufferMatchesQuantizeValue) {
 // --- Packed encoder vs per-plan Encode at adversarial shapes ----------------
 //
 // The packing/unpacking property: for every batch shape, SIMD level, and
-// thread count, packed EncodeBatch must reproduce the per-plan Encode
-// path — bitwise at forced scalar, within epsilon at the hardware level
-// (the vector exp is the one sanctioned divergence).
+// thread count, packed EncodeBatch must reproduce the per-plan Encode path
+// bit for bit — both dispatch the same kernel table, and the packed
+// training path, which shares the engine, is bitwise at every level too.
 
 void CheckPackedMatchesPerPlan(const encoder::TransformerPlanEncoder& enc,
                                std::span<const plan::PlanNode* const> ptrs,
-                               bool bitwise, const char* what) {
+                               const char* what) {
   nn::NoGradGuard no_grad;
   const std::vector<nn::Tensor> batched = enc.EncodeBatch(ptrs, nullptr);
   ASSERT_EQ(batched.size(), ptrs.size());
@@ -422,15 +410,8 @@ void CheckPackedMatchesPerPlan(const encoder::TransformerPlanEncoder& enc,
     ASSERT_EQ(batched[i].rows(), 1);
     ASSERT_EQ(batched[i].cols(), single.cols());
     for (int c = 0; c < single.cols(); ++c) {
-      if (bitwise) {
-        ASSERT_EQ(batched[i].at(0, c), single.at(0, c))
-            << what << " plan " << i << " dim " << c;
-      } else {
-        const float a = single.at(0, c);
-        const float tol = 1e-6f * (1.0f + std::fabs(a));
-        ASSERT_NEAR(a, batched[i].at(0, c), tol)
-            << what << " plan " << i << " dim " << c;
-      }
+      ASSERT_EQ(batched[i].at(0, c), single.at(0, c))
+          << what << " plan " << i << " dim " << c;
     }
   }
 }
@@ -463,12 +444,11 @@ TEST(PackedEncoderTest, AdversarialShapesAcrossLevelsAndThreads) {
 
   for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
     if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
-    const bool bitwise = level == Level::kScalar;
     for (const int threads : {1, 4}) {
       util::SetMaxThreads(threads);
       for (const Case& c : cases) {
         CheckPackedMatchesPerPlan(
-            enc, c.ptrs, bitwise,
+            enc, c.ptrs,
             (std::string(c.name) + " level " +
              nn::simd::LevelName(level) + " threads " +
              std::to_string(threads))
@@ -480,11 +460,11 @@ TEST(PackedEncoderTest, AdversarialShapesAcrossLevelsAndThreads) {
 
 // --- Packed training vs per-plan op chain -----------------------------------
 //
-// QPE_PACKED_TRAIN=0 re-routes EncodeBatchGrad through the per-plan Encode
+// PerPlanTrainEncoder routes EncodeBatchGrad through the per-plan Encode
 // loop (the gradient-bit reference). The packed training path must match it
 // bit for bit — forward values, dropout streams, and every accumulated
 // parameter gradient — at EVERY SIMD level (both paths dispatch the same
-// kernel table; there is no sanctioned divergence like the inference exp).
+// kernel table).
 
 std::vector<std::vector<float>> ParamGrads(const nn::Module& m) {
   std::vector<std::vector<float>> grads;
@@ -494,59 +474,119 @@ std::vector<std::vector<float>> ParamGrads(const nn::Module& m) {
   return grads;
 }
 
+// Output values and parameter gradients of one EncodeBatchGrad + Backward
+// over `ptrs` (dropout stream seeded 7). `between`, when set, runs after
+// the forward and before Backward().
+struct GradRun {
+  std::vector<std::vector<float>> values;
+  std::vector<std::vector<float>> grads;
+};
+GradRun RunEncodeBatchGrad(encoder::TransformerPlanEncoder& enc,
+                           std::span<const plan::PlanNode* const> ptrs,
+                           const std::function<void()>& between = {}) {
+  enc.ZeroGrad();
+  util::Rng dropout_rng(7);
+  const std::vector<nn::Tensor> outs = enc.EncodeBatchGrad(ptrs, &dropout_rng);
+  // Distinct per-plan weights so a swapped or misrouted gradient cannot
+  // cancel out.
+  nn::Tensor loss = Sum(outs[0]);
+  for (size_t i = 1; i < outs.size(); ++i) {
+    loss = Add(loss, Scale(Sum(outs[i]), 0.5f + static_cast<float>(i)));
+  }
+  if (between) between();
+  loss.Backward();
+  GradRun run;
+  for (const nn::Tensor& t : outs) run.values.push_back(t.value());
+  run.grads = ParamGrads(enc);
+  return run;
+}
+
+void ExpectSameRun(const GradRun& want, const GradRun& got,
+                   const std::string& what) {
+  ASSERT_EQ(want.values.size(), got.values.size());
+  for (size_t i = 0; i < want.values.size(); ++i) {
+    ASSERT_EQ(want.values[i], got.values[i]) << "values, plan " << i << what;
+  }
+  ASSERT_EQ(want.grads.size(), got.grads.size());
+  for (size_t i = 0; i < want.grads.size(); ++i) {
+    ASSERT_EQ(want.grads[i], got.grads[i]) << "grads, param " << i << what;
+  }
+}
+
 TEST(PackedTrainTest, EncodeBatchGradMatchesPerPlanBitwise) {
   SimdLevelGuard level_guard;
-  util::Rng rng(101);
   for (const bool projection : {false, true}) {
     encoder::StructureEncoderConfig config = SmallConfig();
     config.dropout = 0.25f;  // exercises the mask-stream contract
     config.output_dim = projection ? 10 : 0;
-    encoder::TransformerPlanEncoder enc(config, &rng);
+    util::Rng init(101);
+    util::Rng oracle_init(101);
+    encoder::TransformerPlanEncoder enc(config, &init);
+    PerPlanTrainEncoder oracle(config, &oracle_init);
     enc.SetTraining(true);
+    oracle.SetTraining(true);
     const auto plans = SamplePlans(5, 212);
     const auto ptrs = Pointers(plans);
 
     for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
       if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
-      auto run = [&](const char* knob) {
-        EnvVarGuard packed("QPE_PACKED_TRAIN", knob);
-        enc.ZeroGrad();
-        util::Rng dropout_rng(7);
-        const std::vector<nn::Tensor> outs =
-            enc.EncodeBatchGrad(ptrs, &dropout_rng);
-        // Distinct per-plan weights so a swapped or misrouted gradient
-        // cannot cancel out.
-        nn::Tensor loss = Sum(outs[0]);
-        for (size_t i = 1; i < outs.size(); ++i) {
-          loss = Add(loss, Scale(Sum(outs[i]), 0.5f + static_cast<float>(i)));
-        }
-        loss.Backward();
-        std::vector<std::vector<float>> values;
-        for (const nn::Tensor& t : outs) values.push_back(t.value());
-        return std::make_pair(values, ParamGrads(enc));
-      };
-      const auto per_plan = run("0");
-      const auto packed = run("1");
-      ASSERT_EQ(per_plan.first.size(), packed.first.size());
-      for (size_t i = 0; i < per_plan.first.size(); ++i) {
-        ASSERT_EQ(per_plan.first[i], packed.first[i])
-            << "values, plan " << i << " level " << nn::simd::LevelName(level)
-            << (projection ? " projection" : "");
-      }
-      ASSERT_EQ(per_plan.second.size(), packed.second.size());
-      for (size_t i = 0; i < per_plan.second.size(); ++i) {
-        ASSERT_EQ(per_plan.second[i], packed.second[i])
-            << "grads, param " << i << " level " << nn::simd::LevelName(level)
-            << (projection ? " projection" : "");
-      }
+      ExpectSameRun(RunEncodeBatchGrad(oracle, ptrs),
+                    RunEncodeBatchGrad(enc, ptrs),
+                    std::string(" level ") + nn::simd::LevelName(level) +
+                        (projection ? " projection" : ""));
     }
   }
 }
 
-TEST(PackedTrainTest, TrainPpsrPackedKnobAndThreadsMatchBitwise) {
+TEST(PackedTrainTest, InferenceBetweenForwardAndBackwardKeepsGradients) {
+  // The recording forward packs into its own workspace, not the thread's
+  // inference workspace, so an EncodeBatch (fp32 or int8) on the same
+  // thread between EncodeBatchGrad and Backward() must leave the gradients
+  // bit-identical.
+  encoder::StructureEncoderConfig config = SmallConfig();
+  config.dropout = 0.25f;
+  util::Rng init(103);
+  encoder::TransformerPlanEncoder enc(config, &init);
+  enc.SetTraining(true);
+  const auto plans = SamplePlans(4, 214);
+  const auto ptrs = Pointers(plans);
+  const auto other = SamplePlans(9, 215, /*min_nodes=*/20, /*max_nodes=*/24);
+  const auto other_ptrs = Pointers(other);
+  const std::unique_ptr<encoder::QuantizedPlanEncoder> int8 =
+      enc.Quantize(other_ptrs);
+
+  const GradRun plain = RunEncodeBatchGrad(enc, ptrs);
+  const GradRun interleaved = RunEncodeBatchGrad(enc, ptrs, [&] {
+    nn::NoGradGuard no_grad;
+    (void)enc.EncodeBatch(other_ptrs, nullptr);
+    (void)int8->EncodeBatch(other_ptrs, nullptr);
+  });
+  ExpectSameRun(plain, interleaved, " with inference interleaved");
+}
+
+TEST(PackedTrainTest, SecondRecordingBeforeBackwardAborts) {
+  // A second recording forward on the thread overwrites the tape the first
+  // one's backward reads; the generation guard must refuse it cleanly.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  encoder::StructureEncoderConfig config = SmallConfig();
+  util::Rng init(104);
+  const encoder::TransformerPlanEncoder enc(config, &init);
+  const auto plans = SamplePlans(3, 216);
+  const auto ptrs = Pointers(plans);
+  EXPECT_DEATH(
+      {
+        const std::vector<nn::Tensor> first =
+            enc.EncodeBatchGrad(ptrs, nullptr);
+        (void)enc.EncodeBatchGrad(ptrs, nullptr);
+        Sum(first[0]).Backward();
+      },
+      "retained activations were overwritten");
+}
+
+TEST(PackedTrainTest, TrainPpsrPackedMatchesPerPlanAtOneAndFourThreads) {
   // End-to-end: whole TrainPpsr runs (dropout, Adam, grad clipping, shard
   // reduction) must land on bit-identical weights with the packed training
-  // path on or off, at 1 or 4 threads.
+  // step and with the per-plan oracle, at 1 or 4 threads.
   data::PairDatasetOptions options;
   options.num_pairs = 27;
   options.corpus.min_nodes = 4;
@@ -559,12 +599,16 @@ TEST(PackedTrainTest, TrainPpsrPackedKnobAndThreadsMatchBitwise) {
   config.dropout = 0.1f;
   config.output_dim = 10;
 
-  auto train = [&](const char* knob, int threads) {
-    EnvVarGuard packed("QPE_PACKED_TRAIN", knob);
+  auto train = [&](bool packed, int threads) {
     util::SetMaxThreads(threads);
     util::Rng rng(42);
-    encoder::PpsrModel model(
-        std::make_unique<encoder::TransformerPlanEncoder>(config, &rng), &rng);
+    std::unique_ptr<encoder::PlanSequenceEncoder> enc;
+    if (packed) {
+      enc = std::make_unique<encoder::TransformerPlanEncoder>(config, &rng);
+    } else {
+      enc = std::make_unique<PerPlanTrainEncoder>(config, &rng);
+    }
+    encoder::PpsrModel model(std::move(enc), &rng);
     encoder::PpsrTrainOptions train_options;
     train_options.epochs = 2;
     TrainPpsr(&model, dataset.train, train_options);
@@ -577,18 +621,19 @@ TEST(PackedTrainTest, TrainPpsrPackedKnobAndThreadsMatchBitwise) {
 
   for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
     if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
-    const auto reference = train("0", 1);
+    const auto reference = train(/*packed=*/false, 1);
     const struct {
-      const char* knob;
+      bool packed;
       int threads;
-    } cases[] = {{"1", 1}, {"1", 4}, {"0", 4}};
+    } cases[] = {{true, 1}, {true, 4}, {false, 4}};
     for (const auto& c : cases) {
-      const auto got = train(c.knob, c.threads);
+      const auto got = train(c.packed, c.threads);
       ASSERT_EQ(reference.size(), got.size());
       for (size_t i = 0; i < reference.size(); ++i) {
         ASSERT_EQ(reference[i], got[i])
             << "param " << i << " level " << nn::simd::LevelName(level)
-            << " packed " << c.knob << " threads " << c.threads;
+            << (c.packed ? " packed" : " per-plan") << " threads "
+            << c.threads;
       }
     }
   }

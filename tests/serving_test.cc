@@ -426,6 +426,29 @@ TEST(EmbeddingServiceTest, CacheDisabledStillServes) {
   EXPECT_EQ(service.cache(), nullptr);
 }
 
+TEST(EmbeddingServiceTest, LatencySamplesStayBoundedOverLongRuns) {
+  // A daemon's service lives for the whole process: its latency samples
+  // must be a fixed-size window of the most recent requests, not a log.
+  util::Rng rng(58);
+  const encoder::TransformerPlanEncoder encoder(SmallConfig(), &rng);
+  serve::EmbeddingService service(&encoder);
+  const auto plans = SamplePlans(1, 38);
+  constexpr size_t kWindow = serve::EmbeddingService::kLatencyWindow;
+  for (size_t i = 0; i < kWindow + 100; ++i) {
+    (void)service.EncodeOne(*plans[0]);
+  }
+  const auto stats = service.GetStats();
+  EXPECT_EQ(stats.requests, kWindow + 100);
+  EXPECT_EQ(stats.latency_samples, kWindow);
+  EXPECT_GT(stats.p99_ms, 0.0);
+  EXPECT_LE(stats.p50_ms, stats.p99_ms);
+
+  service.ResetStats();
+  EXPECT_EQ(service.GetStats().latency_samples, 0u);
+  (void)service.EncodeOne(*plans[0]);
+  EXPECT_EQ(service.GetStats().latency_samples, 1u);
+}
+
 TEST(EmbeddingServiceTest, ConcurrentCallersSeeConsistentEmbeddings) {
   // Several request threads share one service and one cache; run under
   // TSan by scripts/verify_threading.sh. Every caller must read
