@@ -130,8 +130,9 @@ int main(int argc, char** argv) {
       corpus_plans.push_back(pair.left.get());
     }
     auto autoencoder = std::make_unique<SparseAutoencoder>(48, &rng);
-    qpe::encoder::PretrainSparseAutoencoder(autoencoder.get(), corpus_plans,
-                                            pretrain_epochs * 2, 3e-3f, 5);
+    const qpe::util::Status status = qpe::encoder::PretrainSparseAutoencoder(
+        autoencoder.get(), corpus_plans, pretrain_epochs * 2, 3e-3f, 5);
+    if (!status.ok()) return 1;
     SparseAutoencoder* raw = autoencoder.get();
     PpsrModel model(std::move(autoencoder), &rng);
     (void)raw;

@@ -166,11 +166,11 @@ int main(int argc, char** argv) {
   // The whole workload is one request: the service fingerprints all 88
   // plans, encodes each distinct structure once in micro-batches of
   // kBatchSize, and fans results out to the repeats. No state survives
-  // between requests (enable_cache = false), so this is the batched-uncached
+  // between requests (cache capacity 0), so this is the batched-uncached
   // number.
   qpe::serve::EmbeddingServiceConfig uncached_config;
   uncached_config.batch_size = kBatchSize;
-  uncached_config.enable_cache = false;
+  uncached_config.cache.capacity = 0;
   qpe::serve::EmbeddingService uncached(&encoder, uncached_config);
   double batched_secs = 1e30;
   for (int rep = 0; rep <= g_encode_reps; ++rep) {

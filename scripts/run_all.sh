@@ -9,10 +9,8 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 
+# ctest includes the no-new-knobs lint (scripts/check_env_knobs.sh).
 ctest --test-dir build 2>&1 | tee test_output.txt
-
-# No-new-knobs lint: src/ may read only the four documented env variables.
-./scripts/check_env_knobs.sh 2>&1 | tee -a test_output.txt
 
 # Benchmark self-test: qpebench compiles src/ into its own tree, so a
 # library change that breaks a header it uses fails here, and every

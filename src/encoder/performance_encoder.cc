@@ -7,8 +7,7 @@
 #include "data/features.h"
 #include "nn/arena.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
-#include "nn/parallel.h"
+#include "nn/train_loop.h"
 
 namespace qpe::encoder {
 
@@ -149,119 +148,56 @@ double EvaluatePerfMaeMs(const PerfEncoderBase& model,
   return total / static_cast<double>(samples.size());
 }
 
-namespace {
-
-void RecordIoStatus(const PerfTrainOptions& options, util::Status status) {
-  if (options.io_status != nullptr && options.io_status->ok()) {
-    *options.io_status = std::move(status);
-  }
-}
-
-}  // namespace
-
 std::vector<PerfEpochStats> TrainPerformanceEncoder(
     PerfEncoderBase* model, const data::OperatorDataset& dataset,
     const PerfTrainOptions& options) {
-  std::vector<nn::Tensor> params = model->Parameters();
-  nn::Adam optimizer(params, options.lr);
-  util::Rng rng(options.seed);
-  std::vector<PerfEpochStats> history;
-  nn::TrainingState ckpt_state;
-  const bool checkpointing = !options.checkpoint.path.empty();
-  if (checkpointing && options.checkpoint.resume &&
-      nn::CheckpointExists(options.checkpoint.path)) {
-    util::Status s = nn::LoadTrainingCheckpoint(options.checkpoint.path, model,
-                                                &optimizer, &ckpt_state);
-    if (!s.ok()) {
-      // A corrupt checkpoint must not be silently overwritten by a fresh
-      // run; surface the error and do nothing.
-      RecordIoStatus(options, std::move(s));
-      return history;
-    }
-    rng.SetState(ckpt_state.rng);
-  }
-  double best_val = ckpt_state.best_val;
-  int best_epoch = static_cast<int>(ckpt_state.best_epoch);
-  model->SetTraining(true);
-  nn::ShardGradBuffers scratch;
-  const int n = static_cast<int>(dataset.train.size());
   // Rows per data-parallel shard within a minibatch. Fixed (never derived
   // from the thread count) so the shard partition — and therefore the
   // gradient reduction order — is identical for every thread count.
-  constexpr int kShardRows = 8;
-  const int interval = std::max(1, options.checkpoint.interval_epochs);
-  for (int epoch = static_cast<int>(ckpt_state.next_epoch);
-       epoch < options.epochs; ++epoch) {
-    const std::vector<int> order = rng.Permutation(n);
-    int epoch_skipped = 0;
-    int epoch_nonfinite = 0;
-    for (int start = 0; start < n; start += options.batch_size) {
-      const int end = std::min(n, start + options.batch_size);
-      const int count = end - start;
-      const int num_shards = (count + kShardRows - 1) / kShardRows;
-      model->ZeroGrad();
-      const double batch_loss = nn::ParallelGradientStep(
-          params, num_shards,
-          [&](int shard) {
-            const int s0 = start + shard * kShardRows;
-            const int s1 = std::min(end, s0 + kShardRows);
-            const std::vector<int> indices(order.begin() + s0,
-                                           order.begin() + s1);
-            const PerfBatch batch = MakePerfBatch(dataset.train, indices);
-            const nn::Tensor pred = model->PredictLabels(
-                model->Embed(batch.node, batch.meta, batch.db));
-            // Summed over shards this equals MseLoss over the whole
-            // minibatch: shard SSE over the full batch element count.
-            return Scale(Sum(Square(Sub(pred, batch.labels))),
-                         1.0f / static_cast<float>(count * 3));
-          },
-          &scratch);
-      ++ckpt_state.global_step;
-      if (!std::isfinite(batch_loss)) {
-        // Loss-spike guard: a NaN/Inf batch would propagate poison through
-        // the Adam moments into every later step. Drop the update (the
-        // gradients are zeroed at the top of the next batch) and count it.
-        ++epoch_nonfinite;
-        ++epoch_skipped;
-        continue;
-      }
-      ClipGradNorm(params, options.grad_clip);
-      optimizer.Step();
-    }
+  constexpr size_t kShardRows = 8;
+  nn::TrainTask task{.model = model,
+                     .num_examples = static_cast<int>(dataset.train.size())};
+  task.num_shards = [](std::span<const int> batch, util::Rng*) {
+    return static_cast<int>((batch.size() + kShardRows - 1) / kShardRows);
+  };
+  task.shard_loss = [&](std::span<const int> batch, int shard) {
+    const std::span<const int> rest = batch.subspan(shard * kShardRows);
+    const std::vector<int> rows(
+        rest.begin(), rest.begin() + std::min(rest.size(), kShardRows));
+    const PerfBatch b = MakePerfBatch(dataset.train, rows);
+    const nn::Tensor pred =
+        model->PredictLabels(model->Embed(b.node, b.meta, b.db));
+    // Summed over shards this equals MseLoss over the whole minibatch:
+    // shard SSE over the full batch element count.
+    return Scale(Sum(Square(Sub(pred, b.labels))),
+                 1.0f / static_cast<float>(batch.size() * 3));
+  };
+  std::vector<PerfEpochStats> history;
+  task.end_epoch = [&](int epoch, int skipped, nn::TrainingState* progress) {
     PerfEpochStats stats;
     model->SetTraining(false);
     stats.train_mae_ms = EvaluatePerfMaeMs(*model, dataset.train);
     stats.val_mae_ms = EvaluatePerfMaeMs(*model, dataset.val);
     stats.test_mae_ms = EvaluatePerfMaeMs(*model, dataset.test);
-    stats.skipped_batches = epoch_skipped;
-    stats.nonfinite_losses = epoch_nonfinite;
+    stats.skipped_batches = stats.nonfinite_losses = skipped;
     model->SetTraining(true);
     history.push_back(stats);
-    ckpt_state.skipped_batches += epoch_skipped;
-    ckpt_state.nonfinite_losses += epoch_nonfinite;
-    if (stats.val_mae_ms < best_val - 1e-12) {
-      best_val = stats.val_mae_ms;
-      best_epoch = epoch;
+    if (stats.val_mae_ms < progress->best_val - 1e-12) {
+      progress->best_val = stats.val_mae_ms;
+      progress->best_epoch = epoch;
     }
-    const bool early_stop = options.patience_epochs > 0 &&
-                            epoch - best_epoch >= options.patience_epochs;
-    if (checkpointing &&
-        ((epoch + 1) % interval == 0 || epoch + 1 == options.epochs ||
-         early_stop)) {
-      ckpt_state.next_epoch = epoch + 1;
-      ckpt_state.best_val = best_val;
-      ckpt_state.best_epoch = best_epoch;
-      ckpt_state.rng = rng.GetState();
-      util::Status s = nn::SaveTrainingCheckpoint(options.checkpoint.path,
-                                                  *model, optimizer,
-                                                  ckpt_state);
-      // A failed periodic save degrades durability, not training: record
-      // the error and keep going.
-      if (!s.ok()) RecordIoStatus(options, std::move(s));
-    }
-    if (early_stop) break;  // validation MAE stopped improving
+    return options.patience_epochs > 0 &&
+           epoch - progress->best_epoch >= options.patience_epochs;
+  };
+  nn::TrainStats stats;
+  nn::RunTrainLoop(
+      {.epochs = options.epochs, .batch_size = options.batch_size,
+       .lr = options.lr, .seed = options.seed, .grad_clip = options.grad_clip,
+       .checkpoint = options.checkpoint},
+      task, &stats);
+  if (options.io_status != nullptr && options.io_status->ok()) {
+    *options.io_status = std::move(stats.io_status);
   }
-  model->SetTraining(false);
   return history;
 }
 

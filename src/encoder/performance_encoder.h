@@ -88,19 +88,14 @@ struct PerfTrainOptions {
   int batch_size = 32;
   uint64_t seed = 31;
   float grad_clip = 5.0f;
-  // Early stopping: stop when validation MAE has not improved by more than
-  // `patience_delta_ms` in the last `patience_epochs` epochs (the paper
-  // stops at <5 ms improvement over 100 epochs).
+  // Early stopping: stop once `patience_epochs` epochs have passed since
+  // the best validation MAE, where any strict improvement (beyond 1e-12 ms)
+  // counts as a new best. The paper instead stops when MAE has improved by
+  // less than 5 ms over 100 epochs; that threshold is not reproduced.
   int patience_epochs = 0;  // 0 disables early stopping
-  double patience_delta_ms = 5.0;
-  // Crash-safe checkpoint/resume (nn/checkpoint.h). With a non-empty path
-  // the run saves full training state every `interval_epochs` and, when
-  // `resume` is set and the file exists, continues from it — bit-exactly:
-  // the resumed run finishes with the same weights as an uninterrupted one.
+  // Crash-safe, bit-exact checkpoint/resume (nn/train_loop.h).
   nn::CheckpointConfig checkpoint;
-  // If non-null, receives the first checkpoint IO error (training continues
-  // after a failed periodic save but aborts on a corrupt resume file rather
-  // than silently overwriting it).
+  // If non-null, receives the first checkpoint IO error.
   util::Status* io_status = nullptr;
 };
 

@@ -1,13 +1,11 @@
 #include "encoder/ppsr.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "nn/arena.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
-#include "nn/parallel.h"
+#include "nn/train_loop.h"
 #include "util/thread_pool.h"
 
 namespace qpe::encoder {
@@ -43,117 +41,33 @@ std::vector<nn::Tensor> PpsrModel::HeadParameters() const {
 
 double TrainPpsr(PpsrModel* model, const std::vector<data::PlanPair>& train,
                  const PpsrTrainOptions& options) {
-  std::vector<nn::Tensor> opt_params =
-      options.freeze_encoder ? model->HeadParameters() : model->Parameters();
-  // Data-parallel shards must capture gradient writes into EVERY parameter,
-  // not just the optimized subset: with freeze_encoder the backward pass
-  // still flows gradients into the encoder weights (they require grad),
-  // the optimizer just never applies them.
-  const std::vector<nn::Tensor> all_params = model->Parameters();
-  nn::Adam optimizer(opt_params, options.lr);
-  util::Rng rng(options.seed);
-  nn::TrainingState ckpt_state;
-  const bool checkpointing = !options.checkpoint.path.empty();
-  if (options.stats != nullptr) *options.stats = PpsrTrainStats{};
-  auto record_io = [&options](util::Status s) {
-    if (options.stats != nullptr && options.stats->io_status.ok()) {
-      options.stats->io_status = std::move(s);
-    }
-  };
-  if (checkpointing && options.checkpoint.resume &&
-      nn::CheckpointExists(options.checkpoint.path)) {
-    util::Status s = nn::LoadTrainingCheckpoint(options.checkpoint.path, model,
-                                                &optimizer, &ckpt_state);
-    if (!s.ok()) {
-      // Never overwrite a checkpoint that failed to load; surface and stop.
-      record_io(std::move(s));
-      return 0;
-    }
-    rng.SetState(ckpt_state.rng);
-    if (options.stats != nullptr) {
-      options.stats->resumed_from_epoch = ckpt_state.next_epoch;
-      options.stats->skipped_batches = ckpt_state.skipped_batches;
-      options.stats->nonfinite_losses = ckpt_state.nonfinite_losses;
-    }
-  }
-  model->SetTraining(true);
-  nn::ShardGradBuffers scratch;
+  nn::TrainTask task{.model = model,
+                     .num_examples = static_cast<int>(train.size())};
+  if (options.freeze_encoder) task.optimized = model->HeadParameters();
+  // One shard per pair. Dropout streams are forked sequentially in pair
+  // order before dispatch so they are a function of the data order alone,
+  // never of which thread runs which shard.
   std::vector<util::Rng> shard_rngs;
-  double last_epoch_loss = 0;
-  const int interval = std::max(1, options.checkpoint.interval_epochs);
-  auto abort_requested = [&options]() {
-    return options.abort != nullptr &&
-           options.abort->load(std::memory_order_relaxed);
+  task.num_shards = [&shard_rngs](std::span<const int> batch, util::Rng* rng) {
+    shard_rngs.clear();
+    for (size_t s = 0; s < batch.size(); ++s) shard_rngs.push_back(rng->Fork());
+    return static_cast<int>(batch.size());
   };
-  bool aborted = false;
-  for (int epoch = static_cast<int>(ckpt_state.next_epoch);
-       epoch < options.epochs && !aborted; ++epoch) {
-    const std::vector<int> order =
-        rng.Permutation(static_cast<int>(train.size()));
-    double epoch_loss = 0;
-    int batches = 0;
-    for (size_t start = 0; start < order.size();
-         start += options.batch_size) {
-      if (abort_requested()) {
-        aborted = true;
-        break;
-      }
-      const int count = static_cast<int>(
-          std::min(order.size(), start + options.batch_size) - start);
-      if (count == 0) continue;
-      // One shard per pair. Dropout streams are forked sequentially in
-      // pair order before dispatch so they are a function of the data
-      // order alone, never of which thread runs which shard.
-      shard_rngs.clear();
-      for (int s = 0; s < count; ++s) shard_rngs.push_back(rng.Fork());
-      model->ZeroGrad();
-      const double batch_loss = nn::ParallelGradientStep(
-          all_params, count,
-          [&](int s) {
-            const data::PlanPair& pair = train[order[start + s]];
-            const nn::Tensor pred = model->PredictSimilarity(
-                *pair.left, *pair.right, &shard_rngs[s]);
-            const nn::Tensor target =
-                nn::Tensor::Scalar(static_cast<float>(pair.smatch));
-            // Summed over shards this equals the old mean-over-batch loss.
-            return Scale(Square(Sub(pred, target)),
-                         1.0f / static_cast<float>(count));
-          },
-          &scratch);
-      ++ckpt_state.global_step;
-      if (!std::isfinite(batch_loss)) {
-        // Loss-spike guard: skip the poisoned update (grads are zeroed at
-        // the top of the next batch) instead of feeding NaN into Adam.
-        ++ckpt_state.nonfinite_losses;
-        ++ckpt_state.skipped_batches;
-        if (options.stats != nullptr) {
-          ++options.stats->nonfinite_losses;
-          ++options.stats->skipped_batches;
-        }
-        continue;
-      }
-      ClipGradNorm(opt_params, options.grad_clip);
-      optimizer.Step();
-      epoch_loss += batch_loss;
-      ++batches;
-    }
-    last_epoch_loss = batches > 0 ? epoch_loss / batches : 0;
-    // An aborted (partial) epoch must not checkpoint: its optimizer state is
-    // mid-epoch, and stamping next_epoch past it would break the bit-exact
-    // resume contract. The last interval checkpoint stands, as after SIGKILL.
-    if (checkpointing && !aborted &&
-        ((epoch + 1) % interval == 0 || epoch + 1 == options.epochs)) {
-      ckpt_state.next_epoch = epoch + 1;
-      ckpt_state.rng = rng.GetState();
-      util::Status s = nn::SaveTrainingCheckpoint(options.checkpoint.path,
-                                                  *model, optimizer,
-                                                  ckpt_state);
-      if (!s.ok()) record_io(std::move(s));  // degrade, don't abort training
-    }
-  }
-  if (aborted && options.stats != nullptr) options.stats->aborted = true;
-  model->SetTraining(false);
-  return last_epoch_loss;
+  task.shard_loss = [&](std::span<const int> batch, int s) {
+    const data::PlanPair& pair = train[batch[s]];
+    const nn::Tensor pred =
+        model->PredictSimilarity(*pair.left, *pair.right, &shard_rngs[s]);
+    const nn::Tensor target =
+        nn::Tensor::Scalar(static_cast<float>(pair.smatch));
+    // Summed over shards this equals the mean-over-batch loss.
+    return Scale(Square(Sub(pred, target)),
+                 1.0f / static_cast<float>(batch.size()));
+  };
+  return nn::RunTrainLoop(
+      {.epochs = options.epochs, .batch_size = options.batch_size,
+       .lr = options.lr, .seed = options.seed, .grad_clip = options.grad_clip,
+       .checkpoint = options.checkpoint, .abort = options.abort},
+      task, options.stats);
 }
 
 double EvaluatePpsrMae(const PpsrModel& model,

@@ -8,8 +8,8 @@
 
 #include "data/datasets.h"
 #include "encoder/structure_encoder.h"
-#include "nn/checkpoint.h"
 #include "nn/module.h"
+#include "nn/train_loop.h"
 #include "util/status.h"
 
 namespace qpe::encoder {
@@ -39,13 +39,7 @@ class PpsrModel : public nn::Module {
 
 // Observability for a TrainPpsr run: where it resumed, how many batches the
 // loss-spike guard dropped, and the first checkpoint IO error (if any).
-struct PpsrTrainStats {
-  int64_t resumed_from_epoch = 0;  // 0 == started fresh
-  int64_t skipped_batches = 0;     // cumulative across resumes
-  int64_t nonfinite_losses = 0;
-  bool aborted = false;  // stopped early via PpsrTrainOptions::abort
-  util::Status io_status;
-};
+using PpsrTrainStats = nn::TrainStats;
 
 struct PpsrTrainOptions {
   int epochs = 8;
@@ -56,15 +50,10 @@ struct PpsrTrainOptions {
   // ("Transformer-PPSR-fixed" in §6.1).
   bool freeze_encoder = false;
   float grad_clip = 5.0f;
-  // Crash-safe checkpoint/resume (nn/checkpoint.h); empty path disables.
-  // A resumed run finishes with bit-identical weights to an uninterrupted
-  // one at the same thread count.
+  // Crash-safe checkpoint/resume and cooperative cancellation, with the
+  // semantics of nn::TrainLoopConfig (nn/train_loop.h). The serving daemon
+  // sets `abort` to drain mid-adaptation.
   nn::CheckpointConfig checkpoint;
-  // Cooperative cancellation: when non-null and set, training stops at the
-  // next batch boundary *without* writing a fresh checkpoint — exactly the
-  // state a SIGKILL would leave — so a later resume from the last interval
-  // checkpoint is bit-identical either way. Used by the serving daemon to
-  // drain mid-adaptation.
   const std::atomic<bool>* abort = nullptr;
   // If non-null, filled with resume/skip/IO information for the run.
   PpsrTrainStats* stats = nullptr;

@@ -8,10 +8,9 @@
 #include <unordered_map>
 
 #include "nn/arena.h"
-#include "nn/optimizer.h"
 #include "nn/packed_forward.h"
 #include "nn/packed_train.h"
-#include "nn/parallel.h"
+#include "nn/train_loop.h"
 
 namespace qpe::encoder {
 
@@ -438,61 +437,27 @@ nn::Tensor SparseAutoencoder::ReconstructionLoss(const plan::PlanNode& root,
   return Add(mse, Scale(sparsity, sparsity_weight));
 }
 
-void PretrainSparseAutoencoder(SparseAutoencoder* autoencoder,
-                               const std::vector<const plan::PlanNode*>& plans,
-                               int epochs, float lr, uint64_t seed,
-                               int batch_size,
-                               const nn::CheckpointConfig& checkpoint) {
-  const std::vector<nn::Tensor> params = autoencoder->Parameters();
-  nn::Adam optimizer(params, lr);
-  util::Rng rng(seed);
-  nn::TrainingState ckpt_state;
-  const bool checkpointing = !checkpoint.path.empty();
-  if (checkpointing && checkpoint.resume &&
-      nn::CheckpointExists(checkpoint.path)) {
-    if (!nn::LoadTrainingCheckpoint(checkpoint.path, autoencoder, &optimizer,
-                                    &ckpt_state)
-             .ok()) {
-      return;  // never overwrite a checkpoint that failed to load
-    }
-    rng.SetState(ckpt_state.rng);
-  }
-  nn::ShardGradBuffers scratch;
-  const size_t batch = batch_size < 1 ? 1 : static_cast<size_t>(batch_size);
-  const int interval = std::max(1, checkpoint.interval_epochs);
-  for (int epoch = static_cast<int>(ckpt_state.next_epoch); epoch < epochs;
-       ++epoch) {
-    const std::vector<int> order =
-        rng.Permutation(static_cast<int>(plans.size()));
-    for (size_t start = 0; start < order.size(); start += batch) {
-      const int count =
-          static_cast<int>(std::min(order.size(), start + batch) - start);
-      autoencoder->ZeroGrad();
-      const double batch_loss = nn::ParallelGradientStep(
-          params, count,
-          [&](int s) {
-            // Summed over shards this is the mean loss over the minibatch;
-            // with batch_size == 1 the scale is exactly 1.
-            return Scale(
-                autoencoder->ReconstructionLoss(*plans[order[start + s]]),
-                1.0f / static_cast<float>(count));
-          },
-          &scratch);
-      if (!std::isfinite(batch_loss)) {
-        ++ckpt_state.skipped_batches;  // loss-spike guard: drop the update
-        ++ckpt_state.nonfinite_losses;
-        continue;
-      }
-      optimizer.Step();
-    }
-    if (checkpointing && ((epoch + 1) % interval == 0 || epoch + 1 == epochs)) {
-      ckpt_state.next_epoch = epoch + 1;
-      ckpt_state.rng = rng.GetState();
-      // Best effort: a failed periodic save degrades durability only.
-      (void)nn::SaveTrainingCheckpoint(checkpoint.path, *autoencoder,
-                                       optimizer, ckpt_state);
-    }
-  }
+util::Status PretrainSparseAutoencoder(
+    SparseAutoencoder* autoencoder,
+    const std::vector<const plan::PlanNode*>& plans, int epochs, float lr,
+    uint64_t seed, int batch_size, const nn::CheckpointConfig& checkpoint) {
+  nn::TrainTask task{
+      .model = autoencoder,
+      .num_examples = static_cast<int>(plans.size()),
+      .num_shards = [](std::span<const int> batch, util::Rng*) {
+        return static_cast<int>(batch.size());  // one shard per plan
+      },
+      // Summed over shards this is the mean loss over the minibatch; with
+      // batch_size == 1 the scale is exactly 1.
+      .shard_loss = [&](std::span<const int> batch, int s) {
+        return Scale(autoencoder->ReconstructionLoss(*plans[batch[s]]),
+                     1.0f / static_cast<float>(batch.size()));
+      }};
+  nn::TrainStats stats;
+  nn::RunTrainLoop({.epochs = epochs, .batch_size = batch_size, .lr = lr,
+                    .seed = seed, .checkpoint = checkpoint},
+                   task, &stats);
+  return stats.io_status;
 }
 
 }  // namespace qpe::encoder

@@ -13,6 +13,7 @@
 #include "plan/linearize.h"
 #include "plan/plan_node.h"
 #include "plan/taxonomy.h"
+#include "util/status.h"
 
 namespace qpe::encoder {
 
@@ -223,15 +224,14 @@ class SparseAutoencoder : public PlanSequenceEncoder {
 // Pretrains a sparse autoencoder on a set of plans. With batch_size > 1
 // each minibatch trains data-parallel (one shard per plan, gradients
 // reduced deterministically in shard order before the optimizer step);
-// batch_size == 1 reproduces the original per-plan SGD exactly. With a
-// non-empty `checkpoint.path` the run saves crash-safe training state every
-// `checkpoint.interval_epochs` and resumes bit-exactly from an existing
-// checkpoint file.
-void PretrainSparseAutoencoder(SparseAutoencoder* autoencoder,
-                               const std::vector<const plan::PlanNode*>& plans,
-                               int epochs, float lr, uint64_t seed,
-                               int batch_size = 1,
-                               const nn::CheckpointConfig& checkpoint = {});
+// batch_size == 1 reproduces the original per-plan SGD exactly. Checkpoints
+// and resumes bit-exactly through `checkpoint`; returns the first checkpoint
+// IO error (a resume file that fails to load stops the run before training).
+util::Status PretrainSparseAutoencoder(
+    SparseAutoencoder* autoencoder,
+    const std::vector<const plan::PlanNode*>& plans, int epochs, float lr,
+    uint64_t seed, int batch_size = 1,
+    const nn::CheckpointConfig& checkpoint = {});
 
 }  // namespace qpe::encoder
 

@@ -27,9 +27,8 @@ namespace qpe::nn {
 // are validated before *anything* is committed, so a corrupt or mismatched
 // checkpoint leaves the in-memory model and optimizer untouched.
 
-// Attached to a training-options struct to enable checkpointing. An empty
-// path disables it (the default, preserving the pre-existing behaviour of
-// every training loop).
+// Checkpointing for nn::RunTrainLoop (nn/train_loop.h); an empty path (the
+// default) disables it.
 struct CheckpointConfig {
   std::string path;        // checkpoint file; "" => no checkpointing
   int interval_epochs = 1; // save every N completed epochs (and at the end)

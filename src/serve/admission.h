@@ -121,13 +121,21 @@ class AdmissionController {
   size_t TotalQueued() const;
 
  private:
-  TenantState* TenantFor(const std::string& name);  // requires mu_ held
+  // A tenant's quota/WFQ state plus its admitted-request FIFO.
+  struct Tenant : TenantState {
+    using TenantState::TenantState;
+    std::deque<QueuedRequest> queue;
+  };
+
+  Tenant& TenantFor(const std::string& name);  // requires mu_ held
+  // Dequeues the request whose head finishes earliest in virtual time and
+  // advances virtual time. Requires mu_ held and total_queued_ > 0.
+  QueuedRequest PopLocked();
 
   Config config_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::map<std::string, std::unique_ptr<TenantState>> tenants_;
-  std::map<std::string, std::deque<QueuedRequest>> queues_;
+  std::map<std::string, Tenant> tenants_;
   double virtual_time_ = 0;
   size_t total_queued_ = 0;
   bool draining_ = false;

@@ -16,7 +16,7 @@ EmbeddingService::EmbeddingService(const encoder::PlanSequenceEncoder* encoder,
                                    const EmbeddingServiceConfig& config)
     : encoder_(encoder),
       config_(config),
-      cache_enabled_(config.enable_cache && config.cache.capacity > 0),
+      cache_enabled_(config.cache.capacity > 0),
       cache_(config.cache) {}
 
 std::vector<nn::Tensor> EmbeddingService::EncodeAll(

@@ -22,7 +22,6 @@ struct EmbeddingServiceConfig {
   // Embedding cache; capacity 0 disables caching entirely (every plan is
   // encoded, nothing is stored — the benchmark baseline).
   EmbeddingCacheConfig cache;
-  bool enable_cache = true;
 };
 
 // Serving statistics. Latency percentiles are over the most recent

@@ -1,17 +1,17 @@
 #include "tasks/classifier.h"
 
-#include <algorithm>
 #include <cassert>
+#include <span>
 
-#include "nn/optimizer.h"
 #include "nn/tensor.h"
+#include "nn/train_loop.h"
 
 namespace qpe::tasks {
 
 namespace {
 
 nn::Tensor RowsTensor(const std::vector<std::vector<float>>& rows,
-                      const std::vector<int>& indices) {
+                      std::span<const int> indices) {
   const int d = static_cast<int>(rows[indices[0]].size());
   std::vector<float> flat;
   flat.reserve(indices.size() * d);
@@ -52,49 +52,44 @@ nn::Tensor QueryClassifier::Logits(const nn::Tensor& x) {
 void QueryClassifier::Train(const std::vector<std::vector<float>>& features,
                             const std::vector<int>& template_labels,
                             const TrainOptions& options) {
-  nn::Adam optimizer(Parameters(), options.lr);
-  util::Rng rng(options.seed);
-  const int n = static_cast<int>(features.size());
-  SetTraining(true);
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    const std::vector<int> order = rng.Permutation(n);
-    for (int start = 0; start < n; start += options.batch_size) {
-      const int end = std::min(n, start + options.batch_size);
-      const std::vector<int> indices(order.begin() + start,
-                                     order.begin() + end);
-      if (indices.size() < 2 && batchnorm_ != nullptr) continue;
-      const nn::Tensor x = RowsTensor(features, indices);
-      std::vector<int> targets;
-      targets.reserve(indices.size());
-      for (int i : indices) targets.push_back(template_labels[i]);
-      const nn::Tensor logits = Logits(x);
-      nn::Tensor loss = CrossEntropy(logits, targets);
-      if (config_.cluster_loss_weight > 0) {
-        // Cluster regularizer: sum template probabilities per cluster, then
-        // cross-entropy against the true cluster (§5.3).
-        const nn::Tensor probs = SoftmaxRows(logits);
-        const nn::Tensor cluster_probs = MatMul(probs, cluster_matrix_);
-        nn::Tensor one_hot = nn::Tensor::Zeros(
-            static_cast<int>(indices.size()), config_.num_clusters);
-        float* oh = one_hot.value().data();
-        for (size_t r = 0; r < indices.size(); ++r) {
-          oh[r * config_.num_clusters +
-             config_.template_to_cluster[targets[r]]] = 1.0f;
-        }
-        const nn::Tensor cluster_nll = Scale(
-            Mean(RowSum(Mul(Log(cluster_probs), one_hot))),
-            -static_cast<float>(config_.num_clusters));
-        // (RowSum picks the target cluster's log-prob; Mean divides by the
-        // cluster count, so rescale to a per-row average NLL.)
-        loss = Add(loss, Scale(cluster_nll, config_.cluster_loss_weight));
+  nn::TrainTask task{
+      .model = this,
+      .num_examples = static_cast<int>(features.size()),
+      // The whole minibatch is one shard; batch norm needs two rows.
+      .num_shards = [this](std::span<const int> batch, util::Rng*) {
+        return batch.size() < 2 && batchnorm_ != nullptr ? 0 : 1;
+      }};
+  task.shard_loss = [&](std::span<const int> indices, int) {
+    const nn::Tensor x = RowsTensor(features, indices);
+    std::vector<int> targets;
+    targets.reserve(indices.size());
+    for (int i : indices) targets.push_back(template_labels[i]);
+    const nn::Tensor logits = Logits(x);
+    nn::Tensor loss = CrossEntropy(logits, targets);
+    if (config_.cluster_loss_weight > 0) {
+      // Cluster regularizer: sum template probabilities per cluster, then
+      // cross-entropy against the true cluster (§5.3).
+      const nn::Tensor probs = SoftmaxRows(logits);
+      const nn::Tensor cluster_probs = MatMul(probs, cluster_matrix_);
+      nn::Tensor one_hot = nn::Tensor::Zeros(static_cast<int>(indices.size()),
+                                             config_.num_clusters);
+      float* oh = one_hot.value().data();
+      for (size_t r = 0; r < indices.size(); ++r) {
+        oh[r * config_.num_clusters +
+           config_.template_to_cluster[targets[r]]] = 1.0f;
       }
-      optimizer.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), 5.0f);
-      optimizer.Step();
+      const nn::Tensor cluster_nll =
+          Scale(Mean(RowSum(Mul(Log(cluster_probs), one_hot))),
+                -static_cast<float>(config_.num_clusters));
+      // (RowSum picks the target cluster's log-prob; Mean divides by the
+      // cluster count, so rescale to a per-row average NLL.)
+      loss = Add(loss, Scale(cluster_nll, config_.cluster_loss_weight));
     }
-  }
-  SetTraining(false);
+    return loss;
+  };
+  nn::RunTrainLoop({.epochs = options.epochs, .batch_size = options.batch_size,
+                    .lr = options.lr, .seed = options.seed, .grad_clip = 5.0f},
+                   task, nullptr);
 }
 
 int QueryClassifier::PredictTemplate(const std::vector<float>& features) {

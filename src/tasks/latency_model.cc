@@ -1,11 +1,10 @@
 #include "tasks/latency_model.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "data/features.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
+#include "nn/train_loop.h"
 
 namespace qpe::tasks {
 
@@ -42,31 +41,25 @@ double LatencyPredictor::Train(
     targets.push_back(static_cast<float>(data::EncodeLabel(record.latency_ms)));
   }
 
-  nn::Adam optimizer(Parameters(), options.lr);
-  util::Rng rng(options.seed);
-  const int n = static_cast<int>(train.size());
-  SetTraining(true);
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    const std::vector<int> order = rng.Permutation(n);
-    for (int start = 0; start < n; start += options.batch_size) {
-      const int end = std::min(n, start + options.batch_size);
-      std::vector<std::vector<float>> batch_rows;
-      std::vector<float> batch_targets;
-      for (int i = start; i < end; ++i) {
-        batch_rows.push_back(features[order[i]]);
-        batch_targets.push_back(targets[order[i]]);
-      }
-      const nn::Tensor x = FeatureTensor(batch_rows);
-      const nn::Tensor y = nn::Tensor::FromVector(
-          static_cast<int>(batch_targets.size()), 1, batch_targets);
-      const nn::Tensor loss = nn::MseLoss(mlp_->Forward(x), y);
-      optimizer.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), 5.0f);
-      optimizer.Step();
-    }
-  }
-  SetTraining(false);
+  nn::RunTrainLoop(
+      {.epochs = options.epochs, .batch_size = options.batch_size,
+       .lr = options.lr, .seed = options.seed, .grad_clip = 5.0f},
+      {.model = this,
+       .num_examples = static_cast<int>(train.size()),
+       .num_shards = [](std::span<const int>, util::Rng*) { return 1; },
+       .shard_loss = [&](std::span<const int> batch, int) {
+         std::vector<std::vector<float>> batch_rows;
+         std::vector<float> batch_targets;
+         for (int i : batch) {
+           batch_rows.push_back(features[i]);
+           batch_targets.push_back(targets[i]);
+         }
+         const nn::Tensor x = FeatureTensor(batch_rows);
+         const nn::Tensor y = nn::Tensor::FromVector(
+             static_cast<int>(batch_targets.size()), 1, batch_targets);
+         return nn::MseLoss(mlp_->Forward(x), y);
+       }},
+      nullptr);
   return EvaluateMaeMs(train);
 }
 

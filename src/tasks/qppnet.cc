@@ -4,7 +4,7 @@
 
 #include "data/features.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
+#include "nn/train_loop.h"
 
 namespace qpe::tasks {
 
@@ -67,22 +67,19 @@ nn::Tensor QppNet::PlanLoss(const plan::PlanNode& root) const {
 }
 
 void QppNet::Train(const std::vector<simdb::ExecutedQuery>& train) {
-  nn::Adam optimizer(Parameters(), config_.lr);
-  util::Rng rng(config_.seed);
-  SetTraining(true);
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const std::vector<int> order =
-        rng.Permutation(static_cast<int>(train.size()));
-    for (int idx : order) {
-      if (train[idx].query.root == nullptr) continue;
-      const nn::Tensor loss = PlanLoss(*train[idx].query.root);
-      optimizer.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), 5.0f);
-      optimizer.Step();
-    }
-  }
-  SetTraining(false);
+  // Per-plan SGD: every minibatch is one plan, skipped if it has no tree.
+  nn::RunTrainLoop(
+      {.epochs = config_.epochs, .lr = config_.lr, .seed = config_.seed,
+       .grad_clip = 5.0f},
+      {.model = this,
+       .num_examples = static_cast<int>(train.size()),
+       .num_shards = [&train](std::span<const int> batch, util::Rng*) {
+         return train[batch[0]].query.root == nullptr ? 0 : 1;
+       },
+       .shard_loss = [&](std::span<const int> batch, int) {
+         return PlanLoss(*train[batch[0]].query.root);
+       }},
+      nullptr);
 }
 
 double QppNet::PredictMs(const simdb::ExecutedQuery& record) const {

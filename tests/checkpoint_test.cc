@@ -1,7 +1,7 @@
 // Fault-tolerance tests: crash-safe checkpoint format (corruption matrix),
 // transactional loading (zero mutation on any failure), deterministic fault
 // injection through every IO site, and bit-exact interrupt/resume for all
-// three training loops.
+// three checkpointing trainers.
 
 #include <cmath>
 #include <cstdio>
@@ -91,29 +91,77 @@ data::OperatorDataset SyntheticDataset(int train_n = 48) {
   return dataset;
 }
 
+data::PlanPairDataset TinyPairDataset() {
+  return data::BuildCorpusPairDataset(
+      {.num_pairs = 20, .corpus = {.max_nodes = 12}});
+}
+
+// The three checkpointing trainers, each on a tiny dataset from a freshly
+// seeded model: train `epochs` against `checkpoint`, report the first
+// checkpoint IO error and the weights before and after.
+struct TrainerRun {
+  util::Status io_status{};
+  std::vector<std::vector<float>> initial{}, trained{};
+};
+
+TrainerRun RunPerfEncoder(int epochs, const CheckpointConfig& checkpoint) {
+  util::Rng rng(7);
+  encoder::PerformanceEncoder model(TinyConfig(), &rng);
+  TrainerRun run{.initial = AllValues(model)};
+  TrainPerformanceEncoder(&model, SyntheticDataset(),
+                          {.epochs = epochs,
+                           .checkpoint = checkpoint,
+                           .io_status = &run.io_status});
+  run.trained = AllValues(model);
+  return run;
+}
+
+TrainerRun RunPpsr(int epochs, const CheckpointConfig& checkpoint) {
+  util::Rng rng(31);
+  encoder::PpsrModel model(
+      std::make_unique<encoder::FnnPlanEncoder>(8, 6, &rng), &rng);
+  TrainerRun run{.initial = AllValues(model)};
+  encoder::PpsrTrainStats stats;
+  TrainPpsr(&model, TinyPairDataset().train,
+            {.epochs = epochs, .checkpoint = checkpoint, .stats = &stats});
+  run.io_status = stats.io_status;
+  run.trained = AllValues(model);
+  return run;
+}
+
+TrainerRun RunSparseAutoencoder(int epochs,
+                                const CheckpointConfig& checkpoint) {
+  const data::PlanPairDataset dataset = TinyPairDataset();
+  std::vector<const plan::PlanNode*> plans;
+  for (const auto& pair : dataset.train) plans.push_back(pair.left.get());
+  util::Rng rng(13);
+  encoder::SparseAutoencoder model(8, &rng);
+  TrainerRun run{.initial = AllValues(model)};
+  run.io_status = encoder::PretrainSparseAutoencoder(&model, plans, epochs,
+                                                     5e-3f, 1, 2, checkpoint);
+  run.trained = AllValues(model);
+  return run;
+}
+
+const std::pair<const char*, TrainerRun (*)(int, const CheckpointConfig&)>
+    kTrainers[] = {{"perf_encoder", RunPerfEncoder},
+                   {"ppsr", RunPpsr},
+                   {"sparse_autoencoder", RunSparseAutoencoder}};
+
 // Builds a checkpoint with non-trivial Adam moments by running a couple of
 // real training epochs against it.
 struct SavedCheckpoint {
   std::string path;
-  std::vector<std::vector<float>> model_values;
+  std::vector<std::vector<float>> model_values{};
 };
 
 SavedCheckpoint MakeValidCheckpoint(const char* name) {
-  SavedCheckpoint saved;
-  saved.path = TempPath(name);
+  SavedCheckpoint saved{.path = TempPath(name)};
   std::remove(saved.path.c_str());
-  const data::OperatorDataset dataset = SyntheticDataset();
-  util::Rng rng(7);
-  encoder::PerformanceEncoder model(TinyConfig(), &rng);
-  encoder::PerfTrainOptions options;
-  options.epochs = 2;
-  options.checkpoint.path = saved.path;
-  util::Status io_status;
-  options.io_status = &io_status;
-  TrainPerformanceEncoder(&model, dataset, options);
-  EXPECT_TRUE(io_status.ok()) << io_status.ToString();
+  const TrainerRun run = RunPerfEncoder(2, {.path = saved.path});
+  EXPECT_TRUE(run.io_status.ok()) << run.io_status.ToString();
   EXPECT_TRUE(CheckpointExists(saved.path));
-  saved.model_values = AllValues(model);
+  saved.model_values = run.trained;
   return saved;
 }
 
@@ -303,48 +351,43 @@ TEST(CheckpointTest, InjectedReadFaultLeavesModelUntouched) {
   std::remove(saved.path.c_str());
 }
 
-// A failed periodic save must not abort training: the error is surfaced via
-// io_status and the run still completes every epoch.
+// A failed periodic save must not abort training: the error is surfaced,
+// the later saves land, and the run completes every epoch with the weights
+// of a run without checkpointing.
 TEST(CheckpointTest, FailedPeriodicSaveDegradesButTrainingContinues) {
-  const data::OperatorDataset dataset = SyntheticDataset(16);
-  util::Rng rng(7);
-  encoder::PerformanceEncoder model(TinyConfig(), &rng);
-  encoder::PerfTrainOptions options;
-  options.epochs = 3;
-  options.checkpoint.path = TempPath("qpe_ckpt_degrade.ckpt");
-  std::remove(options.checkpoint.path.c_str());
-  util::Status io_status;
-  options.io_status = &io_status;
-  util::ScopedFaultInjection guard("checkpoint.rename", 1);
-  const auto history = TrainPerformanceEncoder(&model, dataset, options);
-  EXPECT_EQ(history.size(), 3u);
-  EXPECT_FALSE(io_status.ok());
-  EXPECT_NE(io_status.message().find("injected fault"), std::string::npos);
-  std::remove(options.checkpoint.path.c_str());
+  const std::string path = TempPath("qpe_ckpt_degrade.ckpt");
+  for (const auto& [name, train] : kTrainers) {
+    SCOPED_TRACE(name);
+    std::remove(path.c_str());
+    util::ScopedFaultInjection guard("checkpoint.rename", 1);
+    const TrainerRun run = train(3, {.path = path});
+    EXPECT_FALSE(run.io_status.ok());
+    EXPECT_NE(run.io_status.message().find("injected fault"),
+              std::string::npos);
+    EXPECT_TRUE(CheckpointExists(path)) << "later saves were lost";
+    EXPECT_EQ(run.trained, train(3, {}).trained) << "training stopped early";
+  }
+  std::remove(path.c_str());
 }
 
 // A corrupt resume file must abort the run (zero epochs) instead of being
 // silently overwritten by a fresh training run.
 TEST(CheckpointTest, CorruptResumeFileAbortsInsteadOfOverwriting) {
-  const SavedCheckpoint saved = MakeValidCheckpoint("qpe_ckpt_noclobber.ckpt");
-  std::string bytes = ReadFile(saved.path);
-  bytes[bytes.size() / 2] ^= 0x01;
-  WriteFile(saved.path, bytes);
-
-  const data::OperatorDataset dataset = SyntheticDataset(16);
-  util::Rng rng(7);
-  encoder::PerformanceEncoder model(TinyConfig(), &rng);
-  encoder::PerfTrainOptions options;
-  options.epochs = 3;
-  options.checkpoint.path = saved.path;
-  util::Status io_status;
-  options.io_status = &io_status;
-  const auto history = TrainPerformanceEncoder(&model, dataset, options);
-  EXPECT_TRUE(history.empty());
-  EXPECT_EQ(io_status.code(), util::StatusCode::kDataLoss)
-      << io_status.ToString();
-  EXPECT_EQ(ReadFile(saved.path), bytes) << "corrupt checkpoint was clobbered";
-  std::remove(saved.path.c_str());
+  const std::string path = TempPath("qpe_ckpt_noclobber.ckpt");
+  for (const auto& [name, train] : kTrainers) {
+    SCOPED_TRACE(name);
+    std::remove(path.c_str());
+    ASSERT_TRUE(train(2, {.path = path}).io_status.ok());
+    std::string bytes = ReadFile(path);
+    bytes[bytes.size() / 2] ^= 0x01;
+    WriteFile(path, bytes);
+    const TrainerRun run = train(3, {.path = path});
+    EXPECT_EQ(run.io_status.code(), util::StatusCode::kDataLoss)
+        << run.io_status.ToString();
+    EXPECT_EQ(run.trained, run.initial) << "trained instead of stopping";
+    EXPECT_EQ(ReadFile(path), bytes) << "corrupt checkpoint was clobbered";
+  }
+  std::remove(path.c_str());
 }
 
 // --- Transactional LoadModule (partial-mutation regression) ---------------
@@ -440,10 +483,7 @@ TEST(ResumeTest, PerfEncoderResumeIsBitExact) {
 }
 
 TEST(ResumeTest, PpsrResumeIsBitExact) {
-  data::PairDatasetOptions pair_options;
-  pair_options.num_pairs = 20;
-  pair_options.corpus.max_nodes = 12;
-  const data::PlanPairDataset dataset = BuildCorpusPairDataset(pair_options);
+  const data::PlanPairDataset dataset = TinyPairDataset();
   const std::string path = TempPath("qpe_resume_ppsr.ckpt");
   std::remove(path.c_str());
 
@@ -495,17 +535,20 @@ TEST(ResumeTest, SparseAutoencoderResumeIsBitExact) {
 
   util::Rng rng_a(13);
   encoder::SparseAutoencoder model_a(8, &rng_a);
-  PretrainSparseAutoencoder(&model_a, plans, 6, 5e-3f, 1, 2);
+  ASSERT_TRUE(PretrainSparseAutoencoder(&model_a, plans, 6, 5e-3f, 1, 2).ok());
 
   util::Rng rng_b(13);
   encoder::SparseAutoencoder model_b(8, &rng_b);
-  CheckpointConfig checkpoint;
-  checkpoint.path = path;
-  PretrainSparseAutoencoder(&model_b, plans, 3, 5e-3f, 1, 2, checkpoint);
+  const CheckpointConfig checkpoint{.path = path};
+  ASSERT_TRUE(
+      PretrainSparseAutoencoder(&model_b, plans, 3, 5e-3f, 1, 2, checkpoint)
+          .ok());
 
   util::Rng rng_c(13);
   encoder::SparseAutoencoder model_c(8, &rng_c);
-  PretrainSparseAutoencoder(&model_c, plans, 6, 5e-3f, 1, 2, checkpoint);
+  ASSERT_TRUE(
+      PretrainSparseAutoencoder(&model_c, plans, 6, 5e-3f, 1, 2, checkpoint)
+          .ok());
 
   EXPECT_EQ(AllValues(model_c), AllValues(model_a));
   std::remove(path.c_str());

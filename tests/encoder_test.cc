@@ -127,7 +127,8 @@ TEST(SparseAutoencoderTest, PretrainingReducesReconstruction) {
   for (const auto* p : plans) {
     before += autoencoder.ReconstructionLoss(*p).value()[0];
   }
-  PretrainSparseAutoencoder(&autoencoder, plans, 40, 5e-3f, 1);
+  ASSERT_TRUE(
+      PretrainSparseAutoencoder(&autoencoder, plans, 40, 5e-3f, 1).ok());
   double after = 0;
   for (const auto* p : plans) {
     after += autoencoder.ReconstructionLoss(*p).value()[0];

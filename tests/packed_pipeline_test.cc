@@ -650,7 +650,7 @@ TEST(PackedSteadyStateTest, ZeroArenaTrafficAndGrowthAfterWarmup) {
   util::Rng rng(99);
   const encoder::TransformerPlanEncoder enc(SmallConfig(), &rng);
   serve::EmbeddingServiceConfig config;
-  config.enable_cache = false;  // every request re-encodes every plan
+  config.cache.capacity = 0;  // every request re-encodes every plan
   config.batch_size = 8;
   serve::EmbeddingService service(&enc, config);
   const auto plans = SamplePlans(24, 209);

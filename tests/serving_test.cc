@@ -414,7 +414,7 @@ TEST(EmbeddingServiceTest, CacheDisabledStillServes) {
   util::Rng rng(56);
   const encoder::TransformerPlanEncoder encoder(SmallConfig(), &rng);
   serve::EmbeddingServiceConfig config;
-  config.enable_cache = false;
+  config.cache.capacity = 0;
   serve::EmbeddingService service(&encoder, config);
   const auto plans = SamplePlans(3, 37);
   const auto ptrs = Pointers(plans);

@@ -378,8 +378,9 @@ std::vector<float> RunSparseAePretrain(int threads, int batch_size) {
   }
   util::Rng rng(9);
   SparseAutoencoder autoencoder(8, &rng);
-  PretrainSparseAutoencoder(&autoencoder, ptrs, /*epochs=*/3, /*lr=*/5e-3f,
-                            /*seed=*/1, batch_size);
+  EXPECT_TRUE(PretrainSparseAutoencoder(&autoencoder, ptrs, /*epochs=*/3,
+                                        /*lr=*/5e-3f, /*seed=*/1, batch_size)
+                  .ok());
   std::vector<float> flat;
   for (const nn::Tensor& p : autoencoder.Parameters()) {
     flat.insert(flat.end(), p.value().begin(), p.value().end());
