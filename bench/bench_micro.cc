@@ -14,6 +14,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/db_config.h"
@@ -426,6 +427,46 @@ void BM_AttentionBlockedSimd(benchmark::State& state) {
 BENCHMARK(BM_AttentionBlockedScalar)->Arg(32);
 BENCHMARK(BM_AttentionBlockedSimd)->Arg(32);
 
+// CLS-only attention at the same shape: every key and value of the batch,
+// one query per sequence — the engine's last layer. The repack is the
+// same per-layer cost, so the pair against BM_AttentionBlocked measures
+// what the trimmed layer saves in attention. Arg: sequence length.
+void AttentionClsKernel(benchmark::State& state,
+                        const qpe::nn::simd::Kernels& kern) {
+  const int len = static_cast<int>(state.range(0));
+  const int num_seqs = 16, num_heads = 4, dim = 48;
+  std::vector<int> offsets(num_seqs), lengths(num_seqs, len);
+  for (int s = 0; s < num_seqs; ++s) offsets[s] = s * len;
+  const int total = num_seqs * len;
+  const std::vector<float> q = RandomBuffer(static_cast<size_t>(num_seqs) * dim, 37);
+  const std::vector<float> k = RandomBuffer(static_cast<size_t>(total) * dim, 38);
+  const std::vector<float> v = RandomBuffer(static_cast<size_t>(total) * dim, 39);
+  std::vector<float> kbt(k.size()), vb(v.size());
+  std::vector<float> probs(static_cast<size_t>(len));
+  std::vector<float> out(q.size());
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
+  for (auto _ : state) {
+    qpe::nn::RepackHeadsKT(k.data(), total, dim, num_heads, kbt.data());
+    qpe::nn::RepackHeadsVB(v.data(), total, dim, num_heads, vb.data());
+    kern.attention_cls_blocked(q.data(), kbt.data(), vb.data(), out.data(),
+                               offsets.data(), lengths.data(), num_seqs,
+                               num_heads, total, dim, scale, probs.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  // Scores + context: 2 * T * dim MACs per sequence.
+  state.SetItemsProcessed(state.iterations() * num_seqs * 2LL * len * dim *
+                          2);
+  state.SetLabel(kern.name);
+}
+void BM_AttentionClsScalar(benchmark::State& state) {
+  AttentionClsKernel(state, ScalarKernels());
+}
+void BM_AttentionClsSimd(benchmark::State& state) {
+  AttentionClsKernel(state, BestKernels());
+}
+BENCHMARK(BM_AttentionClsScalar)->Arg(32);
+BENCHMARK(BM_AttentionClsSimd)->Arg(32);
+
 // Fused embedding gather + positional add at the model dims (24+12+12),
 // the packed pipeline's batch-assembly kernel. Arg: packed rows.
 void EmbedGatherKernel(benchmark::State& state,
@@ -640,15 +681,19 @@ std::string MeasureTrainStepSpeedup() {
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): stamp this binary's build type
-// into the JSON context so the baseline scripts can refuse debug-recorded
-// numbers. (The reporter's own `library_build_type` field describes how
-// libbenchmark was compiled, not this binary.)
+// Custom main instead of BENCHMARK_MAIN(): stamp this binary's build type,
+// SIMD level and core count into the JSON context so the baseline scripts
+// can refuse debug-recorded or other-hardware numbers. (The reporter's own
+// `library_build_type` field describes how libbenchmark was compiled, not
+// this binary; qpe_num_cpus uses the same count as bench_serving's
+// num_cpus.)
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("qpe_build_type", QPE_BUILD_TYPE);
   benchmark::AddCustomContext(
       "qpe_simd_level",
       qpe::nn::simd::LevelName(qpe::nn::simd::ActiveLevel()));
+  benchmark::AddCustomContext(
+      "qpe_num_cpus", std::to_string(std::thread::hardware_concurrency()));
   benchmark::AddCustomContext("train_step_speedup",
                               MeasureTrainStepSpeedup());
   benchmark::Initialize(&argc, argv);

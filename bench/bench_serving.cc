@@ -417,6 +417,7 @@ int main(int argc, char** argv) {
   out << "{\n"
       << "  \"build_type\": \"" << QPE_BUILD_TYPE << "\",\n"
       << "  \"simd_level\": \"" << simd_level << "\",\n"
+      << "  \"num_cpus\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"threads\": 1,\n"
       << "  \"batch_size\": " << kBatchSize << ",\n"
       << "  \"num_plans\": " << n << ",\n"

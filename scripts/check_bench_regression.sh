@@ -24,8 +24,8 @@
 #     training-step benchmarks (BM_TrainStepPpsr, BM_TrainStepPerfEncoder)
 #     or on the dispatched SIMD kernel benchmarks (BM_MatMulForwardSimd,
 #     BM_LayerNormSimd, BM_SoftmaxMaskedSimd, BM_AttentionPackedSimd,
-#     BM_AttentionBlockedSimd, BM_EmbedGatherSimd, BM_Int8GemmPacked)
-#     fails with exit 1. The threshold is coarser than
+#     BM_AttentionBlockedSimd, BM_AttentionClsSimd, BM_EmbedGatherSimd,
+#     BM_Int8GemmPacked) fails with exit 1. The threshold is coarser than
 #     serving because single-process micro loops see more run-to-run
 #     frequency variance than the best-of-N serving measurements. The
 #     compared statistic is the median-of-repetitions aggregate (the only
@@ -42,7 +42,12 @@
 # SIMD level ("scalar"/"avx2"/"neon") differs from the level the fresh
 # binaries dispatch on this machine — comparing a scalar-recorded baseline
 # against a vectorized run (or vice versa) measures the ISA, not the code
-# change. Re-record with scripts/run_bench_baseline.sh.
+# change. The same holds for the stamped core count (num_cpus in
+# BENCH_serving.json, qpe_num_cpus in BENCH_micro.json's context): a
+# baseline that lacks it, or was recorded with a different number of
+# cores, is refused — thread-pool scaling and shared-host contention make
+# a cross-core-count comparison meaningless. Re-record with
+# scripts/run_bench_baseline.sh.
 #
 # The committed baseline is a portable-build number; the comparison build
 # is portable too, so a QPE_NATIVE-tuned tree never masks (or fakes) a
@@ -74,7 +79,7 @@ trap 'rm -f "${FRESH_SERVING}" "${FRESH_MICRO}"' EXIT
 "./${BUILD_DIR}/bench/bench_serving" "${FRESH_SERVING}"
 echo
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LayerNormSimd|BM_SoftmaxMaskedSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
+  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LayerNormSimd|BM_SoftmaxMaskedSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_AttentionClsSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -106,6 +111,7 @@ MICRO_PREFIXES = (
     "BM_SoftmaxMaskedSimd",
     "BM_AttentionPackedSimd",
     "BM_AttentionBlockedSimd",
+    "BM_AttentionClsSimd",
     "BM_EmbedGatherSimd",
     "BM_Int8GemmPacked",
 )
@@ -175,6 +181,26 @@ for name in base_simd:
               f"'{base_simd[name] or 'unknown'}' but this machine dispatches "
               f"'{fresh_simd[name] or 'unknown'}' — re-record with "
               "scripts/run_bench_baseline.sh on matching hardware")
+        failed = True
+
+# Likewise for the core count: a missing stamp is refused, not assumed.
+base_cpus = {
+    sys.argv[1]: serving_base.get("num_cpus"),
+    sys.argv[3]: micro_base.get("context", {}).get("qpe_num_cpus"),
+}
+fresh_cpus = {
+    sys.argv[1]: serving_fresh.get("num_cpus"),
+    sys.argv[3]: micro_fresh.get("context", {}).get("qpe_num_cpus"),
+}
+for name in base_cpus:
+    base = base_cpus[name]
+    fresh = fresh_cpus[name]
+    if base is None or fresh is None or int(base) != int(fresh):
+        print(f"FAIL: baseline {name} was recorded with num_cpus "
+              f"'{base if base is not None else 'missing'}' but this machine "
+              f"has '{fresh if fresh is not None else 'missing'}' — "
+              "re-record with scripts/run_bench_baseline.sh on matching "
+              "hardware")
         failed = True
 if failed:
     sys.exit(1)

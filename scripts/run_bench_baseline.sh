@@ -43,7 +43,7 @@ cmake --build "${BUILD_DIR}" --target bench_micro bench_serving -j"$(nproc)"
 # file cuts its size by ~4x (per-repetition rows added ~4.7k lines of
 # diff per re-record and carry no information the gate uses).
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_MatMul|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_SoftmaxMasked|BM_AttentionPacked|BM_AttentionBlocked|BM_EmbedGather|BM_Int8GemmPacked' \
+  --benchmark_filter='BM_MatMul|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_SoftmaxMasked|BM_AttentionPacked|BM_AttentionBlocked|BM_AttentionCls|BM_EmbedGather|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -55,7 +55,7 @@ echo
 
 # Refuse to leave non-Release numbers behind as the committed baseline, and
 # verify both files carry the detected SIMD level (the binaries stamp it
-# at startup: "scalar", "avx2" or "neon"). The regression gate later
+# at startup: "scalar", "avx2" or "neon") and the same core count. The regression gate later
 # refuses baselines whose level does not match the machine it runs on —
 # scalar-recorded numbers would make any vectorized run look like a win.
 python3 - <<'PY'
@@ -69,6 +69,8 @@ with open("BENCH_serving.json") as f:
 micro = micro_ctx.get("qpe_build_type", "")
 micro_simd = micro_ctx.get("qpe_simd_level", "")
 serving_simd = serving.get("simd_level", "")
+micro_cpus = micro_ctx.get("qpe_num_cpus")
+serving_cpus = serving.get("num_cpus")
 
 bad = [name for name, value in [("BENCH_micro.json", micro),
                                 ("BENCH_serving.json",
@@ -84,8 +86,14 @@ if not micro_simd or not serving_simd or micro_simd != serving_simd:
     print(f"ERROR: SIMD level missing or inconsistent between baselines "
           f"(micro: '{micro_simd}', serving: '{serving_simd}')")
     sys.exit(1)
+if (micro_cpus is None or serving_cpus is None
+        or int(micro_cpus) != int(serving_cpus)):
+    print(f"ERROR: core count missing or inconsistent between baselines "
+          f"(micro: '{micro_cpus}', serving: '{serving_cpus}')")
+    sys.exit(1)
 print("\nbaseline build type: Release (verified in both files)")
 print(f"baseline SIMD level: {serving_simd}")
+print(f"baseline core count: {serving_cpus}")
 PY
 
 echo

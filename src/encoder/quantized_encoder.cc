@@ -31,7 +31,11 @@ QuantizedPlanEncoder::QuantizedPlanEncoder(
 
   // Calibration pass: replay the packed forward with the fp32 GEMMs,
   // recording every site's input absmax. The GEMM is the fp32 encoder's
-  // own, so the observed ranges are exactly the ranges it produces.
+  // own, so the observed ranges are exactly the ranges it produces. The
+  // tape keeps every layer computing every row: without it the last
+  // layer's wq would observe only the CLS rows, its scale would drift from
+  // wk/wv's, and the int8 engine's shared-quantization guard below would
+  // stop firing.
   std::vector<nn::QuantCalibrator> calibrators(refs.sites.size());
   nn::PackedBatch& ws = nn::PackedBatch::ThreadLocal();
   PackPlansColumns(calibration, config_.max_len, &ws);
@@ -41,7 +45,8 @@ QuantizedPlanEncoder::QuantizedPlanEncoder(
     calibrators[site].Observe(x, static_cast<size_t>(m) * in);
     fp32_linear(site, x, m, in, out, y, relu);
   };
-  (void)nn::PackedEncodeForward(view_, ws, tap);
+  nn::PackedTape tape;
+  (void)nn::PackedEncodeForward(view_, ws, tap, &tape);
 
   sites_.reserve(refs.sites.size());
   for (size_t s = 0; s < refs.sites.size(); ++s) {
@@ -67,12 +72,14 @@ std::vector<nn::Tensor> QuantizedPlanEncoder::EncodeBatch(
   if (plans.empty()) return {};
   nn::PackedBatch& ws = nn::PackedBatch::ThreadLocal();
   PackPlansColumns(plans, config_.max_len, &ws);
-  // The engine calls wq, wk, wv back to back on the same normed buffer,
+  // The engine calls wq, wk, wv back to back on the same normed buffer
+  // (the CLS-only last layer: wk, wv, then wq on the gathered CLS rows),
   // and the three sites calibrated on identical inputs, so their static
-  // scales agree — wk/wv can then reuse wq's quantized activations
-  // bit-identically instead of re-quantizing. The guard is conservative:
-  // consecutive site ids (so an intervening call can never have rewritten
-  // the buffer), same pointer/shape, and exactly equal scales.
+  // scales agree — wk/wv can then reuse wq's (or wv wk's) quantized
+  // activations bit-identically instead of re-quantizing. The guard is
+  // conservative: consecutive site ids (so an intervening call can never
+  // have rewritten the buffer), same pointer/shape, and exactly equal
+  // scales.
   int last_site = -1;
   const float* last_x = nullptr;
   int last_m = 0, last_in = 0;

@@ -73,10 +73,14 @@ struct Fp32Linear {
 // pointer into ws (ws.cls or ws.proj) holding the [num_seqs, output_dim]
 // result — valid until the workspace's next use.
 //
-// Four callers share it: fp32 inference, the int8 calibration tap, int8
-// inference, and the recording training step, which passes a `tape` (see
-// PackedTape). Without a tape the forward allocates and computes nothing
-// for one.
+// Four callers share it: fp32 inference, int8 inference, and two that
+// pass a `tape` (see PackedTape): the recording training step and the
+// int8 calibration tap. Without a tape the forward allocates and computes
+// nothing for one, and its last layer runs CLS-only: LN1, wk and wv over
+// every row, then wq, attention (attention_cls_blocked), wo, LN2, ff1 and
+// ff2 at m = num_seqs over the gathered CLS rows. With a tape every layer
+// computes every row — the backward reads them all, and calibration must
+// observe the same inputs at wq as at wk/wv.
 //
 // Numerics: every kernel call and elementwise loop below reproduces the
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
@@ -144,11 +148,21 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
 
   // `normed` doubles as the scratch of the pre-residual linear outputs.
   float* normed = ws.normed.data();
-  // dst = x + delta: in place for inference, a copy first when the tape
-  // keeps x.
-  auto residual = [&](float* dst, const float* x, const float* delta) {
-    if (dst != x) std::memcpy(dst, x, sizeof(float) * rd);
-    kern.add_rows(dst, delta, rd);
+  float* cls = ws.cls.data();
+  // dst = x + delta over n floats: in place for inference, a copy first
+  // when the tape keeps x.
+  auto residual = [&](float* dst, const float* x, const float* delta,
+                      size_t n) {
+    if (dst != x) std::memcpy(dst, x, sizeof(float) * n);
+    kern.add_rows(dst, delta, n);
+  };
+  // dst [B, d] = the CLS (first) row of every sequence of src [rows, d].
+  auto gather_cls = [&](const float* src, float* dst) {
+    for (int s = 0; s < num_seqs; ++s) {
+      std::memcpy(dst + static_cast<size_t>(s) * d,
+                  src + static_cast<size_t>(layout.offsets[s]) * d,
+                  sizeof(float) * d);
+    }
   };
   for (int li = 0; li < num_layers; ++li) {
     const PackedLayerView& lp = mv.layers[li];
@@ -166,43 +180,59 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
                  : li + 1 < num_layers ? tape->layers[li + 1].x.data()
                                        : tape->hout.data();
     const bool masked = t != nullptr && tape->masked;
+    // Only the CLS rows leave the last layer. Without a tape nothing reads
+    // its other rows, so it computes K and V for every row (each CLS query
+    // attends to all keys of its sequence) and everything after them for
+    // the B gathered CLS rows alone, ending in ws.cls. Every kernel is
+    // row-independent, so those rows keep their bits.
+    const bool cls_only = t == nullptr && li + 1 == num_layers;
+    const int m = cls_only ? num_seqs : rows;
+    const size_t md = static_cast<size_t>(m) * d;
 
     // Pre-norm attention block with residual.
     kern.layer_norm_rows(h, lp.norm1_gamma, lp.norm1_beta, n1, rows, d, invd);
-    linear(base + 0, n1, rows, d, d, q, false);
+    if (!cls_only) linear(base + 0, n1, rows, d, d, q, false);
     linear(base + 1, n1, rows, d, d, k, false);
     linear(base + 2, n1, rows, d, d, v, false);
     RepackHeadsKT(k, rows, d, mv.num_heads, ws.kbt.data());
     RepackHeadsVB(v, rows, d, mv.num_heads, ws.vb.data());
-    kern.attention_forward_blocked(
-        q, ws.kbt.data(), ws.vb.data(), att, layout.offsets.data(),
-        layout.lengths.data(), num_seqs, mv.num_heads, rows, d, scale,
-        ws.probs.data());
-    linear(base + 3, att, rows, d, d, normed, false);
-    if (masked) {
-      const float* m = t->mask_att.data();
-      for (size_t i = 0; i < rd; ++i) normed[i] *= m[i];
+    if (cls_only) {
+      // K lives on in kbt, so its buffer takes n1's CLS rows.
+      gather_cls(h, cls);
+      gather_cls(n1, k);
+      linear(base + 0, k, m, d, d, q, false);
+      kern.attention_cls_blocked(
+          q, ws.kbt.data(), ws.vb.data(), att, layout.offsets.data(),
+          layout.lengths.data(), num_seqs, mv.num_heads, rows, d, scale,
+          ws.probs.data());
+      h = hm = out = cls;  // the rest of the layer runs in place on ws.cls
+    } else {
+      kern.attention_forward_blocked(
+          q, ws.kbt.data(), ws.vb.data(), att, layout.offsets.data(),
+          layout.lengths.data(), num_seqs, mv.num_heads, rows, d, scale,
+          ws.probs.data());
     }
-    residual(hm, h, normed);
+    linear(base + 3, att, m, d, d, normed, false);
+    if (masked) {
+      const float* mk = t->mask_att.data();
+      for (size_t i = 0; i < md; ++i) normed[i] *= mk[i];
+    }
+    residual(hm, h, normed, md);
     // Pre-norm feed-forward block (ReLU) with residual.
-    kern.layer_norm_rows(hm, lp.norm2_gamma, lp.norm2_beta, n2, rows, d,
-                         invd);
-    linear(base + 4, n2, rows, d, f, ffa, /*relu=*/true);
-    linear(base + 5, ffa, rows, f, d, normed, false);
+    kern.layer_norm_rows(hm, lp.norm2_gamma, lp.norm2_beta, n2, m, d, invd);
+    linear(base + 4, n2, m, d, f, ffa, /*relu=*/true);
+    linear(base + 5, ffa, m, f, d, normed, false);
     if (masked) {
-      const float* m = t->mask_ff.data();
-      for (size_t i = 0; i < rd; ++i) normed[i] *= m[i];
+      const float* mk = t->mask_ff.data();
+      for (size_t i = 0; i < md; ++i) normed[i] *= mk[i];
     }
-    residual(out, hm, normed);
+    residual(out, hm, normed, md);
     h = out;
   }
 
-  // CLS pooling, then the optional output projection on the [B, d] matrix.
-  float* cls = ws.cls.data();
-  for (int s = 0; s < num_seqs; ++s) {
-    const float* src = h + static_cast<size_t>(layout.offsets[s]) * d;
-    std::memcpy(cls + static_cast<size_t>(s) * d, src, sizeof(float) * d);
-  }
+  // CLS pooling (the CLS-only last layer already wrote ws.cls), then the
+  // optional output projection on the [B, d] matrix.
+  if (h != cls) gather_cls(h, cls);
   if (!mv.has_projection) return cls;
   ws.EnsureF(&ws.proj, static_cast<size_t>(num_seqs) * mv.output_dim);
   linear(num_layers * 6, cls, num_seqs, d, mv.output_dim, ws.proj.data(),

@@ -94,6 +94,16 @@ void ScalarAttentionForwardBlocked(const float* q, const float* kbt,
                                       scale, probs);
 }
 
+void ScalarAttentionClsBlocked(const float* q, const float* kbt,
+                               const float* vb, float* out,
+                               const int* offsets, const int* lengths,
+                               int num_seqs, int num_heads, int total_rows,
+                               int dim, float scale, float* probs) {
+  AttentionForwardBlockedT<ScalarOps, true>(q, kbt, vb, out, offsets,
+                                            lengths, num_seqs, num_heads,
+                                            total_rows, dim, scale, probs);
+}
+
 void ScalarInt8GemmPacked(const int8_t* a, const int16_t* bp, float* c, int m,
                           int k, int n, const float* a_scale,
                           const float* b_scale, const float* bias) {
@@ -169,6 +179,7 @@ const Kernels kScalarTable = {
     &ScalarAttentionForwardPacked,
     &ScalarEmbedGatherAdd,
     &ScalarAttentionForwardBlocked,
+    &ScalarAttentionClsBlocked,
     &ScalarInt8GemmPacked,
     &ScalarQuantizeBuffer,
     &ScalarLinearBiasAct,

@@ -86,6 +86,18 @@ struct Kernels {
                                     int num_seqs, int num_heads,
                                     int total_rows, int dim, float scale,
                                     float* probs);
+  // attention_forward_blocked for the CLS query of each sequence only:
+  // kbt/vb as above (every key and value of the batch), but q and out are
+  // compact [num_seqs, dim] — row s holds the query and the context of
+  // sequence s's first token. `probs` needs max(lengths) floats. Out row s
+  // equals row offsets[s] of attention_forward_blocked bit for bit, at
+  // every level; the engine runs the last layer through it because only
+  // the CLS rows leave that layer.
+  void (*attention_cls_blocked)(const float* q, const float* kbt,
+                                const float* vb, float* out,
+                                const int* offsets, const int* lengths,
+                                int num_seqs, int num_heads, int total_rows,
+                                int dim, float scale, float* probs);
   // Quantized GEMM with int32 accumulation over pre-packed weight tiles:
   //   c[i, j] = dot(a[i, :], w[j, :]) * a_scale[i] * b_scale[j] + bias[j]
   // where w [n][k] is the channel-major int8 weight matrix that

@@ -124,6 +124,16 @@ void Avx2AttentionForwardBlocked(const float* q, const float* kbt,
                                     scale, probs);
 }
 
+void Avx2AttentionClsBlocked(const float* q, const float* kbt,
+                             const float* vb, float* out,
+                             const int* offsets, const int* lengths,
+                             int num_seqs, int num_heads, int total_rows,
+                             int dim, float scale, float* probs) {
+  AttentionForwardBlockedT<Avx2Ops, true>(q, kbt, vb, out, offsets, lengths,
+                                          num_seqs, num_heads, total_rows, dim,
+                                          scale, probs);
+}
+
 // Packed-tile int8 GEMM. The tile layout (kInt8TileN = 4 channels x
 // kInt8TileK = 16 k-steps, pre-sign-extended to int16 — see
 // PackInt8WeightTiles) lets one sign-extended activation vector feed four
@@ -295,6 +305,7 @@ const Kernels kAvx2Table = {
     &Avx2AttentionForwardPacked,
     &Avx2EmbedGatherAdd,
     &Avx2AttentionForwardBlocked,
+    &Avx2AttentionClsBlocked,
     &Avx2Int8GemmPacked,
     &Avx2QuantizeBuffer,
     &Avx2LinearBiasAct,

@@ -620,7 +620,13 @@ void EmbedGatherAddT(const float* __restrict e1, const float* __restrict e2,
 // is one multiply on the finished dot either way), so the kernel stays
 // bit-identical to AttentionForwardPackedT at every level, and the
 // scalar level remains bit-identical to per-plan Encode.
-template <typename V>
+//
+// kClsOnly instantiates attention_cls_blocked: one query per sequence,
+// its CLS token, with q and out compact [num_seqs, dim]. That query runs
+// the same single-query arithmetic a full call applies to query 0 (tile
+// and tail paths compute identical per-element streams), so its output
+// row equals row offsets[s] of the full kernel bit for bit.
+template <typename V, bool kClsOnly = false>
 void AttentionForwardBlockedT(const float* __restrict qv,
                               const float* __restrict kbt,
                               const float* __restrict vb,
@@ -636,6 +642,12 @@ void AttentionForwardBlockedT(const float* __restrict qv,
     const int off = offsets[s];
     const int len = lengths[s];
     const int lenv = (len / L) * L;
+    // This sequence's queries and the q/out row of the first: every token,
+    // at rows off .. off + len - 1 of the packed layout, or the CLS token
+    // alone, at row s of a compact [num_seqs, dim] q/out.
+    const int nq = kClsOnly ? 1 : len;
+    const size_t row0 = kClsOnly ? static_cast<size_t>(s)
+                                 : static_cast<size_t>(off);
     for (int h = 0; h < num_heads; ++h) {
       const int col0 = h * dh;
       // This head's key block, transposed: row c holds k[:, col0 + c] with
@@ -648,9 +660,8 @@ void AttentionForwardBlockedT(const float* __restrict qv,
           vb + (static_cast<size_t>(h) * total_rows + off) * dh;
       // --- Phase 1: scaled score rows, query-tiled ---------------------
       if constexpr (L == 1) {
-        for (int i = 0; i < len; ++i) {
-          const float* __restrict qrow =
-              qv + static_cast<size_t>(off + i) * dim + col0;
+        for (int i = 0; i < nq; ++i) {
+          const float* __restrict qrow = qv + (row0 + i) * dim + col0;
           float* __restrict prow = probs + static_cast<size_t>(i) * len;
           for (int j = 0; j < len; ++j) prow[j] = 0.0f;
           for (int c = 0; c < dh; ++c) {
@@ -665,9 +676,8 @@ void AttentionForwardBlockedT(const float* __restrict qv,
         const auto zero = V::Broadcast(0.0f);
         const auto vs = V::Broadcast(scale);
         int i = 0;
-        for (; i + kQueryTile <= len; i += kQueryTile) {
-          const float* __restrict q0 =
-              qv + static_cast<size_t>(off + i) * dim + col0;
+        for (; i + kQueryTile <= nq; i += kQueryTile) {
+          const float* __restrict q0 = qv + (row0 + i) * dim + col0;
           const float* __restrict q1 = q0 + dim;
           const float* __restrict q2 = q1 + dim;
           const float* __restrict q3 = q2 + dim;
@@ -733,9 +743,8 @@ void AttentionForwardBlockedT(const float* __restrict qv,
             }
           }
         }
-        for (; i < len; ++i) {
-          const float* __restrict qrow =
-              qv + static_cast<size_t>(off + i) * dim + col0;
+        for (; i < nq; ++i) {
+          const float* __restrict qrow = qv + (row0 + i) * dim + col0;
           float* __restrict prow = probs + static_cast<size_t>(i) * len;
           int j = 0;
           for (; j + L <= len; j += L) {
@@ -771,7 +780,7 @@ void AttentionForwardBlockedT(const float* __restrict qv,
       }
       // --- Phase 2: row softmax — max, exp, sum, divide, the same split
       // as AttentionForwardPackedT (and SoftmaxRowsMaskedT) -------------
-      for (int i = 0; i < len; ++i) {
+      for (int i = 0; i < nq; ++i) {
         float* __restrict prow = probs + static_cast<size_t>(i) * len;
         float max_v = prow[0];
         {
@@ -808,10 +817,9 @@ void AttentionForwardBlockedT(const float* __restrict qv,
       // this head's value block, query-tiled like the scores; per element
       // accumulates ascending j, like AttentionForwardPackedT ----------
       if constexpr (L == 1) {
-        for (int i = 0; i < len; ++i) {
+        for (int i = 0; i < nq; ++i) {
           const float* __restrict prow = probs + static_cast<size_t>(i) * len;
-          float* __restrict orow =
-              ov + static_cast<size_t>(off + i) * dim + col0;
+          float* __restrict orow = ov + (row0 + i) * dim + col0;
           for (int c = 0; c < dh; ++c) orow[c] = 0.0f;
           for (int j = 0; j < len; ++j) {
             const float p = prow[j];
@@ -823,13 +831,12 @@ void AttentionForwardBlockedT(const float* __restrict qv,
         const int dhv = (dh / L) * L;
         const auto zero = V::Broadcast(0.0f);
         int i = 0;
-        for (; i + kQueryTile <= len; i += kQueryTile) {
+        for (; i + kQueryTile <= nq; i += kQueryTile) {
           const float* __restrict p0 = probs + static_cast<size_t>(i) * len;
           const float* __restrict p1 = p0 + len;
           const float* __restrict p2 = p1 + len;
           const float* __restrict p3 = p2 + len;
-          float* __restrict o0 =
-              ov + static_cast<size_t>(off + i) * dim + col0;
+          float* __restrict o0 = ov + (row0 + i) * dim + col0;
           float* __restrict o1 = o0 + dim;
           float* __restrict o2 = o1 + dim;
           float* __restrict o3 = o2 + dim;
@@ -890,10 +897,9 @@ void AttentionForwardBlockedT(const float* __restrict qv,
             }
           }
         }
-        for (; i < len; ++i) {
+        for (; i < nq; ++i) {
           const float* __restrict prow = probs + static_cast<size_t>(i) * len;
-          float* __restrict orow =
-              ov + static_cast<size_t>(off + i) * dim + col0;
+          float* __restrict orow = ov + (row0 + i) * dim + col0;
           int c = 0;
           for (; c < dhv; c += L) {
             auto a0 = zero;

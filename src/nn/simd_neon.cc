@@ -106,6 +106,16 @@ void NeonAttentionForwardBlocked(const float* q, const float* kbt,
                                     scale, probs);
 }
 
+void NeonAttentionClsBlocked(const float* q, const float* kbt,
+                             const float* vb, float* out,
+                             const int* offsets, const int* lengths,
+                             int num_seqs, int num_heads, int total_rows,
+                             int dim, float scale, float* probs) {
+  AttentionForwardBlockedT<NeonOps, true>(q, kbt, vb, out, offsets, lengths,
+                                          num_seqs, num_heads, total_rows, dim,
+                                          scale, probs);
+}
+
 // Packed-tile int8 GEMM: one widened activation block feeds four
 // multiply-accumulate-long dots against the four consecutive channel rows
 // of the tile (pre-sign-extended to int16 at pack time, so the weight
@@ -263,6 +273,7 @@ const Kernels kNeonTable = {
     &NeonAttentionForwardPacked,
     &NeonEmbedGatherAdd,
     &NeonAttentionForwardBlocked,
+    &NeonAttentionClsBlocked,
     &NeonInt8GemmPacked,
     &NeonQuantizeBuffer,
     &NeonLinearBiasAct,

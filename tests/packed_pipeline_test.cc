@@ -1,11 +1,13 @@
 // Packed-batch pipeline tests: FromLengthsChecked validation, the fused
-// embedding-gather kernel, the head-blocked attention kernel, the packed
-// int8 GEMM, the quantize_buffer contract (ties away from zero,
-// saturation), packed-vs-per-plan encoder parity at adversarial batch
-// shapes x SIMD levels x thread counts, packed-vs-per-plan training
+// embedding-gather kernel, the head-blocked and CLS-only attention
+// kernels, the packed int8 GEMM, the quantize_buffer contract (ties away
+// from zero, saturation), packed-vs-per-plan encoder parity at adversarial
+// batch shapes x model depths x SIMD levels x thread counts,
+// packed-vs-per-plan training
 // parity, and the arena-steady-state contract (zero heap acquisitions per
 // micro-batch after warmup).
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -277,6 +279,62 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
   }
 }
 
+TEST(PackedKernelTest, AttentionClsMatchesBlockedClsRowsPerLevel) {
+  // The CLS-only instantiation runs query 0 of every sequence through the
+  // same arithmetic as the full kernel, so its compact output row s must
+  // equal row offsets[s] of attention_forward_blocked bit for bit. The
+  // lengths straddle the 4-query tile and the 8-lane AVX2 vector,
+  // including their scalar tails; head_dim 12 adds a vector context loop
+  // with an overlapping tail to head_dim 5's scalar one.
+  util::Rng rng(93);
+  const std::vector<int> lengths = {1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17};
+  const BatchLayout layout = BatchLayout::FromLengths(lengths);
+  const int rows = layout.total_rows;
+  const int num_seqs = layout.size();
+  int max_len = 0;
+  for (const int len : lengths) max_len = std::max(max_len, len);
+  std::vector<float> probs(static_cast<size_t>(max_len) * max_len);
+  const int num_heads = 3;
+  for (const int head_dim : {5, 12}) {
+    const int d = num_heads * head_dim;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    const size_t rd = static_cast<size_t>(rows) * d;
+    const std::vector<float> q = RandomVec(rd, &rng);
+    const std::vector<float> k = RandomVec(rd, &rng);
+    const std::vector<float> v = RandomVec(rd, &rng);
+    std::vector<float> kbt(rd), vb(rd);
+    nn::RepackHeadsKT(k.data(), rows, d, num_heads, kbt.data());
+    nn::RepackHeadsVB(v.data(), rows, d, num_heads, vb.data());
+    std::vector<float> q_cls(static_cast<size_t>(num_seqs) * d);
+    for (int s = 0; s < num_seqs; ++s) {
+      std::copy_n(q.begin() + static_cast<size_t>(layout.offsets[s]) * d, d,
+                  q_cls.begin() + static_cast<size_t>(s) * d);
+    }
+    for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+      const Kernels* table = nn::simd::TableFor(level);
+      if (table == nullptr) continue;
+      std::vector<float> out_full(rd, 0.0f);
+      std::vector<float> out_cls(static_cast<size_t>(num_seqs) * d, -1.0f);
+      table->attention_forward_blocked(
+          q.data(), kbt.data(), vb.data(), out_full.data(),
+          layout.offsets.data(), layout.lengths.data(), num_seqs, num_heads,
+          rows, d, scale, probs.data());
+      table->attention_cls_blocked(q_cls.data(), kbt.data(), vb.data(),
+                                   out_cls.data(), layout.offsets.data(),
+                                   layout.lengths.data(), num_seqs,
+                                   num_heads, rows, d, scale, probs.data());
+      for (int s = 0; s < num_seqs; ++s) {
+        for (int c = 0; c < d; ++c) {
+          ASSERT_EQ(out_full[static_cast<size_t>(layout.offsets[s]) * d + c],
+                    out_cls[static_cast<size_t>(s) * d + c])
+              << "level " << table->name << " head_dim " << head_dim
+              << " length " << lengths[s] << " col " << c;
+        }
+      }
+    }
+  }
+}
+
 // --- Packed int8 GEMM -------------------------------------------------------
 
 // Reference int8 GEMM over the unpacked operands: plain int32 dot products
@@ -424,6 +482,28 @@ TEST(PackedEncoderTest, AdversarialShapesAcrossLevelsAndThreads) {
   encoder::StructureEncoderConfig config = SmallConfig();
   config.max_len = 16;
   const encoder::TransformerPlanEncoder enc(config, &rng);
+  // The engine runs its last layer CLS-only: 0 layers leave nothing to
+  // trim, 1 layer trims the only one, 3 trim after two full layers, and
+  // the projection reads the trimmed layer's [B, d] output.
+  struct Model {
+    std::string name;
+    const encoder::TransformerPlanEncoder* enc;
+  };
+  std::vector<Model> models = {{"2-layers", &enc}};
+  std::vector<std::unique_ptr<encoder::TransformerPlanEncoder>> owned;
+  auto add_model = [&](const std::string& name, int num_layers,
+                       int output_dim) {
+    encoder::StructureEncoderConfig c = config;
+    c.num_layers = num_layers;
+    c.output_dim = output_dim;
+    owned.push_back(
+        std::make_unique<encoder::TransformerPlanEncoder>(c, &rng));
+    models.push_back({name, owned.back().get()});
+  };
+  add_model("0-layers", 0, 0);
+  add_model("1-layer", 1, 0);
+  add_model("3-layers", 3, 0);
+  add_model("2-layers+projection", 2, 16);
 
   // Batch of 1; a batch of uniformly tiny plans; one deep (truncated) plan
   // among tiny ones — the max_len row next to length-3 rows is the worst
@@ -446,13 +526,15 @@ TEST(PackedEncoderTest, AdversarialShapesAcrossLevelsAndThreads) {
     if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
     for (const int threads : {1, 4}) {
       util::SetMaxThreads(threads);
-      for (const Case& c : cases) {
-        CheckPackedMatchesPerPlan(
-            enc, c.ptrs,
-            (std::string(c.name) + " level " +
-             nn::simd::LevelName(level) + " threads " +
-             std::to_string(threads))
-                .c_str());
+      for (const Model& model : models) {
+        for (const Case& c : cases) {
+          CheckPackedMatchesPerPlan(
+              *model.enc, c.ptrs,
+              (model.name + " " + c.name + " level " +
+               nn::simd::LevelName(level) + " threads " +
+               std::to_string(threads))
+                  .c_str());
+        }
       }
     }
   }

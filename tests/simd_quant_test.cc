@@ -870,6 +870,30 @@ TEST(QuantizedEncoderTest, BatchedBitIdenticalToSingle) {
   }
 }
 
+// Calibration observes every row of every layer. The engine runs its
+// last layer CLS-only when no tape is recording, so wq there would see
+// only the CLS rows of the normed input that wk and wv see in full; the
+// three sites' scales must come out exactly equal, or the int8 engine
+// stops sharing their quantized activations and the embeddings change.
+TEST(QuantizedEncoderTest, LastLayerQkvScalesEqualAfterCalibration) {
+  for (const int num_layers : {1, 2}) {
+    util::Rng rng(104);
+    encoder::StructureEncoderConfig config = SmallConfig();
+    config.num_layers = num_layers;
+    encoder::TransformerPlanEncoder fp32(config, &rng);
+    fp32.SetTraining(false);
+    const auto cal_plans = SamplePlans(16, 7010);
+    const auto quantized = fp32.Quantize(Pointers(cal_plans));
+    const std::vector<float> scales = quantized->input_scales();
+    const int base = (num_layers - 1) * 6;  // last layer's wq, wk, wv
+    ASSERT_GE(static_cast<int>(scales.size()), base + 3);
+    EXPECT_EQ(scales[base + 0], scales[base + 1])
+        << "wq vs wk, " << num_layers << " layers";
+    EXPECT_EQ(scales[base + 0], scales[base + 2])
+        << "wq vs wv, " << num_layers << " layers";
+  }
+}
+
 // The quantized encoder slots into EmbeddingService unchanged (opt-in
 // quantized serving = construct the service with the quantized encoder).
 TEST(QuantizedEncoderTest, ServesThroughEmbeddingService) {
