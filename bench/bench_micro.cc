@@ -467,6 +467,93 @@ void BM_AttentionClsSimd(benchmark::State& state) {
 BENCHMARK(BM_AttentionClsScalar)->Arg(32);
 BENCHMARK(BM_AttentionClsSimd)->Arg(32);
 
+// Attention backward at the same shape, the training step's counterpart of
+// the forward pairs above. BM_AttentionBackwardPacked is a full layer's
+// backward (every query of every sequence); BM_AttentionBackwardCls is the
+// CLS-trimmed last layer's (one query per sequence, gradients for every
+// key and value), including the two per-head transposes the step pays.
+// Both zero their gradient buffers per iteration, as the step does. Arg:
+// sequence length.
+void AttentionBackwardPackedKernel(benchmark::State& state,
+                                   const qpe::nn::simd::Kernels& kern) {
+  const int len = static_cast<int>(state.range(0));
+  const int num_seqs = 16, num_heads = 4, dim = 48;
+  std::vector<int> offsets(num_seqs), lengths(num_seqs, len);
+  for (int s = 0; s < num_seqs; ++s) offsets[s] = s * len;
+  const size_t n = static_cast<size_t>(num_seqs) * len * dim;
+  const std::vector<float> q = RandomBuffer(n, 37);
+  const std::vector<float> k = RandomBuffer(n, 38);
+  const std::vector<float> v = RandomBuffer(n, 39);
+  const std::vector<float> og = RandomBuffer(n, 40);
+  std::vector<float> qg(n), kg(n), vg(n);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
+  for (auto _ : state) {
+    std::fill(qg.begin(), qg.end(), 0.0f);
+    std::fill(kg.begin(), kg.end(), 0.0f);
+    std::fill(vg.begin(), vg.end(), 0.0f);
+    kern.attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
+                                   qg.data(), kg.data(), vg.data(),
+                                   offsets.data(), lengths.data(), num_seqs,
+                                   num_heads, dim, scale);
+    benchmark::DoNotOptimize(qg.data());
+  }
+  // Scores, d_probs and the q/k/v gradients: 5 * T^2 * dim MACs per
+  // sequence.
+  state.SetItemsProcessed(state.iterations() * num_seqs * 5LL * len * len *
+                          dim * 2);
+  state.SetLabel(kern.name);
+}
+void BM_AttentionBackwardPackedScalar(benchmark::State& state) {
+  AttentionBackwardPackedKernel(state, ScalarKernels());
+}
+void BM_AttentionBackwardPackedSimd(benchmark::State& state) {
+  AttentionBackwardPackedKernel(state, BestKernels());
+}
+BENCHMARK(BM_AttentionBackwardPackedScalar)->Arg(32);
+BENCHMARK(BM_AttentionBackwardPackedSimd)->Arg(32);
+
+void AttentionBackwardClsKernel(benchmark::State& state,
+                                const qpe::nn::simd::Kernels& kern) {
+  const int len = static_cast<int>(state.range(0));
+  const int num_seqs = 16, num_heads = 4, dim = 48;
+  std::vector<int> offsets(num_seqs), lengths(num_seqs, len);
+  for (int s = 0; s < num_seqs; ++s) offsets[s] = s * len;
+  const int total = num_seqs * len;
+  const size_t n = static_cast<size_t>(total) * dim;
+  const size_t b = static_cast<size_t>(num_seqs) * dim;
+  const std::vector<float> q = RandomBuffer(b, 37);
+  const std::vector<float> k = RandomBuffer(n, 38);
+  const std::vector<float> v = RandomBuffer(n, 39);
+  const std::vector<float> og = RandomBuffer(b, 40);
+  std::vector<float> kbt(n), vbt(n), qg(b), kg(n), vg(n);
+  std::vector<float> probs(2 * static_cast<size_t>(len));
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
+  for (auto _ : state) {
+    std::fill(qg.begin(), qg.end(), 0.0f);
+    std::fill(kg.begin(), kg.end(), 0.0f);
+    std::fill(vg.begin(), vg.end(), 0.0f);
+    qpe::nn::RepackHeadsKT(k.data(), total, dim, num_heads, kbt.data());
+    qpe::nn::RepackHeadsKT(v.data(), total, dim, num_heads, vbt.data());
+    kern.attention_backward_cls(q.data(), kbt.data(), vbt.data(), og.data(),
+                                qg.data(), kg.data(), vg.data(),
+                                offsets.data(), lengths.data(), num_seqs,
+                                num_heads, total, dim, scale, probs.data());
+    benchmark::DoNotOptimize(qg.data());
+  }
+  // The same five phases for one query: 5 * T * dim MACs per sequence.
+  state.SetItemsProcessed(state.iterations() * num_seqs * 5LL * len * dim *
+                          2);
+  state.SetLabel(kern.name);
+}
+void BM_AttentionBackwardClsScalar(benchmark::State& state) {
+  AttentionBackwardClsKernel(state, ScalarKernels());
+}
+void BM_AttentionBackwardClsSimd(benchmark::State& state) {
+  AttentionBackwardClsKernel(state, BestKernels());
+}
+BENCHMARK(BM_AttentionBackwardClsScalar)->Arg(32);
+BENCHMARK(BM_AttentionBackwardClsSimd)->Arg(32);
+
 // Fused embedding gather + positional add at the model dims (24+12+12),
 // the packed pipeline's batch-assembly kernel. Arg: packed rows.
 void EmbedGatherKernel(benchmark::State& state,
@@ -549,7 +636,10 @@ BENCHMARK(BM_Int8GemmPacked)->Args({256, 48, 48})->Args({256, 256, 256});
 // --- Training steps ---------------------------------------------------------
 
 // One PPSR training epoch (24 pairs, transformer encoder) per iteration.
-// Arg: thread count.
+// Arg: thread count. The model has one layer, which is also its last: the
+// whole encoder trains CLS-trimmed, so a change to the trimmed layer moves
+// this bench more than it moves the default two-layer model (qpebench's
+// train_ppsr measures that one).
 void BM_TrainStepPpsr(benchmark::State& state) {
   qpe::util::SetMaxThreads(static_cast<int>(state.range(0)));
   qpe::data::PairDatasetOptions options;

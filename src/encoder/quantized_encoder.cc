@@ -29,24 +29,49 @@ QuantizedPlanEncoder::QuantizedPlanEncoder(
   }
   BindPackedView(config_, params_, &view_);
 
-  // Calibration pass: replay the packed forward with the fp32 GEMMs,
-  // recording every site's input absmax. The GEMM is the fp32 encoder's
-  // own, so the observed ranges are exactly the ranges it produces. The
-  // tape keeps every layer computing every row: without it the last
-  // layer's wq would observe only the CLS rows, its scale would drift from
-  // wk/wv's, and the int8 engine's shared-quantization guard below would
-  // stop firing.
+  // Calibration: replay the packed forward with the fp32 GEMMs, recording
+  // every site's input absmax over every row of every layer. The GEMM is
+  // the fp32 encoder's own, so the observed ranges are exactly the ranges
+  // it produces. The engine runs its last layer CLS-only, so the layers
+  // are replayed with a copy of the last one appended: every real layer
+  // then runs over every row, and the copy (sites L*6 .. L*6+5, replaying
+  // the last layer's GEMMs) is computed but not observed. wq, wk and wv
+  // thus observe the same rows of the same n1 in every layer, and their
+  // scales agree exactly, as the int8 engine's shared-quantization guard
+  // below requires. The projection reads the pooled CLS rows; its input
+  // is observed on the engine's own forward.
   std::vector<nn::QuantCalibrator> calibrators(refs.sites.size());
   nn::PackedBatch& ws = nn::PackedBatch::ThreadLocal();
   PackPlansColumns(calibration, config_.max_len, &ws);
   const nn::Fp32Linear fp32_linear{&refs};
-  auto tap = [&](int site, const float* x, int m, int in, int out, float* y,
-                 bool relu) {
-    calibrators[site].Observe(x, static_cast<size_t>(m) * in);
-    fp32_linear(site, x, m, in, out, y, relu);
-  };
-  nn::PackedTape tape;
-  (void)nn::PackedEncodeForward(view_, ws, tap, &tape);
+  const int layer_sites = view_.num_layers * 6;
+  if (view_.has_projection) {
+    auto projection_tap = [&](int site, const float* x, int m, int in,
+                              int out, float* y, bool relu) {
+      if (site == layer_sites) {
+        calibrators[site].Observe(x, static_cast<size_t>(m) * in);
+      }
+      fp32_linear(site, x, m, in, out, y, relu);
+    };
+    (void)nn::PackedEncodeForward(view_, ws, projection_tap);
+  }
+  if (view_.num_layers > 0) {
+    nn::PackedModelView every_row = view_;
+    every_row.layers.push_back(view_.layers.back());
+    ++every_row.num_layers;
+    every_row.has_projection = false;
+    every_row.output_dim = every_row.model_dim;
+    auto layer_tap = [&](int site, const float* x, int m, int in, int out,
+                         float* y, bool relu) {
+      if (site < layer_sites) {
+        calibrators[site].Observe(x, static_cast<size_t>(m) * in);
+        fp32_linear(site, x, m, in, out, y, relu);
+      } else {
+        fp32_linear(site - 6, x, m, in, out, y, relu);
+      }
+    };
+    (void)nn::PackedEncodeForward(every_row, ws, layer_tap);
+  }
 
   sites_.reserve(refs.sites.size());
   for (size_t s = 0; s < refs.sites.size(); ++s) {

@@ -22,26 +22,31 @@ void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
                    float* vb);
 
 // One layer's activations a recording forward retains for the backward,
-// row-major over the packed rows.
+// row-major. `n` is the layer's row count: every packed row in every layer
+// but the last, which runs CLS-only (see PackedEncodeForward) and keeps
+// only the B = num_seqs CLS rows, in sequence order, of q and everything
+// after it. x, n1, k and v always cover every row — each CLS query attends
+// to every key and value of its sequence.
 struct PackedLayerTape {
   std::vector<float> x;        // [rows, d] layer input
   std::vector<float> n1;       // [rows, d] norm1 output
-  std::vector<float> q, k, v;  // [rows, d] attention projections
-  std::vector<float> att;      // [rows, d] attention context
-  std::vector<float> hm;       // [rows, d] post-attention residual
-  std::vector<float> n2;       // [rows, d] norm2 output
-  std::vector<float> ffa;      // [rows, f] ff1 ReLU output
-  std::vector<float> mask_att, mask_ff;  // [rows, d] dropout multipliers
+  std::vector<float> q;        // [n, d] query projection
+  std::vector<float> k, v;     // [rows, d] key / value projections
+  std::vector<float> att;      // [n, d] attention context
+  std::vector<float> hm;       // [n, d] post-attention residual
+  std::vector<float> n2;       // [n, d] norm2 output
+  std::vector<float> ffa;      // [n, f] ff1 ReLU output
+  std::vector<float> mask_att, mask_ff;  // [n, d] dropout multipliers
 };
 
 // Activation tape of a recording forward. Inference reuses one set of
 // buffers across layers; with a tape every layer writes its own, so the
-// backward can read them all. When `masked`, the caller has drawn every
-// layer's dropout multipliers, and the forward scales the attention and
-// feed-forward branches by them before each residual add.
+// backward can read them all. The last layer's output is ws.cls. When
+// `masked`, the caller has drawn every layer's dropout multipliers, and
+// the forward scales the attention and feed-forward branches by them
+// before each residual add.
 struct PackedTape {
   std::vector<PackedLayerTape> layers;
-  std::vector<float> hout;  // [rows, d] final hidden state
   bool masked = false;
 };
 
@@ -73,14 +78,15 @@ struct Fp32Linear {
 // pointer into ws (ws.cls or ws.proj) holding the [num_seqs, output_dim]
 // result — valid until the workspace's next use.
 //
-// Four callers share it: fp32 inference, int8 inference, and two that
-// pass a `tape` (see PackedTape): the recording training step and the
-// int8 calibration tap. Without a tape the forward allocates and computes
-// nothing for one, and its last layer runs CLS-only: LN1, wk and wv over
-// every row, then wq, attention (attention_cls_blocked), wo, LN2, ff1 and
-// ff2 at m = num_seqs over the gathered CLS rows. With a tape every layer
-// computes every row — the backward reads them all, and calibration must
-// observe the same inputs at wq as at wk/wv.
+// Four callers share it: fp32 inference, int8 inference, the int8
+// calibration tap, and the recording training step, the one caller that
+// passes a `tape` (see PackedTape). Without a tape the forward allocates
+// and computes nothing for one. Either way the last layer runs CLS-only,
+// because only the CLS rows leave it and the PPSR loss reads nothing
+// else: LN1, wk and wv over every row, then wq, attention
+// (attention_cls_blocked), wo, LN2, ff1 and ff2 at m = num_seqs over the
+// gathered CLS rows. The tape keeps exactly what the backward of that
+// layer reads.
 //
 // Numerics: every kernel call and elementwise loop below reproduces the
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
@@ -111,8 +117,8 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
   }
   const size_t rd = static_cast<size_t>(rows) * d;
   const size_t rf = static_cast<size_t>(rows) * f;
+  const size_t bd = static_cast<size_t>(num_seqs) * d;
   if (tape == nullptr) {
-    ws.EnsureF(&ws.h, rd);
     ws.EnsureF(&ws.q, rd);
     ws.EnsureF(&ws.k, rd);
     ws.EnsureF(&ws.v, rd);
@@ -124,23 +130,25 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     }
     for (int li = 0; li < num_layers; ++li) {
       PackedLayerTape& t = tape->layers[li];
-      for (std::vector<float>* buf :
-           {&t.x, &t.n1, &t.q, &t.k, &t.v, &t.att, &t.hm, &t.n2}) {
+      const bool last = li + 1 == num_layers;
+      for (std::vector<float>* buf : {&t.x, &t.n1, &t.k, &t.v}) {
         ws.EnsureF(buf, rd);
       }
-      ws.EnsureF(&t.ffa, rf);
+      for (std::vector<float>* buf : {&t.q, &t.att, &t.hm, &t.n2}) {
+        ws.EnsureF(buf, last ? bd : rd);
+      }
+      ws.EnsureF(&t.ffa, last ? static_cast<size_t>(num_seqs) * f : rf);
     }
-    ws.EnsureF(&tape->hout, rd);
   }
+  if (tape == nullptr || num_layers == 0) ws.EnsureF(&ws.h, rd);
   ws.EnsureF(&ws.normed, rd);
-  ws.EnsureF(&ws.cls, static_cast<size_t>(num_seqs) * d);
+  ws.EnsureF(&ws.cls, bd);
   ws.EnsureF(&ws.kbt, rd);
   ws.EnsureF(&ws.vb, rd);
   ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
 
-  float* h = tape == nullptr   ? ws.h.data()
-             : num_layers > 0 ? tape->layers[0].x.data()
-                              : tape->hout.data();
+  float* h = tape != nullptr && num_layers > 0 ? tape->layers[0].x.data()
+                                               : ws.h.data();
   kern.embed_gather_add(mv.embed1, mv.embed2, mv.embed3, mv.positional,
                         ws.ids1.data(), ws.ids2.data(), ws.ids3.data(),
                         layout.positions.data(), h, rows, mv.level1_dim,
@@ -176,16 +184,16 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     float* hm = t != nullptr ? t->hm.data() : h;
     float* n2 = t != nullptr ? t->n2.data() : normed;
     float* ffa = t != nullptr ? t->ffa.data() : ws.ff.data();
-    float* out = t == nullptr             ? h
-                 : li + 1 < num_layers ? tape->layers[li + 1].x.data()
-                                       : tape->hout.data();
     const bool masked = t != nullptr && tape->masked;
-    // Only the CLS rows leave the last layer. Without a tape nothing reads
-    // its other rows, so it computes K and V for every row (each CLS query
-    // attends to all keys of its sequence) and everything after them for
-    // the B gathered CLS rows alone, ending in ws.cls. Every kernel is
-    // row-independent, so those rows keep their bits.
-    const bool cls_only = t == nullptr && li + 1 == num_layers;
+    // Only the CLS rows leave the last layer, so it computes K and V for
+    // every row (each CLS query attends to all keys of its sequence) and
+    // everything after them for the B gathered CLS rows alone, ending in
+    // ws.cls. Every kernel is row-independent, so those rows keep their
+    // bits.
+    const bool cls_only = li + 1 == num_layers;
+    float* out = cls_only       ? cls
+                 : t == nullptr ? h
+                                : tape->layers[li + 1].x.data();
     const int m = cls_only ? num_seqs : rows;
     const size_t md = static_cast<size_t>(m) * d;
 
@@ -197,15 +205,20 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     RepackHeadsKT(k, rows, d, mv.num_heads, ws.kbt.data());
     RepackHeadsVB(v, rows, d, mv.num_heads, ws.vb.data());
     if (cls_only) {
-      // K lives on in kbt, so its buffer takes n1's CLS rows.
+      // n1's CLS rows go to a buffer nothing reads again: k (it lives on
+      // in kbt) without a tape, normed (n1 is the tape's own) with one.
+      float* n1_cls = t == nullptr ? k : normed;
       gather_cls(h, cls);
-      gather_cls(n1, k);
-      linear(base + 0, k, m, d, d, q, false);
+      gather_cls(n1, n1_cls);
+      linear(base + 0, n1_cls, m, d, d, q, false);
       kern.attention_cls_blocked(
           q, ws.kbt.data(), ws.vb.data(), att, layout.offsets.data(),
           layout.lengths.data(), num_seqs, mv.num_heads, rows, d, scale,
           ws.probs.data());
-      h = hm = out = cls;  // the rest of the layer runs in place on ws.cls
+      // The rest of the layer reads its input from ws.cls; without a tape
+      // it runs in place there.
+      h = cls;
+      if (t == nullptr) hm = cls;
     } else {
       kern.attention_forward_blocked(
           q, ws.kbt.data(), ws.vb.data(), att, layout.offsets.data(),
@@ -230,8 +243,9 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     h = out;
   }
 
-  // CLS pooling (the CLS-only last layer already wrote ws.cls), then the
-  // optional output projection on the [B, d] matrix.
+  // CLS pooling of the embeddings when there is no layer (the last layer
+  // wrote ws.cls itself), then the optional output projection on the
+  // [B, d] matrix.
   if (h != cls) gather_cls(h, cls);
   if (!mv.has_projection) return cls;
   ws.EnsureF(&ws.proj, static_cast<size_t>(num_seqs) * mv.output_dim);

@@ -28,6 +28,19 @@ namespace qpe::nn {
 // accumulate rows in ascending packed order (= per-plan order under the
 // reversed packing). Dropout masks are pre-drawn in caller plan order so
 // the RNG consumption matches the per-plan path stream for stream.
+//
+// The last layer is CLS-trimmed on both sides. Only its CLS rows reach
+// the output, so the op chain's gradient of every other row's output is
+// exactly zero, and every term that row would add — to a weight, bias or
+// norm gradient, to dK/dV through its query, to the layer input — is ±0.
+// The trimmed forward keeps that layer's q, att, hm, n2, ffa and dropout
+// masks for the CLS rows only (see PackedLayerTape), and the backward runs
+// its FFN, LN2, wo and wq at m = num_seqs and its attention through
+// attention_backward_cls; wk, wv and LN1 still cover every row. Adding ±0
+// to a gradient buffer never changes its bits (a buffer that starts at +0
+// and only accumulates is never -0), so skipping those terms keeps the
+// contract above; the one ordering it must keep is wq's input gradient
+// landing on n1's CLS rows after wv's and wk's.
 
 // Reusable training workspace, one instance per thread via ThreadLocal().
 // Every buffer grows to the high-water shape and persists.
@@ -49,13 +62,15 @@ class PackedTrainBatch {
   // --- backward scratch ---
   std::vector<float> d_h, d_tmp, d_att, d_q, d_k, d_v, d_n1, d_n2;  // [rows,d]
   std::vector<float> d_act, d_pre;  // [rows, f]
-  std::vector<float> d_cls;         // [num_seqs, d]
+  std::vector<float> d_cls;         // [num_seqs, d] gradient of batch.cls
+  std::vector<float> d_probs;       // [2 * max_len] attention_backward_cls
 
   // Starts a recording forward over the packed, bound batch: bumps the
   // generation and, when `rng` is non-null and `dropout` > 0, draws every
   // layer's masks into the tape — in caller plan order (sequence S-1-ci for
   // ci ascending), layer by layer, attention mask before feed-forward
-  // mask, the exact stream order of the per-plan Dropout ops. Returns the
+  // mask, the exact stream order of the per-plan Dropout ops. Every row's
+  // masks are drawn; the last layer keeps its CLS rows' only. Returns the
   // generation the backward must present.
   uint64_t BeginForward(float dropout, util::Rng* rng);
 

@@ -162,6 +162,17 @@ void ScalarAttentionBackwardPacked(const float* qv, const float* kv,
                                       scale);
 }
 
+void ScalarAttentionBackwardCls(const float* q, const float* kbt,
+                                const float* vbt, const float* og, float* qg,
+                                float* kg, float* vg, const int* offsets,
+                                const int* lengths, int num_seqs, int num_heads,
+                                int total_rows, int dim, float scale,
+                                float* probs) {
+  AttentionBackwardClsT<ScalarOps>(q, kbt, vbt, og, qg, kg, vg, offsets,
+                                   lengths, num_seqs, num_heads, total_rows,
+                                   dim, scale, probs);
+}
+
 void ScalarAdamStep(float* value, const float* grad, float* m, float* v,
                     size_t n, float lr, float beta1, float beta2, float eps,
                     float bias1, float bias2, float weight_decay) {
@@ -190,6 +201,7 @@ const Kernels kScalarTable = {
     &ScalarLayerNormRowsBackward,
     &ScalarSoftmaxRowsMaskedBackward,
     &ScalarAttentionBackwardPacked,
+    &ScalarAttentionBackwardCls,
     &ScalarAdamStep,
 };
 
@@ -281,6 +293,11 @@ const Kernels& K() { return *ActiveTable(); }
 
 Level ActiveLevel() { return K().level; }
 
+uint32_t ArithmeticStamp() {
+  return (kKernelArithmeticRevision << 8) |
+         static_cast<uint32_t>(ActiveLevel());
+}
+
 Level HardwareLevel() { return DetectHardwareLevel(); }
 
 const char* LevelName(Level level) {
@@ -311,6 +328,12 @@ Level ForceLevel(Level level) {
 #endif
   g_active.store(table, std::memory_order_release);
   return table->level;
+}
+
+const Kernels* InstallTable(const Kernels* table) {
+  const Kernels* previous = ActiveTable();
+  g_active.store(table, std::memory_order_release);
+  return previous;
 }
 
 }  // namespace qpe::nn::simd

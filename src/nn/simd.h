@@ -192,6 +192,22 @@ struct Kernels {
                                     const int* offsets, const int* lengths,
                                     int num_seqs, int num_heads, int dim,
                                     float scale);
+  // attention_backward_packed for the CLS query of each sequence only, the
+  // backward of attention_cls_blocked: q, og and qg are compact
+  // [num_seqs, dim]; keys and values arrive transposed per head, kbt and
+  // vbt [head][head_dim][total_rows] (RepackHeadsKT of each); kg and vg
+  // are interleaved [total_rows, dim] and receive every key's and value's
+  // gradient. `probs` needs 2 * max(lengths) floats — the kernel allocates
+  // nothing. When every other query's output gradient is zero, qg row s
+  // equals row offsets[s] of attention_backward_packed's qg, and kg / vg
+  // equal its kg / vg, bit for bit at every level: the skipped terms are
+  // all ±0 added to gradient buffers.
+  void (*attention_backward_cls)(const float* q, const float* kbt,
+                                 const float* vbt, const float* og, float* qg,
+                                 float* kg, float* vg, const int* offsets,
+                                 const int* lengths, int num_seqs,
+                                 int num_heads, int total_rows, int dim,
+                                 float scale, float* probs);
   // Fused Adam/AdamW parameter update over one flat parameter buffer:
   //   m[j] = beta1 * m[j] + (1 - beta1) * g[j]
   //   v[j] = beta2 * v[j] + (1 - beta2) * g[j] * g[j]
@@ -244,6 +260,17 @@ const Kernels& K();
 // Level of the active table (== K().level).
 Level ActiveLevel();
 
+// Revision of the kernels' per-element arithmetic. The same weights and
+// inputs give bit-identical outputs in two processes iff both run the same
+// level at the same revision. Bump it with any change that moves a
+// kernel's output bits (a lane-split reduction, another exp polynomial),
+// so state that stores outputs, like a serving daemon's warm-state
+// snapshot, refuses to mix arithmetics.
+inline constexpr uint32_t kKernelArithmeticRevision = 1;
+
+// The active level and kKernelArithmeticRevision as one stamp.
+uint32_t ArithmeticStamp();
+
 // Highest level this binary + CPU supports, before QPE_SIMD and sanitizer
 // downgrades. Stamped into benchmark baselines next to the active level.
 Level HardwareLevel();
@@ -260,6 +287,12 @@ Level ParseLevel(const char* s, Level fallback);
 // scalar; returns the level actually installed. Not safe to call while
 // kernels are running on other threads.
 Level ForceLevel(Level level);
+
+// Test hook: installs a caller-owned table (a copy of a real one with an
+// entry swapped for a deliberately broken variant, say) and returns the
+// table it replaced, which the caller reinstalls. Same threading caveat as
+// ForceLevel.
+const Kernels* InstallTable(const Kernels* table);
 
 // Per-level tables; null when the level is not compiled into this binary.
 // Scalar is always available.

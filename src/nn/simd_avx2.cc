@@ -288,6 +288,17 @@ void Avx2AttentionBackwardPacked(const float* qv, const float* kv,
                                     lengths, num_seqs, num_heads, dim, scale);
 }
 
+void Avx2AttentionBackwardCls(const float* q, const float* kbt,
+                              const float* vbt, const float* og, float* qg,
+                              float* kg, float* vg, const int* offsets,
+                              const int* lengths, int num_seqs, int num_heads,
+                              int total_rows, int dim, float scale,
+                              float* probs) {
+  AttentionBackwardClsT<Avx2Ops>(q, kbt, vbt, og, qg, kg, vg, offsets, lengths,
+                                 num_seqs, num_heads, total_rows, dim, scale,
+                                 probs);
+}
+
 void Avx2AdamStep(float* value, const float* grad, float* m, float* v,
                   size_t n, float lr, float beta1, float beta2, float eps,
                   float bias1, float bias2, float weight_decay) {
@@ -316,6 +327,7 @@ const Kernels kAvx2Table = {
     &Avx2LayerNormRowsBackward,
     &Avx2SoftmaxRowsMaskedBackward,
     &Avx2AttentionBackwardPacked,
+    &Avx2AttentionBackwardCls,
     &Avx2AdamStep,
 };
 

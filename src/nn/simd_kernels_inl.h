@@ -394,11 +394,42 @@ void SoftmaxRowsMaskedT(const float* __restrict av, float* __restrict ov,
   }
 }
 
+// Row softmax in place over prow[0, len): the row max (vectorized — max
+// is exact), exp through V::Exp over whole vectors and std::exp on the
+// tail, the normalizing sum scalar ascending, then the divide. Every
+// attention kernel's probabilities go through it, so the forwards and the
+// backwards' recomputes agree bit for bit at each level; at width 1 it is
+// the scalar reference loop.
+template <typename V>
+inline void SoftmaxRowT(float* __restrict prow, int len) {
+  constexpr int L = V::kLanes;
+  const int lenv = (len / L) * L;
+  float max_v = prow[0];
+  int j = 1;
+  if (len >= L) {
+    auto vmax = V::Load(prow);
+    for (j = L; j + L <= len; j += L) vmax = V::Max(vmax, V::Load(prow + j));
+    max_v = V::HMax(vmax);
+  }
+  for (; j < len; ++j) max_v = std::max(max_v, prow[j]);
+  const auto vm = V::Broadcast(max_v);
+  for (j = 0; j < lenv; j += L) {
+    V::Store(prow + j, V::Exp(V::Sub(V::Load(prow + j), vm)));
+  }
+  for (; j < len; ++j) prow[j] = std::exp(prow[j] - max_v);
+  float sum = 0;
+  for (j = 0; j < len; ++j) sum += prow[j];
+  const auto vsum = V::Broadcast(sum);
+  for (j = 0; j < lenv; j += L) {
+    V::Store(prow + j, V::Div(V::Load(prow + j), vsum));
+  }
+  for (; j < len; ++j) prow[j] /= sum;
+}
+
 // Fused packed multi-head attention forward (semantics documented at
 // nn::MultiHeadAttentionPacked). The score and context loops are
 // axpy-shaped and vectorize across their independent output lanes; the
-// softmax inside follows the same max-vector/exp-via-V::Exp/sum-scalar
-// split as SoftmaxRowsMaskedT.
+// softmax inside is SoftmaxRowT.
 template <typename V>
 void AttentionForwardPackedT(const float* __restrict qv,
                              const float* __restrict kv,
@@ -492,36 +523,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
           }
           for (; j < len; ++j) prow[j] *= scale;
         }
-        float max_v = prow[0];
-        {
-          int j = 1;
-          if (len >= L) {
-            auto vmax = V::Load(prow);
-            for (j = L; j + L <= len; j += L) {
-              vmax = V::Max(vmax, V::Load(prow + j));
-            }
-            max_v = V::HMax(vmax);
-          }
-          for (; j < len; ++j) max_v = std::max(max_v, prow[j]);
-        }
-        {
-          const auto vm = V::Broadcast(max_v);
-          int j = 0;
-          for (; j < lenv; j += L) {
-            V::Store(prow + j, V::Exp(V::Sub(V::Load(prow + j), vm)));
-          }
-          for (; j < len; ++j) prow[j] = std::exp(prow[j] - max_v);
-        }
-        float sum = 0;
-        for (int j = 0; j < len; ++j) sum += prow[j];
-        {
-          const auto vsum = V::Broadcast(sum);
-          int j = 0;
-          for (; j < lenv; j += L) {
-            V::Store(prow + j, V::Div(V::Load(prow + j), vsum));
-          }
-          for (; j < len; ++j) prow[j] /= sum;
-        }
+        SoftmaxRowT<V>(prow, len);
       }
       // Context = probs * vh: j-outer saxpy over the contiguous c lanes of
       // v; per element this accumulates ascending j, exactly like
@@ -641,7 +643,6 @@ void AttentionForwardBlockedT(const float* __restrict qv,
   for (int s = 0; s < num_seqs; ++s) {
     const int off = offsets[s];
     const int len = lengths[s];
-    const int lenv = (len / L) * L;
     // This sequence's queries and the q/out row of the first: every token,
     // at rows off .. off + len - 1 of the packed layout, or the CLS token
     // alone, at row s of a compact [num_seqs, dim] q/out.
@@ -778,40 +779,9 @@ void AttentionForwardBlockedT(const float* __restrict qv,
           }
         }
       }
-      // --- Phase 2: row softmax — max, exp, sum, divide, the same split
-      // as AttentionForwardPackedT (and SoftmaxRowsMaskedT) -------------
+      // --- Phase 2: row softmax ----------------------------------------
       for (int i = 0; i < nq; ++i) {
-        float* __restrict prow = probs + static_cast<size_t>(i) * len;
-        float max_v = prow[0];
-        {
-          int j = 1;
-          if (len >= L) {
-            auto vmax = V::Load(prow);
-            for (j = L; j + L <= len; j += L) {
-              vmax = V::Max(vmax, V::Load(prow + j));
-            }
-            max_v = V::HMax(vmax);
-          }
-          for (; j < len; ++j) max_v = std::max(max_v, prow[j]);
-        }
-        {
-          const auto vm = V::Broadcast(max_v);
-          int j = 0;
-          for (; j < lenv; j += L) {
-            V::Store(prow + j, V::Exp(V::Sub(V::Load(prow + j), vm)));
-          }
-          for (; j < len; ++j) prow[j] = std::exp(prow[j] - max_v);
-        }
-        float sum = 0;
-        for (int j = 0; j < len; ++j) sum += prow[j];
-        {
-          const auto vsum = V::Broadcast(sum);
-          int j = 0;
-          for (; j < lenv; j += L) {
-            V::Store(prow + j, V::Div(V::Load(prow + j), vsum));
-          }
-          for (; j < len; ++j) prow[j] /= sum;
-        }
+        SoftmaxRowT<V>(probs + static_cast<size_t>(i) * len, len);
       }
       // --- Phase 3: context = probs * vh over the contiguous rows of
       // this head's value block, query-tiled like the scores; per element
@@ -1290,16 +1260,7 @@ void AttentionBackwardPackedT(const float* __restrict qv,
             for (int c = 0; c < dh; ++c) dot += qrow[c] * krow[c];
             prow[j] = dot * scale;
           }
-          float max_v = prow[0];
-          for (int j = 1; j < len; ++j) max_v = std::max(max_v, prow[j]);
-          float sum = 0;
-          for (int j = 0; j < len; ++j) {
-            prow[j] = std::exp(prow[j] - max_v);
-            sum += prow[j];
-          }
-          for (int j = 0; j < len; ++j) prow[j] /= sum;
         } else {
-          const int lenv = (len / L) * L;
           const float* __restrict ktv = kt.data();
           const auto zero = V::Broadcast(0.0f);
           const auto vs = V::Broadcast(scale);
@@ -1320,37 +1281,8 @@ void AttentionBackwardPackedT(const float* __restrict qv,
             }
             prow[j] = dot * scale;
           }
-          float max_v = prow[0];
-          {
-            int jj = 1;
-            if (len >= L) {
-              auto vmax = V::Load(prow);
-              for (jj = L; jj + L <= len; jj += L) {
-                vmax = V::Max(vmax, V::Load(prow + jj));
-              }
-              max_v = V::HMax(vmax);
-            }
-            for (; jj < len; ++jj) max_v = std::max(max_v, prow[jj]);
-          }
-          {
-            const auto vm = V::Broadcast(max_v);
-            int jj = 0;
-            for (; jj < lenv; jj += L) {
-              V::Store(prow + jj, V::Exp(V::Sub(V::Load(prow + jj), vm)));
-            }
-            for (; jj < len; ++jj) prow[jj] = std::exp(prow[jj] - max_v);
-          }
-          float sum = 0;
-          for (int jj = 0; jj < len; ++jj) sum += prow[jj];
-          {
-            const auto vsum = V::Broadcast(sum);
-            int jj = 0;
-            for (; jj < lenv; jj += L) {
-              V::Store(prow + jj, V::Div(V::Load(prow + jj), vsum));
-            }
-            for (; jj < len; ++jj) prow[jj] /= sum;
-          }
         }
+        SoftmaxRowT<V>(prow, len);
       }
       // --- Gradient phases, same accumulation orders as the seed -------
       for (int i = 0; i < len; ++i) {
@@ -1470,6 +1402,143 @@ void AttentionBackwardPackedT(const float* __restrict qv,
             }
           }
         }
+      }
+    }
+  }
+}
+
+// Backward of attention_cls_blocked: AttentionBackwardPackedT for query 0
+// of every sequence only. The training step runs the last layer CLS-only,
+// so there the context gradient of every other query is exactly zero, and
+// the full kernel's contributions from those queries are all ±0 terms
+// added to gradient buffers (see the header note above: they never change
+// a bit). q, og and qg are compact [num_seqs, dim]; kbt and vbt hold the
+// keys and the values transposed per head, [head][head_dim][total_rows]
+// (RepackHeadsKT of each); kg and vg stay interleaved [total_rows, dim].
+// `probs` is caller scratch of 2 * max(lengths) floats.
+//
+// Per element the arithmetic is the full kernel's for query 0: the score
+// and d_probs dots start at zero and add ascending c (lanes across key
+// positions j, over the transposed blocks here instead of a per-sequence
+// pack), the softmax runs max/exp/sum/divide exactly as there, and the
+// q/k/v gradient elements receive the same terms in the same ascending-j
+// order. The qg row sums its terms in registers, four head columns at a
+// time, instead of in memory — the same sequence of roundings — because
+// kbt's rows run across j.
+template <typename V>
+void AttentionBackwardClsT(const float* __restrict qv,
+                           const float* __restrict kbt,
+                           const float* __restrict vbt,
+                           const float* __restrict og, float* __restrict qg,
+                           float* __restrict kg, float* __restrict vg,
+                           const int* __restrict offsets,
+                           const int* __restrict lengths, int num_seqs,
+                           int num_heads, int total_rows, int dim, float scale,
+                           float* __restrict probs) {
+  constexpr int L = V::kLanes;
+  const int dh = dim / num_heads;
+  const int dhv = (dh / L) * L;
+  for (int s = 0; s < num_seqs; ++s) {
+    const int off = offsets[s];
+    const int len = lengths[s];
+    const int lenv = (len / L) * L;
+    float* __restrict prow = probs;
+    float* __restrict dprow = probs + len;
+    for (int h = 0; h < num_heads; ++h) {
+      const int col0 = h * dh;
+      const float* __restrict qrow = qv + static_cast<size_t>(s) * dim + col0;
+      const float* __restrict grow = og + static_cast<size_t>(s) * dim + col0;
+      const float* __restrict ktb =
+          kbt + (static_cast<size_t>(h) * dh) * total_rows + off;
+      const float* __restrict vtb =
+          vbt + (static_cast<size_t>(h) * dh) * total_rows + off;
+      // --- Recompute the CLS query's probabilities, and d_probs --------
+      const auto zero = V::Broadcast(0.0f);
+      const auto vs = V::Broadcast(scale);
+      int j = 0;
+      for (; j < lenv; j += L) {
+        auto a0 = zero;
+        auto d0 = zero;
+        for (int c = 0; c < dh; ++c) {
+          const size_t at = static_cast<size_t>(c) * total_rows + j;
+          a0 = V::Add(a0, V::Mul(V::Broadcast(qrow[c]), V::Load(ktb + at)));
+          d0 = V::Add(d0, V::Mul(V::Broadcast(grow[c]), V::Load(vtb + at)));
+        }
+        V::Store(prow + j, V::Mul(a0, vs));
+        V::Store(dprow + j, d0);
+      }
+      for (; j < len; ++j) {
+        float dot = 0;
+        float dp = 0;
+        for (int c = 0; c < dh; ++c) {
+          const size_t at = static_cast<size_t>(c) * total_rows + j;
+          dot += qrow[c] * ktb[at];
+          dp += grow[c] * vtb[at];
+        }
+        prow[j] = dot * scale;
+        dprow[j] = dp;
+      }
+      SoftmaxRowT<V>(prow, len);
+      // --- d_vh += probs^T * d_ctx, then the softmax backward ----------
+      for (j = 0; j < len; ++j) {
+        float* __restrict vgrow =
+            vg + static_cast<size_t>(off + j) * dim + col0;
+        const auto vp = V::Broadcast(prow[j]);
+        int c = 0;
+        for (; c < dhv; c += L) {
+          V::Store(vgrow + c,
+                   V::Add(V::Load(vgrow + c), V::Mul(vp, V::Load(grow + c))));
+        }
+        for (; c < dh; ++c) vgrow[c] += prow[j] * grow[c];
+      }
+      float dot = 0;
+      for (j = 0; j < len; ++j) dot += prow[j] * dprow[j];
+      {
+        const auto vscale = V::Broadcast(scale);
+        const auto vdot = V::Broadcast(dot);
+        for (j = 0; j < lenv; j += L) {
+          V::Store(dprow + j, V::Mul(V::Mul(vscale, V::Load(prow + j)),
+                                     V::Sub(V::Load(dprow + j), vdot)));
+        }
+        for (; j < len; ++j) dprow[j] = scale * prow[j] * (dprow[j] - dot);
+      }
+      // --- d_qh += d_scores * kh; d_kh += d_scores^T * qh --------------
+      float* __restrict qgrow = qg + static_cast<size_t>(s) * dim + col0;
+      int c = 0;
+      for (; c + 4 <= dh; c += 4) {
+        const float* __restrict k0 = ktb + static_cast<size_t>(c) * total_rows;
+        const float* __restrict k1 = k0 + total_rows;
+        const float* __restrict k2 = k1 + total_rows;
+        const float* __restrict k3 = k2 + total_rows;
+        float g0 = qgrow[c], g1 = qgrow[c + 1], g2 = qgrow[c + 2],
+              g3 = qgrow[c + 3];
+        for (j = 0; j < len; ++j) {
+          const float ds = dprow[j];
+          g0 += ds * k0[j];
+          g1 += ds * k1[j];
+          g2 += ds * k2[j];
+          g3 += ds * k3[j];
+        }
+        qgrow[c] = g0;
+        qgrow[c + 1] = g1;
+        qgrow[c + 2] = g2;
+        qgrow[c + 3] = g3;
+      }
+      for (; c < dh; ++c) {
+        const float* __restrict kc = ktb + static_cast<size_t>(c) * total_rows;
+        float g = qgrow[c];
+        for (j = 0; j < len; ++j) g += dprow[j] * kc[j];
+        qgrow[c] = g;
+      }
+      for (j = 0; j < len; ++j) {
+        float* __restrict kgrow =
+            kg + static_cast<size_t>(off + j) * dim + col0;
+        const auto vds = V::Broadcast(dprow[j]);
+        for (c = 0; c < dhv; c += L) {
+          V::Store(kgrow + c,
+                   V::Add(V::Load(kgrow + c), V::Mul(vds, V::Load(qrow + c))));
+        }
+        for (; c < dh; ++c) kgrow[c] += dprow[j] * qrow[c];
       }
     }
   }

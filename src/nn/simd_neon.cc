@@ -256,6 +256,17 @@ void NeonAttentionBackwardPacked(const float* qv, const float* kv,
                                     lengths, num_seqs, num_heads, dim, scale);
 }
 
+void NeonAttentionBackwardCls(const float* q, const float* kbt,
+                              const float* vbt, const float* og, float* qg,
+                              float* kg, float* vg, const int* offsets,
+                              const int* lengths, int num_seqs, int num_heads,
+                              int total_rows, int dim, float scale,
+                              float* probs) {
+  AttentionBackwardClsT<NeonOps>(q, kbt, vbt, og, qg, kg, vg, offsets, lengths,
+                                 num_seqs, num_heads, total_rows, dim, scale,
+                                 probs);
+}
+
 void NeonAdamStep(float* value, const float* grad, float* m, float* v,
                   size_t n, float lr, float beta1, float beta2, float eps,
                   float bias1, float bias2, float weight_decay) {
@@ -284,6 +295,7 @@ const Kernels kNeonTable = {
     &NeonLayerNormRowsBackward,
     &NeonSoftmaxRowsMaskedBackward,
     &NeonAttentionBackwardPacked,
+    &NeonAttentionBackwardCls,
     &NeonAdamStep,
 };
 

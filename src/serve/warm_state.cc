@@ -12,6 +12,7 @@
 #include <unistd.h>
 #endif
 
+#include "nn/simd.h"
 #include "util/checksum.h"
 #include "util/fault_injection.h"
 
@@ -20,7 +21,7 @@ namespace qpe::serve {
 namespace {
 
 constexpr uint32_t kWarmMagic = 0x57455051;  // "QPEW" little-endian
-constexpr uint32_t kWarmVersion = 1;
+constexpr uint32_t kWarmVersion = 2;  // 2: the arithmetic stamp
 constexpr size_t kHeaderSize = 4 + 4 + 8 + 4;
 
 void PutBytes(std::string* out, const void* data, size_t size) {
@@ -49,9 +50,10 @@ bool WarmStateExists(const std::string& path) {
 
 util::Status SaveWarmState(const std::string& path, const WarmState& state) {
   std::string payload;
-  payload.reserve(16 + state.entries.size() *
+  payload.reserve(20 + state.entries.size() *
                            (8 + state.dim * sizeof(float)));
   PutU64(&payload, state.model_fingerprint);
+  PutU32(&payload, nn::simd::ArithmeticStamp());
   PutU32(&payload, state.dim);
   PutU32(&payload, static_cast<uint32_t>(state.entries.size()));
   for (const auto& [key, embedding] : state.entries) {
@@ -168,6 +170,10 @@ util::Status LoadWarmState(const std::string& path,
   if (util::Status s = read_bytes(&staged.model_fingerprint, 8, "fingerprint");
       !s.ok())
     return s;
+  uint32_t arithmetic = 0;
+  if (util::Status s = read_bytes(&arithmetic, 4, "arithmetic stamp");
+      !s.ok())
+    return s;
   if (util::Status s = read_bytes(&staged.dim, 4, "dim"); !s.ok()) return s;
   uint32_t count = 0;
   if (util::Status s = read_bytes(&count, 4, "entry count"); !s.ok()) return s;
@@ -201,6 +207,12 @@ util::Status LoadWarmState(const std::string& path,
         "warm state '" + path + "' was produced by model fingerprint " +
         std::to_string(staged.model_fingerprint) + ", serving model is " +
         std::to_string(expected_fingerprint) + " — starting cold");
+  }
+  if (arithmetic != nn::simd::ArithmeticStamp()) {
+    return util::FailedPreconditionError(
+        "warm state '" + path + "' was encoded under kernel arithmetic " +
+        std::to_string(arithmetic) + ", this process runs " +
+        std::to_string(nn::simd::ArithmeticStamp()) + " — starting cold");
   }
   *state = std::move(staged);
   return util::OkStatus();

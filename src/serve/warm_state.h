@@ -25,12 +25,17 @@ namespace qpe::serve {
 // fingerprint differs from the serving model's is refused
 // (kFailedPrecondition) and the daemon starts cold. Quantized and fp32
 // engines of the same weights fingerprint differently by construction
-// (see QuantizedModelFingerprint).
+// (see QuantizedModelFingerprint). The same weights still give different
+// bits under another kernel arithmetic (SIMD level or kernel revision), so
+// SaveWarmState also stamps the active nn::simd::ArithmeticStamp(), and a
+// snapshot whose stamp differs from the loading process's is refused the
+// same way. The stamp is the snapshot's alone: ModelFingerprint stays a
+// function of the weights, as the adaptation manifests use it.
 //
 // On-disk format:
 //   header : magic u32 "QPEW" | version u32 | payload_size u64 | crc u32
-//   payload: model_fingerprint u64 | dim u32 | entry_count u32
-//            | entry_count x { key u64 | dim f32 }
+//   payload: model_fingerprint u64 | arithmetic u32 | dim u32
+//            | entry_count u32 | entry_count x { key u64 | dim f32 }
 //
 // Fault sites (util/fault_injection.h): "warm_state.open_tmp",
 // "warm_state.write", "warm_state.flush", "warm_state.rename",

@@ -29,6 +29,7 @@
 #include "data/plan_corpus.h"
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
+#include "nn/simd.h"
 #include "plan/serialize.h"
 #include "serve/admission.h"
 #include "serve/client.h"
@@ -741,6 +742,32 @@ TEST(WarmStateTest, FingerprintMismatchRefusesRestore) {
   const util::Status s = serve::LoadWarmState(path, 0xbbbb, &loaded);
   EXPECT_EQ(s.code(), util::StatusCode::kFailedPrecondition);
   EXPECT_EQ(loaded.dim, 77u);
+  std::remove(path.c_str());
+}
+
+TEST(WarmStateTest, SnapshotFromAnotherSimdLevelIsRefused) {
+  // The same weights encode to different bits under another kernel
+  // arithmetic, so a snapshot written at the hardware level must not
+  // restore under forced scalar — and still restores at its own level.
+  const nn::simd::Level saved = nn::simd::ActiveLevel();
+  const nn::simd::Level hardware = nn::simd::HardwareLevel();
+  if (nn::simd::ForceLevel(hardware) == nn::simd::Level::kScalar) {
+    nn::simd::ForceLevel(saved);
+    GTEST_SKIP() << "no vector level in this build or on this CPU";
+  }
+  const std::string path =
+      testing::TempDir() + "warm_level_" + std::to_string(::getpid());
+  ASSERT_TRUE(serve::SaveWarmState(path, MakeWarmState(0xcccc, 2, 3)).ok());
+  nn::simd::ForceLevel(nn::simd::Level::kScalar);
+  serve::WarmState loaded;
+  loaded.dim = 77;  // canary: must stay untouched on refusal
+  EXPECT_EQ(serve::LoadWarmState(path, 0xcccc, &loaded).code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(loaded.dim, 77u);
+  nn::simd::ForceLevel(hardware);
+  EXPECT_TRUE(serve::LoadWarmState(path, 0xcccc, &loaded).ok());
+  EXPECT_EQ(loaded.entries.size(), 3u);
+  nn::simd::ForceLevel(saved);
   std::remove(path.c_str());
 }
 

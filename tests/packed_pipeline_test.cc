@@ -335,6 +335,78 @@ TEST(PackedKernelTest, AttentionClsMatchesBlockedClsRowsPerLevel) {
   }
 }
 
+TEST(PackedKernelTest, AttentionBackwardClsMatchesPackedPerLevel) {
+  // The training step's last layer: only the CLS rows carry an output
+  // gradient. attention_backward_cls must give attention_backward_packed's
+  // exact gradients for that case — qg on the CLS rows, kg and vg on every
+  // row — at every level, accumulating into the buffers' prior contents.
+  // Length 1 has no other key; the other lengths straddle the 8-lane AVX2
+  // vector with and without a tail; head_dim 3 runs no vector lane at all,
+  // head_dim 12 a vector and a tail.
+  util::Rng rng(94);
+  const std::vector<int> lengths = {1, 2, 3, 5, 7, 8, 9, 12, 16, 17, 1, 31};
+  const BatchLayout layout = BatchLayout::FromLengths(lengths);
+  const int rows = layout.total_rows;
+  const int num_seqs = layout.size();
+  int max_len = 0;
+  for (const int len : lengths) max_len = std::max(max_len, len);
+  std::vector<float> probs(2 * static_cast<size_t>(max_len));
+  const int num_heads = 4;
+  // Row s of a compact [num_seqs, d] copy of src's CLS rows.
+  auto cls_rows = [&](const std::vector<float>& src, int d) {
+    std::vector<float> out(static_cast<size_t>(num_seqs) * d);
+    for (int s = 0; s < num_seqs; ++s) {
+      std::copy_n(src.begin() + static_cast<size_t>(layout.offsets[s]) * d,
+                  d, out.begin() + static_cast<size_t>(s) * d);
+    }
+    return out;
+  };
+  for (const int head_dim : {3, 12}) {
+    const int d = num_heads * head_dim;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    const size_t rd = static_cast<size_t>(rows) * d;
+    const std::vector<float> q = RandomVec(rd, &rng);
+    const std::vector<float> k = RandomVec(rd, &rng);
+    const std::vector<float> v = RandomVec(rd, &rng);
+    std::vector<float> og = RandomVec(rd, &rng);
+    std::vector<bool> is_cls(rows, false);
+    for (int s = 0; s < num_seqs; ++s) is_cls[layout.offsets[s]] = true;
+    for (int r = 0; r < rows; ++r) {
+      if (is_cls[r]) continue;
+      std::fill_n(og.begin() + static_cast<size_t>(r) * d, d, 0.0f);
+    }
+    const std::vector<float> qg0 = RandomVec(rd, &rng);
+    const std::vector<float> kg0 = RandomVec(rd, &rng);
+    const std::vector<float> vg0 = RandomVec(rd, &rng);
+    std::vector<float> kbt(rd), vbt(rd);
+    nn::RepackHeadsKT(k.data(), rows, d, num_heads, kbt.data());
+    nn::RepackHeadsKT(v.data(), rows, d, num_heads, vbt.data());
+    const std::vector<float> q_cls = cls_rows(q, d);
+    const std::vector<float> og_cls = cls_rows(og, d);
+    for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+      const Kernels* table = nn::simd::TableFor(level);
+      if (table == nullptr) continue;
+      std::vector<float> qg = qg0, kg = kg0, vg = vg0;
+      table->attention_backward_packed(
+          q.data(), k.data(), v.data(), og.data(), qg.data(), kg.data(),
+          vg.data(), layout.offsets.data(), layout.lengths.data(), num_seqs,
+          num_heads, d, scale);
+      std::vector<float> qg_cls = cls_rows(qg0, d);
+      std::vector<float> kg_cls = kg0, vg_cls = vg0;
+      table->attention_backward_cls(
+          q_cls.data(), kbt.data(), vbt.data(), og_cls.data(), qg_cls.data(),
+          kg_cls.data(), vg_cls.data(), layout.offsets.data(),
+          layout.lengths.data(), num_seqs, num_heads, rows, d, scale,
+          probs.data());
+      const std::string what = std::string("level ") + table->name +
+                               " head_dim " + std::to_string(head_dim);
+      EXPECT_EQ(cls_rows(qg, d), qg_cls) << "qg, " << what;
+      EXPECT_EQ(kg, kg_cls) << "kg, " << what;
+      EXPECT_EQ(vg, vg_cls) << "vg, " << what;
+    }
+  }
+}
+
 // --- Packed int8 GEMM -------------------------------------------------------
 
 // Reference int8 GEMM over the unpacked operands: plain int32 dot products
@@ -718,6 +790,95 @@ TEST(PackedTrainTest, TrainPpsrPackedMatchesPerPlanAtOneAndFourThreads) {
             << c.threads;
       }
     }
+  }
+}
+
+// The last layer trains CLS-only: parity with the per-plan oracle at every
+// depth (0 layers leave nothing to trim, 1 trims the only layer, 3 trim
+// after two full ones), with and without the projection, with and without
+// dropout, over a batch that includes one-token plans.
+struct TrimCase {
+  int num_layers;
+  int output_dim;
+  float dropout;
+};
+testing::AssertionResult TrimmedTrainingMatchesPerPlan(const TrimCase& c) {
+  encoder::StructureEncoderConfig config = SmallConfig();
+  config.num_layers = c.num_layers;
+  config.output_dim = c.output_dim;
+  config.dropout = c.dropout;
+  util::Rng init(105);
+  util::Rng oracle_init(105);
+  encoder::TransformerPlanEncoder enc(config, &init);
+  PerPlanTrainEncoder oracle(config, &oracle_init);
+  enc.SetTraining(true);
+  oracle.SetTraining(true);
+  const auto plans = SamplePlans(7, 217, /*min_nodes=*/1, /*max_nodes=*/20);
+  const auto ptrs = Pointers(plans);
+  const GradRun want = RunEncodeBatchGrad(oracle, ptrs);
+  const GradRun got = RunEncodeBatchGrad(enc, ptrs);
+  if (want.values != got.values) {
+    return testing::AssertionFailure() << "output values differ";
+  }
+  for (size_t i = 0; i < want.grads.size(); ++i) {
+    if (want.grads[i] != got.grads[i]) {
+      return testing::AssertionFailure() << "gradient of param " << i
+                                         << " differs";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(PackedTrainTest, TrimmedLastLayerMatchesPerPlanAcrossShapes) {
+  SimdLevelGuard level_guard;
+  for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+    if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
+    for (const int num_layers : {0, 1, 3}) {
+      for (const int output_dim : {0, 10}) {
+        for (const float dropout : {0.0f, 0.25f}) {
+          EXPECT_TRUE(
+              TrimmedTrainingMatchesPerPlan({num_layers, output_dim, dropout}))
+              << "level " << nn::simd::LevelName(level) << " layers "
+              << num_layers << " output_dim " << output_dim << " dropout "
+              << dropout;
+        }
+      }
+    }
+  }
+}
+
+// Negative control for the parity above: a CLS attention backward that
+// drops the CLS queries' dK/dV contribution — the only contribution the
+// trimmed layer's keys and values receive — must break it.
+const Kernels* g_real_table = nullptr;
+void AttentionBackwardClsWithoutKv(const float* q, const float* kbt,
+                                   const float* vbt, const float* og,
+                                   float* qg, float* kg, float* vg,
+                                   const int* offsets, const int* lengths,
+                                   int num_seqs, int num_heads,
+                                   int total_rows, int dim, float scale,
+                                   float* probs) {
+  const size_t n = static_cast<size_t>(total_rows) * dim;
+  std::vector<float> kg_lost(kg, kg + n), vg_lost(vg, vg + n);
+  g_real_table->attention_backward_cls(
+      q, kbt, vbt, og, qg, kg_lost.data(), vg_lost.data(), offsets, lengths,
+      num_seqs, num_heads, total_rows, dim, scale, probs);
+}
+
+TEST(PackedTrainTest, DroppingClsKeyValueGradientsBreaksParity) {
+  SimdLevelGuard level_guard;
+  for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+    if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
+    g_real_table = nn::simd::TableFor(level);
+    Kernels mutant = *g_real_table;
+    mutant.attention_backward_cls = &AttentionBackwardClsWithoutKv;
+    const Kernels* previous = nn::simd::InstallTable(&mutant);
+    for (const int num_layers : {1, 3}) {
+      EXPECT_FALSE(TrimmedTrainingMatchesPerPlan({num_layers, 0, 0.0f}))
+          << "level " << nn::simd::LevelName(level) << " layers "
+          << num_layers;
+    }
+    nn::simd::InstallTable(previous);
   }
 }
 
