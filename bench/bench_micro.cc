@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the library's hot paths: Smatch
-// scoring, plan linearization, physical planning, executor simulation,
-// encoder inference, MatMul kernels (blocked vs naive reference), and full
-// training steps parameterised over the thread count.
+// scoring, plan linearization, plan-text parsing and fingerprinting,
+// physical planning, executor simulation, encoder inference, MatMul kernels
+// (blocked vs naive reference), and full training steps parameterised over
+// the thread count.
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +29,9 @@
 #include "encoder/ppsr.h"
 #include "encoder/structure_encoder.h"
 #include "nn/tensor.h"
+#include "plan/fingerprint.h"
 #include "plan/linearize.h"
+#include "plan/serialize.h"
 #include "simdb/executor.h"
 #include "simdb/planner.h"
 #include "simdb/workloads.h"
@@ -75,6 +78,50 @@ void BM_LinearizeDfsBracket(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinearizeDfsBracket)->Arg(20)->Arg(100);
+
+// The serve_hot request pool's shape: 16 planned instances of every TPC-H
+// template at scale 0.05 (about 1.7 KB of plan text and 9.7 nodes a plan).
+std::vector<std::unique_ptr<qpe::plan::PlanNode>> TpchServePool() {
+  const qpe::simdb::TpchWorkload tpch(0.05);
+  const qpe::config::DbConfig db_config;
+  const qpe::simdb::Planner planner(&tpch.GetCatalog(), &db_config);
+  qpe::util::Rng rng(1);
+  std::vector<std::unique_ptr<qpe::plan::PlanNode>> pool;
+  for (int i = 0; i < 16; ++i) {
+    for (int t = 0; t < tpch.NumTemplates(); ++t) {
+      pool.push_back(
+          std::move(planner.PlanQuery(tpch.Instantiate(t, &rng)).root));
+    }
+  }
+  return pool;
+}
+
+// Wire text -> PlanNode, the first stage of every served plan.
+void BM_ParsePlanNode(benchmark::State& state) {
+  std::vector<std::string> texts;
+  for (const auto& plan : TpchServePool()) {
+    texts.push_back(qpe::plan::SerializePlanNode(*plan));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qpe::plan::ParsePlanNode(texts[i]));
+    i = i + 1 == texts.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParsePlanNode);
+
+// The cache key of every served plan (linearize + hash).
+void BM_FingerprintPlan(benchmark::State& state) {
+  const auto pool = TpchServePool();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qpe::plan::FingerprintPlan(*pool[i]));
+    i = i + 1 == pool.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FingerprintPlan);
 
 void BM_PlannerTpchQ5(benchmark::State& state) {
   qpe::simdb::TpchWorkload tpch(1.0);

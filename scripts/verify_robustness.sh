@@ -14,7 +14,8 @@
 #  4. Crash-resume smoke: kills a checkpointed workload_explorer run
 #     mid-flight with SIGKILL, resumes it, and requires the resumed run's
 #     model fingerprint to be bit-identical to an uninterrupted run's.
-#  5. Serving-daemon chaos: under ASan, qpe_served takes live traffic and
+#  5. Serving-daemon chaos: under ASan, qpe_served takes live traffic and a
+#     100,000-deep nested plan (typed error, still answers PING), then
 #     drains cleanly on SIGTERM (leak check at exit); a second daemon is
 #     SIGKILLed mid-traffic and its restart must restore the warm embedding
 #     cache from the last crash-safe snapshot and keep serving.
@@ -175,6 +176,26 @@ wait_for_ready() {
 served_pid=$!
 wait_for_ready "$daemon_dir/served_drain.log"
 "$qclient" --socket="$sock" --plans=24 --per-request=6 >/dev/null
+# A hostile frame nesting 100,000 plan nodes (700 KB, well under the payload
+# cap) must get a typed INVALID_ARGUMENT instead of overflowing a worker's
+# stack; the daemon must then still answer PING and drain cleanly below.
+deep_plan="$daemon_dir/deep_plan.txt"
+printf '(op "" %.0s' $(seq 100000) >"$deep_plan"
+echo >>"$deep_plan"
+deep_out=$("$qclient" --socket="$sock" --plan-file="$deep_plan" \
+  --per-request=1 2>&1 || true)
+echo "$deep_out" | grep -q "INVALID_ARGUMENT.*plan nesting deeper than" || {
+  echo "FAIL: deeply nested plan did not get a typed INVALID_ARGUMENT"
+  echo "$deep_out"
+  cat "$daemon_dir/served_drain.log"
+  exit 1
+}
+"$qclient" --socket="$sock" --ping >/dev/null || {
+  echo "FAIL: daemon stopped answering PING after the deeply nested plan"
+  cat "$daemon_dir/served_drain.log"
+  exit 1
+}
+echo "deeply nested plan: typed INVALID_ARGUMENT, daemon still answers PING"
 kill -TERM "$served_pid"
 if ! wait "$served_pid"; then
   echo "FAIL: daemon exited non-zero after SIGTERM drain"

@@ -66,16 +66,24 @@ DriftBaseline BuildDriftBaseline(
 
   // Embedding-space summary: encode everything (eval mode), cluster, and
   // set the outlier threshold at the configured quantile of the training
-  // nearest-centroid distances.
+  // nearest-centroid distances. Encoding goes in serving-sized chunks: the
+  // calling thread's packed workspace keeps its high-water mark for the
+  // thread's life, and one whole-corpus batch (rebuilt over ever larger
+  // corpora after each adaptation) would pin a corpus-sized one. Bitwise
+  // neutral, since Encode == EncodeBatch.
   std::vector<std::vector<float>> points;
   points.reserve(plans.size());
   {
     nn::ArenaScope arena;
     nn::NoGradGuard no_grad;
-    const std::vector<nn::Tensor> embedded = encoder.EncodeBatch(
-        std::span<const plan::PlanNode* const>(plans.data(), plans.size()),
-        /*dropout_rng=*/nullptr);
-    for (const nn::Tensor& t : embedded) points.push_back(t.value());
+    for (size_t begin = 0; begin < plans.size();
+         begin += kBaselineEncodeChunk) {
+      const size_t n = std::min(kBaselineEncodeChunk, plans.size() - begin);
+      const std::vector<nn::Tensor> embedded = encoder.EncodeBatch(
+          std::span<const plan::PlanNode* const>(plans.data() + begin, n),
+          /*dropout_rng=*/nullptr);
+      for (const nn::Tensor& t : embedded) points.push_back(t.value());
+    }
   }
   util::Rng rng(config.seed);
   std::vector<float> nearest;

@@ -53,10 +53,14 @@ struct DriftBaseline {
   double outlier_occupancy = 0.05;  // 1 - outlier_quantile
 };
 
+// Plans per EncodeBatch call while building a baseline: the serving
+// micro-batch, so the build never grows the packed workspace past it.
+inline constexpr size_t kBaselineEncodeChunk = 16;
+
 // Builds the baseline by encoding `plans` with `encoder` (no dropout, no
-// autograd) and clustering the embeddings. Deterministic given the config
-// seed. `plans` should be (a sample of) the corpus the serving encoder was
-// trained on.
+// autograd), kBaselineEncodeChunk plans at a time, and clustering the
+// embeddings. Deterministic given the config seed. `plans` should be (a
+// sample of) the corpus the serving encoder was trained on.
 // After an adaptation, rebaseline by calling this again with the refreshed
 // encoder and the union of the original corpus and the drifted slice — the
 // adapted distribution becomes the new normal.

@@ -1,10 +1,14 @@
 #include "plan/serialize.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string_view>
+#include <system_error>
+#include <unordered_map>
 #include <vector>
 
 namespace qpe::plan {
@@ -113,22 +117,70 @@ void SerializeNode(const PlanNode& node, std::ostringstream& oss) {
   oss << ")";
 }
 
+// Property keys -> fields, hashed once (the parser looks one up per value).
+const std::unordered_map<std::string_view, const PropField*>& PropFieldIndex() {
+  static const auto* const kIndex = [] {
+    auto* index = new std::unordered_map<std::string_view, const PropField*>;
+    for (const PropField& field : PropFields()) {
+      index->emplace(field.name, &field);
+    }
+    return index;
+  }();
+  return *kIndex;
+}
+
+// The C locale's isspace (the process never installs another locale).
+inline bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+inline bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// Exactly strtod(word), without a heap copy. A word that std::from_chars
+// consumes whole as a decimal (digits or '.' after an optional '-') has the
+// same correctly rounded value under both (glibc's strtod rounds correctly
+// too). Every other spelling (inf, nan(...), hex, a leading '+', trailing
+// junk, the empty word) and any out-of-range result goes to strtod itself
+// on a NUL-terminated copy.
+double ParseValue(std::string_view word) {
+  const char* begin = word.data();
+  const char* end = begin + word.size();
+  const char* mantissa = begin + (begin != end && *begin == '-');
+  if (mantissa != end && (IsDigit(*mantissa) || *mantissa == '.')) {
+    double v = 0;
+    const std::from_chars_result r = std::from_chars(begin, end, v);
+    if (r.ec == std::errc() && r.ptr == end) return v;
+  }
+  char buf[64];
+  if (word.size() < sizeof(buf)) {
+    std::memcpy(buf, word.data(), word.size());
+    buf[word.size()] = '\0';
+    return std::strtod(buf, nullptr);
+  }
+  return std::strtod(std::string(word).c_str(), nullptr);
+}
+
 // Tiny recursive-descent parser over the s-expression format. The first
 // failure is recorded with its reason and byte offset (see error()), so
 // callers can report *where* a corrupt plan text broke instead of just
-// returning nullptr.
+// returning nullptr. Words are views into the text: nothing is copied
+// except relation names, which the tree owns.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
-  std::unique_ptr<PlanNode> ParseNode() {
+  std::unique_ptr<PlanNode> ParseNode(int depth = 1) {
     SkipWs();
+    if (depth > kMaxPlanTextDepth) {
+      return Fail("plan nesting deeper than " +
+                  std::to_string(kMaxPlanTextDepth) + " levels");
+    }
     if (!Consume('(')) return Fail("expected '(' opening a plan node");
     SkipWs();
     if (!ConsumeWord("op")) return Fail("expected 'op' keyword");
     SkipWs();
-    const std::string type_token = ParseQuoted();
-    auto node = std::make_unique<PlanNode>(OperatorType::Parse(type_token));
+    auto node = std::make_unique<PlanNode>(OperatorType::Parse(ParseQuoted()));
+    const auto& fields = PropFieldIndex();
     while (true) {
       SkipWs();
       if (pos_ >= text_.size()) {
@@ -139,7 +191,7 @@ class Parser {
         return node;
       }
       if (text_[pos_] == '(') {
-        auto child = ParseNode();
+        auto child = ParseNode(depth + 1);
         if (!child) return nullptr;  // error already recorded
         node->AddChild(std::move(child));
         continue;
@@ -147,24 +199,19 @@ class Parser {
       if (text_[pos_] == ':') {
         const size_t key_pos = pos_;
         ++pos_;
-        const std::string key = ParseWord();
+        const std::string_view key = ParseWord();
         SkipWs();
         if (key == "rel") {
-          node->AddRelation(ParseWord());
+          node->AddRelation(std::string(ParseWord()));
           continue;
         }
-        const std::string value = ParseWord();
-        bool found = false;
-        for (const PropField& field : PropFields()) {
-          if (key == field.name) {
-            field.set(node->props(), std::strtod(value.c_str(), nullptr));
-            found = true;
-            break;
-          }
+        const std::string_view value = ParseWord();
+        const auto field = fields.find(key);
+        if (field == fields.end()) {
+          return FailAt("unknown property '" + std::string(key) + "'",
+                        key_pos);
         }
-        if (!found) {
-          return FailAt("unknown property '" + key + "'", key_pos);
-        }
+        field->second->set(node->props(), ParseValue(value));
         continue;
       }
       return Fail(std::string("unexpected character '") + text_[pos_] + "'");
@@ -189,8 +236,8 @@ class Parser {
     return false;
   }
 
-  bool ConsumeWord(const std::string& word) {
-    if (text_.compare(pos_, word.size(), word) == 0) {
+  bool ConsumeWord(std::string_view word) {
+    if (text_.substr(pos_, word.size()) == word) {
       pos_ += word.size();
       return true;
     }
@@ -198,34 +245,31 @@ class Parser {
   }
 
   void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
-  std::string ParseQuoted() {
-    std::string out;
-    if (!Consume('"')) return out;
-    while (pos_ < text_.size() && text_[pos_] != '"') out.push_back(text_[pos_++]);
+  std::string_view ParseQuoted() {
+    if (!Consume('"')) return {};
+    const size_t begin = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"') ++pos_;
+    const std::string_view out = text_.substr(begin, pos_ - begin);
     Consume('"');
     return out;
   }
 
-  std::string ParseWord() {
-    std::string out;
-    while (pos_ < text_.size() && !std::isspace(static_cast<unsigned char>(
-                                      text_[pos_])) &&
+  std::string_view ParseWord() {
+    const size_t begin = pos_;
+    while (pos_ < text_.size() && !IsSpace(text_[pos_]) &&
            text_[pos_] != ')' && text_[pos_] != '(') {
-      out.push_back(text_[pos_++]);
+      ++pos_;
     }
-    return out;
+    return text_.substr(begin, pos_ - begin);
   }
 
   size_t pos() const { return pos_; }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
   std::string error_;
 };
@@ -279,9 +323,9 @@ util::StatusOr<Plan> ParsePlanChecked(const std::string& text) {
     }
     if (parser.Consume(')')) break;
     if (parser.Consume(':')) {
-      const std::string key = parser.ParseWord();
+      const std::string_view key = parser.ParseWord();
       parser.SkipWs();
-      const std::string value = parser.ParseWord();
+      const std::string value(parser.ParseWord());
       if (key == "benchmark") {
         plan.benchmark = value == "-" ? "" : value;
       } else if (key == "template") {
@@ -289,7 +333,7 @@ util::StatusOr<Plan> ParsePlanChecked(const std::string& text) {
       } else if (key == "cluster") {
         plan.cluster_id = std::atoi(value.c_str());
       } else {
-        return fail("unknown plan attribute '" + key + "'");
+        return fail("unknown plan attribute '" + std::string(key) + "'");
       }
       continue;
     }

@@ -13,7 +13,13 @@ namespace qpe::plan {
 // Plan <-> text round trip. Format is a compact s-expression; one node is
 //   (op "Scan-Seq-NIL" :rel lineitem :plan_rows 6000 ... (op ...) (op ...))
 // Only non-default properties are emitted. Used for dataset caching, golden
-// files in tests, and the examples.
+// files in tests, the examples, and the serving wire protocol.
+//
+// Parsing contract: a property value is read exactly as strtod reads the
+// word (so inf, nan(...), hex, "+5" and "12abc" keep their strtod value),
+// and a node nested deeper than kMaxPlanTextDepth levels is rejected with
+// kDataLoss at the offset of its '(' instead of recursing without bound.
+inline constexpr int kMaxPlanTextDepth = 1024;
 
 std::string SerializePlanNode(const PlanNode& node);
 std::string SerializePlan(const Plan& plan);

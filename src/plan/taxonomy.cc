@@ -1,33 +1,57 @@
 #include "plan/taxonomy.h"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
 namespace qpe::plan {
 
-Taxonomy::Taxonomy() {
-  // Level 1 (paper Table 2 plus Filter from Figure 1 and the four specials).
-  level1_ = {"NIL",        "Aggregate", "Append",    "Count",     "Delete",
-             "Enum",       "Filter",    "Gather",    "Group",     "GroupAggregate",
-             "Hash",       "Insert",    "Intersect", "Join",      "Limit",
-             "LockRows",   "Loop",      "Materialize", "ModifyTable", "Network",
-             "Result",     "Scan",      "Sequence",  "SetOp",     "Sort",
-             "Union",      "Unique",    "Update",    "Window",    "WindowAgg",
-             "BR_OPEN",    "BR_CLOSE",  "CLS",       "SEP",       "UNKNOWN"};
-  level2_ = {"NIL",   "And",      "CTE",    "Except", "Exists", "Foreign",
-             "Hash",  "Heap",     "Index",  "IndexOnly", "LoopHash", "Merge",
-             "Nested", "Or",      "Query",  "Quick",  "Seq",    "SetOp",
-             "Subquery", "Table", "WorkTable", "UNKNOWN"};
-  level3_ = {"NIL",  "Anti",    "Bitmap",  "Full",     "Inner", "Left",
-             "Outer", "Parallel", "Partial", "Partition", "Right", "Semi",
-             "XN",    "UNKNOWN"};
-  // UNKNOWN tokens are appended last so every pre-existing id is stable.
-  br_open_ = LookupId(level1_, "BR_OPEN");
-  br_close_ = LookupId(level1_, "BR_CLOSE");
-  cls_ = LookupId(level1_, "CLS");
-  sep_ = LookupId(level1_, "SEP");
-  unknown1_ = LookupId(level1_, "UNKNOWN");
-  unknown2_ = LookupId(level2_, "UNKNOWN");
-  unknown3_ = LookupId(level3_, "UNKNOWN");
+Taxonomy::Level::Level(std::vector<std::string> level_names)
+    : names(std::move(level_names)) {
+  ids.reserve(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    ids.emplace(names[i], static_cast<int>(i));
+  }
+  unknown = Find("UNKNOWN");
+  std::vector<int> order(names.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [this](int a, int b) { return names[a] < names[b]; });
+  for (size_t r = 0; r < order.size(); ++r) {
+    rank[order[r]] = static_cast<uint8_t>(r);
+  }
+  for (size_t id = names.size(); id < rank.size(); ++id) {
+    rank[id] = rank[unknown];
+  }
+}
+
+int Taxonomy::Level::Find(std::string_view name) const {
+  const auto it = ids.find(name);
+  return it == ids.end() ? -1 : it->second;
+}
+
+// Level 1 is paper Table 2 plus Filter from Figure 1 and the four specials.
+// UNKNOWN tokens are appended last so every pre-existing id is stable.
+Taxonomy::Taxonomy()
+    : level1_({"NIL",        "Aggregate", "Append",    "Count",     "Delete",
+               "Enum",       "Filter",    "Gather",    "Group",     "GroupAggregate",
+               "Hash",       "Insert",    "Intersect", "Join",      "Limit",
+               "LockRows",   "Loop",      "Materialize", "ModifyTable", "Network",
+               "Result",     "Scan",      "Sequence",  "SetOp",     "Sort",
+               "Union",      "Unique",    "Update",    "Window",    "WindowAgg",
+               "BR_OPEN",    "BR_CLOSE",  "CLS",       "SEP",       "UNKNOWN"}),
+      level2_({"NIL",   "And",      "CTE",    "Except", "Exists", "Foreign",
+               "Hash",  "Heap",     "Index",  "IndexOnly", "LoopHash", "Merge",
+               "Nested", "Or",      "Query",  "Quick",  "Seq",    "SetOp",
+               "Subquery", "Table", "WorkTable", "UNKNOWN"}),
+      level3_({"NIL",  "Anti",    "Bitmap",  "Full",     "Inner", "Left",
+               "Outer", "Parallel", "Partial", "Partition", "Right", "Semi",
+               "XN",    "UNKNOWN"}) {
+  br_open_ = level1_.Find("BR_OPEN");
+  br_close_ = level1_.Find("BR_CLOSE");
+  cls_ = level1_.Find("CLS");
+  sep_ = level1_.Find("SEP");
 }
 
 const Taxonomy& Taxonomy::Get() {
@@ -35,40 +59,8 @@ const Taxonomy& Taxonomy::Get() {
   return *kInstance;
 }
 
-int Taxonomy::LookupId(const std::vector<std::string>& names,
-                       const std::string& name) const {
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int Taxonomy::Level1Id(const std::string& name) const {
-  const int id = LookupId(level1_, name);
-  return id < 0 ? unknown1_ : id;
-}
-int Taxonomy::Level2Id(const std::string& name) const {
-  const int id = LookupId(level2_, name);
-  return id < 0 ? unknown2_ : id;
-}
-int Taxonomy::Level3Id(const std::string& name) const {
-  const int id = LookupId(level3_, name);
-  return id < 0 ? unknown3_ : id;
-}
-
-int Taxonomy::FindLevel1(const std::string& name) const {
-  return LookupId(level1_, name);
-}
-int Taxonomy::FindLevel2(const std::string& name) const {
-  return LookupId(level2_, name);
-}
-int Taxonomy::FindLevel3(const std::string& name) const {
-  return LookupId(level3_, name);
-}
-
-OperatorType OperatorType::FromNames(const std::string& l1,
-                                     const std::string& l2,
-                                     const std::string& l3) {
+OperatorType OperatorType::FromNames(std::string_view l1, std::string_view l2,
+                                     std::string_view l3) {
   const Taxonomy& tax = Taxonomy::Get();
   return OperatorType(
       static_cast<uint8_t>(l1.empty() ? 0 : tax.Level1Id(l1)),
@@ -81,15 +73,13 @@ OperatorType OperatorType::Unknown() {
   return OperatorType(static_cast<uint8_t>(tax.unknown1()), 0, 0);
 }
 
-OperatorType OperatorType::Parse(const std::string& token) {
-  std::string parts[3];
-  int part = 0;
-  for (char c : token) {
-    if (c == '-') {
-      if (++part >= 3) break;
-    } else {
-      parts[part].push_back(c);
-    }
+OperatorType OperatorType::Parse(std::string_view token) {
+  std::string_view parts[3];
+  for (int part = 0; part < 3; ++part) {
+    const size_t dash = token.find('-');
+    parts[part] = token.substr(0, dash);
+    if (dash == std::string_view::npos) break;
+    token.remove_prefix(dash + 1);
   }
   return FromNames(parts[0], parts[1], parts[2]);
 }
@@ -103,8 +93,20 @@ std::string OperatorType::ToString(bool full) const {
   return oss.str();
 }
 
+// Comparing "A1-A2-A3" with "B1-B2-B3" as strings is comparing the names
+// level by level: no name contains a character at or below '-', so when A1
+// is a proper prefix of B1 the '-' after A1 sorts below B1's next character
+// exactly as A1 < B1 does, and equal names defer to the next level. Hence
+// the rank tuples order operators as their full tokens do.
 bool OperatorType::operator<(const OperatorType& other) const {
-  return ToString(true) < other.ToString(true);
+  const Taxonomy& tax = Taxonomy::Get();
+  const int a1 = tax.Level1Rank(level1);
+  const int b1 = tax.Level1Rank(other.level1);
+  if (a1 != b1) return a1 < b1;
+  const int a2 = tax.Level2Rank(level2);
+  const int b2 = tax.Level2Rank(other.level2);
+  if (a2 != b2) return a2 < b2;
+  return tax.Level3Rank(level3) < tax.Level3Rank(other.level3);
 }
 
 OperatorGroup GroupOf(const OperatorType& type) {

@@ -1,8 +1,11 @@
 #ifndef QPE_PLAN_TAXONOMY_H_
 #define QPE_PLAN_TAXONOMY_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace qpe::plan {
@@ -20,33 +23,35 @@ class Taxonomy {
  public:
   static const Taxonomy& Get();
 
-  int Level1Count() const { return static_cast<int>(level1_.size()); }
-  int Level2Count() const { return static_cast<int>(level2_.size()); }
-  int Level3Count() const { return static_cast<int>(level3_.size()); }
+  int Level1Count() const { return level1_.Count(); }
+  int Level2Count() const { return level2_.Count(); }
+  int Level3Count() const { return level3_.Count(); }
 
   // Lenient lookups: unknown names map to the reserved UNKNOWN sub-type of
   // the level, never to a sentinel a consumer could index with.
-  int Level1Id(const std::string& name) const;
-  int Level2Id(const std::string& name) const;
-  int Level3Id(const std::string& name) const;
+  int Level1Id(std::string_view name) const { return level1_.Id(name); }
+  int Level2Id(std::string_view name) const { return level2_.Id(name); }
+  int Level3Id(std::string_view name) const { return level3_.Id(name); }
 
   // Strict lookups: -1 if the name is not in the taxonomy. Use these when
   // the caller needs to *detect* a foreign name (ingestion diagnostics).
-  int FindLevel1(const std::string& name) const;
-  int FindLevel2(const std::string& name) const;
-  int FindLevel3(const std::string& name) const;
+  int FindLevel1(std::string_view name) const { return level1_.Find(name); }
+  int FindLevel2(std::string_view name) const { return level2_.Find(name); }
+  int FindLevel3(std::string_view name) const { return level3_.Find(name); }
 
   // Bounds-safe: ids outside [0, count) name themselves "UNKNOWN" instead of
   // indexing out of the vocabulary (corrupt trees carry arbitrary bytes).
-  const std::string& Level1Name(int id) const {
-    return level1_[ValidId(id, level1_, unknown1_)];
-  }
-  const std::string& Level2Name(int id) const {
-    return level2_[ValidId(id, level2_, unknown2_)];
-  }
-  const std::string& Level3Name(int id) const {
-    return level3_[ValidId(id, level3_, unknown3_)];
-  }
+  const std::string& Level1Name(int id) const { return level1_.Name(id); }
+  const std::string& Level2Name(int id) const { return level2_.Name(id); }
+  const std::string& Level3Name(int id) const { return level3_.Name(id); }
+
+  // Position of an id's name in the level's sorted name order (ids outside
+  // the vocabulary rank as UNKNOWN, the name they print). Comparing the
+  // three ranks lexicographically orders operators exactly as comparing
+  // their full "L1-L2-L3" tokens would: see OperatorType::operator<.
+  int Level1Rank(uint8_t id) const { return level1_.rank[id]; }
+  int Level2Rank(uint8_t id) const { return level2_.rank[id]; }
+  int Level3Rank(uint8_t id) const { return level3_.rank[id]; }
 
   // Ids of the special tokens (Level 1) and the per-level UNKNOWN tokens.
   int nil1() const { return 0; }
@@ -56,31 +61,43 @@ class Taxonomy {
   int br_close() const { return br_close_; }
   int cls() const { return cls_; }
   int sep() const { return sep_; }
-  int unknown1() const { return unknown1_; }
-  int unknown2() const { return unknown2_; }
-  int unknown3() const { return unknown3_; }
+  int unknown1() const { return level1_.unknown; }
+  int unknown2() const { return level2_.unknown; }
+  int unknown3() const { return level3_.unknown; }
 
  private:
-  Taxonomy();
-  int LookupId(const std::vector<std::string>& names,
-               const std::string& name) const;
-  static size_t ValidId(int id, const std::vector<std::string>& names,
-                        int unknown) {
-    return (id < 0 || id >= static_cast<int>(names.size()))
-               ? static_cast<size_t>(unknown)
-               : static_cast<size_t>(id);
-  }
+  // One level's vocabulary with its lookup tables, built once. Not
+  // copyable: `ids` holds views into `names`.
+  struct Level {
+    explicit Level(std::vector<std::string> level_names);
+    Level(const Level&) = delete;
+    Level& operator=(const Level&) = delete;
 
-  std::vector<std::string> level1_;
-  std::vector<std::string> level2_;
-  std::vector<std::string> level3_;
+    int Count() const { return static_cast<int>(names.size()); }
+    int Find(std::string_view name) const;
+    int Id(std::string_view name) const {
+      const int id = Find(name);
+      return id < 0 ? unknown : id;
+    }
+    const std::string& Name(int id) const {
+      return names[id < 0 || id >= Count() ? unknown : id];
+    }
+
+    std::vector<std::string> names;
+    std::unordered_map<std::string_view, int> ids;  // views into `names`
+    std::array<uint8_t, 256> rank{};                // indexed by any uint8 id
+    int unknown = -1;
+  };
+
+  Taxonomy();
+
+  Level level1_;
+  Level level2_;
+  Level level3_;
   int br_open_ = -1;
   int br_close_ = -1;
   int cls_ = -1;
   int sep_ = -1;
-  int unknown1_ = -1;
-  int unknown2_ = -1;
-  int unknown3_ = -1;
 };
 
 // A concrete operator type: three sub-type ids into the taxonomy.
@@ -95,22 +112,24 @@ struct OperatorType {
 
   // Builds from sub-type names; empty names map to NIL, non-empty names
   // outside the taxonomy map to the level's reserved UNKNOWN sub-type.
-  static OperatorType FromNames(const std::string& l1, const std::string& l2,
-                                const std::string& l3);
+  static OperatorType FromNames(std::string_view l1, std::string_view l2,
+                                std::string_view l3);
 
   // The fully-unknown operator token (UNKNOWN-NIL-NIL).
   static OperatorType Unknown();
 
   // Parses "Scan-Heap-Bitmap" / "Sort" / "Join-Merge-Left" style tokens.
-  static OperatorType Parse(const std::string& token);
+  // Allocation-free: the plan-text parser calls it once per node.
+  static OperatorType Parse(std::string_view token);
 
   // Canonical hyphenated token, trailing NILs omitted for readability only
   // when full == false (serialization always uses the full 3-part form).
   std::string ToString(bool full = false) const;
 
   friend bool operator==(const OperatorType&, const OperatorType&) = default;
-  // Lexicographic order on the canonical token; used to sort children so the
-  // tree linearization is deterministic.
+  // Lexicographic order on the canonical full token (ToString(true)); used
+  // to sort children so the tree linearization is deterministic. Computed
+  // from the taxonomy's per-level rank tables, without building strings.
   bool operator<(const OperatorType& other) const;
 };
 

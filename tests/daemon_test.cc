@@ -656,7 +656,12 @@ TEST(CacheStatsTest, SnapshotIsWellFormedUnderConcurrentInserts) {
   constexpr uint32_t kDim = 8;
 
   std::atomic<bool> done{false};
-  std::thread writer([&cache, &done] {
+  // The writer starts inserting only once the reader is about to take its
+  // first snapshot: on a loaded host it could otherwise finish before the
+  // reader ever runs, leaving nothing raced.
+  std::atomic<bool> reader_started{false};
+  std::thread writer([&cache, &done, &reader_started] {
+    while (!reader_started.load()) std::this_thread::yield();
     for (uint64_t i = 0; i < 20000; ++i) {
       std::vector<float> row(kDim, static_cast<float>(i));
       cache.Insert(i, std::move(row));
@@ -665,6 +670,7 @@ TEST(CacheStatsTest, SnapshotIsWellFormedUnderConcurrentInserts) {
   });
   bool malformed = false;
   int snapshots = 0;
+  reader_started.store(true);
   while (!done.load() && !malformed) {
     const auto snapshot = cache.Snapshot();
     ++snapshots;
@@ -980,6 +986,38 @@ TEST_F(DaemonTest, AlreadyExpiredDeadlineGetsTypedError) {
   const auto stats = daemon.GetStats();
   ASSERT_EQ(stats.tenants.size(), 1u);
   EXPECT_EQ(stats.tenants[0].second.shed_deadline, 1u);
+}
+
+TEST_F(DaemonTest, DeeplyNestedPlanIsRejectedAndDaemonKeepsServing) {
+  // 100,000 nested nodes in a 700 KB frame, far under max_payload_bytes: an
+  // unbounded recursive descent would run off the end of the worker's stack.
+  const ServingDaemonConfig config = BaseConfig("deepnest");
+  ServingDaemon daemon(&encoder_, config);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  auto client = DaemonClient::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "(op \"\" ";
+  EncodeRequest request;
+  request.tenant = "default";
+  request.plans = {deep};
+  ErrorResponse error;
+  const auto response = client->Encode(request, &error);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(error.code, WireError::kInvalidArgument);
+  // The first node past the cap opens at byte 7 * kMaxPlanTextDepth.
+  EXPECT_NE(error.message.find(
+                "plan nesting deeper than " +
+                std::to_string(plan::kMaxPlanTextDepth) +
+                " levels at offset " +
+                std::to_string(7 * plan::kMaxPlanTextDepth)),
+            std::string::npos)
+      << error.message;
+  EXPECT_TRUE(client->Ping().ok());
+  request.plans = SamplePlanTexts(2, 8);
+  EXPECT_TRUE(client->Encode(request).ok());
+  daemon.Stop();
 }
 
 TEST_F(DaemonTest, OverloadShedsWithTypedErrorsAndBoundedQueue) {

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,8 @@
 #include "drift/sketches.h"
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
+#include "nn/packed_batch.h"
+#include "nn/tensor.h"
 #include "plan/serialize.h"
 #include "plan/taxonomy.h"
 #include "serve/client.h"
@@ -195,6 +198,84 @@ TEST(SketchTest, KMeansProducesNonEmptyClustersAndDistances) {
   float distance = 0;
   drift::NearestCentroid(set, far.data(), dim, &distance);
   EXPECT_GT(distance, *std::max_element(nearest.begin(), nearest.end()));
+}
+
+// --- Baseline ---------------------------------------------------------------
+
+// Routes EncodeBatch through the per-plan Encode loop (the oracle).
+class PerPlanEncoder : public encoder::TransformerPlanEncoder {
+ public:
+  using TransformerPlanEncoder::TransformerPlanEncoder;
+  std::vector<nn::Tensor> EncodeBatch(
+      std::span<const plan::PlanNode* const> plans,
+      util::Rng* dropout_rng) const override {
+    return PlanSequenceEncoder::EncodeBatch(plans, dropout_rng);
+  }
+};
+
+std::vector<std::unique_ptr<plan::PlanNode>> ParseAll(
+    const std::vector<std::string>& texts) {
+  std::vector<std::unique_ptr<plan::PlanNode>> plans;
+  for (const std::string& text : texts) {
+    plans.push_back(plan::ParsePlanNode(text));
+  }
+  return plans;
+}
+
+std::vector<const plan::PlanNode*> Pointers(
+    const std::vector<std::unique_ptr<plan::PlanNode>>& plans) {
+  std::vector<const plan::PlanNode*> ptrs;
+  for (const auto& p : plans) ptrs.push_back(p.get());
+  return ptrs;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(BaselineTest, LargerCorpusDoesNotGrowPackedWorkspace) {
+  // A corpus of whole chunks, so ten copies of it encode exactly the
+  // chunks the warm-up build already packed.
+  util::Rng rng(21);
+  const encoder::TransformerPlanEncoder enc(SmallConfig(), &rng);
+  const auto plans = ParseAll(
+      RandomPlanTexts(static_cast<int>(2 * drift::kBaselineEncodeChunk), 22));
+  const std::vector<const plan::PlanNode*> corpus = Pointers(plans);
+  (void)drift::BuildDriftBaseline(enc, corpus);
+
+  std::vector<const plan::PlanNode*> ten_times;
+  for (int copy = 0; copy < 10; ++copy) {
+    ten_times.insert(ten_times.end(), corpus.begin(), corpus.end());
+  }
+  const uint64_t before = nn::PackedBatch::TotalGrowthEvents();
+  const drift::DriftBaseline big = drift::BuildDriftBaseline(enc, ten_times);
+  EXPECT_EQ(nn::PackedBatch::TotalGrowthEvents(), before);
+  EXPECT_EQ(big.plans, ten_times.size());
+}
+
+TEST(BaselineTest, ChunkedBuildMatchesPerPlanEncodeBitwise) {
+  // 2.5 chunks: the last EncodeBatch call is a partial chunk.
+  util::Rng rng_a(23);
+  util::Rng rng_b(23);
+  const encoder::TransformerPlanEncoder packed(SmallConfig(), &rng_a);
+  const PerPlanEncoder per_plan(SmallConfig(), &rng_b);
+  const auto plans = ParseAll(RandomPlanTexts(
+      static_cast<int>(5 * drift::kBaselineEncodeChunk / 2), 24));
+  const std::vector<const plan::PlanNode*> corpus = Pointers(plans);
+  const drift::DriftBaseline a = drift::BuildDriftBaseline(packed, corpus);
+  const drift::DriftBaseline b = drift::BuildDriftBaseline(per_plan, corpus);
+
+  ASSERT_EQ(a.centroids.cluster_count(), b.centroids.cluster_count());
+  ASSERT_GT(a.centroids.cluster_count(), 0);
+  for (int c = 0; c < a.centroids.cluster_count(); ++c) {
+    EXPECT_TRUE(SameBits(a.centroids.centroids[c], b.centroids.centroids[c]))
+        << "centroid " << c;
+  }
+  EXPECT_EQ(a.centroids.occupancy, b.centroids.occupancy);
+  EXPECT_TRUE(SameBits({a.centroids.outlier_threshold},
+                       {b.centroids.outlier_threshold}));
+  EXPECT_EQ(a.token_freq, b.token_freq);
 }
 
 // --- Monitor hysteresis -----------------------------------------------------
