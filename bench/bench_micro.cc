@@ -274,21 +274,7 @@ void BM_LayerNormUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerNormUnfused)->Arg(16)->Arg(256);
 
-// Masked row softmax (the batched attention kernel) with all rows fully
-// valid, against the unmasked kernel it must match bit-for-bit.
-void BM_SoftmaxRowsMasked(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const int cols = 64;
-  qpe::nn::NoGradGuard no_grad;
-  const qpe::nn::Tensor a = RandomTensor(rows, cols, 26, false);
-  const std::vector<int> valid(rows, cols);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SoftmaxRowsMasked(a, valid).at(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-}
-BENCHMARK(BM_SoftmaxRowsMasked)->Arg(16)->Arg(256);
-
+// Row softmax through the autograd op (SoftmaxRows).
 void BM_SoftmaxRowsUnmasked(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const int cols = 64;
@@ -376,30 +362,6 @@ void BM_LayerNormSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerNormScalar)->Arg(256);
 BENCHMARK(BM_LayerNormSimd)->Arg(256);
-
-void SoftmaxMaskedKernel(benchmark::State& state,
-                         const qpe::nn::simd::Kernels& kern) {
-  const int rows = static_cast<int>(state.range(0));
-  const int cols = 64;
-  const std::vector<float> a =
-      RandomBuffer(static_cast<size_t>(rows) * cols, 36);
-  const std::vector<int> valid(rows, cols);
-  std::vector<float> out(a.size());
-  for (auto _ : state) {
-    kern.softmax_rows_masked(a.data(), out.data(), valid.data(), rows, cols);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-  state.SetLabel(kern.name);
-}
-void BM_SoftmaxMaskedScalar(benchmark::State& state) {
-  SoftmaxMaskedKernel(state, ScalarKernels());
-}
-void BM_SoftmaxMaskedSimd(benchmark::State& state) {
-  SoftmaxMaskedKernel(state, BestKernels());
-}
-BENCHMARK(BM_SoftmaxMaskedScalar)->Arg(256);
-BENCHMARK(BM_SoftmaxMaskedSimd)->Arg(256);
 
 // Packed ragged-batch attention at the model shape (48 dims, 4 heads),
 // 16 sequences of the given length. Arg: sequence length.

@@ -9,7 +9,8 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 
-# ctest includes the no-new-knobs lint (scripts/check_env_knobs.sh).
+# ctest includes the no-new-knobs lint (scripts/check_env_knobs.sh) and the
+# kernel-table lint (scripts/check_kernel_callers.sh).
 ctest --test-dir build 2>&1 | tee test_output.txt
 
 # Benchmark self-test: qpebench compiles src/ into its own tree, so a

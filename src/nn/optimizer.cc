@@ -112,36 +112,28 @@ void Adam::Step() {
   // dispatch table (AdamStepT): elementwise with correctly rounded ops
   // only, so the vector levels update parameters bit-identically to the
   // scalar loop — training trajectories are unchanged by dispatch level.
-  // weight_decay == 0 selects the plain-Adam expression inside the kernel,
-  // keeping zero-decay AdamW bitwise identical to Adam.
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor p = params_[i];
     simd::K().adam_step(p.value().data(), p.grad().data(), m_[i].data(),
                         v_[i].data(), p.value().size(), lr_, beta1_, beta2_,
-                        eps_, bias1, bias2, weight_decay_);
+                        eps_, bias1, bias2);
   }
 }
 
 OptimizerState Adam::ExportState() const {
   OptimizerState state;
-  state.kind = kind();
+  state.kind = "adam";
   state.step_count = step_count_;
   state.slots = {m_, v_};
   return state;
 }
 
 util::Status Adam::ImportState(const OptimizerState& state) {
-  if (util::Status s = ValidateState(state, kind(), 2); !s.ok()) return s;
+  if (util::Status s = ValidateState(state, "adam", 2); !s.ok()) return s;
   step_count_ = static_cast<int>(state.step_count);
   m_ = state.slots[0];
   v_ = state.slots[1];
   return util::OkStatus();
-}
-
-AdamW::AdamW(std::vector<Tensor> params, float lr, float weight_decay,
-             float beta1, float beta2, float eps)
-    : Adam(std::move(params), lr, beta1, beta2, eps) {
-  weight_decay_ = weight_decay;
 }
 
 }  // namespace qpe::nn

@@ -81,34 +81,14 @@ class Adam : public Optimizer {
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
 
- protected:
-  // State tag for checkpoints; AdamW overrides so its moments can never be
-  // restored into a plain Adam (or vice versa).
-  virtual const char* kind() const { return "adam"; }
-
+ private:
   float lr_;
   float beta1_;
   float beta2_;
   float eps_;
-  float weight_decay_ = 0.0f;  // decoupled decay; 0 in plain Adam
   int step_count_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
-};
-
-// AdamW: Adam with decoupled weight decay (Loshchilov & Hutter) — the decay
-// term lr * wd * value is applied alongside the Adam update from the
-// pre-update value, never entering the moment estimates. With
-// weight_decay = 0 the update is bit-identical to Adam's.
-class AdamW : public Adam {
- public:
-  AdamW(std::vector<Tensor> params, float lr, float weight_decay,
-        float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
-
-  float weight_decay() const { return weight_decay_; }
-
- protected:
-  const char* kind() const override { return "adamw"; }
 };
 
 }  // namespace qpe::nn

@@ -17,18 +17,25 @@ enum class Level : int {
   kNeon = 2,
 };
 
-// Kernel dispatch table. All kernels operate on raw row-major buffers so
-// both the autograd ops in nn/tensor.cc and the graph-free quantized
-// inference engine (encoder/quantized_encoder.cc) share them.
+// Kernel dispatch table, one per level, each built by MakeKernels in
+// nn/simd_kernels_inl.h. All kernels operate on raw row-major buffers so
+// every consumer shares them: the autograd ops of the per-plan op-chain
+// oracle (nn/tensor.cc), the packed inference and training engine
+// (nn/packed_forward, nn/packed_train), the fused Adam step
+// (nn/optimizer.cc) and int8 calibration and serving (nn/quant.cc,
+// encoder/quantized_encoder.cc).
 //
 // Numerics contract: the float kernels preserve each output element's
 // accumulation order (axpy- and elementwise-shaped loops vectorize across
 // independent output lanes, never across a reduction), and the vector
-// variants use explicit mul+add — no FMA contraction. The AVX2/NEON tables
-// are therefore bit-identical to the scalar table on every input today;
-// tests still gate them by an epsilon contract (tests/simd_quant_test.cc)
-// so a future lane-reduced kernel only has to stay within epsilon. The
-// int8 kernel is pure integer arithmetic and must be bit-exact across all
+// variants use explicit mul+add — no FMA contraction. The one cross-level
+// deviation is exp: the scalar table calls std::exp, the vector tables a
+// polynomial (V::Exp, see nn/simd_kernels_inl.h), so every kernel that
+// takes a softmax (the attention forwards and the attention backwards'
+// probability recompute) agrees with the scalar table only within an
+// epsilon contract (tests/simd_quant_test.cc). Every other float kernel is
+// bit-identical to the scalar table at every level. The int8 kernels are
+// pure integer and exact-rounding arithmetic and are bit-exact across all
 // levels.
 struct Kernels {
   Level level = Level::kScalar;
@@ -49,11 +56,6 @@ struct Kernels {
   void (*layer_norm_rows)(const float* x, const float* gamma,
                           const float* beta, float* out, int m, int n,
                           float invn);
-  // Masked row softmax over the first valid[r] columns; remaining columns
-  // are left untouched (the caller pre-zeroes them). exp and the sum stay
-  // scalar (ascending-order reduction), max and the divide vectorize.
-  void (*softmax_rows_masked)(const float* a, float* out, const int* valid,
-                              int m, int n);
   // Fused packed multi-head attention forward (see
   // nn::MultiHeadAttentionPacked for the exact semantics).
   void (*attention_forward_packed)(const float* q, const float* k,
@@ -175,12 +177,6 @@ struct Kernels {
   void (*layer_norm_rows_backward)(const float* xv, const float* gv,
                                    const float* og, float* xg, float* gg,
                                    float* bg, int m, int n, float invn);
-  // Backward of softmax_rows_masked: gx[r, c] += y[r, c] * (gy[r, c] -
-  // dot_r) over the first valid[r] columns, dot_r = sum_c y * gy kept
-  // scalar ascending; the gx pass is elementwise.
-  void (*softmax_rows_masked_backward)(const float* yv, const float* gy,
-                                       float* gx, const int* valid, int m,
-                                       int n);
   // Backward of attention_forward_packed: recomputes the probabilities
   // (through V::Exp — see above) and accumulates qg / kg / vg, any of
   // which may be null. All dot reductions keep the scalar's ascending
@@ -208,20 +204,17 @@ struct Kernels {
                                  const int* lengths, int num_seqs,
                                  int num_heads, int total_rows, int dim,
                                  float scale, float* probs);
-  // Fused Adam/AdamW parameter update over one flat parameter buffer:
+  // Fused Adam parameter update over one flat parameter buffer:
   //   m[j] = beta1 * m[j] + (1 - beta1) * g[j]
   //   v[j] = beta2 * v[j] + (1 - beta2) * g[j] * g[j]
-  //   value[j] -= lr * (m[j]/bias1) / (sqrt(v[j]/bias2) + eps)       (Adam)
-  //   value[j] -= lr * ((m[j]/bias1) / (sqrt(v[j]/bias2) + eps)
-  //               + weight_decay * value[j])                         (AdamW)
+  //   value[j] -= lr * (m[j]/bias1) / (sqrt(v[j]/bias2) + eps)
   // Purely elementwise, and sqrt/div are correctly rounded IEEE ops, so
   // every level is bit-identical — lane for lane the vector path computes
   // the scalar expression tree (including the left-associated
-  // ((1-beta2)*g)*g product). weight_decay == 0 selects the plain-Adam
-  // expression so zero-decay AdamW stays bitwise identical to Adam.
+  // ((1-beta2)*g)*g product).
   void (*adam_step)(float* value, const float* grad, float* m, float* v,
                     size_t n, float lr, float beta1, float beta2, float eps,
-                    float bias1, float bias2, float weight_decay);
+                    float bias1, float bias2);
 };
 
 // Tile geometry of the packed int8 weight layout: kInt8TileN output
@@ -252,9 +245,10 @@ void PackInt8WeightTiles(const int8_t* w, int k, int n, int16_t* packed);
 // The active kernel table. Selected once on first use: the best level the
 // hardware supports (cpuid on x86-64, getauxval on aarch64), downgraded by
 // the QPE_SIMD environment knob ("0"/"scalar" force the scalar table,
-// "avx2"/"neon" request a level and fall back to scalar if unavailable)
-// and forced to scalar under sanitizer builds (QPE_SANITIZE_BUILD) so TSan
-// and ASan exercise the dispatch machinery without vendor intrinsics.
+// "avx2"/"neon" request a level and fall back to scalar unless it is the
+// hardware level, see ResolveLevel) and forced to scalar under sanitizer
+// builds (QPE_SANITIZE_BUILD) so TSan and ASan exercise the dispatch
+// machinery without vendor intrinsics.
 const Kernels& K();
 
 // Level of the active table (== K().level).
@@ -282,10 +276,17 @@ const char* LevelName(Level level);
 // also return `fallback`. Exposed for tests.
 Level ParseLevel(const char* s, Level fallback);
 
-// Test/bench hook: swap the active table. Requests above what the binary
-// supports (or any non-scalar level under a sanitizer build) clamp to
-// scalar; returns the level actually installed. Not safe to call while
-// kernels are running on other threads.
+// The level a request resolves to on a machine whose HardwareLevel() is
+// `hardware`: the request itself when it is scalar or equals `hardware`,
+// otherwise scalar. A non-scalar table runs only on a CPU that reported
+// its instruction set, so a request can never select code the CPU cannot
+// execute. Exposed for tests.
+Level ResolveLevel(Level requested, Level hardware);
+
+// Test/bench hook: swap the active table. The request goes through
+// ResolveLevel (and any non-scalar level clamps to scalar under a
+// sanitizer build); returns the level actually installed. Not safe to call
+// while kernels are running on other threads.
 Level ForceLevel(Level level);
 
 // Test hook: installs a caller-owned table (a copy of a real one with an

@@ -78,62 +78,6 @@ struct Avx2Ops {
   }
 };
 
-void Avx2MatMulForwardRange(const float* a, const float* b, float* out, int i0,
-                            int i1, int k, int n) {
-  MatMulForwardRangeT<Avx2Ops>(a, b, out, i0, i1, k, n);
-}
-
-void Avx2BiasRelu(const float* a, const float* bias, float* out, int m,
-                  int n) {
-  BiasReluT<Avx2Ops>(a, bias, out, m, n);
-}
-
-void Avx2LayerNormRows(const float* x, const float* gamma, const float* beta,
-                       float* out, int m, int n, float invn) {
-  LayerNormRowsT<Avx2Ops>(x, gamma, beta, out, m, n, invn);
-}
-
-void Avx2SoftmaxRowsMasked(const float* a, float* out, const int* valid,
-                           int m, int n) {
-  SoftmaxRowsMaskedT<Avx2Ops>(a, out, valid, m, n);
-}
-
-void Avx2AttentionForwardPacked(const float* q, const float* k, const float* v,
-                                float* out, const int* offsets,
-                                const int* lengths, int num_seqs,
-                                int num_heads, int dim, float scale) {
-  AttentionForwardPackedT<Avx2Ops>(q, k, v, out, offsets, lengths, num_seqs,
-                                   num_heads, dim, scale);
-}
-
-void Avx2EmbedGatherAdd(const float* e1, const float* e2, const float* e3,
-                        const float* pos, const int* ids1, const int* ids2,
-                        const int* ids3, const int* positions, float* out,
-                        int rows, int d1, int d2, int d3) {
-  EmbedGatherAddT<Avx2Ops>(e1, e2, e3, pos, ids1, ids2, ids3, positions, out,
-                           rows, d1, d2, d3);
-}
-
-void Avx2AttentionForwardBlocked(const float* q, const float* kbt,
-                                 const float* vb, float* out,
-                                 const int* offsets, const int* lengths,
-                                 int num_seqs, int num_heads, int total_rows,
-                                 int dim, float scale, float* probs) {
-  AttentionForwardBlockedT<Avx2Ops>(q, kbt, vb, out, offsets, lengths,
-                                    num_seqs, num_heads, total_rows, dim,
-                                    scale, probs);
-}
-
-void Avx2AttentionClsBlocked(const float* q, const float* kbt,
-                             const float* vb, float* out,
-                             const int* offsets, const int* lengths,
-                             int num_seqs, int num_heads, int total_rows,
-                             int dim, float scale, float* probs) {
-  AttentionForwardBlockedT<Avx2Ops, true>(q, kbt, vb, out, offsets, lengths,
-                                          num_seqs, num_heads, total_rows, dim,
-                                          scale, probs);
-}
-
 // Packed-tile int8 GEMM. The tile layout (kInt8TileN = 4 channels x
 // kInt8TileK = 16 k-steps, pre-sign-extended to int16 — see
 // PackInt8WeightTiles) lets one sign-extended activation vector feed four
@@ -244,92 +188,8 @@ void Avx2QuantizeBuffer(const float* x, int n, float inv_scale, int8_t* out) {
   for (; i < n; ++i) out[i] = QuantizeOneRef(x[i], inv_scale);
 }
 
-void Avx2LinearBiasAct(const float* a, const float* b, const float* bias,
-                       float* out, int m, int k, int n, int relu) {
-  LinearBiasActT<Avx2Ops>(a, b, bias, out, m, k, n, relu);
-}
-
-void Avx2AddRows(float* dst, const float* src, size_t n) {
-  AddRowsT<Avx2Ops>(dst, src, n);
-}
-
-void Avx2MatMulBackwardA(const float* og, const float* bv, float* ag, int i0,
-                         int i1, int k, int n) {
-  MatMulBackwardAT<Avx2Ops>(og, bv, ag, i0, i1, k, n);
-}
-
-void Avx2MatMulBackwardB(const float* av, const float* og, float* bg, int p0,
-                         int p1, int m, int k, int n) {
-  MatMulBackwardBT<Avx2Ops>(av, og, bg, p0, p1, m, k, n);
-}
-
-void Avx2BiasActBackward(const float* ov, const float* og, float* ag,
-                         float* bg, int m, int n) {
-  BiasActBackwardT<Avx2Ops>(ov, og, ag, bg, m, n);
-}
-
-void Avx2LayerNormRowsBackward(const float* xv, const float* gv,
-                               const float* og, float* xg, float* gg,
-                               float* bg, int m, int n, float invn) {
-  LayerNormRowsBackwardT<Avx2Ops>(xv, gv, og, xg, gg, bg, m, n, invn);
-}
-
-void Avx2SoftmaxRowsMaskedBackward(const float* yv, const float* gy,
-                                   float* gx, const int* valid, int m, int n) {
-  SoftmaxRowsMaskedBackwardT<Avx2Ops>(yv, gy, gx, valid, m, n);
-}
-
-void Avx2AttentionBackwardPacked(const float* qv, const float* kv,
-                                 const float* vv, const float* og, float* qg,
-                                 float* kg, float* vg, const int* offsets,
-                                 const int* lengths, int num_seqs,
-                                 int num_heads, int dim, float scale) {
-  AttentionBackwardPackedT<Avx2Ops>(qv, kv, vv, og, qg, kg, vg, offsets,
-                                    lengths, num_seqs, num_heads, dim, scale);
-}
-
-void Avx2AttentionBackwardCls(const float* q, const float* kbt,
-                              const float* vbt, const float* og, float* qg,
-                              float* kg, float* vg, const int* offsets,
-                              const int* lengths, int num_seqs, int num_heads,
-                              int total_rows, int dim, float scale,
-                              float* probs) {
-  AttentionBackwardClsT<Avx2Ops>(q, kbt, vbt, og, qg, kg, vg, offsets, lengths,
-                                 num_seqs, num_heads, total_rows, dim, scale,
-                                 probs);
-}
-
-void Avx2AdamStep(float* value, const float* grad, float* m, float* v,
-                  size_t n, float lr, float beta1, float beta2, float eps,
-                  float bias1, float bias2, float weight_decay) {
-  AdamStepT<Avx2Ops>(value, grad, m, v, n, lr, beta1, beta2, eps, bias1,
-                     bias2, weight_decay);
-}
-
-const Kernels kAvx2Table = {
-    Level::kAvx2,
-    "avx2",
-    &Avx2MatMulForwardRange,
-    &Avx2BiasRelu,
-    &Avx2LayerNormRows,
-    &Avx2SoftmaxRowsMasked,
-    &Avx2AttentionForwardPacked,
-    &Avx2EmbedGatherAdd,
-    &Avx2AttentionForwardBlocked,
-    &Avx2AttentionClsBlocked,
-    &Avx2Int8GemmPacked,
-    &Avx2QuantizeBuffer,
-    &Avx2LinearBiasAct,
-    &Avx2AddRows,
-    &Avx2MatMulBackwardA,
-    &Avx2MatMulBackwardB,
-    &Avx2BiasActBackward,
-    &Avx2LayerNormRowsBackward,
-    &Avx2SoftmaxRowsMaskedBackward,
-    &Avx2AttentionBackwardPacked,
-    &Avx2AttentionBackwardCls,
-    &Avx2AdamStep,
-};
+constexpr Kernels kAvx2Table = MakeKernels<Avx2Ops>(
+    Level::kAvx2, "avx2", &Avx2Int8GemmPacked, &Avx2QuantizeBuffer);
 
 }  // namespace
 

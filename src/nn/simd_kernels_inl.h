@@ -1,12 +1,15 @@
 #ifndef QPE_NN_SIMD_KERNELS_INL_H_
 #define QPE_NN_SIMD_KERNELS_INL_H_
 
-// Kernel bodies shared by every SIMD level. Each instruction set provides a
-// small vector-ops policy (lane count, load/store/broadcast, mul/add/max,
-// horizontal max) and instantiates these templates; qpe/nn/simd.cc holds
-// the scalar policy, simd_avx2.cc / simd_neon.cc the vector ones. One body
-// per kernel keeps the three tables in lockstep: a numerics fix lands in
-// all of them at once.
+// Kernel bodies shared by every SIMD level, and MakeKernels (at the end),
+// which binds them into a simd::Kernels table. Each instruction set
+// provides a small vector-ops policy (lane count, load/store/broadcast,
+// mul/add/max, horizontal max) plus its int8 GEMM and quantizer, and builds
+// its table with one MakeKernels call: nn/simd.cc for the scalar policy,
+// simd_avx2.cc / simd_neon.cc for the vector ones. One body per kernel and
+// one binding per entry keep the three tables in lockstep: a numerics fix
+// lands in all of them at once. Adding a kernel is a field in simd.h, a
+// body here and one line in MakeKernels.
 //
 // Exactness discipline (see simd.h): loops vectorize only across
 // independent output lanes. Reductions (row sums, exp sums, dot products)
@@ -35,6 +38,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "nn/simd.h"
 
 namespace qpe::nn::simd {
 
@@ -351,46 +356,6 @@ void LayerNormRowsT(const float* __restrict xv, const float* __restrict gv,
     for (; c < n; ++c) {
       orow[c] = ((xrow[c] - mean) * recip) * gv[c] + bv[c];
     }
-  }
-}
-
-// Masked row softmax over the first valid[r] columns. The max reduction
-// vectorizes (exact) and exp vectorizes through V::Exp (scalar level:
-// std::exp, bit-exact to seed; vector levels: polynomial, epsilon-gated);
-// the normalizing sum stays scalar in ascending order over the stored exp
-// values, and the final divide is elementwise.
-template <typename V>
-void SoftmaxRowsMaskedT(const float* __restrict av, float* __restrict ov,
-                        const int* __restrict valid, int m, int n) {
-  constexpr int L = V::kLanes;
-  for (int r = 0; r < m; ++r) {
-    const int v = std::min(std::max(valid[r], 0), n);
-    const float* __restrict row = av + static_cast<size_t>(r) * n;
-    float* __restrict orow = ov + static_cast<size_t>(r) * n;
-    if (v == 0) continue;  // row already zero
-    float max_v = row[0];
-    int c = 1;
-    if (v >= L) {
-      auto vmax = V::Load(row);
-      for (c = L; c + L <= v; c += L) vmax = V::Max(vmax, V::Load(row + c));
-      max_v = V::HMax(vmax);
-    }
-    for (; c < v; ++c) max_v = std::max(max_v, row[c]);
-    const int cv = (v / L) * L;
-    {
-      const auto vm = V::Broadcast(max_v);
-      int j = 0;
-      for (; j < cv; j += L) {
-        V::Store(orow + j, V::Exp(V::Sub(V::Load(row + j), vm)));
-      }
-      for (; j < v; ++j) orow[j] = std::exp(row[j] - max_v);
-    }
-    float total = 0;
-    for (int j = 0; j < v; ++j) total += orow[j];
-    const auto vtotal = V::Broadcast(total);
-    int j = 0;
-    for (; j < cv; j += L) V::Store(orow + j, V::Div(V::Load(orow + j), vtotal));
-    for (; j < v; ++j) orow[j] /= total;
   }
 }
 
@@ -1169,36 +1134,6 @@ void LayerNormRowsBackwardT(const float* __restrict xv,
   }
 }
 
-// Backward of softmax_rows_masked: the y*gy dot stays scalar ascending
-// (reduction); the gx pass is elementwise and vectorizes bit-identically.
-template <typename V>
-void SoftmaxRowsMaskedBackwardT(const float* __restrict yv,
-                                const float* __restrict gy,
-                                float* __restrict gx,
-                                const int* __restrict valid, int m, int n) {
-  constexpr int L = V::kLanes;
-  for (int r = 0; r < m; ++r) {
-    const int v = std::min(std::max(valid[r], 0), n);
-    const float* __restrict y = yv + static_cast<size_t>(r) * n;
-    const float* __restrict gyr = gy + static_cast<size_t>(r) * n;
-    float* __restrict gxr = gx + static_cast<size_t>(r) * n;
-    float dot = 0;
-    for (int c = 0; c < v; ++c) dot += y[c] * gyr[c];
-    if constexpr (L == 1) {
-      for (int c = 0; c < v; ++c) gxr[c] += y[c] * (gyr[c] - dot);
-    } else {
-      const auto vdot = V::Broadcast(dot);
-      int c = 0;
-      for (; c + L <= v; c += L) {
-        V::Store(gxr + c,
-                 V::Add(V::Load(gxr + c),
-                        V::Mul(V::Load(y + c), V::Sub(V::Load(gyr + c), vdot))));
-      }
-      for (; c < v; ++c) gxr[c] += y[c] * (gyr[c] - dot);
-    }
-  }
-}
-
 // Backward of attention_forward_packed. The probabilities are recomputed
 // rather than cached across the graph's lifetime (the seed closure's
 // trade-off, kept here): per element the score dot accumulates ascending
@@ -1544,100 +1479,46 @@ void AttentionBackwardClsT(const float* __restrict qv,
   }
 }
 
-// Fused Adam/AdamW update (the adam_step contract). Elementwise over
+// Fused Adam update (the adam_step contract). Elementwise over
 // independent lanes with correctly rounded mul/add/sub/div/sqrt only, so
-// the vector path is bit-identical to the scalar loop as long as it keeps
+// the vector body is bit-identical to the scalar tail as long as it keeps
 // the scalar expression tree: products and quotients associate exactly as
-// written below — in particular (1 - beta2) * g * g multiplies left to
-// right. The weight-decay branch is hoisted out of the loop: the decayed
-// expression must never run with weight_decay == 0 (0 * value would turn
-// the tree into different bits), mirroring the Adam/AdamW split the
-// optimizer had before the kernel existed.
+// written in the tail — in particular (1 - beta2) * g * g multiplies left
+// to right. At width 1 the vector body is that tree and covers every
+// element.
 template <typename V>
 void AdamStepT(float* __restrict value, const float* __restrict grad,
                float* __restrict m, float* __restrict v, size_t n, float lr,
-               float beta1, float beta2, float eps, float bias1, float bias2,
-               float weight_decay) {
+               float beta1, float beta2, float eps, float bias1, float bias2) {
   constexpr int L = V::kLanes;
-  if constexpr (L == 1) {
-    if (weight_decay == 0.0f) {
-      for (size_t j = 0; j < n; ++j) {
-        m[j] = beta1 * m[j] + (1.0f - beta1) * grad[j];
-        v[j] = beta2 * v[j] + (1.0f - beta2) * grad[j] * grad[j];
-        const float m_hat = m[j] / bias1;
-        const float v_hat = v[j] / bias2;
-        value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        m[j] = beta1 * m[j] + (1.0f - beta1) * grad[j];
-        v[j] = beta2 * v[j] + (1.0f - beta2) * grad[j] * grad[j];
-        const float m_hat = m[j] / bias1;
-        const float v_hat = v[j] / bias2;
-        value[j] -=
-            lr * (m_hat / (std::sqrt(v_hat) + eps) + weight_decay * value[j]);
-      }
-    }
-  } else {
-    const auto vb1 = V::Broadcast(beta1);
-    const auto vomb1 = V::Broadcast(1.0f - beta1);
-    const auto vb2 = V::Broadcast(beta2);
-    const auto vomb2 = V::Broadcast(1.0f - beta2);
-    const auto vbias1 = V::Broadcast(bias1);
-    const auto vbias2 = V::Broadcast(bias2);
-    const auto vlr = V::Broadcast(lr);
-    const auto veps = V::Broadcast(eps);
-    const size_t nv = (n / L) * L;
-    size_t j = 0;
-    if (weight_decay == 0.0f) {
-      for (; j < nv; j += L) {
-        const auto g = V::Load(grad + j);
-        const auto mj =
-            V::Add(V::Mul(vb1, V::Load(m + j)), V::Mul(vomb1, g));
-        const auto vj = V::Add(V::Mul(vb2, V::Load(v + j)),
-                               V::Mul(V::Mul(vomb2, g), g));
-        V::Store(m + j, mj);
-        V::Store(v + j, vj);
-        const auto m_hat = V::Div(mj, vbias1);
-        const auto v_hat = V::Div(vj, vbias2);
-        const auto upd =
-            V::Div(V::Mul(vlr, m_hat), V::Add(V::Sqrt(v_hat), veps));
-        V::Store(value + j, V::Sub(V::Load(value + j), upd));
-      }
-      for (; j < n; ++j) {
-        m[j] = beta1 * m[j] + (1.0f - beta1) * grad[j];
-        v[j] = beta2 * v[j] + (1.0f - beta2) * grad[j] * grad[j];
-        const float m_hat = m[j] / bias1;
-        const float v_hat = v[j] / bias2;
-        value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-      }
-    } else {
-      const auto vwd = V::Broadcast(weight_decay);
-      for (; j < nv; j += L) {
-        const auto g = V::Load(grad + j);
-        const auto mj =
-            V::Add(V::Mul(vb1, V::Load(m + j)), V::Mul(vomb1, g));
-        const auto vj = V::Add(V::Mul(vb2, V::Load(v + j)),
-                               V::Mul(V::Mul(vomb2, g), g));
-        V::Store(m + j, mj);
-        V::Store(v + j, vj);
-        const auto m_hat = V::Div(mj, vbias1);
-        const auto v_hat = V::Div(vj, vbias2);
-        const auto val = V::Load(value + j);
-        const auto upd = V::Mul(
-            vlr, V::Add(V::Div(m_hat, V::Add(V::Sqrt(v_hat), veps)),
-                        V::Mul(vwd, val)));
-        V::Store(value + j, V::Sub(val, upd));
-      }
-      for (; j < n; ++j) {
-        m[j] = beta1 * m[j] + (1.0f - beta1) * grad[j];
-        v[j] = beta2 * v[j] + (1.0f - beta2) * grad[j] * grad[j];
-        const float m_hat = m[j] / bias1;
-        const float v_hat = v[j] / bias2;
-        value[j] -=
-            lr * (m_hat / (std::sqrt(v_hat) + eps) + weight_decay * value[j]);
-      }
-    }
+  const auto vb1 = V::Broadcast(beta1);
+  const auto vomb1 = V::Broadcast(1.0f - beta1);
+  const auto vb2 = V::Broadcast(beta2);
+  const auto vomb2 = V::Broadcast(1.0f - beta2);
+  const auto vbias1 = V::Broadcast(bias1);
+  const auto vbias2 = V::Broadcast(bias2);
+  const auto vlr = V::Broadcast(lr);
+  const auto veps = V::Broadcast(eps);
+  const size_t nv = (n / L) * L;
+  size_t j = 0;
+  for (; j < nv; j += L) {
+    const auto g = V::Load(grad + j);
+    const auto mj = V::Add(V::Mul(vb1, V::Load(m + j)), V::Mul(vomb1, g));
+    const auto vj =
+        V::Add(V::Mul(vb2, V::Load(v + j)), V::Mul(V::Mul(vomb2, g), g));
+    V::Store(m + j, mj);
+    V::Store(v + j, vj);
+    const auto m_hat = V::Div(mj, vbias1);
+    const auto v_hat = V::Div(vj, vbias2);
+    const auto upd = V::Div(V::Mul(vlr, m_hat), V::Add(V::Sqrt(v_hat), veps));
+    V::Store(value + j, V::Sub(V::Load(value + j), upd));
+  }
+  for (; j < n; ++j) {
+    m[j] = beta1 * m[j] + (1.0f - beta1) * grad[j];
+    v[j] = beta2 * v[j] + (1.0f - beta2) * grad[j] * grad[j];
+    const float m_hat = m[j] / bias1;
+    const float v_hat = v[j] / bias2;
+    value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
   }
 }
 
@@ -1697,6 +1578,40 @@ inline void Int8GemmPackedRef(const int8_t* a, const int16_t* bp, float* c,
       }
     }
   }
+}
+
+// The kernel table of one level: every generic entry bound straight to
+// its kernel body instantiated with the level's policy V, plus the level's
+// own int8 GEMM and quantizer (integer and rounding code that does not fit
+// the float policy). Each ISA translation unit builds its table with one
+// call, so every level binds the same bodies to the same entries.
+template <typename V>
+constexpr Kernels MakeKernels(
+    Level level, const char* name,
+    decltype(Kernels::int8_gemm_packed) int8_gemm_packed,
+    decltype(Kernels::quantize_buffer) quantize_buffer) {
+  return Kernels{
+      .level = level,
+      .name = name,
+      .matmul_forward_range = &MatMulForwardRangeT<V>,
+      .bias_relu = &BiasReluT<V>,
+      .layer_norm_rows = &LayerNormRowsT<V>,
+      .attention_forward_packed = &AttentionForwardPackedT<V>,
+      .embed_gather_add = &EmbedGatherAddT<V>,
+      .attention_forward_blocked = &AttentionForwardBlockedT<V>,
+      .attention_cls_blocked = &AttentionForwardBlockedT<V, true>,
+      .int8_gemm_packed = int8_gemm_packed,
+      .quantize_buffer = quantize_buffer,
+      .linear_bias_act = &LinearBiasActT<V>,
+      .add_rows = &AddRowsT<V>,
+      .matmul_backward_a = &MatMulBackwardAT<V>,
+      .matmul_backward_b = &MatMulBackwardBT<V>,
+      .bias_act_backward = &BiasActBackwardT<V>,
+      .layer_norm_rows_backward = &LayerNormRowsBackwardT<V>,
+      .attention_backward_packed = &AttentionBackwardPackedT<V>,
+      .attention_backward_cls = &AttentionBackwardClsT<V>,
+      .adam_step = &AdamStepT<V>,
+  };
 }
 
 }  // namespace qpe::nn::simd

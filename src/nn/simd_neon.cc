@@ -60,62 +60,6 @@ struct NeonOps {
   }
 };
 
-void NeonMatMulForwardRange(const float* a, const float* b, float* out, int i0,
-                            int i1, int k, int n) {
-  MatMulForwardRangeT<NeonOps>(a, b, out, i0, i1, k, n);
-}
-
-void NeonBiasRelu(const float* a, const float* bias, float* out, int m,
-                  int n) {
-  BiasReluT<NeonOps>(a, bias, out, m, n);
-}
-
-void NeonLayerNormRows(const float* x, const float* gamma, const float* beta,
-                       float* out, int m, int n, float invn) {
-  LayerNormRowsT<NeonOps>(x, gamma, beta, out, m, n, invn);
-}
-
-void NeonSoftmaxRowsMasked(const float* a, float* out, const int* valid,
-                           int m, int n) {
-  SoftmaxRowsMaskedT<NeonOps>(a, out, valid, m, n);
-}
-
-void NeonAttentionForwardPacked(const float* q, const float* k, const float* v,
-                                float* out, const int* offsets,
-                                const int* lengths, int num_seqs,
-                                int num_heads, int dim, float scale) {
-  AttentionForwardPackedT<NeonOps>(q, k, v, out, offsets, lengths, num_seqs,
-                                   num_heads, dim, scale);
-}
-
-void NeonEmbedGatherAdd(const float* e1, const float* e2, const float* e3,
-                        const float* pos, const int* ids1, const int* ids2,
-                        const int* ids3, const int* positions, float* out,
-                        int rows, int d1, int d2, int d3) {
-  EmbedGatherAddT<NeonOps>(e1, e2, e3, pos, ids1, ids2, ids3, positions, out,
-                           rows, d1, d2, d3);
-}
-
-void NeonAttentionForwardBlocked(const float* q, const float* kbt,
-                                 const float* vb, float* out,
-                                 const int* offsets, const int* lengths,
-                                 int num_seqs, int num_heads, int total_rows,
-                                 int dim, float scale, float* probs) {
-  AttentionForwardBlockedT<NeonOps>(q, kbt, vb, out, offsets, lengths,
-                                    num_seqs, num_heads, total_rows, dim,
-                                    scale, probs);
-}
-
-void NeonAttentionClsBlocked(const float* q, const float* kbt,
-                             const float* vb, float* out,
-                             const int* offsets, const int* lengths,
-                             int num_seqs, int num_heads, int total_rows,
-                             int dim, float scale, float* probs) {
-  AttentionForwardBlockedT<NeonOps, true>(q, kbt, vb, out, offsets, lengths,
-                                          num_seqs, num_heads, total_rows, dim,
-                                          scale, probs);
-}
-
 // Packed-tile int8 GEMM: one widened activation block feeds four
 // multiply-accumulate-long dots against the four consecutive channel rows
 // of the tile (pre-sign-extended to int16 at pack time, so the weight
@@ -212,92 +156,8 @@ void NeonQuantizeBuffer(const float* x, int n, float inv_scale, int8_t* out) {
   for (; i < n; ++i) out[i] = QuantizeOneRef(x[i], inv_scale);
 }
 
-void NeonLinearBiasAct(const float* a, const float* b, const float* bias,
-                       float* out, int m, int k, int n, int relu) {
-  LinearBiasActT<NeonOps>(a, b, bias, out, m, k, n, relu);
-}
-
-void NeonAddRows(float* dst, const float* src, size_t n) {
-  AddRowsT<NeonOps>(dst, src, n);
-}
-
-void NeonMatMulBackwardA(const float* og, const float* bv, float* ag, int i0,
-                         int i1, int k, int n) {
-  MatMulBackwardAT<NeonOps>(og, bv, ag, i0, i1, k, n);
-}
-
-void NeonMatMulBackwardB(const float* av, const float* og, float* bg, int p0,
-                         int p1, int m, int k, int n) {
-  MatMulBackwardBT<NeonOps>(av, og, bg, p0, p1, m, k, n);
-}
-
-void NeonBiasActBackward(const float* ov, const float* og, float* ag,
-                         float* bg, int m, int n) {
-  BiasActBackwardT<NeonOps>(ov, og, ag, bg, m, n);
-}
-
-void NeonLayerNormRowsBackward(const float* xv, const float* gv,
-                               const float* og, float* xg, float* gg,
-                               float* bg, int m, int n, float invn) {
-  LayerNormRowsBackwardT<NeonOps>(xv, gv, og, xg, gg, bg, m, n, invn);
-}
-
-void NeonSoftmaxRowsMaskedBackward(const float* yv, const float* gy,
-                                   float* gx, const int* valid, int m, int n) {
-  SoftmaxRowsMaskedBackwardT<NeonOps>(yv, gy, gx, valid, m, n);
-}
-
-void NeonAttentionBackwardPacked(const float* qv, const float* kv,
-                                 const float* vv, const float* og, float* qg,
-                                 float* kg, float* vg, const int* offsets,
-                                 const int* lengths, int num_seqs,
-                                 int num_heads, int dim, float scale) {
-  AttentionBackwardPackedT<NeonOps>(qv, kv, vv, og, qg, kg, vg, offsets,
-                                    lengths, num_seqs, num_heads, dim, scale);
-}
-
-void NeonAttentionBackwardCls(const float* q, const float* kbt,
-                              const float* vbt, const float* og, float* qg,
-                              float* kg, float* vg, const int* offsets,
-                              const int* lengths, int num_seqs, int num_heads,
-                              int total_rows, int dim, float scale,
-                              float* probs) {
-  AttentionBackwardClsT<NeonOps>(q, kbt, vbt, og, qg, kg, vg, offsets, lengths,
-                                 num_seqs, num_heads, total_rows, dim, scale,
-                                 probs);
-}
-
-void NeonAdamStep(float* value, const float* grad, float* m, float* v,
-                  size_t n, float lr, float beta1, float beta2, float eps,
-                  float bias1, float bias2, float weight_decay) {
-  AdamStepT<NeonOps>(value, grad, m, v, n, lr, beta1, beta2, eps, bias1,
-                     bias2, weight_decay);
-}
-
-const Kernels kNeonTable = {
-    Level::kNeon,
-    "neon",
-    &NeonMatMulForwardRange,
-    &NeonBiasRelu,
-    &NeonLayerNormRows,
-    &NeonSoftmaxRowsMasked,
-    &NeonAttentionForwardPacked,
-    &NeonEmbedGatherAdd,
-    &NeonAttentionForwardBlocked,
-    &NeonAttentionClsBlocked,
-    &NeonInt8GemmPacked,
-    &NeonQuantizeBuffer,
-    &NeonLinearBiasAct,
-    &NeonAddRows,
-    &NeonMatMulBackwardA,
-    &NeonMatMulBackwardB,
-    &NeonBiasActBackward,
-    &NeonLayerNormRowsBackward,
-    &NeonSoftmaxRowsMaskedBackward,
-    &NeonAttentionBackwardPacked,
-    &NeonAttentionBackwardCls,
-    &NeonAdamStep,
-};
+constexpr Kernels kNeonTable = MakeKernels<NeonOps>(
+    Level::kNeon, "neon", &NeonInt8GemmPacked, &NeonQuantizeBuffer);
 
 }  // namespace
 

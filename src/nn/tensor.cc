@@ -1110,26 +1110,6 @@ Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta) {
   return out;
 }
 
-Tensor SoftmaxRowsMasked(const Tensor& a, const std::vector<int>& valid) {
-  const int m = a.rows(), n = a.cols();
-  assert(static_cast<int>(valid.size()) == m);
-  Tensor out = Tensor::MakeResult(m, n, {a.impl_});
-  // Padding columns keep MakeResult's zero fill: the kernel only writes the
-  // valid prefix of each row.
-  simd::K().softmax_rows_masked(a.impl_->value.data(), out.impl_->value.data(),
-                                valid.data(), m, n);
-  if (out.requires_grad()) {
-    Tensor::Impl* const ai = a.impl_.get();
-    Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [ai, oi, valid, m, n]() {
-      simd::K().softmax_rows_masked_backward(oi->value.data(),
-                                             oi->grad.data(), GradPtr(ai),
-                                             valid.data(), m, n);
-    };
-  }
-  return out;
-}
-
 Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
                                 const Tensor& v,
                                 const std::vector<int>& offsets,

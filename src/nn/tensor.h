@@ -144,8 +144,6 @@ class Tensor {
                                   const Tensor& bias);
   friend Tensor LayerNormRows(const Tensor& x, const Tensor& gamma,
                               const Tensor& beta);
-  friend Tensor SoftmaxRowsMasked(const Tensor& a,
-                                  const std::vector<int>& valid);
   friend Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
                                          const Tensor& v,
                                          const std::vector<int>& offsets,
@@ -265,14 +263,6 @@ Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w, const Tensor& bias);
 // (including its exp(-log(std)) reciprocal), so existing weights produce
 // bit-identical activations.
 Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta);
-
-// Row-wise softmax over the first valid[r] columns of row r; the remaining
-// (padding) columns are exactly 0. Over the valid prefix this matches
-// SoftmaxRows on the unpadded row — bit-for-bit at the scalar dispatch
-// level, within the epsilon contract under a vector level (the kernel's
-// exp lanes are polynomial; see nn/simd_kernels_inl.h). The padding mask
-// of the batched attention path.
-Tensor SoftmaxRowsMasked(const Tensor& a, const std::vector<int>& valid);
 
 // Fused multi-head self-attention over a ragged packed batch. q/k/v are
 // [sum(lengths), dim] projections; rows [offsets[s], offsets[s]+lengths[s])

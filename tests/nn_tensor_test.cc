@@ -333,52 +333,6 @@ TEST(FusedKernelTest, LayerNormRowsGradient) {
                  [&]() { return Sum(MatMul(LayerNormRows(x, gamma, beta), w)); });
 }
 
-TEST(FusedKernelTest, SoftmaxRowsMaskedMatchesUnpaddedBitExactScalar) {
-  // At the scalar dispatch level the fused kernel is the seed-bit-exact
-  // reference: row r over its valid prefix must equal SoftmaxRows on the
-  // unpadded row exactly, and the padding tail must be exactly zero.
-  SimdLevelGuard guard(simd::Level::kScalar);
-  util::Rng rng(77);
-  const Tensor a = RandTensor(3, 6, &rng);
-  const std::vector<int> valid = {6, 4, 2};
-  const Tensor masked = SoftmaxRowsMasked(a, valid);
-  for (int r = 0; r < 3; ++r) {
-    const Tensor row = SoftmaxRows(SliceCols(SliceRows(a, r, 1), 0, valid[r]));
-    for (int c = 0; c < valid[r]; ++c) {
-      EXPECT_EQ(masked.at(r, c), row.at(0, c)) << r << "," << c;
-    }
-    for (int c = valid[r]; c < 6; ++c) EXPECT_EQ(masked.at(r, c), 0.0f);
-  }
-}
-
-TEST(FusedKernelTest, SoftmaxRowsMaskedMatchesUnpaddedWithinEpsilon) {
-  // Under the machine's vector level the kernel's exp lanes are polynomial
-  // (~2 ulp), so the comparison against the scalar-exp op chain is gated
-  // by the epsilon contract instead of bitwise. On a machine without a
-  // vector table this degenerates to the scalar case and still holds.
-  SimdLevelGuard guard(simd::HardwareLevel());
-  util::Rng rng(77);
-  const Tensor a = RandTensor(5, 23, &rng);
-  const std::vector<int> valid = {23, 17, 8, 3, 1};
-  const Tensor masked = SoftmaxRowsMasked(a, valid);
-  for (int r = 0; r < 5; ++r) {
-    const Tensor row = SoftmaxRows(SliceCols(SliceRows(a, r, 1), 0, valid[r]));
-    for (int c = 0; c < valid[r]; ++c) {
-      EXPECT_NEAR(masked.at(r, c), row.at(0, c), 1e-6f) << r << "," << c;
-    }
-    for (int c = valid[r]; c < 23; ++c) EXPECT_EQ(masked.at(r, c), 0.0f);
-  }
-}
-
-TEST(FusedKernelTest, SoftmaxRowsMaskedGradient) {
-  util::Rng rng(78);
-  const Tensor a = RandTensor(3, 5, &rng);
-  const std::vector<int> valid = {5, 3, 1};
-  const Tensor w = RandTensor(5, 1, &rng);
-  CheckGradients(
-      {a}, [&]() { return Sum(MatMul(SoftmaxRowsMasked(a, valid), w)); });
-}
-
 // Compares the fused packed attention against the per-sequence, per-head
 // op chain attention used before the fused kernel existed. tol == 0
 // demands bitwise equality (valid at the scalar dispatch level); a
