@@ -9,8 +9,9 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 
-# ctest includes the no-new-knobs lint (scripts/check_env_knobs.sh) and the
-# kernel-table lint (scripts/check_kernel_callers.sh).
+# ctest includes the no-new-knobs lint (scripts/check_env_knobs.sh), the
+# kernel-table lint (scripts/check_kernel_callers.sh) and the one-file-layer
+# lint (scripts/check_durable_writes.sh).
 ctest --test-dir build 2>&1 | tee test_output.txt
 
 # Benchmark self-test: qpebench compiles src/ into its own tree, so a

@@ -2,15 +2,16 @@
 # Verifies the fault-tolerance layer end to end:
 #
 #  1. Builds with AddressSanitizer (-DQPE_SANITIZE=address) and runs the
-#     robustness suites — checkpoint corruption matrix, transactional
-#     LoadModule, fault-injection sweeps, bit-exact resume — under ASan, so
-#     any leak or out-of-bounds access on an error path fails the run.
-#  2. Exercises the QPE_FAULT environment hook: an injected checkpoint
-#     fault must surface as a descriptive error (non-zero exit), not a
-#     partial file.
-#  3. Ingestion fuzz sweep: 10k seeded byte-level mutations of EXPLAIN text
+#     robustness suites — framed-file and checkpoint corruption matrices,
+#     transactional LoadModule, fault-injection sweeps, bit-exact resume —
+#     under ASan, so any leak or out-of-bounds access on an error path
+#     fails the run.
+#  2. Ingestion fuzz sweep: 10k seeded byte-level mutations of EXPLAIN text
 #     plus tree-level corruptions, run under ASan — any crash, leak, or
 #     non-finite embedding from an accepted plan fails the run.
+#  3. Exercises the QPE_FAULT environment hook: an injected checkpoint or
+#     dataset-save fault must surface as a descriptive error (non-zero
+#     exit), not a partial file.
 #  4. Crash-resume smoke: kills a checkpointed workload_explorer run
 #     mid-flight with SIGKILL, resumes it, and requires the resumed run's
 #     model fingerprint to be bit-identical to an uninterrupted run's.
@@ -31,9 +32,15 @@ cd "$(dirname "$0")/.."
 echo "=== [1/6] AddressSanitizer robustness suites ==="
 cmake -B build-asan -S . -DQPE_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" \
-  --target checkpoint_test dataset_io_test robustness_test ingestion_test \
-  serving_test daemon_test drift_test arena_test simd_quant_test \
-  packed_pipeline_test workload_explorer qpe_served qpe_client
+  --target util_test checkpoint_test dataset_io_test robustness_test \
+  ingestion_test serving_test daemon_test drift_test arena_test \
+  simd_quant_test packed_pipeline_test workload_explorer qpe_served \
+  qpe_client
+
+# The durable-file layer: framed-file corruption matrix and write/read
+# fault sweeps, every error path leak-checked.
+ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
+  ./build-asan/tests/util_test
 
 ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
   ./build-asan/tests/checkpoint_test
@@ -111,6 +118,29 @@ if compgen -G "$fault_dir/*.tmp" >/dev/null; then
   exit 1
 fi
 echo "injected checkpoint fault surfaced cleanly, no temp file leaked"
+
+# The executed-query dataset is published by the same atomic rename: a
+# failed save must name the fault and publish nothing, neither a temp file
+# nor a partial executed.qpe that a later --resume would trust.
+dataset_dir="$fault_dir/dataset"
+if out=$(QPE_FAULT="dataset.save.rename:1" \
+    "$explorer" --threads=1 --checkpoint-dir="$dataset_dir" 0.05 8 2>&1); then
+  echo "FAIL: run with an injected dataset-save fault exited 0"
+  echo "$out"
+  exit 1
+fi
+echo "$out" | grep -q "injected fault at site 'dataset.save.rename'" || {
+  echo "FAIL: injected dataset-save fault not surfaced in the error output"
+  echo "$out"
+  exit 1
+}
+if compgen -G "$dataset_dir/*.tmp" >/dev/null ||
+    [ -e "$dataset_dir/executed.qpe" ]; then
+  echo "FAIL: failed dataset save left a file in $dataset_dir"
+  ls -la "$dataset_dir"
+  exit 1
+fi
+echo "injected dataset-save fault surfaced cleanly, nothing published"
 
 echo
 echo "=== [4/6] Crash-resume smoke (SIGKILL mid-run) ==="

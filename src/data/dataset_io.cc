@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "plan/serialize.h"
+#include "util/durable_file.h"
 #include "util/fault_injection.h"
 
 namespace qpe::data {
@@ -23,17 +24,9 @@ util::Status MalformedRecord(const std::string& path, size_t line_number,
 
 util::Status SaveExecutedQueriesStatus(
     const std::vector<simdb::ExecutedQuery>& records, const std::string& path) {
-  if (util::Status s = util::InjectFault("dataset.save.open"); !s.ok()) {
-    return s;
-  }
-  std::ofstream os(path);
-  if (!os) return util::IoError("cannot open '" + path + "' for writing");
+  std::ostringstream os;
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (size_t i = 0; i < records.size(); ++i) {
-    const simdb::ExecutedQuery& record = records[i];
-    if (util::Status s = util::InjectFault("dataset.save.write"); !s.ok()) {
-      return s;
-    }
+  for (const simdb::ExecutedQuery& record : records) {
     os << "(record :latency " << record.latency_ms << " :template "
        << record.template_index << " :instance " << record.instance_index
        << " :config ";
@@ -42,14 +35,8 @@ util::Status SaveExecutedQueriesStatus(
       os << values[k] << (k + 1 < values.size() ? "," : "");
     }
     os << " " << plan::SerializePlan(record.query) << ")\n";
-    if (!os) {
-      return util::IoError("write to '" + path + "' failed at record " +
-                           std::to_string(i + 1));
-    }
   }
-  os.flush();
-  if (!os) return util::IoError("flush of '" + path + "' failed");
-  return util::OkStatus();
+  return util::WriteFileAtomic(path, os.str(), "dataset.save");
 }
 
 util::StatusOr<std::vector<simdb::ExecutedQuery>> LoadExecutedQueriesChecked(

@@ -12,7 +12,9 @@ namespace qpe::data {
 // Disk persistence for executed-query datasets (the analogue of the paper's
 // uploaded plan repository): one record per line —
 //   (record :latency <ms> :template <i> :instance <i> :config v1,...,v13 <plan s-expr>)
-// Plans round-trip through plan/serialize.h.
+// Plans round-trip through plan/serialize.h. Saves go through
+// util::WriteFileAtomic (fault sites "dataset.save.*"), so a failed or
+// interrupted save leaves the previous file intact.
 
 util::Status SaveExecutedQueriesStatus(
     const std::vector<simdb::ExecutedQuery>& records, const std::string& path);

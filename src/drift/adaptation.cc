@@ -2,17 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include <sys/stat.h>
-
-#ifdef __unix__
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "data/datasets.h"
 #include "data/plan_corpus.h"
@@ -22,8 +14,7 @@
 #include "plan/serialize.h"
 #include "serve/warm_state.h"
 #include "smatch/smatch.h"
-#include "util/checksum.h"
-#include "util/fault_injection.h"
+#include "util/durable_file.h"
 #include "util/rng.h"
 
 namespace qpe::drift {
@@ -33,102 +24,8 @@ namespace {
 constexpr uint32_t kSliceMagic = 0x4C535051;     // "QPSL"
 constexpr uint32_t kManifestMagic = 0x4D415051;  // "QPAM"
 constexpr uint32_t kBlobVersion = 1;
-constexpr size_t kBlobHeaderSize = 4 + 4 + 8 + 4;
-
-void PutBytes(std::string* out, const void* data, size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-void PutU32(std::string* out, uint32_t v) { PutBytes(out, &v, sizeof(v)); }
-void PutU64(std::string* out, uint64_t v) { PutBytes(out, &v, sizeof(v)); }
-
-bool FileExists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
-}
-
-#ifdef __unix__
-util::Status FsyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return util::IoError("cannot reopen '" + path + "' for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return util::IoError("fsync of '" + path + "' failed");
-  return util::OkStatus();
-}
-#endif
-
-// CRC-guarded atomic blob with the warm-state header discipline:
-//   magic u32 | version u32 | payload_size u64 | crc u32 | payload
-util::Status WriteBlobAtomic(const std::string& path, uint32_t magic,
-                             const std::string& payload) {
-  const std::string tmp_path = path + ".tmp";
-  auto fail = [&tmp_path](util::Status s) {
-    std::remove(tmp_path.c_str());
-    return s;
-  };
-  if (util::Status s = util::InjectFault("adapt.write"); !s.ok()) {
-    return fail(std::move(s));
-  }
-  {
-    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!os) return fail(util::IoError("cannot open '" + tmp_path + "'"));
-    std::string header;
-    PutU32(&header, magic);
-    PutU32(&header, kBlobVersion);
-    PutU64(&header, payload.size());
-    PutU32(&header, util::Crc32(payload));
-    os.write(header.data(), static_cast<std::streamsize>(header.size()));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    os.flush();
-    if (!os) return fail(util::IoError("write to '" + tmp_path + "' failed"));
-  }
-#ifdef __unix__
-  if (util::Status s = FsyncPath(tmp_path); !s.ok()) return fail(std::move(s));
-#endif
-  if (util::Status s = util::InjectFault("adapt.rename"); !s.ok()) {
-    return fail(std::move(s));
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    return fail(util::IoError("atomic rename '" + tmp_path + "' -> '" + path +
-                              "' failed"));
-  }
-  return util::OkStatus();
-}
-
-util::StatusOr<std::string> ReadBlob(const std::string& path, uint32_t magic) {
-  if (util::Status s = util::InjectFault("adapt.read"); !s.ok()) return s;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return util::NotFoundError("cannot open '" + path + "'");
-  std::ostringstream buffer(std::ios::binary);
-  buffer << is.rdbuf();
-  if (is.bad()) return util::IoError("read of '" + path + "' failed");
-  const std::string file = buffer.str();
-  if (file.size() < kBlobHeaderSize) {
-    return util::DataLossError("'" + path + "' is smaller than its header");
-  }
-  uint32_t file_magic = 0, version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  std::memcpy(&file_magic, file.data(), 4);
-  std::memcpy(&version, file.data() + 4, 4);
-  std::memcpy(&payload_size, file.data() + 8, 8);
-  std::memcpy(&crc, file.data() + 16, 4);
-  if (file_magic != magic) {
-    return util::DataLossError("'" + path + "' has bad magic");
-  }
-  if (version != kBlobVersion) {
-    return util::DataLossError("'" + path + "' has version " +
-                               std::to_string(version) + ", expected " +
-                               std::to_string(kBlobVersion));
-  }
-  if (file.size() - kBlobHeaderSize != payload_size) {
-    return util::DataLossError("'" + path + "' payload size mismatch");
-  }
-  std::string payload = file.substr(kBlobHeaderSize);
-  if (util::Crc32(payload) != crc) {
-    return util::DataLossError("'" + path + "' payload CRC mismatch");
-  }
-  return payload;
-}
+// Fault-site prefix of the slice and manifest (util/durable_file.h).
+constexpr char kSite[] = "adapt";
 
 // The manifest freezes every input of the round so a resumed run replays
 // the original configuration even if the daemon restarted with new flags.
@@ -144,106 +41,65 @@ struct Manifest {
 
 util::Status SaveManifest(const std::string& dir, const Manifest& manifest) {
   std::string payload;
-  PutU64(&payload, manifest.base_fingerprint);
-  PutU64(&payload, manifest.seed);
-  PutU32(&payload, manifest.epochs);
-  PutU32(&payload, manifest.pairs);
-  PutU32(&payload, manifest.batch_size);
-  PutBytes(&payload, &manifest.lr, sizeof(manifest.lr));
-  PutBytes(&payload, &manifest.related_fraction,
-           sizeof(manifest.related_fraction));
-  return WriteBlobAtomic(AdaptationManifestPath(dir), kManifestMagic, payload);
+  util::PutU64(&payload, manifest.base_fingerprint);
+  util::PutU64(&payload, manifest.seed);
+  util::PutU32(&payload, manifest.epochs);
+  util::PutU32(&payload, manifest.pairs);
+  util::PutU32(&payload, manifest.batch_size);
+  util::PutF32(&payload, manifest.lr);
+  util::PutF64(&payload, manifest.related_fraction);
+  return util::WriteFramedFileAtomic(AdaptationManifestPath(dir),
+                                     kManifestMagic, kBlobVersion, payload,
+                                     kSite);
 }
 
 util::StatusOr<Manifest> LoadManifest(const std::string& dir) {
   util::StatusOr<std::string> payload =
-      ReadBlob(AdaptationManifestPath(dir), kManifestMagic);
+      util::ReadFramedFile(AdaptationManifestPath(dir), kManifestMagic,
+                           kBlobVersion, "adaptation manifest", kSite);
   if (!payload.ok()) return payload.status();
-  constexpr size_t kManifestSize = 8 + 8 + 4 + 4 + 4 + 4 + 8;
-  if (payload->size() != kManifestSize) {
-    return util::DataLossError("adaptation manifest payload is " +
-                               std::to_string(payload->size()) +
-                               " byte(s), expected " +
-                               std::to_string(kManifestSize));
-  }
   Manifest manifest;
-  const char* p = payload->data();
-  std::memcpy(&manifest.base_fingerprint, p, 8);
-  std::memcpy(&manifest.seed, p + 8, 8);
-  std::memcpy(&manifest.epochs, p + 16, 4);
-  std::memcpy(&manifest.pairs, p + 20, 4);
-  std::memcpy(&manifest.batch_size, p + 24, 4);
-  std::memcpy(&manifest.lr, p + 28, 4);
-  std::memcpy(&manifest.related_fraction, p + 32, 8);
+  util::PayloadReader reader(*payload, "adaptation manifest");
+  util::Status s;
+  if (s = reader.U64(&manifest.base_fingerprint, "base fingerprint"); !s.ok())
+    return s;
+  if (s = reader.U64(&manifest.seed, "seed"); !s.ok()) return s;
+  if (s = reader.U32(&manifest.epochs, "epochs"); !s.ok()) return s;
+  if (s = reader.U32(&manifest.pairs, "pairs"); !s.ok()) return s;
+  if (s = reader.U32(&manifest.batch_size, "batch size"); !s.ok()) return s;
+  if (s = reader.F32(&manifest.lr, "lr"); !s.ok()) return s;
+  if (s = reader.F64(&manifest.related_fraction, "related fraction");
+      !s.ok())
+    return s;
+  if (s = reader.Finish("related fraction"); !s.ok()) return s;
   return manifest;
 }
 
 util::Status SaveSlice(const std::string& dir,
                        const std::vector<std::string>& slice) {
   std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(slice.size()));
-  for (const std::string& text : slice) {
-    PutU32(&payload, static_cast<uint32_t>(text.size()));
-    payload.append(text);
-  }
-  return WriteBlobAtomic(AdaptationSlicePath(dir), kSliceMagic, payload);
+  util::PutU32(&payload, static_cast<uint32_t>(slice.size()));
+  for (const std::string& text : slice) util::PutString(&payload, text);
+  return util::WriteFramedFileAtomic(AdaptationSlicePath(dir), kSliceMagic,
+                                     kBlobVersion, payload, kSite);
 }
 
 util::StatusOr<std::vector<std::string>> LoadSlice(const std::string& dir) {
   util::StatusOr<std::string> payload =
-      ReadBlob(AdaptationSlicePath(dir), kSliceMagic);
+      util::ReadFramedFile(AdaptationSlicePath(dir), kSliceMagic, kBlobVersion,
+                           "adaptation slice", kSite);
   if (!payload.ok()) return payload.status();
-  std::vector<std::string> slice;
-  size_t pos = 0;
-  auto read_u32 = [&](uint32_t* v) -> bool {
-    if (payload->size() - pos < 4) return false;
-    std::memcpy(v, payload->data() + pos, 4);
-    pos += 4;
-    return true;
-  };
+  util::PayloadReader reader(*payload, "adaptation slice");
   uint32_t count = 0;
-  if (!read_u32(&count)) {
-    return util::DataLossError("adaptation slice truncated reading count");
-  }
-  slice.reserve(count);
+  if (util::Status s = reader.U32(&count, "plan count"); !s.ok()) return s;
+  std::vector<std::string> slice;
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t len = 0;
-    if (!read_u32(&len) || payload->size() - pos < len) {
-      return util::DataLossError("adaptation slice truncated at entry " +
-                                 std::to_string(i));
-    }
-    slice.emplace_back(payload->data() + pos, len);
-    pos += len;
+    std::string text;
+    if (util::Status s = reader.Str(&text, "plan text"); !s.ok()) return s;
+    slice.push_back(std::move(text));
   }
-  if (pos != payload->size()) {
-    return util::DataLossError("adaptation slice has trailing bytes");
-  }
+  if (util::Status s = reader.Finish("the last plan"); !s.ok()) return s;
   return slice;
-}
-
-util::Status SaveModuleAtomic(const nn::Module& module,
-                              const std::string& path) {
-  const std::string tmp_path = path + ".tmp";
-  if (util::Status s = nn::SaveModuleToFileStatus(module, tmp_path); !s.ok()) {
-    std::remove(tmp_path.c_str());
-    return s;
-  }
-#ifdef __unix__
-  if (util::Status s = FsyncPath(tmp_path); !s.ok()) {
-    std::remove(tmp_path.c_str());
-    return s;
-  }
-#endif
-  if (util::Status s = util::InjectFault("adapt.rename"); !s.ok()) {
-    std::remove(tmp_path.c_str());
-    return s;
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return util::IoError("atomic rename '" + tmp_path + "' -> '" + path +
-                         "' failed");
-  }
-  return util::OkStatus();
 }
 
 // Deterministic PPSR pairs over the slice: a pure function of (plans,
@@ -294,12 +150,12 @@ std::string AdaptedWeightsPath(const std::string& dir) {
 }
 
 bool AdaptationPending(const std::string& dir) {
-  return !dir.empty() && FileExists(AdaptationManifestPath(dir));
+  return !dir.empty() && util::FileExists(AdaptationManifestPath(dir));
 }
 
 bool AdaptedWeightsPresent(const std::string& dir) {
   return !dir.empty() && !AdaptationPending(dir) &&
-         FileExists(AdaptedWeightsPath(dir));
+         util::FileExists(AdaptedWeightsPath(dir));
 }
 
 void ClearAdaptation(const std::string& dir) {
@@ -343,7 +199,7 @@ util::StatusOr<AdaptationResult> RunAdaptation(
     // it must never reference a slice or base-weights file that is not
     // fully on disk.
     if (util::Status s = SaveSlice(config.dir, slice); !s.ok()) return s;
-    if (util::Status s = SaveModuleAtomic(
+    if (util::Status s = nn::SaveModuleToFileStatus(
             base, AdaptationBaseWeightsPath(config.dir));
         !s.ok())
       return s;
@@ -404,7 +260,7 @@ util::StatusOr<AdaptationResult> RunAdaptation(
       base.config(), &out_rng);
   nn::CopyParameters(*model.encoder(), adapted.get());
   if (util::Status s =
-          SaveModuleAtomic(*adapted, AdaptedWeightsPath(config.dir));
+          nn::SaveModuleToFileStatus(*adapted, AdaptedWeightsPath(config.dir));
       !s.ok())
     return s;
   std::remove(AdaptationManifestPath(config.dir).c_str());

@@ -14,16 +14,22 @@
 namespace qpe::drift {
 
 // Crash-safe incremental fine-tuning on a drifted slice. One adaptation
-// round lives entirely inside a state directory:
+// round lives entirely inside a state directory; every file in it is
+// written through util::WriteFileAtomic (util/durable_file.h):
 //
-//   slice.qpsl    — the drifted slice (serialized plans; atomic, CRC)
-//   base.qpe      — encoder weights at adaptation start (atomic)
-//   manifest.qpam — COMMIT POINT: its atomic rename declares "an
-//                   adaptation is in progress" (written after slice+base,
-//                   so a manifest always references consistent inputs)
+//   slice.qpsl    — the drifted slice (framed "QPSL": u32 count, then
+//                   count x { u32 length | plan text })
+//   base.qpe      — encoder weights at adaptation start
+//   manifest.qpam — COMMIT POINT (framed "QPAM"): its atomic rename
+//                   declares "an adaptation is in progress" (written after
+//                   slice+base, so a manifest always references consistent
+//                   inputs)
 //   ckpt.qpck     — TrainPpsr's crash-safe training checkpoint (per epoch)
-//   adapted.qpe   — the fine-tuned weights (atomic; written on completion,
+//   adapted.qpe   — the fine-tuned weights (written on completion,
 //                   *before* the manifest is removed)
+//
+// The slice and manifest use fault sites "adapt.*", the weight files
+// "module.save.*", the checkpoint "checkpoint.*".
 //
 // A SIGKILL anywhere leaves one of two worlds: no manifest (nothing
 // committed, or the round completed — adapted.qpe tells which), or a

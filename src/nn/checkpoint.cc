@@ -1,21 +1,11 @@
 #include "nn/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
-#include <sys/stat.h>
 #include <utility>
 #include <vector>
 
-#ifdef __unix__
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "nn/serialize.h"
-#include "util/checksum.h"
-#include "util/fault_injection.h"
+#include "util/durable_file.h"
 
 namespace qpe::nn {
 
@@ -23,104 +13,37 @@ namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x51504543;  // "QPEC"
 constexpr uint32_t kCheckpointVersion = 1;
-// magic + version + payload_size + payload_crc
-constexpr size_t kHeaderSize = 4 + 4 + 8 + 4;
-
-// --- little binary writer/reader over in-memory payloads ---
-
-void PutBytes(std::string* out, const void* data, size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-void PutU32(std::string* out, uint32_t v) { PutBytes(out, &v, sizeof(v)); }
-void PutU64(std::string* out, uint64_t v) { PutBytes(out, &v, sizeof(v)); }
-void PutI64(std::string* out, int64_t v) { PutBytes(out, &v, sizeof(v)); }
-void PutF64(std::string* out, double v) { PutBytes(out, &v, sizeof(v)); }
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Bounds-checked reader; every failure carries the byte offset so corrupt
-// payloads are diagnosable.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& data) : data_(data) {}
-
-  util::Status Bytes(void* out, size_t size, const char* what) {
-    if (pos_ + size > data_.size()) {
-      return util::DataLossError(
-          std::string("checkpoint payload truncated reading ") + what +
-          " at offset " + std::to_string(pos_) + " (need " +
-          std::to_string(size) + " byte(s), have " +
-          std::to_string(data_.size() - pos_) + ")");
-    }
-    std::memcpy(out, data_.data() + pos_, size);
-    pos_ += size;
-    return util::OkStatus();
-  }
-  util::Status U32(uint32_t* v, const char* what) {
-    return Bytes(v, sizeof(*v), what);
-  }
-  util::Status U64(uint64_t* v, const char* what) {
-    return Bytes(v, sizeof(*v), what);
-  }
-  util::Status I64(int64_t* v, const char* what) {
-    return Bytes(v, sizeof(*v), what);
-  }
-  util::Status F64(double* v, const char* what) {
-    return Bytes(v, sizeof(*v), what);
-  }
-  util::Status Str(std::string* s, const char* what) {
-    uint32_t len = 0;
-    if (util::Status st = U32(&len, what); !st.ok()) return st;
-    if (pos_ + len > data_.size()) {
-      return util::DataLossError(
-          std::string("checkpoint payload truncated reading ") + what +
-          " at offset " + std::to_string(pos_));
-    }
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return util::OkStatus();
-  }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
 
 std::string BuildPayload(const Module& module, const Optimizer& optimizer,
                          const TrainingState& state) {
   std::string payload;
   // Training state.
-  PutI64(&payload, state.next_epoch);
-  PutI64(&payload, state.global_step);
-  PutI64(&payload, state.skipped_batches);
-  PutI64(&payload, state.nonfinite_losses);
-  PutF64(&payload, state.best_val);
-  PutI64(&payload, state.best_epoch);
+  util::PutI64(&payload, state.next_epoch);
+  util::PutI64(&payload, state.global_step);
+  util::PutI64(&payload, state.skipped_batches);
+  util::PutI64(&payload, state.nonfinite_losses);
+  util::PutF64(&payload, state.best_val);
+  util::PutI64(&payload, state.best_epoch);
   // RNG stream.
-  for (uint64_t word : state.rng.s) PutU64(&payload, word);
-  PutU32(&payload, state.rng.has_cached_normal ? 1 : 0);
-  PutF64(&payload, state.rng.cached_normal);
+  for (uint64_t word : state.rng.s) util::PutU64(&payload, word);
+  util::PutU32(&payload, state.rng.has_cached_normal ? 1 : 0);
+  util::PutF64(&payload, state.rng.cached_normal);
   // Module section (the nn/serialize format, embedded verbatim).
   std::ostringstream module_os(std::ios::binary);
   SaveModule(module, module_os);
   const std::string module_bytes = module_os.str();
-  PutU64(&payload, module_bytes.size());
+  util::PutU64(&payload, module_bytes.size());
   payload.append(module_bytes);
   // Optimizer state.
   const OptimizerState opt = optimizer.ExportState();
-  PutString(&payload, opt.kind);
-  PutI64(&payload, opt.step_count);
-  PutU32(&payload, static_cast<uint32_t>(opt.slots.size()));
+  util::PutString(&payload, opt.kind);
+  util::PutI64(&payload, opt.step_count);
+  util::PutU32(&payload, static_cast<uint32_t>(opt.slots.size()));
   for (const auto& slot : opt.slots) {
-    PutU32(&payload, static_cast<uint32_t>(slot.size()));
+    util::PutU32(&payload, static_cast<uint32_t>(slot.size()));
     for (const auto& buffer : slot) {
-      PutU64(&payload, buffer.size());
-      PutBytes(&payload, buffer.data(), buffer.size() * sizeof(float));
+      util::PutU64(&payload, buffer.size());
+      util::PutBytes(&payload, buffer.data(), buffer.size() * sizeof(float));
     }
   }
   return payload;
@@ -130,7 +53,7 @@ util::Status ParsePayload(const std::string& payload, Module* module,
                           TrainingState* staged_state,
                           OptimizerState* staged_opt,
                           internal::StagedModule* staged_module) {
-  PayloadReader reader(payload);
+  util::PayloadReader reader(payload, "checkpoint");
   util::Status s;
   if (s = reader.I64(&staged_state->next_epoch, "next_epoch"); !s.ok())
     return s;
@@ -198,140 +121,33 @@ util::Status ParsePayload(const std::string& payload, Module* module,
         return s;
     }
   }
-  if (reader.remaining() != 0) {
-    return util::DataLossError("checkpoint payload has " +
-                               std::to_string(reader.remaining()) +
-                               " trailing byte(s) after optimizer state");
-  }
-  return util::OkStatus();
+  return reader.Finish("optimizer state");
 }
-
-#ifdef __unix__
-util::Status FsyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0) return util::IoError("cannot reopen '" + path + "' for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return util::IoError("fsync of '" + path + "' failed");
-  return util::OkStatus();
-}
-#endif
 
 }  // namespace
-
-bool CheckpointExists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
-}
 
 util::Status SaveTrainingCheckpoint(const std::string& path,
                                     const Module& module,
                                     const Optimizer& optimizer,
                                     const TrainingState& state) {
-  const std::string payload = BuildPayload(module, optimizer, state);
-  const uint32_t crc = util::Crc32(payload);
-
-  const std::string tmp_path = path + ".tmp";
-  // Any failure past this point must not leave a stray temp file behind.
-  auto fail = [&tmp_path](util::Status s) {
-    std::remove(tmp_path.c_str());
-    return s;
-  };
-  if (util::Status s = util::InjectFault("checkpoint.open_tmp"); !s.ok()) {
-    return fail(std::move(s));
-  }
-  {
-    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      return util::IoError("cannot open '" + tmp_path + "' for writing");
-    }
-    std::string header;
-    PutU32(&header, kCheckpointMagic);
-    PutU32(&header, kCheckpointVersion);
-    PutU64(&header, payload.size());
-    PutU32(&header, crc);
-    os.write(header.data(), static_cast<std::streamsize>(header.size()));
-    if (util::Status s = util::InjectFault("checkpoint.write"); !s.ok()) {
-      return fail(std::move(s));
-    }
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    os.flush();
-    if (util::Status s = util::InjectFault("checkpoint.flush"); !s.ok()) {
-      return fail(std::move(s));
-    }
-    if (!os) return fail(util::IoError("write to '" + tmp_path + "' failed"));
-  }
-#ifdef __unix__
-  // Durability: the data must be on disk *before* the rename publishes it.
-  if (util::Status s = FsyncPath(tmp_path); !s.ok()) return fail(std::move(s));
-#endif
-  if (util::Status s = util::InjectFault("checkpoint.rename"); !s.ok()) {
-    return fail(std::move(s));
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    return fail(util::IoError("atomic rename '" + tmp_path + "' -> '" + path +
-                              "' failed"));
-  }
-  return util::OkStatus();
+  return util::WriteFramedFileAtomic(
+      path, kCheckpointMagic, kCheckpointVersion,
+      BuildPayload(module, optimizer, state), "checkpoint");
 }
 
 util::Status LoadTrainingCheckpoint(const std::string& path, Module* module,
                                     Optimizer* optimizer,
                                     TrainingState* state) {
-  if (util::Status s = util::InjectFault("checkpoint.read.open"); !s.ok()) {
-    return s;
-  }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return util::NotFoundError("cannot open checkpoint '" + path + "'");
-  std::ostringstream buffer(std::ios::binary);
-  buffer << is.rdbuf();
-  if (util::Status s = util::InjectFault("checkpoint.read"); !s.ok()) return s;
-  if (is.bad()) return util::IoError("read of checkpoint '" + path + "' failed");
-  const std::string file = buffer.str();
-
-  if (file.size() < kHeaderSize) {
-    return util::DataLossError("checkpoint '" + path + "' is " +
-                               std::to_string(file.size()) +
-                               " byte(s), smaller than the " +
-                               std::to_string(kHeaderSize) + "-byte header");
-  }
-  uint32_t magic = 0, version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  std::memcpy(&magic, file.data(), 4);
-  std::memcpy(&version, file.data() + 4, 4);
-  std::memcpy(&payload_size, file.data() + 8, 8);
-  std::memcpy(&crc, file.data() + 16, 4);
-  if (magic != kCheckpointMagic) {
-    return util::DataLossError("checkpoint '" + path + "' has bad magic " +
-                               std::to_string(magic) + ", expected " +
-                               std::to_string(kCheckpointMagic));
-  }
-  if (version != kCheckpointVersion) {
-    return util::FailedPreconditionError(
-        "checkpoint '" + path + "' is format version " +
-        std::to_string(version) + ", this build reads version " +
-        std::to_string(kCheckpointVersion));
-  }
-  if (file.size() - kHeaderSize != payload_size) {
-    return util::DataLossError(
-        "checkpoint '" + path + "' header claims a " +
-        std::to_string(payload_size) + "-byte payload but " +
-        std::to_string(file.size() - kHeaderSize) + " byte(s) follow");
-  }
-  const std::string payload = file.substr(kHeaderSize);
-  const uint32_t computed = util::Crc32(payload);
-  if (computed != crc) {
-    return util::DataLossError(
-        "checkpoint '" + path + "' payload CRC mismatch: stored " +
-        std::to_string(crc) + ", computed " + std::to_string(computed) +
-        " (corrupted file)");
-  }
+  util::StatusOr<std::string> payload =
+      util::ReadFramedFile(path, kCheckpointMagic, kCheckpointVersion,
+                           "checkpoint", "checkpoint");
+  if (!payload.ok()) return payload.status();
 
   // Stage everything; commit only when nothing can fail anymore.
   TrainingState staged_state;
   OptimizerState staged_opt;
   internal::StagedModule staged_module;
-  if (util::Status s = ParsePayload(payload, module, &staged_state,
+  if (util::Status s = ParsePayload(*payload, module, &staged_state,
                                     &staged_opt, &staged_module);
       !s.ok()) {
     return util::Status(s.code(), "checkpoint '" + path + "': " + s.message());

@@ -15,14 +15,11 @@ namespace qpe::nn {
 // training loop needs to continue bit-exactly after an interruption:
 // module parameters, optimizer moments and step counters, the training
 // loop's RNG stream (including the Box-Muller cache), and loop progress
-// counters. The on-disk format is versioned and CRC32-guarded:
+// counters. The file is a framed, crash-safe util/durable_file.h artifact
+// (magic "QPEC", version 1; fault sites "checkpoint.*") whose payload is
 //
-//   header  : magic u32 | version u32 | payload_size u64 | payload_crc u32
-//   payload : training state | rng state | module section | optimizer state
+//   training state | rng state | module section | optimizer state
 //
-// Writes are crash-safe: the file is assembled in `path + ".tmp"`, flushed
-// and fsync'd, then atomically renamed over `path` — a crash at any moment
-// leaves either the previous checkpoint or the new one, never a torn file.
 // Loads are transactional: the header, CRC, and every staged tensor/buffer
 // are validated before *anything* is committed, so a corrupt or mismatched
 // checkpoint leaves the in-memory model and optimizer untouched.
@@ -51,9 +48,6 @@ struct TrainingState {
   util::RngState rng;            // the loop's data-order/dropout stream
 };
 
-// True if a regular file exists at `path` (a cheap resume probe).
-bool CheckpointExists(const std::string& path);
-
 util::Status SaveTrainingCheckpoint(const std::string& path,
                                     const Module& module,
                                     const Optimizer& optimizer,
@@ -61,7 +55,8 @@ util::Status SaveTrainingCheckpoint(const std::string& path,
 
 // Restores module + optimizer + state from `path`. On any error (missing
 // file, truncation, CRC mismatch, version or shape mismatch) returns a
-// descriptive Status and mutates nothing.
+// descriptive Status (the util::ReadFramedFile error contract for the
+// frame) and mutates nothing.
 util::Status LoadTrainingCheckpoint(const std::string& path, Module* module,
                                     Optimizer* optimizer,
                                     TrainingState* state);

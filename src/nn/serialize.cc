@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "util/durable_file.h"
 #include "util/fault_injection.h"
 
 namespace qpe::nn {
@@ -136,17 +138,9 @@ util::Status LoadModuleStatus(Module* module, std::istream& is) {
 
 util::Status SaveModuleToFileStatus(const Module& module,
                                     const std::string& path) {
-  if (util::Status s = util::InjectFault("module.save.open"); !s.ok()) {
-    return s;
-  }
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return util::IoError("cannot open '" + path + "' for writing");
+  std::ostringstream os(std::ios::binary);
   SaveModule(module, os);
-  if (util::Status s = util::InjectFault("module.save.write"); !s.ok()) {
-    return s;
-  }
-  if (!os) return util::IoError("write to '" + path + "' failed");
-  return util::OkStatus();
+  return util::WriteFileAtomic(path, os.str(), "module.save");
 }
 
 util::Status LoadModuleFromFileStatus(Module* module, const std::string& path) {

@@ -19,6 +19,10 @@ namespace qpe::nn {
 // stream parses — on any failure the module is left byte-identical to its
 // pre-call state. Status messages carry the failing tensor name and byte
 // offset so a corrupt file is diagnosable.
+//
+// SaveModuleToFileStatus writes through util::WriteFileAtomic (fault sites
+// "module.save.*"): a failed or interrupted save leaves the previous file
+// byte-identical. The bytes are unframed ("QPE1" magic, no CRC).
 
 void SaveModule(const Module& module, std::ostream& os);
 

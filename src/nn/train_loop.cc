@@ -6,6 +6,7 @@
 
 #include "nn/optimizer.h"
 #include "nn/parallel.h"
+#include "util/durable_file.h"
 
 namespace qpe::nn {
 
@@ -25,7 +26,7 @@ double RunTrainLoop(const TrainLoopConfig& config, const TrainTask& task,
   TrainingState state;
   const CheckpointConfig& checkpoint = config.checkpoint;
   if (!checkpoint.path.empty() && checkpoint.resume &&
-      CheckpointExists(checkpoint.path)) {
+      util::FileExists(checkpoint.path)) {
     stats.io_status =
         LoadTrainingCheckpoint(checkpoint.path, model, &optimizer, &state);
     if (!stats.io_status.ok()) return 0;  // never overwrite it: stop

@@ -15,6 +15,7 @@
 
 #include "plan/serialize.h"
 #include "serve/warm_state.h"
+#include "util/durable_file.h"
 #include "util/fault_injection.h"
 
 namespace qpe::serve {
@@ -109,7 +110,7 @@ util::Status ServingDaemon::Start() {
   // Warm restore: best effort — a missing, corrupt, or wrong-model
   // snapshot starts cold, it never blocks startup.
   if (!config_.warm_state_path.empty() && service_->cache() != nullptr &&
-      WarmStateExists(config_.warm_state_path)) {
+      util::FileExists(config_.warm_state_path)) {
     WarmState warm;
     util::Status s = LoadWarmState(config_.warm_state_path,
                                    config_.model_fingerprint, &warm);

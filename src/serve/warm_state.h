@@ -13,8 +13,7 @@ namespace qpe::serve {
 
 // Warm-restart state for the serving daemon: the embedding cache's
 // contents plus the fingerprint of the model that produced them, persisted
-// with the same crash-safe discipline as nn/checkpoint (write `path.tmp`,
-// flush + fsync, atomic rename; CRC32-guarded payload) so a SIGKILL at any
+// as a framed, crash-safe util/durable_file.h artifact so a SIGKILL at any
 // moment leaves either the previous snapshot or the new one, never a torn
 // file. A restarted daemon restores the snapshot and serves its first
 // requests from a warm cache instead of re-encoding the entire working
@@ -32,14 +31,9 @@ namespace qpe::serve {
 // same way. The stamp is the snapshot's alone: ModelFingerprint stays a
 // function of the weights, as the adaptation manifests use it.
 //
-// On-disk format:
-//   header : magic u32 "QPEW" | version u32 | payload_size u64 | crc u32
-//   payload: model_fingerprint u64 | arithmetic u32 | dim u32
-//            | entry_count u32 | entry_count x { key u64 | dim f32 }
-//
-// Fault sites (util/fault_injection.h): "warm_state.open_tmp",
-// "warm_state.write", "warm_state.flush", "warm_state.rename",
-// "warm_state.read.open", "warm_state.read".
+// Frame: magic "QPEW", version 2; fault sites "warm_state.*". Payload:
+//   model_fingerprint u64 | arithmetic u32 | dim u32
+//   | entry_count u32 | entry_count x { key u64 | dim f32 }
 
 struct WarmState {
   uint64_t model_fingerprint = 0;
@@ -51,14 +45,12 @@ struct WarmState {
 
 util::Status SaveWarmState(const std::string& path, const WarmState& state);
 
-// Transactional load: any error (missing file, truncation, CRC mismatch,
-// bad magic/version, ragged embedding rows) returns a descriptive Status
-// and leaves *state untouched. `expected_fingerprint` != 0 additionally
-// requires the snapshot to match the serving model.
+// Transactional load: any error (the util::ReadFramedFile contract for the
+// frame, then truncation or ragged embedding rows in the payload) returns a
+// descriptive Status and leaves *state untouched. `expected_fingerprint`
+// != 0 additionally requires the snapshot to match the serving model.
 util::Status LoadWarmState(const std::string& path,
                            uint64_t expected_fingerprint, WarmState* state);
-
-bool WarmStateExists(const std::string& path);
 
 // CRC32 over every named parameter buffer, widened with the parameter
 // count: two modules fingerprint equal iff their weights are bit-equal.

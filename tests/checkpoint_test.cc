@@ -22,6 +22,7 @@
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "util/durable_file.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -160,7 +161,7 @@ SavedCheckpoint MakeValidCheckpoint(const char* name) {
   std::remove(saved.path.c_str());
   const TrainerRun run = RunPerfEncoder(2, {.path = saved.path});
   EXPECT_TRUE(run.io_status.ok()) << run.io_status.ToString();
-  EXPECT_TRUE(CheckpointExists(saved.path));
+  EXPECT_TRUE(util::FileExists(saved.path));
   saved.model_values = run.trained;
   return saved;
 }
@@ -327,13 +328,13 @@ TEST(CheckpointTest, InjectedSaveFaultsLeaveNoFileBehind) {
     EXPECT_EQ(s.code(), util::StatusCode::kIo) << s.ToString();
     EXPECT_NE(s.message().find("injected fault"), std::string::npos)
         << s.ToString();
-    EXPECT_FALSE(CheckpointExists(path)) << "partial checkpoint after fault";
-    EXPECT_FALSE(CheckpointExists(tmp_path)) << "leaked temp file";
+    EXPECT_FALSE(util::FileExists(path)) << "partial checkpoint after fault";
+    EXPECT_FALSE(util::FileExists(tmp_path)) << "leaked temp file";
   }
   EXPECT_TRUE(succeeded) << "save never recovered past the fault sweep";
   EXPECT_GE(failures, 3);  // at least open/write/rename are separate sites
-  EXPECT_TRUE(CheckpointExists(path));
-  EXPECT_FALSE(CheckpointExists(tmp_path));
+  EXPECT_TRUE(util::FileExists(path));
+  EXPECT_FALSE(util::FileExists(tmp_path));
   std::remove(path.c_str());
 }
 
@@ -364,7 +365,7 @@ TEST(CheckpointTest, FailedPeriodicSaveDegradesButTrainingContinues) {
     EXPECT_FALSE(run.io_status.ok());
     EXPECT_NE(run.io_status.message().find("injected fault"),
               std::string::npos);
-    EXPECT_TRUE(CheckpointExists(path)) << "later saves were lost";
+    EXPECT_TRUE(util::FileExists(path)) << "later saves were lost";
     EXPECT_EQ(run.trained, train(3, {}).trained) << "training stopped early";
   }
   std::remove(path.c_str());
@@ -432,6 +433,34 @@ TEST(LoadModuleTest, TruncatedStreamLeavesDestinationUntouched) {
   EXPECT_EQ(s.code(), util::StatusCode::kDataLoss) << s.ToString();
   EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.ToString();
   EXPECT_EQ(AllValues(dest), values_before);
+}
+
+// A module weight file (EncoderSuite's structure.qpe / perf_*.qpe, the
+// adaptation round's base and adapted weights) is replaced atomically: a
+// save that fails at any write site leaves the previous file byte-identical
+// and loadable, with no temp file behind.
+TEST(SaveModuleTest, FailedSaveKeepsThePreviousFile) {
+  util::Rng r1(5), r2(6);
+  Mlp old_weights({4, 6, 3}, Activation::kRelu, Activation::kNone, &r1);
+  Mlp new_weights({4, 6, 3}, Activation::kRelu, Activation::kNone, &r2);
+  const std::string path = TempPath("qpe_module_fault_save.qpe");
+  ASSERT_TRUE(SaveModuleToFileStatus(old_weights, path).ok());
+  const std::string before = ReadFile(path);
+  for (const char* site : {"module.save.open_tmp", "module.save.write",
+                           "module.save.flush", "module.save.rename"}) {
+    SCOPED_TRACE(site);
+    util::ScopedFaultInjection guard(site, 1);
+    const util::Status s = SaveModuleToFileStatus(new_weights, path);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("injected fault"), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(ReadFile(path), before);
+    EXPECT_FALSE(util::FileExists(path + ".tmp")) << "leaked temp file";
+    Mlp loaded({4, 6, 3}, Activation::kRelu, Activation::kNone, &r2);
+    ASSERT_TRUE(LoadModuleFromFileStatus(&loaded, path).ok());
+    EXPECT_EQ(AllValues(loaded), AllValues(old_weights));
+  }
+  std::remove(path.c_str());
 }
 
 // --- Bit-exact interrupt/resume ------------------------------------------

@@ -39,6 +39,7 @@
 #include "serve/tenant.h"
 #include "serve/warm_state.h"
 #include "serve/wire_protocol.h"
+#include "util/durable_file.h"
 #include "util/fault_injection.h"
 #include "util/fuzz.h"
 #include "util/rng.h"
@@ -727,7 +728,7 @@ TEST(WarmStateTest, SaveLoadRoundTrip) {
       testing::TempDir() + "warm_roundtrip_" + std::to_string(::getpid());
   const serve::WarmState state = MakeWarmState(0xfeed, 4, 3);
   ASSERT_TRUE(serve::SaveWarmState(path, state).ok());
-  ASSERT_TRUE(serve::WarmStateExists(path));
+  ASSERT_TRUE(util::FileExists(path));
 
   serve::WarmState loaded;
   ASSERT_TRUE(serve::LoadWarmState(path, 0xfeed, &loaded).ok());
@@ -819,7 +820,7 @@ TEST(WarmStateTest, WriteFaultsLeaveNoTornFileBehind) {
     const util::Status s = serve::SaveWarmState(path, MakeWarmState(0x3, 2, 5));
     EXPECT_FALSE(s.ok()) << site;
     // The failed save left no temp file and did not touch the original.
-    EXPECT_FALSE(serve::WarmStateExists(path + ".tmp")) << site;
+    EXPECT_FALSE(util::FileExists(path + ".tmp")) << site;
     serve::WarmState loaded;
     ASSERT_TRUE(serve::LoadWarmState(path, 0x2, &loaded).ok()) << site;
     EXPECT_EQ(loaded.entries.size(), 2u) << site;
@@ -834,7 +835,7 @@ TEST(WarmStateTest, RaggedEntryIsRejectedOnSave) {
       testing::TempDir() + "warm_ragged_" + std::to_string(::getpid());
   EXPECT_EQ(serve::SaveWarmState(path, state).code(),
             util::StatusCode::kInvalidArgument);
-  EXPECT_FALSE(serve::WarmStateExists(path));
+  EXPECT_FALSE(util::FileExists(path));
 }
 
 // --- ServingDaemon end to end ----------------------------------------------
@@ -1140,7 +1141,7 @@ TEST_F(DaemonTest, DrainPersistsWarmStateAndRestartServesFromCache) {
     daemon.Stop();  // graceful drain: final warm snapshot
     EXPECT_GE(daemon.GetStats().snapshots_written, 1u);
   }
-  ASSERT_TRUE(serve::WarmStateExists(config.warm_state_path));
+  ASSERT_TRUE(util::FileExists(config.warm_state_path));
 
   // Same model fingerprint: the restart restores the cache and serves the
   // whole request from it, bit-identically.
@@ -1290,7 +1291,7 @@ TEST_F(DaemonTest, PeriodicSnapshotsHappenWithoutDrain) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(daemon.GetStats().snapshots_written, 1u);
-  EXPECT_TRUE(serve::WarmStateExists(config.warm_state_path));
+  EXPECT_TRUE(util::FileExists(config.warm_state_path));
   daemon.Stop();
   std::remove(config.warm_state_path.c_str());
 }

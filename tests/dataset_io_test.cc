@@ -160,6 +160,44 @@ TEST(DatasetIoCheckedTest, SaveFaultInjectionFailsWithIoStatus) {
       << s.ToString();
 }
 
+// workload_explorer --checkpoint-dir reloads its executed-query dataset on
+// --resume, so a save that dies part-way must leave the previous dataset
+// whole: a torn file cut on a record boundary would load without error and
+// silently resume with fewer records.
+TEST(DatasetIoCheckedTest, FailedSaveKeepsThePreviousDataset) {
+  const auto dataset_a = SmallDataset();
+  std::vector<simdb::ExecutedQuery> dataset_b;
+  for (size_t i = 0; i + 1 < dataset_a.size(); ++i) {
+    simdb::ExecutedQuery record = dataset_a[i].Clone();
+    record.latency_ms += 1.0;
+    dataset_b.push_back(std::move(record));
+  }
+  const std::string path = TempPath("qpe_dataset_io_atomic.txt");
+  ASSERT_TRUE(SaveExecutedQueriesStatus(dataset_a, path).ok());
+  for (const char* site : {"dataset.save.write", "dataset.save.rename"}) {
+    SCOPED_TRACE(site);
+    {
+      util::ScopedFaultInjection guard(site, 1);
+      const util::Status s = SaveExecutedQueriesStatus(dataset_b, path);
+      ASSERT_FALSE(s.ok());
+      EXPECT_EQ(s.code(), util::StatusCode::kIo) << s.ToString();
+    }
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+        << "leaked temp file";
+    const auto loaded = LoadExecutedQueriesChecked(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->size(), dataset_a.size());
+    for (size_t i = 0; i < dataset_a.size(); ++i) {
+      EXPECT_EQ((*loaded)[i].latency_ms, dataset_a[i].latency_ms);
+      EXPECT_EQ((*loaded)[i].template_index, dataset_a[i].template_index);
+      EXPECT_EQ((*loaded)[i].instance_index, dataset_a[i].instance_index);
+      EXPECT_EQ(plan::SerializePlan((*loaded)[i].query),
+                plan::SerializePlan(dataset_a[i].query));
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ParsePlanCheckedTest, UnknownPropertyNamesOffset) {
   const auto parsed =
       plan::ParsePlanChecked("(plan :cluster 0 (op \"Sort\" :bogus 1))");

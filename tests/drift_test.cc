@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,6 +44,7 @@
 #include "serve/wire_protocol.h"
 #include "simdb/planner.h"
 #include "simdb/workloads.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/socket.h"
 
@@ -498,6 +501,107 @@ TEST_F(AdaptationTest, EmptySliceIsRejectedBeforeAnyStateIsWritten) {
   auto result = drift::RunAdaptation(base_, /*slice=*/{}, Config(dir));
   EXPECT_FALSE(result.ok());
   EXPECT_FALSE(drift::AdaptationPending(dir));
+}
+
+std::vector<std::string> TempFilesIn(const std::string& dir) {
+  std::vector<std::string> found;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.path().extension() == ".tmp") {
+      found.push_back(entry.path().filename().string());
+    }
+  }
+  return found;
+}
+
+// Walks an injected IO fault through every write and read of a fresh round
+// — the slice and manifest ("adapt.*") and the base and adapted weights
+// ("module.save.*"). Each failure leaves no temp file, and a manifest (the
+// commit point) only when the slice and base weights it references are
+// complete: a fault-free rerun must resume from them.
+TEST_F(AdaptationTest, InjectedFaultsNeverCommitAnIncompleteRound) {
+  const std::string dir = TestDir("adapt_faults");
+  const std::vector<std::string> slice = RandomPlanTexts(12, 33);
+  for (const char* pattern : {"adapt.", "module.save."}) {
+    int failures = 0;
+    int committed = 0;
+    bool succeeded = false;
+    for (int nth = 1; nth <= 16 && !succeeded; ++nth) {
+      SCOPED_TRACE(std::string(pattern) + " call " + std::to_string(nth));
+      drift::ClearAdaptation(dir);
+      util::StatusOr<drift::AdaptationResult> result = [&] {
+        util::ScopedFaultInjection guard(pattern, nth);
+        return drift::RunAdaptation(base_, slice, Config(dir));
+      }();
+      if (result.ok()) {
+        succeeded = true;
+        break;
+      }
+      ++failures;
+      EXPECT_EQ(result.status().code(), util::StatusCode::kIo)
+          << result.status().ToString();
+      EXPECT_NE(result.status().message().find("injected fault"),
+                std::string::npos)
+          << result.status().ToString();
+      const std::vector<std::string> leaked = TempFilesIn(dir);
+      EXPECT_TRUE(leaked.empty()) << "leaked " << leaked.front();
+      if (drift::AdaptationPending(dir)) {
+        ++committed;
+        auto resumed = drift::RunAdaptation(base_, /*slice=*/{}, Config(dir));
+        ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+        EXPECT_TRUE(resumed->resumed);
+        EXPECT_EQ(resumed->slice_plans.size(), slice.size());
+      }
+    }
+    EXPECT_TRUE(succeeded) << pattern << " never recovered past the sweep";
+    // Four write sites per file: the slice and manifest, or the base and
+    // adapted weights.
+    EXPECT_GE(failures, 8) << pattern;
+    // Faults after the commit point: reading the slice back, or saving the
+    // adapted weights.
+    EXPECT_GE(committed, 2) << pattern;
+  }
+  drift::ClearAdaptation(dir);
+}
+
+// A pending round whose slice rotted on disk must refuse to resume with
+// kDataLoss and keep its manifest: the operator decides, nothing is
+// silently retrained from a damaged slice or discarded.
+TEST_F(AdaptationTest, CorruptSliceUnderPendingManifestIsRejected) {
+  const std::string dir = TestDir("adapt_corrupt_slice");
+  drift::ClearAdaptation(dir);
+  std::atomic<bool> abort_now{true};
+  drift::AdaptationConfig cut = Config(dir);
+  cut.abort = &abort_now;
+  auto aborted = drift::RunAdaptation(base_, RandomPlanTexts(12, 34), cut);
+  ASSERT_TRUE(aborted.ok()) << aborted.status().ToString();
+  ASSERT_TRUE(drift::AdaptationPending(dir));
+
+  const std::string slice_path = drift::AdaptationSlicePath(dir);
+  std::string bytes;
+  {
+    std::ifstream is(slice_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ASSERT_GT(bytes.size(), 64u);
+  bytes[bytes.size() - 3] ^= 0x04;  // one payload bit
+  {
+    std::ofstream os(slice_path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto resumed = drift::RunAdaptation(base_, /*slice=*/{}, Config(dir));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), util::StatusCode::kDataLoss)
+      << resumed.status().ToString();
+  EXPECT_NE(resumed.status().message().find("adaptation slice"),
+            std::string::npos)
+      << resumed.status().ToString();
+  EXPECT_NE(resumed.status().message().find("CRC mismatch"),
+            std::string::npos)
+      << resumed.status().ToString();
+  EXPECT_TRUE(drift::AdaptationPending(dir));
+  drift::ClearAdaptation(dir);
 }
 
 // --- Synthetic drift suite through the daemon socket ------------------------

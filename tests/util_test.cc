@@ -1,10 +1,17 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/checksum.h"
+#include "util/durable_file.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table_printer.h"
@@ -182,6 +189,160 @@ TEST(TablePrinterTest, AlignsColumns) {
 TEST(TablePrinterTest, NumFormatsPrecision) {
   EXPECT_EQ(TablePrinter::Num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Num(2.0, 0), "2");
+}
+
+// --- Durable files -----------------------------------------------------------
+
+constexpr uint32_t kTestMagic = 0x54535451;  // "QTST"
+constexpr uint32_t kTestVersion = 3;
+
+std::string DurablePath(const char* tag) {
+  return testing::TempDir() + "qpe_durable_" + tag + "_" +
+         std::to_string(::getpid());
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void Plant(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+StatusOr<std::string> ReadTestFile(const std::string& path) {
+  return ReadFramedFile(path, kTestMagic, kTestVersion, "test file",
+                        "test_file");
+}
+
+TEST(DurableFileTest, FramedFileIsHeaderThenPayload) {
+  const std::string path = DurablePath("roundtrip");
+  const std::string payload("framed\0payload bytes", 21);
+  ASSERT_TRUE(WriteFramedFileAtomic(path, kTestMagic, kTestVersion, payload,
+                                    "test_file")
+                  .ok());
+  EXPECT_TRUE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  std::string header;
+  PutU32(&header, kTestMagic);
+  PutU32(&header, kTestVersion);
+  PutU64(&header, payload.size());
+  PutU32(&header, Crc32(payload));
+  EXPECT_EQ(ReadAll(path), header + payload);
+  const StatusOr<std::string> read = ReadTestFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, payload);
+  std::remove(path.c_str());
+}
+
+// One corruption matrix for every framed artifact (checkpoints, warm
+// snapshots, adaptation slices and manifests): each damage maps to one
+// status code, and every message names the artifact and its path.
+TEST(DurableFileTest, CorruptionMatrixHasOneErrorContract) {
+  const std::string path = DurablePath("matrix");
+  const std::string payload(257, 'p');
+  ASSERT_TRUE(WriteFramedFileAtomic(path, kTestMagic, kTestVersion, payload,
+                                    "test_file")
+                  .ok());
+  const std::string bytes = ReadAll(path);
+  ASSERT_EQ(bytes.size(), kFramedHeaderSize + payload.size());
+
+  std::string crc_flip = bytes;
+  crc_flip[kFramedHeaderSize + payload.size() / 2] ^= 0x10;
+  std::string version_skew = bytes;
+  version_skew[4] = 99;  // u32 version at offset 4; the CRC covers the payload
+  std::string bad_magic = bytes;
+  bad_magic[0] ^= 0xFF;
+  struct Case {
+    const char* name;
+    std::string bytes;
+    StatusCode code;
+    const char* substring;
+  };
+  const Case cases[] = {
+      {"zero_length", "", StatusCode::kDataLoss, "header"},
+      {"mid_header", bytes.substr(0, 10), StatusCode::kDataLoss, "header"},
+      {"size_mismatch", bytes.substr(0, bytes.size() - 7),
+       StatusCode::kDataLoss, "payload"},
+      {"crc_flip", crc_flip, StatusCode::kDataLoss, "CRC mismatch"},
+      {"version_skew", version_skew, StatusCode::kFailedPrecondition,
+       "format version"},
+      {"bad_magic", bad_magic, StatusCode::kDataLoss, "bad magic"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Plant(path, c.bytes);
+    const StatusOr<std::string> read = ReadTestFile(path);
+    ASSERT_FALSE(read.ok());
+    const Status& s = read.status();
+    EXPECT_EQ(s.code(), c.code) << s.ToString();
+    EXPECT_NE(s.message().find(c.substring), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("test file '" + path + "'"), std::string::npos)
+        << s.ToString();
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(ReadTestFile(path).status().code(), StatusCode::kNotFound);
+}
+
+TEST(DurableFileTest, EveryWriteFaultKeepsThePreviousFile) {
+  const std::string path = DurablePath("write_faults");
+  ASSERT_TRUE(WriteFileAtomic(path, "previous contents", "test_file").ok());
+  for (const char* site : {"test_file.open_tmp", "test_file.write",
+                           "test_file.flush", "test_file.rename"}) {
+    SCOPED_TRACE(site);
+    ScopedFaultInjection guard(site, 1);
+    const Status s = WriteFileAtomic(path, "replacement", "test_file");
+    EXPECT_EQ(s.code(), StatusCode::kIo) << s.ToString();
+    EXPECT_NE(s.message().find(site), std::string::npos) << s.ToString();
+    EXPECT_EQ(ReadAll(path), "previous contents");
+    EXPECT_FALSE(FileExists(path + ".tmp")) << "leaked temp file";
+  }
+  ASSERT_TRUE(WriteFileAtomic(path, "replacement", "test_file").ok());
+  EXPECT_EQ(ReadAll(path), "replacement");
+  std::remove(path.c_str());
+}
+
+TEST(DurableFileTest, ReadFaultSitesFire) {
+  const std::string path = DurablePath("read_faults");
+  ASSERT_TRUE(WriteFramedFileAtomic(path, kTestMagic, kTestVersion, "x",
+                                    "test_file")
+                  .ok());
+  // "test_file.read" matches "test_file.read.open" first, then itself.
+  for (const int nth : {1, 2}) {
+    ScopedFaultInjection guard("test_file.read", nth);
+    const StatusOr<std::string> read = ReadTestFile(path);
+    ASSERT_FALSE(read.ok()) << "nth " << nth;
+    EXPECT_NE(read.status().message().find(nth == 1 ? "test_file.read.open"
+                                                    : "test_file.read'"),
+              std::string::npos)
+        << read.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PayloadReaderTest, TruncationNamesFieldAndOffset) {
+  std::string payload;
+  PutU32(&payload, 7);
+  PutString(&payload, "abc");
+  payload.append("xy");
+  PayloadReader reader(payload, "test");
+  uint32_t count = 0;
+  std::string text;
+  ASSERT_TRUE(reader.U32(&count, "count").ok());
+  ASSERT_TRUE(reader.Str(&text, "text").ok());
+  EXPECT_EQ(count, 7u);
+  EXPECT_EQ(text, "abc");
+  EXPECT_EQ(reader.Finish("text").code(), StatusCode::kDataLoss);
+  uint64_t tail = 0;
+  const Status s = reader.U64(&tail, "tail field");
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(s.message(),
+            "test payload truncated reading tail field at offset 11 "
+            "(need 8 byte(s), have 2)");
 }
 
 }  // namespace
