@@ -376,11 +376,13 @@ void AttentionPackedKernel(benchmark::State& state,
   const std::vector<float> k = RandomBuffer(static_cast<size_t>(total) * dim, 38);
   const std::vector<float> v = RandomBuffer(static_cast<size_t>(total) * dim, 39);
   std::vector<float> out(q.size());
+  std::vector<float> scratch(static_cast<size_t>(len) *
+                             (len + dim / num_heads));
   const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
   for (auto _ : state) {
     kern.attention_forward_packed(q.data(), k.data(), v.data(), out.data(),
                                   offsets.data(), lengths.data(), num_seqs,
-                                  num_heads, dim, scale);
+                                  num_heads, dim, scale, scratch.data());
     benchmark::DoNotOptimize(out.data());
   }
   // Scores + context: 2 * T^2 * dim MACs per sequence.
@@ -495,6 +497,8 @@ void AttentionBackwardPackedKernel(benchmark::State& state,
   const std::vector<float> v = RandomBuffer(n, 39);
   const std::vector<float> og = RandomBuffer(n, 40);
   std::vector<float> qg(n), kg(n), vg(n);
+  std::vector<float> scratch(2 * static_cast<size_t>(len) *
+                             (len + dim / num_heads));
   const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
   for (auto _ : state) {
     std::fill(qg.begin(), qg.end(), 0.0f);
@@ -503,7 +507,7 @@ void AttentionBackwardPackedKernel(benchmark::State& state,
     kern.attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
                                    qg.data(), kg.data(), vg.data(),
                                    offsets.data(), lengths.data(), num_seqs,
-                                   num_heads, dim, scale);
+                                   num_heads, dim, scale, scratch.data());
     benchmark::DoNotOptimize(qg.data());
   }
   // Scores, d_probs and the q/k/v gradients: 5 * T^2 * dim MACs per

@@ -112,7 +112,10 @@ void PackedTrainBackward(PackedTrainBatch& ws, const PackedRefs& refs,
   Ensure(&ws.d_act, rf);
   Ensure(&ws.d_pre, rf);
   Ensure(&ws.d_cls, bd);
-  Ensure(&ws.d_probs, 2 * static_cast<size_t>(max_len));
+  // attention_backward_packed's scratch, which covers
+  // attention_backward_cls's 2 * max_len (nn/simd.h).
+  Ensure(&ws.d_probs,
+         2 * static_cast<size_t>(max_len) * (max_len + head_dim));
   float* d_h = ws.d_h.data();
   float* d_tmp = ws.d_tmp.data();
   float* d_att = ws.d_att.data();
@@ -124,13 +127,21 @@ void PackedTrainBackward(PackedTrainBatch& ws, const PackedRefs& refs,
   float* d_act = ws.d_act.data();
   float* d_pre = ws.d_pre.data();
 
+  // dx += dy * W^T for a weight W [in, out] and dy [m, out]:
+  // matmul_backward_a reads W transposed, repacked once into d_wt.
+  auto backward_a = [&](const Tensor& weight, const float* dy, float* dx,
+                        int m, int in, int out) {
+    Ensure(&ws.d_wt, static_cast<size_t>(in) * out);
+    RepackHeadsKT(V(weight), in, out, /*num_heads=*/1, ws.d_wt.data());
+    kern.matmul_backward_a(dy, ws.d_wt.data(), dx, 0, m, in, out);
+  };
   // Linear-site backward over rows of its input `x`: accumulates the input
   // gradient into dx and the weight/bias gradients, for the output
   // gradient dy [m, out].
   auto linear_backward = [&](const PackedRefs::Site& site, const float* x,
                              const float* dy, float* dx, int m, int in,
                              int out) {
-    kern.matmul_backward_a(dy, V(site.weight), dx, 0, m, in, out);
+    backward_a(site.weight, dy, dx, m, in, out);
     if (float* wg = Gp(site.weight)) {
       kern.matmul_backward_b(x, dy, wg, 0, in, m, in, out);
     }
@@ -201,7 +212,7 @@ void PackedTrainBackward(PackedTrainBatch& ws, const PackedRefs& refs,
     kern.bias_act_backward(t.ffa.data(), d_act, d_pre, Gp(sites[4].bias), m,
                            f);
     std::fill_n(d_n2, md, 0.0f);
-    kern.matmul_backward_a(d_pre, V(sites[4].weight), d_n2, 0, m, d, f);
+    backward_a(sites[4].weight, d_pre, d_n2, m, d, f);
     if (float* wg = Gp(sites[4].weight)) {
       kern.matmul_backward_b(t.n2.data(), d_pre, wg, 0, d, m, d, f);
     }
@@ -232,7 +243,8 @@ void PackedTrainBackward(PackedTrainBatch& ws, const PackedRefs& refs,
                                      d_att, d_q, d_k, d_v,
                                      layout.offsets.data(),
                                      layout.lengths.data(), S,
-                                     view.num_heads, d, scale);
+                                     view.num_heads, d, scale,
+                                     ws.d_probs.data());
     }
     std::fill_n(d_n1, rd, 0.0f);
     // The op chain backpropagates the projections in reverse build order:

@@ -63,7 +63,8 @@ class PackedTrainBatch {
   std::vector<float> d_h, d_tmp, d_att, d_q, d_k, d_v, d_n1, d_n2;  // [rows,d]
   std::vector<float> d_act, d_pre;  // [rows, f]
   std::vector<float> d_cls;         // [num_seqs, d] gradient of batch.cls
-  std::vector<float> d_probs;       // [2 * max_len] attention_backward_cls
+  std::vector<float> d_probs;  // attention backward scratch (nn/simd.h)
+  std::vector<float> d_wt;     // [out, in] weight transposed for dx
 
   // Starts a recording forward over the packed, bound batch: bumps the
   // generation and, when `rng` is non-null and `dropout` > 0, draws every

@@ -57,12 +57,14 @@ struct Kernels {
                           const float* beta, float* out, int m, int n,
                           float invn);
   // Fused packed multi-head attention forward (see
-  // nn::MultiHeadAttentionPacked for the exact semantics).
+  // nn::MultiHeadAttentionPacked for the exact semantics). `scratch` is
+  // caller-provided, at least max_len * (max_len + head_dim) floats with
+  // max_len = max(lengths) and head_dim = dim / num_heads.
   void (*attention_forward_packed)(const float* q, const float* k,
                                    const float* v, float* out,
                                    const int* offsets, const int* lengths,
                                    int num_seqs, int num_heads, int dim,
-                                   float scale);
+                                   float scale, float* scratch);
   // Fused embedding gather + positional add for the packed batch pipeline:
   //   out[r, :] = concat(e1[ids1[r]], e2[ids2[r]], e3[ids3[r]]) +
   //               pos[positions[r], :]
@@ -149,12 +151,14 @@ struct Kernels {
   // level's *forward* bits exactly, and only cross-level equality is
   // epsilon-gated (like the forward).
 
-  // dA[i0:i1, :] += dOut[i0:i1, :] * B^T with dOut [m, n], B [k, n]. Each
-  // dA element is one complete ascending-j dot accumulated in a register
-  // and added to dA once — the vector levels run lanes across the p (dA
-  // column) dimension over a transposed copy of B, so every lane's dot
-  // keeps the scalar's ascending-j order and the single final add.
-  void (*matmul_backward_a)(const float* og, const float* bv, float* ag,
+  // dA[i0:i1, :] += dOut[i0:i1, :] * B^T with dOut [m, n], B [k, n], read
+  // through its transpose bt [n, k] (the caller transposes B once, before
+  // splitting the rows across threads). Each dA element is one complete
+  // ascending-j dot accumulated in a register and added to dA once — the
+  // vector levels run lanes across the p (dA column) dimension of bt's
+  // rows, so every lane's dot keeps the scalar's ascending-j order and the
+  // single final add.
+  void (*matmul_backward_a)(const float* og, const float* bt, float* ag,
                             int i0, int i1, int k, int n);
   // dB[p0:p1, :] += (A^T * dOut)[p0:p1, :] with A [m, k], dOut [m, n]:
   // rank-1 row updates, i accumulated in ascending order per output
@@ -179,15 +183,22 @@ struct Kernels {
                                    float* bg, int m, int n, float invn);
   // Backward of attention_forward_packed: recomputes the probabilities
   // (through V::Exp — see above) and accumulates qg / kg / vg, any of
-  // which may be null. All dot reductions keep the scalar's ascending
-  // order per lane; lanes run across key positions (d_probs) and head
-  // columns (the gradient axpys).
+  // which may be null. `scratch` is caller-provided, at least
+  // 2 * max_len * (max_len + head_dim) floats with max_len = max(lengths)
+  // and head_dim = dim / num_heads — the kernel allocates nothing. All
+  // dot reductions keep the scalar's ascending order per lane (lanes run
+  // across key positions for the scores and d_probs, and across head
+  // columns for the gradients). Each gradient element receives the
+  // scalar's terms in the scalar's order — ascending key j for qg,
+  // ascending query i for kg and vg — summed in a register tile between
+  // one load and one store, so every level gives the bits a per-term add
+  // into memory gives.
   void (*attention_backward_packed)(const float* qv, const float* kv,
                                     const float* vv, const float* og,
                                     float* qg, float* kg, float* vg,
                                     const int* offsets, const int* lengths,
                                     int num_seqs, int num_heads, int dim,
-                                    float scale);
+                                    float scale, float* scratch);
   // attention_backward_packed for the CLS query of each sequence only, the
   // backward of attention_cls_blocked: q, og and qg are compact
   // [num_seqs, dim]; keys and values arrive transposed per head, kbt and

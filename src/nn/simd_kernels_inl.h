@@ -18,7 +18,8 @@
 // these kernels see. Policies must implement Mul/Add as separate
 // operations (never a fused multiply-add), and the per-ISA translation
 // units compile with -ffp-contract=off so the compiler cannot re-fuse
-// them.
+// them. Kernel bodies allocate nothing: every buffer is caller scratch,
+// sized in simd.h (scripts/check_kernel_scratch.sh).
 //
 // The one sanctioned deviation is V::Exp. The scalar policy's Exp is
 // std::exp — the scalar table therefore reproduces the pre-SIMD results
@@ -37,7 +38,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "nn/simd.h"
 
@@ -359,14 +359,11 @@ void LayerNormRowsT(const float* __restrict xv, const float* __restrict gv,
   }
 }
 
-// Row softmax in place over prow[0, len): the row max (vectorized — max
-// is exact), exp through V::Exp over whole vectors and std::exp on the
-// tail, the normalizing sum scalar ascending, then the divide. Every
-// attention kernel's probabilities go through it, so the forwards and the
-// backwards' recomputes agree bit for bit at each level; at width 1 it is
-// the scalar reference loop.
+// Softmax numerator in place over prow[0, len): the row max (vectorized —
+// max is exact), then prow[j] = exp(prow[j] - max), V::Exp over whole
+// vectors and std::exp on the tail.
 template <typename V>
-inline void SoftmaxRowT(float* __restrict prow, int len) {
+inline void SoftmaxExpRowT(float* __restrict prow, int len) {
   constexpr int L = V::kLanes;
   const int lenv = (len / L) * L;
   float max_v = prow[0];
@@ -382,37 +379,57 @@ inline void SoftmaxRowT(float* __restrict prow, int len) {
     V::Store(prow + j, V::Exp(V::Sub(V::Load(prow + j), vm)));
   }
   for (; j < len; ++j) prow[j] = std::exp(prow[j] - max_v);
-  float sum = 0;
-  for (j = 0; j < len; ++j) sum += prow[j];
+}
+
+// prow[j] /= sum over prow[0, len): the softmax normalization.
+template <typename V>
+inline void SoftmaxDivRowT(float* __restrict prow, int len, float sum) {
+  constexpr int L = V::kLanes;
+  const int lenv = (len / L) * L;
   const auto vsum = V::Broadcast(sum);
-  for (j = 0; j < lenv; j += L) {
+  int j = 0;
+  for (; j < lenv; j += L) {
     V::Store(prow + j, V::Div(V::Load(prow + j), vsum));
   }
   for (; j < len; ++j) prow[j] /= sum;
 }
 
+// Row softmax in place over prow[0, len): SoftmaxExpRowT, the normalizing
+// sum scalar ascending, then the divide. Every attention kernel's
+// probabilities go through this arithmetic, so the forwards and the
+// backwards' recomputes agree bit for bit at each level; at width 1 it is
+// the scalar reference loop.
+template <typename V>
+inline void SoftmaxRowT(float* __restrict prow, int len) {
+  SoftmaxExpRowT<V>(prow, len);
+  float sum = 0;
+  for (int j = 0; j < len; ++j) sum += prow[j];
+  SoftmaxDivRowT<V>(prow, len, sum);
+}
+
 // Fused packed multi-head attention forward (semantics documented at
 // nn::MultiHeadAttentionPacked). The score and context loops are
 // axpy-shaped and vectorize across their independent output lanes; the
-// softmax inside is SoftmaxRowT.
+// softmax inside is SoftmaxRowT. `scratch` holds max_len * (max_len +
+// head_dim) floats: per sequence, the [len, len] probabilities and the
+// packed k^T head block [head_dim, len].
 template <typename V>
 void AttentionForwardPackedT(const float* __restrict qv,
                              const float* __restrict kv,
                              const float* __restrict vv, float* __restrict ov,
                              const int* __restrict offsets,
                              const int* __restrict lengths, int num_seqs,
-                             int num_heads, int dim, float scale) {
+                             int num_heads, int dim, float scale,
+                             float* __restrict scratch) {
   constexpr int L = V::kLanes;
   const int dh = dim / num_heads;
   const int dhv = (dh / L) * L;
-  std::vector<float> probs;  // per-(sequence, head) [len, len] scratch
-  std::vector<float> kt;     // packed k^T head block, [dh, len]
   for (int s = 0; s < num_seqs; ++s) {
     const int off = offsets[s];
     const int len = lengths[s];
     const int lenv = (len / L) * L;
-    probs.resize(static_cast<size_t>(len) * len);
-    kt.resize(static_cast<size_t>(dh) * len);
+    float* __restrict probs = scratch;
+    float* __restrict kt = scratch + static_cast<size_t>(len) * len;
     for (int h = 0; h < num_heads; ++h) {
       const int col0 = h * dh;
       // Pack the head's key block transposed so the score loops run
@@ -431,7 +448,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
       for (int i = 0; i < len; ++i) {
         const float* __restrict qrow =
             qv + static_cast<size_t>(off + i) * dim + col0;
-        float* __restrict prow = probs.data() + static_cast<size_t>(i) * len;
+        float* __restrict prow = probs + static_cast<size_t>(i) * len;
         // Scores q·k, register-tiled over j like MatMulForwardRangeT: the
         // per-element sum still accumulates ascending c from zero, so the
         // bits match the old zero-then-axpy form at every level. The
@@ -442,11 +459,10 @@ void AttentionForwardPackedT(const float* __restrict qv,
           for (int c = 0; c < dh; ++c) {
             const float qc = qrow[c];
             const float* __restrict ktrow =
-                kt.data() + static_cast<size_t>(c) * len;
+                kt + static_cast<size_t>(c) * len;
             for (int j = 0; j < len; ++j) prow[j] += qc * ktrow[j];
           }
         } else {
-          const float* __restrict ktv = kt.data();
           const auto zero = V::Broadcast(0.0f);
           int j = 0;
           for (; j + 2 * L <= len; j += 2 * L) {
@@ -454,7 +470,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
             auto a1 = zero;
             for (int c = 0; c < dh; ++c) {
               const float* __restrict ktrow =
-                  ktv + static_cast<size_t>(c) * len + j;
+                  kt + static_cast<size_t>(c) * len + j;
               const auto vq = V::Broadcast(qrow[c]);
               a0 = V::Add(a0, V::Mul(vq, V::Load(ktrow)));
               a1 = V::Add(a1, V::Mul(vq, V::Load(ktrow + L)));
@@ -466,7 +482,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
             auto a0 = zero;
             for (int c = 0; c < dh; ++c) {
               a0 = V::Add(a0, V::Mul(V::Broadcast(qrow[c]),
-                                     V::Load(ktv + static_cast<size_t>(c) * len +
+                                     V::Load(kt + static_cast<size_t>(c) * len +
                                              j)));
             }
             V::Store(prow + j, a0);
@@ -474,7 +490,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
           for (; j < len; ++j) {
             float acc = 0;
             for (int c = 0; c < dh; ++c) {
-              acc += qrow[c] * ktv[static_cast<size_t>(c) * len + j];
+              acc += qrow[c] * kt[static_cast<size_t>(c) * len + j];
             }
             prow[j] = acc;
           }
@@ -495,7 +511,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
       // MatMul(probs, vh).
       for (int i = 0; i < len; ++i) {
         const float* __restrict prow =
-            probs.data() + static_cast<size_t>(i) * len;
+            probs + static_cast<size_t>(i) * len;
         float* __restrict orow = ov + static_cast<size_t>(off + i) * dim + col0;
         // Context probs * vh, register-tiled over the head lanes c: the
         // per-element sum accumulates ascending j from zero, exactly like
@@ -884,20 +900,18 @@ void AttentionForwardBlockedT(const float* __restrict qv,
 // term to it leaves its bits unchanged. That is what makes the masked
 // adds in BiasActBackwardT bit-safe.
 
-// dA[i0:i1, :] += dOut[i0:i1, :] * B^T. The seed closure computes each
-// dA element as one complete ascending-j dot in a register, added to dA
-// once — note this is *not* the forward's accumulate-into-out shape, so
-// the vector path cannot reuse MatMulForwardRangeT. Instead it runs
-// register-tiled lanes across the p (dA column) dimension over a
-// transposed copy of B: each lane's dot still starts at zero and
-// accumulates ascending j, followed by the one final add, so every level
-// produces the seed's bits. The transpose is pure data movement (never
-// rounds) into a thread-local scratch, rebuilt per ParallelFor range —
-// ranges are capped at 4x the thread count, and the training matrices
-// are small enough (k, n <= a few hundred) that the repack is noise next
-// to the O(m*k*n) dots it unlocks.
+// dA[i0:i1, :] += dOut[i0:i1, :] * B^T, reading B transposed: bt [n, k]
+// (the caller transposes once, before splitting rows across threads).
+// The seed closure computes each dA element as one complete ascending-j
+// dot in a register, added to dA once — note this is *not* the forward's
+// accumulate-into-out shape, so the vector path cannot reuse
+// MatMulForwardRangeT. Instead it runs register-tiled lanes across the p
+// (dA column) dimension of bt's rows: each lane's dot still starts at zero
+// and accumulates ascending j, followed by the one final add, so every
+// level produces the seed's bits. The width-1 body is the seed loop over
+// bt's columns.
 template <typename V>
-void MatMulBackwardAT(const float* __restrict og, const float* __restrict bv,
+void MatMulBackwardAT(const float* __restrict og, const float* __restrict btv,
                       float* __restrict ag, int i0, int i1, int k, int n) {
   constexpr int L = V::kLanes;
   if constexpr (L == 1) {
@@ -905,20 +919,14 @@ void MatMulBackwardAT(const float* __restrict og, const float* __restrict bv,
       const float* __restrict orow = og + static_cast<size_t>(i) * n;
       float* __restrict arow = ag + static_cast<size_t>(i) * k;
       for (int p = 0; p < k; ++p) {
-        const float* __restrict brow = bv + static_cast<size_t>(p) * n;
         float dot = 0.0f;
-        for (int j = 0; j < n; ++j) dot += orow[j] * brow[j];
+        for (int j = 0; j < n; ++j) {
+          dot += orow[j] * btv[static_cast<size_t>(j) * k + p];
+        }
         arow[p] += dot;
       }
     }
   } else {
-    static thread_local std::vector<float> bt;  // B^T scratch, [n, k]
-    bt.resize(static_cast<size_t>(n) * k);
-    float* __restrict btv = bt.data();
-    for (int p = 0; p < k; ++p) {
-      const float* __restrict brow = bv + static_cast<size_t>(p) * n;
-      for (int j = 0; j < n; ++j) btv[static_cast<size_t>(j) * k + p] = brow[j];
-    }
     const auto zero = V::Broadcast(0.0f);
     for (int i = i0; i < i1; ++i) {
       const float* __restrict orow = og + static_cast<size_t>(i) * n;
@@ -1134,17 +1142,246 @@ void LayerNormRowsBackwardT(const float* __restrict xv,
   }
 }
 
-// Backward of attention_forward_packed. The probabilities are recomputed
-// rather than cached across the graph's lifetime (the seed closure's
-// trade-off, kept here): per element the score dot accumulates ascending
-// c from zero and is scaled once, the max reduction is exact, exp goes
-// through V::Exp — so at any level the recomputed probs match that
-// level's *forward* bits exactly, and only cross-level equality is
-// epsilon-gated — and the normalizing sum stays scalar ascending. The
-// gradient phases keep the seed's accumulation orders: d_probs lanes run
-// across key positions j over a transposed value pack (each lane's dot
-// ascending c from zero), and the v/q/k gradient axpys run lanes across
-// the head columns with their per-j memory accumulation order untouched.
+// --- Attention backward ------------------------------------------------
+//
+// The vector body of attention_backward_packed runs per (sequence, head)
+// in three phases over caller scratch, each in register tiles:
+//   1. the scaled scores and d_probs, 4 queries x L keys at a time
+//      (ScoreRowsT), as AttentionForwardBlockedT tiles its scores;
+//   2. the softmax and its backward, 4 rows at a time
+//      (SoftmaxBackwardRowsT);
+//   3. dQ = dS * K, dK = dS^T * Q and dV = P^T * dO (GradRowsT).
+// The seed closure added every gradient term through memory — a
+// store-to-load chain per term, the one register tiling removed from the
+// forward GEMM. Phase 3 loads each gradient vector once, adds the seed's
+// terms in the seed's order (ascending key j for qg, ascending query i
+// for kg and vg) and stores it once. The loads and stores that disappear
+// never rounded, so every element keeps its exact sequence of roundings
+// and the vector levels produce the seed's bits.
+
+// Calls f.template operator()<R>(t) for the row tiles [t, t + R) of
+// [0, n): R = 4, then one remainder tile of 3, 2 or 1 rows.
+template <typename F>
+inline void ForRowTiles(int n, F&& f) {
+  int t = 0;
+  for (; t + 4 <= n; t += 4) f.template operator()<4>(t);
+  switch (n - t) {
+    case 3:
+      f.template operator()<3>(t);
+      break;
+    case 2:
+      f.template operator()<2>(t);
+      break;
+    case 1:
+      f.template operator()<1>(t);
+      break;
+    default:
+      break;
+  }
+}
+
+// Scores and d_probs of R queries (q and og rows at stride ld) against
+// the L keys from j, over the head's transposed keys and values kt and vt
+// (row c holds column c of every key, at stride ldk):
+//   p[t][j + l] = (sum_c q[t][c] * k[j + l][c]) * scale,
+//   dp[t][j + l] = sum_c og[t][c] * v[j + l][c],
+// each dot from zero in ascending c in one lane of a register. p and dp
+// rows are len floats apart.
+template <typename V, int R>
+inline void ScoreTileT(const float* __restrict q, const float* __restrict g,
+                       int ld, const float* __restrict kt,
+                       const float* __restrict vt, int ldk, int len, int dh,
+                       int j, float scale, float* __restrict p,
+                       float* __restrict dp) {
+  typename V::Vec a[R], d[R];
+  for (int t = 0; t < R; ++t) a[t] = d[t] = V::Broadcast(0.0f);
+  for (int c = 0; c < dh; ++c) {
+    const auto kc = V::Load(kt + static_cast<size_t>(c) * ldk + j);
+    const auto vc = V::Load(vt + static_cast<size_t>(c) * ldk + j);
+    for (int t = 0; t < R; ++t) {
+      const size_t at = static_cast<size_t>(t) * ld + c;
+      a[t] = V::Add(a[t], V::Mul(V::Broadcast(q[at]), kc));
+      d[t] = V::Add(d[t], V::Mul(V::Broadcast(g[at]), vc));
+    }
+  }
+  const auto vs = V::Broadcast(scale);
+  for (int t = 0; t < R; ++t) {
+    V::Store(p + static_cast<size_t>(t) * len + j, V::Mul(a[t], vs));
+    V::Store(dp + static_cast<size_t>(t) * len + j, d[t]);
+  }
+}
+
+// ScoreTileT over every key: whole L-key vectors, then — when len is not
+// a multiple of L — one overlapping vector ending at len, which
+// recomputes its overlapped elements from zero and stores the same bits
+// again. Below one vector (len < L) each element is a scalar dot.
+template <typename V, int R>
+inline void ScoreRowsT(const float* __restrict q, const float* __restrict g,
+                       int ld, const float* __restrict kt,
+                       const float* __restrict vt, int ldk, int len, int dh,
+                       float scale, float* __restrict p,
+                       float* __restrict dp) {
+  constexpr int L = V::kLanes;
+  if (len < L) {
+    for (int t = 0; t < R; ++t) {
+      const float* __restrict qrow = q + static_cast<size_t>(t) * ld;
+      const float* __restrict grow = g + static_cast<size_t>(t) * ld;
+      for (int j = 0; j < len; ++j) {
+        float dot = 0, dpj = 0;
+        for (int c = 0; c < dh; ++c) {
+          dot += qrow[c] * kt[static_cast<size_t>(c) * ldk + j];
+          dpj += grow[c] * vt[static_cast<size_t>(c) * ldk + j];
+        }
+        p[static_cast<size_t>(t) * len + j] = dot * scale;
+        dp[static_cast<size_t>(t) * len + j] = dpj;
+      }
+    }
+    return;
+  }
+  int j = 0;
+  for (; j + L <= len; j += L) {
+    ScoreTileT<V, R>(q, g, ld, kt, vt, ldk, len, dh, j, scale, p, dp);
+  }
+  if (j < len) {
+    ScoreTileT<V, R>(q, g, ld, kt, vt, ldk, len, dh, len - L, scale, p, dp);
+  }
+}
+
+// Softmax of R score rows at stride len, in place, then the softmax
+// backward of their d_probs with the post-softmax Scale folded in:
+// d_scores = scale * p * (dp - sum(p * dp)). Row for row this is
+// SoftmaxRowT and the seed's backward: each row's normalizing sum and
+// p . dp dot stays one scalar chain in ascending j. The R rows' chains
+// interleave, so one row's adds fill the latency of another's.
+template <typename V, int R>
+inline void SoftmaxBackwardRowsT(float* __restrict p, float* __restrict dp,
+                                 int len, float scale) {
+  constexpr int L = V::kLanes;
+  float sum[R], dot[R];
+  for (int t = 0; t < R; ++t) {
+    SoftmaxExpRowT<V>(p + static_cast<size_t>(t) * len, len);
+    sum[t] = 0;
+    dot[t] = 0;
+  }
+  for (int j = 0; j < len; ++j) {
+    for (int t = 0; t < R; ++t) sum[t] += p[static_cast<size_t>(t) * len + j];
+  }
+  for (int t = 0; t < R; ++t) {
+    SoftmaxDivRowT<V>(p + static_cast<size_t>(t) * len, len, sum[t]);
+  }
+  for (int j = 0; j < len; ++j) {
+    for (int t = 0; t < R; ++t) {
+      const size_t at = static_cast<size_t>(t) * len + j;
+      dot[t] += p[at] * dp[at];
+    }
+  }
+  const auto vscale = V::Broadcast(scale);
+  for (int t = 0; t < R; ++t) {
+    const float* __restrict prow = p + static_cast<size_t>(t) * len;
+    float* __restrict dprow = dp + static_cast<size_t>(t) * len;
+    const auto vdot = V::Broadcast(dot[t]);
+    int j = 0;
+    for (; j + L <= len; j += L) {
+      V::Store(dprow + j, V::Mul(V::Mul(vscale, V::Load(prow + j)),
+                                 V::Sub(V::Load(dprow + j), vdot)));
+    }
+    for (; j < len; ++j) dprow[j] = scale * prow[j] * (dprow[j] - dot[t]);
+  }
+}
+
+// One register tile of the gradient accumulations: for R destination rows
+// t (at stride ld) and NV head-column vectors starting at c0 (and c1),
+//   dst[t][c] += coef[t * ct + u * cu] * src[u][c]   for u = 0 .. nu - 1,
+// in that order. Every vector of the tile is loaded before any is stored,
+// so an overlapping tail vector (c1 = head_dim - L) starts from the prior
+// contents of the lanes it shares with c0, never from a half-accumulated
+// value; both copies of a shared lane receive the same terms and store
+// the same bits.
+template <typename V, int R, int NV>
+inline void GradTileT(float* __restrict dst, const float* __restrict src,
+                      int ld, const float* __restrict coef, int ct, int cu,
+                      int nu, int c0, int c1) {
+  const int cols[2] = {c0, c1};
+  typename V::Vec acc[R][NV];
+  for (int t = 0; t < R; ++t) {
+    for (int v = 0; v < NV; ++v) {
+      acc[t][v] = V::Load(dst + static_cast<size_t>(t) * ld + cols[v]);
+    }
+  }
+  for (int u = 0; u < nu; ++u) {
+    const float* __restrict srow = src + static_cast<size_t>(u) * ld;
+    const float* __restrict w = coef + static_cast<size_t>(u) * cu;
+    typename V::Vec x[NV];
+    for (int v = 0; v < NV; ++v) x[v] = V::Load(srow + cols[v]);
+    for (int t = 0; t < R; ++t) {
+      const auto wt = V::Broadcast(w[t * ct]);
+      for (int v = 0; v < NV; ++v) {
+        acc[t][v] = V::Add(acc[t][v], V::Mul(wt, x[v]));
+      }
+    }
+  }
+  for (int t = 0; t < R; ++t) {
+    for (int v = 0; v < NV; ++v) {
+      V::Store(dst + static_cast<size_t>(t) * ld + cols[v], acc[t][v]);
+    }
+  }
+}
+
+// dst rows [0, nrows), head columns [0, dh):
+//   dst[t][c] += coef[t * ct + u * cu] * src[u][c]   for u ascending,
+// in GradTileT tiles of up to 4 rows. Column vectors go in pairs, an odd
+// one out first on its own, so the overlapping tail vector (dh not a
+// multiple of L) shares a tile with the last whole vector — the only one
+// it overlaps. Below one vector (dh < L) each element sums in a scalar
+// register, in the same order.
+template <typename V>
+inline void GradRowsT(float* __restrict dst, const float* __restrict src,
+                      int ld, const float* __restrict coef, int ct, int cu,
+                      int nrows, int nu, int dh) {
+  constexpr int L = V::kLanes;
+  if (dh < L) {
+    for (int t = 0; t < nrows; ++t) {
+      float* __restrict drow = dst + static_cast<size_t>(t) * ld;
+      const float* __restrict w = coef + static_cast<size_t>(t) * ct;
+      for (int c = 0; c < dh; ++c) {
+        float acc = drow[c];
+        for (int u = 0; u < nu; ++u) {
+          acc += w[static_cast<size_t>(u) * cu] *
+                 src[static_cast<size_t>(u) * ld + c];
+        }
+        drow[c] = acc;
+      }
+    }
+    return;
+  }
+  const int nfull = dh / L;
+  const int nvec = nfull + (dh % L != 0 ? 1 : 0);
+  auto col = [&](int v) { return v < nfull ? v * L : dh - L; };
+  ForRowTiles(nrows, [&]<int R>(int t) {
+    float* __restrict d = dst + static_cast<size_t>(t) * ld;
+    const float* __restrict w = coef + static_cast<size_t>(t) * ct;
+    int v = 0;
+    if (nvec % 2 != 0) {
+      GradTileT<V, R, 1>(d, src, ld, w, ct, cu, nu, col(0), 0);
+      v = 1;
+    }
+    for (; v < nvec; v += 2) {
+      GradTileT<V, R, 2>(d, src, ld, w, ct, cu, nu, col(v), col(v + 1));
+    }
+  });
+}
+
+// Backward of attention_forward_packed. `scratch` holds
+// 2 * max_len * (max_len + head_dim) floats (simd.h): per sequence, probs
+// and d_probs [len, len] and, at vector levels, the head's k^T and v^T
+// packs [head_dim, len]. The probabilities are recomputed rather than
+// cached across the graph's lifetime (the seed closure's trade-off, kept
+// here): per element the score dot accumulates ascending c from zero and
+// is scaled once, and the softmax is SoftmaxRowT's arithmetic — so at any
+// level the recomputed probs match that level's *forward* bits exactly,
+// and only cross-level equality is epsilon-gated. The width-1 body is the
+// seed closure statement for statement, the training bit-exactness
+// reference; the vector body is the three phases above.
 template <typename V>
 void AttentionBackwardPackedT(const float* __restrict qv,
                               const float* __restrict kv,
@@ -1153,41 +1390,23 @@ void AttentionBackwardPackedT(const float* __restrict qv,
                               float* __restrict kg, float* __restrict vg,
                               const int* __restrict offsets,
                               const int* __restrict lengths, int num_seqs,
-                              int num_heads, int dim, float scale) {
+                              int num_heads, int dim, float scale,
+                              float* __restrict scratch) {
   constexpr int L = V::kLanes;
   const int dh = dim / num_heads;
-  const int dhv = (dh / L) * L;
-  std::vector<float> probs, dprobs;
-  std::vector<float> kt, vt;  // vector levels: k^T / v^T head packs [dh, len]
-  for (int s = 0; s < num_seqs; ++s) {
-    const int off = offsets[s];
-    const int len = lengths[s];
-    probs.resize(static_cast<size_t>(len) * len);
-    dprobs.resize(static_cast<size_t>(len) * len);
-    if constexpr (L != 1) {
-      kt.resize(static_cast<size_t>(dh) * len);
-      vt.resize(static_cast<size_t>(dh) * len);
-    }
-    for (int h = 0; h < num_heads; ++h) {
-      const int col0 = h * dh;
-      if constexpr (L != 1) {
-        for (int j = 0; j < len; ++j) {
-          const float* __restrict krow =
-              kv + static_cast<size_t>(off + j) * dim + col0;
-          const float* __restrict vrow =
-              vv + static_cast<size_t>(off + j) * dim + col0;
-          for (int c = 0; c < dh; ++c) {
-            kt[static_cast<size_t>(c) * len + j] = krow[c];
-            vt[static_cast<size_t>(c) * len + j] = vrow[c];
-          }
-        }
-      }
-      // --- Recompute this head's attention probabilities ---------------
-      for (int i = 0; i < len; ++i) {
-        const float* __restrict qrow =
-            qv + static_cast<size_t>(off + i) * dim + col0;
-        float* __restrict prow = probs.data() + static_cast<size_t>(i) * len;
-        if constexpr (L == 1) {
+  if constexpr (L == 1) {
+    for (int s = 0; s < num_seqs; ++s) {
+      const int off = offsets[s];
+      const int len = lengths[s];
+      float* __restrict probs = scratch;
+      float* __restrict dprobs = scratch + static_cast<size_t>(len) * len;
+      for (int h = 0; h < num_heads; ++h) {
+        const int col0 = h * dh;
+        // --- Recompute this head's attention probabilities -------------
+        for (int i = 0; i < len; ++i) {
+          const float* __restrict qrow =
+              qv + static_cast<size_t>(off + i) * dim + col0;
+          float* __restrict prow = probs + static_cast<size_t>(i) * len;
           for (int j = 0; j < len; ++j) {
             const float* __restrict krow =
                 kv + static_cast<size_t>(off + j) * dim + col0;
@@ -1195,40 +1414,15 @@ void AttentionBackwardPackedT(const float* __restrict qv,
             for (int c = 0; c < dh; ++c) dot += qrow[c] * krow[c];
             prow[j] = dot * scale;
           }
-        } else {
-          const float* __restrict ktv = kt.data();
-          const auto zero = V::Broadcast(0.0f);
-          const auto vs = V::Broadcast(scale);
-          int j = 0;
-          for (; j + L <= len; j += L) {
-            auto a0 = zero;
-            for (int c = 0; c < dh; ++c) {
-              a0 = V::Add(a0, V::Mul(V::Broadcast(qrow[c]),
-                                     V::Load(ktv + static_cast<size_t>(c) * len +
-                                             j)));
-            }
-            V::Store(prow + j, V::Mul(a0, vs));
-          }
-          for (; j < len; ++j) {
-            float dot = 0;
-            for (int c = 0; c < dh; ++c) {
-              dot += qrow[c] * ktv[static_cast<size_t>(c) * len + j];
-            }
-            prow[j] = dot * scale;
-          }
+          SoftmaxRowT<V>(prow, len);
         }
-        SoftmaxRowT<V>(prow, len);
-      }
-      // --- Gradient phases, same accumulation orders as the seed -------
-      for (int i = 0; i < len; ++i) {
-        const float* __restrict prow =
-            probs.data() + static_cast<size_t>(i) * len;
-        float* __restrict dprow =
-            dprobs.data() + static_cast<size_t>(i) * len;
-        const float* __restrict grow =
-            og + static_cast<size_t>(off + i) * dim + col0;
-        // d_probs = d_ctx * vh^T; d_vh += probs^T * d_ctx.
-        if constexpr (L == 1) {
+        // --- Gradient phases, the seed's accumulation orders -----------
+        for (int i = 0; i < len; ++i) {
+          const float* __restrict prow = probs + static_cast<size_t>(i) * len;
+          float* __restrict dprow = dprobs + static_cast<size_t>(i) * len;
+          const float* __restrict grow =
+              og + static_cast<size_t>(off + i) * dim + col0;
+          // d_probs = d_ctx * vh^T; d_vh += probs^T * d_ctx.
           for (int j = 0; j < len; ++j) {
             const float* __restrict vrow =
                 vv + static_cast<size_t>(off + j) * dim + col0;
@@ -1242,71 +1436,22 @@ void AttentionBackwardPackedT(const float* __restrict qv,
               for (int c = 0; c < dh; ++c) vgrow[c] += p * grow[c];
             }
           }
-        } else {
-          const float* __restrict vtv = vt.data();
-          const auto zero = V::Broadcast(0.0f);
-          int j = 0;
-          for (; j + L <= len; j += L) {
-            auto a0 = zero;
-            for (int c = 0; c < dh; ++c) {
-              a0 = V::Add(a0, V::Mul(V::Broadcast(grow[c]),
-                                     V::Load(vtv + static_cast<size_t>(c) * len +
-                                             j)));
-            }
-            V::Store(dprow + j, a0);
-          }
-          for (; j < len; ++j) {
-            float dp = 0;
-            for (int c = 0; c < dh; ++c) {
-              dp += grow[c] * vtv[static_cast<size_t>(c) * len + j];
-            }
-            dprow[j] = dp;
-          }
-          if (vg) {
-            for (j = 0; j < len; ++j) {
-              float* __restrict vgrow =
-                  vg + static_cast<size_t>(off + j) * dim + col0;
-              const auto vp = V::Broadcast(prow[j]);
-              int c = 0;
-              for (; c < dhv; c += L) {
-                V::Store(vgrow + c, V::Add(V::Load(vgrow + c),
-                                           V::Mul(vp, V::Load(grow + c))));
-              }
-              for (; c < dh; ++c) vgrow[c] += prow[j] * grow[c];
-            }
-          }
-        }
-        // Softmax backward, then the post-softmax Scale folds into the
-        // score gradient: d_scores = scale * p * (dp - sum(p * dp)).
-        float dot = 0;
-        for (int j = 0; j < len; ++j) dot += prow[j] * dprow[j];
-        if constexpr (L == 1) {
+          // Softmax backward, then the post-softmax Scale folds into the
+          // score gradient: d_scores = scale * p * (dp - sum(p * dp)).
+          float dot = 0;
+          for (int j = 0; j < len; ++j) dot += prow[j] * dprow[j];
           for (int j = 0; j < len; ++j) {
             dprow[j] = scale * prow[j] * (dprow[j] - dot);
           }
-        } else {
-          const auto vscale = V::Broadcast(scale);
-          const auto vdot = V::Broadcast(dot);
-          int j = 0;
-          for (; j + L <= len; j += L) {
-            V::Store(dprow + j,
-                     V::Mul(V::Mul(vscale, V::Load(prow + j)),
-                            V::Sub(V::Load(dprow + j), vdot)));
-          }
-          for (; j < len; ++j) {
-            dprow[j] = scale * prow[j] * (dprow[j] - dot);
-          }
-        }
-        // d_qh += d_scores * kh; d_kh += d_scores^T * qh.
-        const float* __restrict qrow =
-            qv + static_cast<size_t>(off + i) * dim + col0;
-        float* __restrict qgrow =
-            qg ? qg + static_cast<size_t>(off + i) * dim + col0 : nullptr;
-        for (int j = 0; j < len; ++j) {
-          const float ds = dprow[j];
-          const float* __restrict krow =
-              kv + static_cast<size_t>(off + j) * dim + col0;
-          if constexpr (L == 1) {
+          // d_qh += d_scores * kh; d_kh += d_scores^T * qh.
+          const float* __restrict qrow =
+              qv + static_cast<size_t>(off + i) * dim + col0;
+          float* __restrict qgrow =
+              qg ? qg + static_cast<size_t>(off + i) * dim + col0 : nullptr;
+          for (int j = 0; j < len; ++j) {
+            const float ds = dprow[j];
+            const float* __restrict krow =
+                kv + static_cast<size_t>(off + j) * dim + col0;
             if (qgrow) {
               for (int c = 0; c < dh; ++c) qgrow[c] += ds * krow[c];
             }
@@ -1315,27 +1460,48 @@ void AttentionBackwardPackedT(const float* __restrict qv,
                   kg + static_cast<size_t>(off + j) * dim + col0;
               for (int c = 0; c < dh; ++c) kgrow[c] += ds * qrow[c];
             }
-          } else {
-            const auto vds = V::Broadcast(ds);
-            if (qgrow) {
-              int c = 0;
-              for (; c < dhv; c += L) {
-                V::Store(qgrow + c, V::Add(V::Load(qgrow + c),
-                                           V::Mul(vds, V::Load(krow + c))));
-              }
-              for (; c < dh; ++c) qgrow[c] += ds * krow[c];
-            }
-            if (kg) {
-              float* __restrict kgrow =
-                  kg + static_cast<size_t>(off + j) * dim + col0;
-              int c = 0;
-              for (; c < dhv; c += L) {
-                V::Store(kgrow + c, V::Add(V::Load(kgrow + c),
-                                           V::Mul(vds, V::Load(qrow + c))));
-              }
-              for (; c < dh; ++c) kgrow[c] += ds * qrow[c];
-            }
           }
+        }
+      }
+    }
+  } else {
+    for (int s = 0; s < num_seqs; ++s) {
+      const int len = lengths[s];
+      const size_t ll = static_cast<size_t>(len) * len;
+      float* __restrict probs = scratch;
+      float* __restrict dprobs = scratch + ll;
+      float* __restrict kt = scratch + 2 * ll;
+      float* __restrict vt = kt + static_cast<size_t>(dh) * len;
+      for (int h = 0; h < num_heads; ++h) {
+        // This head's columns of the sequence's rows, at stride dim.
+        const size_t base = static_cast<size_t>(offsets[s]) * dim + h * dh;
+        for (int j = 0; j < len; ++j) {
+          const size_t row = base + static_cast<size_t>(j) * dim;
+          const float* __restrict krow = kv + row;
+          const float* __restrict vrow = vv + row;
+          for (int c = 0; c < dh; ++c) {
+            kt[static_cast<size_t>(c) * len + j] = krow[c];
+            vt[static_cast<size_t>(c) * len + j] = vrow[c];
+          }
+        }
+        ForRowTiles(len, [&]<int R>(int i) {
+          const size_t at = base + static_cast<size_t>(i) * dim;
+          const size_t row = static_cast<size_t>(i) * len;
+          ScoreRowsT<V, R>(qv + at, og + at, dim, kt, vt, len, len, dh,
+                           scale, probs + row, dprobs + row);
+          SoftmaxBackwardRowsT<V, R>(probs + row, dprobs + row, len, scale);
+        });
+        if (qg) {
+          GradRowsT<V>(qg + base, kv + base, dim, dprobs, len, 1, len, len,
+                       dh);
+        }
+        if (kg) {
+          GradRowsT<V>(kg + base, qv + base, dim, dprobs, 1, len, len, len,
+                       dh);
+        }
+        if (vg) {
+          GradRowsT<V>(vg + base, og + base, dim, probs, 1, len, len, len,
+                       dh);
         }
       }
     }
@@ -1353,13 +1519,12 @@ void AttentionBackwardPackedT(const float* __restrict qv,
 // `probs` is caller scratch of 2 * max(lengths) floats.
 //
 // Per element the arithmetic is the full kernel's for query 0: the score
-// and d_probs dots start at zero and add ascending c (lanes across key
-// positions j, over the transposed blocks here instead of a per-sequence
-// pack), the softmax runs max/exp/sum/divide exactly as there, and the
-// q/k/v gradient elements receive the same terms in the same ascending-j
-// order. The qg row sums its terms in registers, four head columns at a
-// time, instead of in memory — the same sequence of roundings — because
-// kbt's rows run across j.
+// and d_probs dots, the softmax and its backward run through the same
+// helpers (ScoreRowsT over the transposed blocks, SoftmaxBackwardRowsT),
+// each key's and value's gradient receives its one term (GradRowsT), and
+// the qg row sums its terms in registers, four head columns at a time,
+// in the same ascending-j order — the same sequence of roundings —
+// because kbt's rows run across j.
 template <typename V>
 void AttentionBackwardClsT(const float* __restrict qv,
                            const float* __restrict kbt,
@@ -1370,74 +1535,27 @@ void AttentionBackwardClsT(const float* __restrict qv,
                            const int* __restrict lengths, int num_seqs,
                            int num_heads, int total_rows, int dim, float scale,
                            float* __restrict probs) {
-  constexpr int L = V::kLanes;
   const int dh = dim / num_heads;
-  const int dhv = (dh / L) * L;
   for (int s = 0; s < num_seqs; ++s) {
-    const int off = offsets[s];
     const int len = lengths[s];
-    const int lenv = (len / L) * L;
     float* __restrict prow = probs;
     float* __restrict dprow = probs + len;
     for (int h = 0; h < num_heads; ++h) {
       const int col0 = h * dh;
+      const size_t base = static_cast<size_t>(offsets[s]) * dim + col0;
       const float* __restrict qrow = qv + static_cast<size_t>(s) * dim + col0;
       const float* __restrict grow = og + static_cast<size_t>(s) * dim + col0;
       const float* __restrict ktb =
-          kbt + (static_cast<size_t>(h) * dh) * total_rows + off;
+          kbt + (static_cast<size_t>(h) * dh) * total_rows + offsets[s];
       const float* __restrict vtb =
-          vbt + (static_cast<size_t>(h) * dh) * total_rows + off;
-      // --- Recompute the CLS query's probabilities, and d_probs --------
-      const auto zero = V::Broadcast(0.0f);
-      const auto vs = V::Broadcast(scale);
-      int j = 0;
-      for (; j < lenv; j += L) {
-        auto a0 = zero;
-        auto d0 = zero;
-        for (int c = 0; c < dh; ++c) {
-          const size_t at = static_cast<size_t>(c) * total_rows + j;
-          a0 = V::Add(a0, V::Mul(V::Broadcast(qrow[c]), V::Load(ktb + at)));
-          d0 = V::Add(d0, V::Mul(V::Broadcast(grow[c]), V::Load(vtb + at)));
-        }
-        V::Store(prow + j, V::Mul(a0, vs));
-        V::Store(dprow + j, d0);
-      }
-      for (; j < len; ++j) {
-        float dot = 0;
-        float dp = 0;
-        for (int c = 0; c < dh; ++c) {
-          const size_t at = static_cast<size_t>(c) * total_rows + j;
-          dot += qrow[c] * ktb[at];
-          dp += grow[c] * vtb[at];
-        }
-        prow[j] = dot * scale;
-        dprow[j] = dp;
-      }
-      SoftmaxRowT<V>(prow, len);
-      // --- d_vh += probs^T * d_ctx, then the softmax backward ----------
-      for (j = 0; j < len; ++j) {
-        float* __restrict vgrow =
-            vg + static_cast<size_t>(off + j) * dim + col0;
-        const auto vp = V::Broadcast(prow[j]);
-        int c = 0;
-        for (; c < dhv; c += L) {
-          V::Store(vgrow + c,
-                   V::Add(V::Load(vgrow + c), V::Mul(vp, V::Load(grow + c))));
-        }
-        for (; c < dh; ++c) vgrow[c] += prow[j] * grow[c];
-      }
-      float dot = 0;
-      for (j = 0; j < len; ++j) dot += prow[j] * dprow[j];
-      {
-        const auto vscale = V::Broadcast(scale);
-        const auto vdot = V::Broadcast(dot);
-        for (j = 0; j < lenv; j += L) {
-          V::Store(dprow + j, V::Mul(V::Mul(vscale, V::Load(prow + j)),
-                                     V::Sub(V::Load(dprow + j), vdot)));
-        }
-        for (; j < len; ++j) dprow[j] = scale * prow[j] * (dprow[j] - dot);
-      }
-      // --- d_qh += d_scores * kh; d_kh += d_scores^T * qh --------------
+          vbt + (static_cast<size_t>(h) * dh) * total_rows + offsets[s];
+      ScoreRowsT<V, 1>(qrow, grow, dim, ktb, vtb, total_rows, len, dh, scale,
+                       prow, dprow);
+      SoftmaxBackwardRowsT<V, 1>(prow, dprow, len, scale);
+      // d_vh += probs^T * d_ctx; d_kh += d_scores^T * qh: one term per row.
+      GradRowsT<V>(vg + base, grow, dim, prow, 1, 0, len, 1, dh);
+      GradRowsT<V>(kg + base, qrow, dim, dprow, 1, 0, len, 1, dh);
+      // d_qh += d_scores * kh.
       float* __restrict qgrow = qg + static_cast<size_t>(s) * dim + col0;
       int c = 0;
       for (; c + 4 <= dh; c += 4) {
@@ -1447,7 +1565,7 @@ void AttentionBackwardClsT(const float* __restrict qv,
         const float* __restrict k3 = k2 + total_rows;
         float g0 = qgrow[c], g1 = qgrow[c + 1], g2 = qgrow[c + 2],
               g3 = qgrow[c + 3];
-        for (j = 0; j < len; ++j) {
+        for (int j = 0; j < len; ++j) {
           const float ds = dprow[j];
           g0 += ds * k0[j];
           g1 += ds * k1[j];
@@ -1462,18 +1580,8 @@ void AttentionBackwardClsT(const float* __restrict qv,
       for (; c < dh; ++c) {
         const float* __restrict kc = ktb + static_cast<size_t>(c) * total_rows;
         float g = qgrow[c];
-        for (j = 0; j < len; ++j) g += dprow[j] * kc[j];
+        for (int j = 0; j < len; ++j) g += dprow[j] * kc[j];
         qgrow[c] = g;
-      }
-      for (j = 0; j < len; ++j) {
-        float* __restrict kgrow =
-            kg + static_cast<size_t>(off + j) * dim + col0;
-        const auto vds = V::Broadcast(dprow[j]);
-        for (c = 0; c < dhv; c += L) {
-          V::Store(kgrow + c,
-                   V::Add(V::Load(kgrow + c), V::Mul(vds, V::Load(qrow + c))));
-        }
-        for (; c < dh; ++c) kgrow[c] += dprow[j] * qrow[c];
       }
     }
   }

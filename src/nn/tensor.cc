@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "nn/arena.h"
+#include "nn/packed_forward.h"
 #include "nn/simd.h"
 #include "nn/simd_kernels_inl.h"
 #include "util/thread_pool.h"
@@ -290,12 +291,33 @@ inline void MatMulForwardRange(const float* av, const float* bv, float* ov,
   simd::K().matmul_forward_range(av, bv, ov, i0, i1, k, n);
 }
 
-// dA[i0:i1, :] += dOut[i0:i1, :] * B^T — in the dispatch table since the
-// backward kernels joined it; each dA element stays one complete
-// ascending-j dot added once, at every level (MatMulBackwardAT).
-inline void MatMulBackwardA(const float* og, const float* bv, float* ag,
-                            int i0, int i1, int k, int n) {
-  simd::K().matmul_backward_a(og, bv, ag, i0, i1, k, n);
+// Per-thread scratch for the dispatch kernels, which allocate nothing
+// (nn/simd.h): grown to the high-water size and reused. One kernel call
+// holds it at a time; pool tasks run only the kernel's row ranges, never
+// another op's backward.
+float* KernelScratch(size_t n) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+// dA += dOut * B^T over all m rows, dOut [m, n], B [k, n] (MatMulBackwardAT
+// in the dispatch table: each dA element one complete ascending-j dot
+// added once, at every level). B is transposed once into per-thread
+// scratch — pure data movement — before the rows split across threads.
+void MatMulBackwardA(const float* og, const float* bv, float* ag, int m,
+                     int k, int n) {
+  float* bt = KernelScratch(static_cast<size_t>(k) * n);
+  RepackHeadsKT(bv, k, n, /*num_heads=*/1, bt);  // one head: B^T
+  const simd::Kernels& kern = simd::K();
+  if (2LL * m * k * n < kMatMulParallelFlops) {
+    kern.matmul_backward_a(og, bt, ag, 0, m, k, n);
+    return;
+  }
+  util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
+    kern.matmul_backward_a(og, bt, ag, static_cast<int>(i0),
+                           static_cast<int>(i1), k, n);
+  });
 }
 
 // dB[p0:p1, :] += (A^T * dOut)[p0:p1, :] as rank-1 row updates with the i
@@ -336,14 +358,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       if (ai->requires_grad) {
         float* ag = GradPtr(ai);
         const float* bv = bi->value.data();
-        if (flops < kMatMulParallelFlops) {
-          MatMulBackwardA(og, bv, ag, 0, m, k, n);
-        } else {
-          util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
-            MatMulBackwardA(og, bv, ag, static_cast<int>(i0),
-                            static_cast<int>(i1), k, n);
-          });
-        }
+        MatMulBackwardA(og, bv, ag, m, k, n);
       }
       if (bi->requires_grad) {
         float* bg = GradPtr(bi);
@@ -967,14 +982,7 @@ Tensor LinearRowBias(const Tensor& x, const Tensor& w, const Tensor& bias) {
       if (xi->requires_grad) {
         float* xg = GradPtr(xi);
         const float* wv = wi->value.data();
-        if (flops < kMatMulParallelFlops) {
-          MatMulBackwardA(og, wv, xg, 0, m, k, n);
-        } else {
-          util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
-            MatMulBackwardA(og, wv, xg, static_cast<int>(i0),
-                            static_cast<int>(i1), k, n);
-          });
-        }
+        MatMulBackwardA(og, wv, xg, m, k, n);
       }
       if (wi->requires_grad) {
         float* wg = GradPtr(wi);
@@ -1049,14 +1057,7 @@ Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w,
       if (xi->requires_grad) {
         float* xg = GradPtr(xi);
         const float* wv = wi->value.data();
-        if (flops < kMatMulParallelFlops) {
-          MatMulBackwardA(og, wv, xg, 0, m, k, n);
-        } else {
-          util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
-            MatMulBackwardA(og, wv, xg, static_cast<int>(i0),
-                            static_cast<int>(i1), k, n);
-          });
-        }
+        MatMulBackwardA(og, wv, xg, m, k, n);
       }
       if (wi->requires_grad) {
         float* wg = GradPtr(wi);
@@ -1129,18 +1130,25 @@ Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
 #endif
   // The fused forward (kt pack, scores, softmax, context) lives in the SIMD
   // dispatch table; see AttentionForwardPackedT in simd_kernels_inl.h for
-  // the kernel body and its bit-exactness notes.
+  // the kernel body and its bit-exactness notes. Its scratch (nn/simd.h)
+  // is max_len * (max_len + head_dim) floats; the backward's is twice that.
+  size_t max_len = 0;
+  for (const int len : lengths) {
+    max_len = std::max(max_len, static_cast<size_t>(len));
+  }
+  const size_t scratch = max_len * (max_len + dim / num_heads);
   simd::K().attention_forward_packed(
       q.impl_->value.data(), k.impl_->value.data(), v.impl_->value.data(),
       out.impl_->value.data(), offsets.data(), lengths.data(),
-      static_cast<int>(lengths.size()), num_heads, dim, scale);
+      static_cast<int>(lengths.size()), num_heads, dim, scale,
+      KernelScratch(scratch));
   if (out.requires_grad()) {
     Tensor::Impl* const qi = q.impl_.get();
     Tensor::Impl* const ki = k.impl_.get();
     Tensor::Impl* const vi = v.impl_.get();
     Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
     out.impl_->backward_fn = [qi, ki, vi, oi, offsets, lengths, num_heads,
-                              scale, dim]() {
+                              scale, dim, scratch]() {
       // Probabilities are recomputed inside the kernel (cheaper than
       // caching [len, len] per sequence per head across the graph's
       // lifetime); see AttentionBackwardPackedT in simd_kernels_inl.h.
@@ -1150,7 +1158,8 @@ Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
       simd::K().attention_backward_packed(
           qi->value.data(), ki->value.data(), vi->value.data(),
           oi->grad.data(), qg, kg, vg, offsets.data(), lengths.data(),
-          static_cast<int>(lengths.size()), num_heads, dim, scale);
+          static_cast<int>(lengths.size()), num_heads, dim, scale,
+          KernelScratch(2 * scratch));
     };
   }
   return out;

@@ -258,6 +258,8 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
   nn::RepackHeadsKT(k.data(), rows, d, num_heads, kbt.data());
   nn::RepackHeadsVB(v.data(), rows, d, num_heads, vb.data());
   std::vector<float> probs(static_cast<size_t>(max_len) * max_len);
+  std::vector<float> scratch(static_cast<size_t>(max_len) *
+                             (max_len + head_dim));
 
   for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
     const Kernels* table = nn::simd::TableFor(level);
@@ -267,7 +269,7 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
     table->attention_forward_packed(q.data(), k.data(), v.data(),
                                     out_packed.data(), layout.offsets.data(),
                                     layout.lengths.data(), layout.size(),
-                                    num_heads, d, scale);
+                                    num_heads, d, scale, scratch.data());
     table->attention_forward_blocked(
         q.data(), kbt.data(), vb.data(), out_blocked.data(),
         layout.offsets.data(), layout.lengths.data(), layout.size(),
@@ -352,6 +354,7 @@ TEST(PackedKernelTest, AttentionBackwardClsMatchesPackedPerLevel) {
   for (const int len : lengths) max_len = std::max(max_len, len);
   std::vector<float> probs(2 * static_cast<size_t>(max_len));
   const int num_heads = 4;
+  std::vector<float> scratch;
   // Row s of a compact [num_seqs, d] copy of src's CLS rows.
   auto cls_rows = [&](const std::vector<float>& src, int d) {
     std::vector<float> out(static_cast<size_t>(num_seqs) * d);
@@ -365,6 +368,7 @@ TEST(PackedKernelTest, AttentionBackwardClsMatchesPackedPerLevel) {
     const int d = num_heads * head_dim;
     const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
     const size_t rd = static_cast<size_t>(rows) * d;
+    scratch.resize(2 * static_cast<size_t>(max_len) * (max_len + head_dim));
     const std::vector<float> q = RandomVec(rd, &rng);
     const std::vector<float> k = RandomVec(rd, &rng);
     const std::vector<float> v = RandomVec(rd, &rng);
@@ -390,7 +394,7 @@ TEST(PackedKernelTest, AttentionBackwardClsMatchesPackedPerLevel) {
       table->attention_backward_packed(
           q.data(), k.data(), v.data(), og.data(), qg.data(), kg.data(),
           vg.data(), layout.offsets.data(), layout.lengths.data(), num_seqs,
-          num_heads, d, scale);
+          num_heads, d, scale, scratch.data());
       std::vector<float> qg_cls = cls_rows(qg0, d);
       std::vector<float> kg_cls = kg0, vg_cls = vg0;
       table->attention_backward_cls(

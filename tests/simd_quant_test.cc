@@ -3,10 +3,13 @@
 // quantization round-trip, the fused LinearRowBias node, and the
 // accuracy-delta gate for the int8 quantized plan encoder.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "data/plan_corpus.h"
@@ -228,14 +231,17 @@ TEST(SimdParityTest, AttentionForwardPacked) {
     const std::vector<float> v =
         RandomVec(static_cast<size_t>(total) * c.dim, &rng);
     std::vector<float> out_s(q.size(), 0.0f), out_v(q.size(), 0.0f);
+    const size_t max_len = static_cast<size_t>(
+        *std::max_element(c.lengths.begin(), c.lengths.end()));
+    std::vector<float> scratch(max_len * (max_len + c.dim / c.num_heads));
     scalar->attention_forward_packed(
         q.data(), k.data(), v.data(), out_s.data(), offsets.data(),
         c.lengths.data(), static_cast<int>(c.lengths.size()), c.num_heads,
-        c.dim, scale);
+        c.dim, scale, scratch.data());
     vec->attention_forward_packed(
         q.data(), k.data(), v.data(), out_v.data(), offsets.data(),
         c.lengths.data(), static_cast<int>(c.lengths.size()), c.num_heads,
-        c.dim, scale);
+        c.dim, scale, scratch.data());
     ExpectAllNear(out_s, out_v);
   }
 }
@@ -258,15 +264,18 @@ TEST(SimdParityTest, MatMulBackwardABitExact) {
   for (const auto& s : shapes) {
     const int m = s[0], k = s[1], n = s[2];
     const std::vector<float> og = RandomVec(static_cast<size_t>(m) * n, &rng);
-    const std::vector<float> b = RandomVec(static_cast<size_t>(k) * n, &rng);
+    // The kernel reads B [k, n] through its transpose bt [n, k].
+    const std::vector<float> bt = RandomVec(static_cast<size_t>(n) * k, &rng);
     std::vector<float> ag_s = RandomVec(static_cast<size_t>(m) * k, &rng);
     std::vector<float> ag_v = ag_s;
     // Split the row range to exercise the sharded [i0, i1) entry point.
     const int mid = m / 2;
-    scalar->matmul_backward_a(og.data(), b.data(), ag_s.data(), 0, mid, k, n);
-    scalar->matmul_backward_a(og.data(), b.data(), ag_s.data(), mid, m, k, n);
-    vec->matmul_backward_a(og.data(), b.data(), ag_v.data(), 0, mid, k, n);
-    vec->matmul_backward_a(og.data(), b.data(), ag_v.data(), mid, m, k, n);
+    scalar->matmul_backward_a(og.data(), bt.data(), ag_s.data(), 0, mid, k,
+                              n);
+    scalar->matmul_backward_a(og.data(), bt.data(), ag_s.data(), mid, m, k,
+                              n);
+    vec->matmul_backward_a(og.data(), bt.data(), ag_v.data(), 0, mid, k, n);
+    vec->matmul_backward_a(og.data(), bt.data(), ag_v.data(), mid, m, k, n);
     for (size_t i = 0; i < ag_s.size(); ++i) {
       ASSERT_EQ(ag_s[i], ag_v[i]) << "index " << i;
     }
@@ -389,64 +398,164 @@ TEST(SimdParityTest, LayerNormRowsBackwardBitExact) {
   }
 }
 
+// One attention_backward_packed call on `table` over a packed batch of
+// `lengths`, accumulating into copies of the prior gradients qg0/kg0/vg0.
+// A null prior skips that gradient. The scratch starts as NaN, so a read
+// of a scratch float the call did not write first poisons the result.
+struct AttentionGrads {
+  std::vector<float> qg, kg, vg;
+};
+AttentionGrads RunAttentionBackward(
+    const Kernels* table, const std::vector<int>& lengths, int num_heads,
+    int dim, const std::vector<float>& q, const std::vector<float>& k,
+    const std::vector<float>& v, const std::vector<float>& og,
+    const std::vector<float>* qg0, const std::vector<float>* kg0,
+    const std::vector<float>* vg0) {
+  std::vector<int> offsets;
+  int total = 0;
+  for (const int len : lengths) {
+    offsets.push_back(total);
+    total += len;
+  }
+  const size_t max_len =
+      static_cast<size_t>(*std::max_element(lengths.begin(), lengths.end()));
+  std::vector<float> scratch(2 * max_len * (max_len + dim / num_heads),
+                             std::nanf(""));
+  AttentionGrads g;
+  if (qg0) g.qg = *qg0;
+  if (kg0) g.kg = *kg0;
+  if (vg0) g.vg = *vg0;
+  auto ptr = [](std::vector<float>& x) {
+    return x.empty() ? nullptr : x.data();
+  };
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
+  table->attention_backward_packed(
+      q.data(), k.data(), v.data(), og.data(), ptr(g.qg), ptr(g.kg),
+      ptr(g.vg), offsets.data(), lengths.data(),
+      static_cast<int>(lengths.size()), num_heads, dim, scale,
+      scratch.data());
+  return g;
+}
+
+// Bitwise equality (memcmp, so -0 and +0 differ), naming the first
+// differing index.
+void ExpectBitwiseEqual(const std::vector<float>& a,
+                        const std::vector<float>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0) return;
+  size_t i = 0;
+  while (std::memcmp(&a[i], &b[i], sizeof(float)) == 0) ++i;
+  ADD_FAILURE() << what << ": index " << i << " " << a[i] << " vs " << b[i];
+}
+
+std::vector<float> Rows(const std::vector<float>& x, int row0, int rows,
+                        int dim) {
+  return std::vector<float>(x.begin() + static_cast<size_t>(row0) * dim,
+                            x.begin() + static_cast<size_t>(row0 + rows) * dim);
+}
+
+// Sweeps every tiling branch of the vector kernel: head_dim below one
+// vector (3, 6), whole vectors (8, 16, 24 at AVX2; every one at NEON's 4
+// lanes but 6) and an overlapping tail vector in each position (12, 20);
+// lengths below one vector, around the 4-query tile and the key vector,
+// and long — so remainder query rows, remainder keys, len < lanes and the
+// tails all run. Gradient buffers start from random prior contents (the
+// kernel accumulates).
 TEST(SimdParityTest, AttentionBackwardPacked) {
   const Kernels* vec = VectorTable();
   const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
   util::Rng rng(56);
-  struct Case {
-    std::vector<int> lengths;
-    int num_heads;
-    int dim;
-  };
-  const Case cases[] = {
-      {{1}, 1, 7},          // single token, odd head dim
-      {{3, 17, 1}, 4, 48},  // model-shaped heads, ragged batch
-      {{29, 5}, 2, 24},     // odd lengths
-      {{129}, 4, 48},       // long sequence crosses lane blocks
-  };
-  for (const Case& c : cases) {
-    std::vector<int> offsets;
-    int total = 0;
-    for (const int len : c.lengths) {
-      offsets.push_back(total);
-      total += len;
+  const int num_heads = 2;
+  for (const int head_dim : {3, 6, 8, 12, 16, 20, 24}) {
+    const int dim = num_heads * head_dim;
+    for (const int len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 129}) {
+      const std::vector<int> lengths = {len};
+      const size_t size = static_cast<size_t>(len) * dim;
+      const std::vector<float> q = RandomVec(size, &rng);
+      const std::vector<float> k = RandomVec(size, &rng);
+      const std::vector<float> v = RandomVec(size, &rng);
+      const std::vector<float> og = RandomVec(size, &rng);
+      const std::vector<float> qg0 = RandomVec(size, &rng);
+      const std::vector<float> kg0 = RandomVec(size, &rng);
+      const std::vector<float> vg0 = RandomVec(size, &rng);
+      SCOPED_TRACE("head_dim " + std::to_string(head_dim) + " len " +
+                   std::to_string(len));
+      const AttentionGrads s = RunAttentionBackward(
+          scalar, lengths, num_heads, dim, q, k, v, og, &qg0, &kg0, &vg0);
+      const AttentionGrads w = RunAttentionBackward(
+          vec, lengths, num_heads, dim, q, k, v, og, &qg0, &kg0, &vg0);
+      // The recomputed softmax probabilities go through V::Exp, so
+      // (exactly like the forward) cross-level equality is epsilon-gated
+      // rather than bitwise.
+      ExpectAllNear(s.qg, w.qg);
+      ExpectAllNear(s.kg, w.kg);
+      ExpectAllNear(s.vg, w.vg);
+      // One gradient at a time (frozen projections upstream): within a
+      // level, bitwise the same as that gradient of the full call.
+      for (const Kernels* table : {scalar, vec}) {
+        const AttentionGrads q_only = RunAttentionBackward(
+            table, lengths, num_heads, dim, q, k, v, og, &qg0, nullptr,
+            nullptr);
+        const AttentionGrads k_only = RunAttentionBackward(
+            table, lengths, num_heads, dim, q, k, v, og, nullptr, &kg0,
+            nullptr);
+        const AttentionGrads v_only = RunAttentionBackward(
+            table, lengths, num_heads, dim, q, k, v, og, nullptr, nullptr,
+            &vg0);
+        const AttentionGrads& full = table == scalar ? s : w;
+        const std::string name = table->name;
+        ExpectBitwiseEqual(q_only.qg, full.qg, name + " qg-only");
+        ExpectBitwiseEqual(k_only.kg, full.kg, name + " kg-only");
+        ExpectBitwiseEqual(v_only.vg, full.vg, name + " vg-only");
+      }
     }
-    const int num_seqs = static_cast<int>(c.lengths.size());
-    const float scale =
-        1.0f / std::sqrt(static_cast<float>(c.dim / c.num_heads));
-    const size_t size = static_cast<size_t>(total) * c.dim;
+  }
+}
+
+// One call over a ragged batch equals one call per sequence, bit for bit,
+// at every level: the long sequences go first, so a shorter one that read
+// scratch a longer one left behind would diverge.
+TEST(SimdParityTest, AttentionBackwardPackedBatchEqualsPerSequence) {
+  util::Rng rng(57);
+  const std::vector<int> lengths = {129, 1, 33, 5, 17, 2, 9, 16, 3, 8, 4, 7,
+                                    6};
+  int total = 0;
+  for (const int len : lengths) total += len;
+  const int num_heads = 2;
+  for (const int head_dim : {3, 6, 8, 12, 16, 20, 24}) {
+    const int dim = num_heads * head_dim;
+    const size_t size = static_cast<size_t>(total) * dim;
     const std::vector<float> q = RandomVec(size, &rng);
     const std::vector<float> k = RandomVec(size, &rng);
     const std::vector<float> v = RandomVec(size, &rng);
     const std::vector<float> og = RandomVec(size, &rng);
-    std::vector<float> qg_s = RandomVec(size, &rng), qg_v = qg_s;
-    std::vector<float> kg_s = RandomVec(size, &rng), kg_v = kg_s;
-    std::vector<float> vg_s = RandomVec(size, &rng), vg_v = vg_s;
-    scalar->attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
-                                      qg_s.data(), kg_s.data(), vg_s.data(),
-                                      offsets.data(), c.lengths.data(),
-                                      num_seqs, c.num_heads, c.dim, scale);
-    vec->attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
-                                   qg_v.data(), kg_v.data(), vg_v.data(),
-                                   offsets.data(), c.lengths.data(), num_seqs,
-                                   c.num_heads, c.dim, scale);
-    // The recomputed softmax probabilities go through V::Exp, so (exactly
-    // like the forward) cross-level equality is epsilon-gated rather than
-    // bitwise.
-    ExpectAllNear(qg_s, qg_v);
-    ExpectAllNear(kg_s, kg_v);
-    ExpectAllNear(vg_s, vg_v);
-    // vg-only path (frozen q/k projections upstream).
-    std::vector<float> vg2_s = vg_s, vg2_v = vg_v;
-    scalar->attention_backward_packed(
-        q.data(), k.data(), v.data(), og.data(), nullptr, nullptr,
-        vg2_s.data(), offsets.data(), c.lengths.data(), num_seqs, c.num_heads,
-        c.dim, scale);
-    vec->attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
-                                   nullptr, nullptr, vg2_v.data(),
-                                   offsets.data(), c.lengths.data(), num_seqs,
-                                   c.num_heads, c.dim, scale);
-    ExpectAllNear(vg2_s, vg2_v);
+    const std::vector<float> qg0 = RandomVec(size, &rng);
+    const std::vector<float> kg0 = RandomVec(size, &rng);
+    const std::vector<float> vg0 = RandomVec(size, &rng);
+    for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+      const Kernels* table = nn::simd::TableFor(level);
+      if (table == nullptr) continue;
+      const AttentionGrads batch = RunAttentionBackward(
+          table, lengths, num_heads, dim, q, k, v, og, &qg0, &kg0, &vg0);
+      int row0 = 0;
+      for (const int len : lengths) {
+        auto rows = [&](const std::vector<float>& x) {
+          return Rows(x, row0, len, dim);
+        };
+        const std::vector<float> qg1 = rows(qg0), kg1 = rows(kg0),
+                                 vg1 = rows(vg0);
+        const AttentionGrads one = RunAttentionBackward(
+            table, {len}, num_heads, dim, rows(q), rows(k), rows(v), rows(og),
+            &qg1, &kg1, &vg1);
+        const std::string what = std::string(table->name) + " head_dim " +
+                                 std::to_string(head_dim) + " len " +
+                                 std::to_string(len);
+        ExpectBitwiseEqual(rows(batch.qg), one.qg, "qg, " + what);
+        ExpectBitwiseEqual(rows(batch.kg), one.kg, "kg, " + what);
+        ExpectBitwiseEqual(rows(batch.vg), one.vg, "vg, " + what);
+        row0 += len;
+      }
+    }
   }
 }
 
