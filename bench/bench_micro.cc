@@ -336,6 +336,102 @@ void BM_MatMulForwardSimd(benchmark::State& state) {
 BENCHMARK(BM_MatMulForwardScalar)->Args({256, 48, 48})->Args({256, 256, 256});
 BENCHMARK(BM_MatMulForwardSimd)->Args({256, 48, 48})->Args({256, 256, 256});
 
+// The three GEMMs of the packed training step at its shapes: m = 100 rows
+// and (k, n) = (48, 48) for the attention projections, (48, 96) for ff1
+// and (96, 48) for ff2. ff2's input is a ReLU output, so where a kernel
+// reads an activation of width 96 it is half exact zeros. Args: {m, k, n}.
+void TrainingGemmShapes(benchmark::internal::Benchmark* b) {
+  b->Args({100, 48, 48})->Args({100, 48, 96})->Args({100, 96, 48});
+}
+
+std::vector<float> ActivationBuffer(int m, int k, uint64_t seed) {
+  std::vector<float> x = RandomBuffer(static_cast<size_t>(m) * k, seed);
+  if (k == 96) {
+    for (float& v : x) v = std::max(v, 0.0f);
+  }
+  return x;
+}
+
+// Y = act(X * W + b), the packed forward's linear sites.
+void LinearBiasActKernel(benchmark::State& state,
+                         const qpe::nn::simd::Kernels& kern) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  const std::vector<float> x = ActivationBuffer(m, k, 42);
+  const std::vector<float> w = RandomBuffer(static_cast<size_t>(k) * n, 43);
+  const std::vector<float> bias = RandomBuffer(n, 44);
+  std::vector<float> y(static_cast<size_t>(m) * n);
+  for (auto _ : state) {
+    kern.linear_bias_act(x.data(), w.data(), bias.data(), y.data(), m, k, n,
+                         /*relu=*/1);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+  state.SetLabel(kern.name);
+}
+void BM_LinearBiasActScalar(benchmark::State& state) {
+  LinearBiasActKernel(state, ScalarKernels());
+}
+void BM_LinearBiasActSimd(benchmark::State& state) {
+  LinearBiasActKernel(state, BestKernels());
+}
+BENCHMARK(BM_LinearBiasActScalar)->Apply(TrainingGemmShapes);
+BENCHMARK(BM_LinearBiasActSimd)->Apply(TrainingGemmShapes);
+
+// dX += dY * W^T over the caller's transpose of W, into a zeroed dX as
+// the step does.
+void MatMulBackwardAKernel(benchmark::State& state,
+                           const qpe::nn::simd::Kernels& kern) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  const std::vector<float> dy = RandomBuffer(static_cast<size_t>(m) * n, 45);
+  const std::vector<float> wt = RandomBuffer(static_cast<size_t>(n) * k, 46);
+  std::vector<float> dx(static_cast<size_t>(m) * k);
+  for (auto _ : state) {
+    std::fill(dx.begin(), dx.end(), 0.0f);
+    kern.matmul_backward_a(dy.data(), wt.data(), dx.data(), 0, m, k, n);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+  state.SetLabel(kern.name);
+}
+void BM_MatMulBackwardAScalar(benchmark::State& state) {
+  MatMulBackwardAKernel(state, ScalarKernels());
+}
+void BM_MatMulBackwardASimd(benchmark::State& state) {
+  MatMulBackwardAKernel(state, BestKernels());
+}
+BENCHMARK(BM_MatMulBackwardAScalar)->Apply(TrainingGemmShapes);
+BENCHMARK(BM_MatMulBackwardASimd)->Apply(TrainingGemmShapes);
+
+// dW += X^T * dY, the weight gradient, over all k rows of a zeroed dW.
+void MatMulBackwardBKernel(benchmark::State& state,
+                           const qpe::nn::simd::Kernels& kern) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  const std::vector<float> x = ActivationBuffer(m, k, 47);
+  const std::vector<float> dy = RandomBuffer(static_cast<size_t>(m) * n, 48);
+  std::vector<float> dw(static_cast<size_t>(k) * n);
+  for (auto _ : state) {
+    std::fill(dw.begin(), dw.end(), 0.0f);
+    kern.matmul_backward_b(x.data(), dy.data(), dw.data(), 0, k, m, k, n);
+    benchmark::DoNotOptimize(dw.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+  state.SetLabel(kern.name);
+}
+void BM_MatMulBackwardBScalar(benchmark::State& state) {
+  MatMulBackwardBKernel(state, ScalarKernels());
+}
+void BM_MatMulBackwardBSimd(benchmark::State& state) {
+  MatMulBackwardBKernel(state, BestKernels());
+}
+BENCHMARK(BM_MatMulBackwardBScalar)->Apply(TrainingGemmShapes);
+BENCHMARK(BM_MatMulBackwardBSimd)->Apply(TrainingGemmShapes);
+
 void LayerNormKernel(benchmark::State& state,
                      const qpe::nn::simd::Kernels& kern) {
   const int rows = static_cast<int>(state.range(0));

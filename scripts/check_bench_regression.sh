@@ -23,6 +23,7 @@
 #   - BENCH_micro.json: a cpu_time increase of more than 25% on the
 #     training-step benchmarks (BM_TrainStepPpsr, BM_TrainStepPerfEncoder)
 #     or on the dispatched SIMD kernel benchmarks (BM_MatMulForwardSimd,
+#     BM_LinearBiasActSimd, BM_MatMulBackwardASimd, BM_MatMulBackwardBSimd,
 #     BM_LayerNormSimd, BM_AttentionPackedSimd, BM_AttentionBlockedSimd,
 #     BM_AttentionClsSimd, BM_AttentionBackwardPackedSimd,
 #     BM_AttentionBackwardClsSimd, BM_EmbedGatherSimd, BM_Int8GemmPacked)
@@ -80,7 +81,7 @@ trap 'rm -f "${FRESH_SERVING}" "${FRESH_MICRO}"' EXIT
 "./${BUILD_DIR}/bench/bench_serving" "${FRESH_SERVING}"
 echo
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LayerNormSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_AttentionClsSimd|BM_AttentionBackwardPackedSimd|BM_AttentionBackwardClsSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
+  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LinearBiasActSimd|BM_MatMulBackwardASimd|BM_MatMulBackwardBSimd|BM_LayerNormSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_AttentionClsSimd|BM_AttentionBackwardPackedSimd|BM_AttentionBackwardClsSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -108,6 +109,9 @@ MICRO_PREFIXES = (
     "BM_TrainStepPpsr",
     "BM_TrainStepPerfEncoder",
     "BM_MatMulForwardSimd",
+    "BM_LinearBiasActSimd",
+    "BM_MatMulBackwardASimd",
+    "BM_MatMulBackwardBSimd",
     "BM_LayerNormSimd",
     "BM_AttentionPackedSimd",
     "BM_AttentionBlockedSimd",

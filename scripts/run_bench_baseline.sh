@@ -2,7 +2,8 @@
 # Builds bench_micro and records the plan-text parse and fingerprint
 # micro-benchmarks and the parallel-engine ones
 # (blocked vs reference MatMul kernels, fused vs unfused layer norm, the
-# scalar vs dispatched SIMD kernels, the packed int8 GEMM, and full
+# scalar vs dispatched SIMD kernels — the training step's three GEMMs
+# among them — the packed int8 GEMM, and full
 # training steps at 1 vs 4 threads) into BENCH_micro.json, then
 # builds bench_serving and records the end-to-end serving numbers
 # (per-plan vs batched vs warm-cache plans/sec, request latency
@@ -44,7 +45,7 @@ cmake --build "${BUILD_DIR}" --target bench_micro bench_serving -j"$(nproc)"
 # file cuts its size by ~4x (per-repetition rows added ~4.7k lines of
 # diff per re-record and carry no information the gate uses).
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_ParsePlanNode|BM_FingerprintPlan|BM_MatMul|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_AttentionPacked|BM_AttentionBlocked|BM_AttentionCls|BM_AttentionBackward|BM_EmbedGather|BM_Int8GemmPacked' \
+  --benchmark_filter='BM_ParsePlanNode|BM_FingerprintPlan|BM_MatMul|BM_LinearBiasAct|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_AttentionPacked|BM_AttentionBlocked|BM_AttentionCls|BM_AttentionBackward|BM_EmbedGather|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \

@@ -129,10 +129,13 @@ struct Kernels {
   // [m, k], B [k, n], bias [n]; act is ReLU when `relu` is nonzero. The
   // accumulators start at zero in registers and the bias/ReLU ride the
   // GEMM epilogue, so no zero-fill or bias pass touches the output — yet
-  // per output element the value stream (ascending-k mul/add pairs over
-  // the aval != 0 subsequence, one bias add, the `> 0` clamp) is exactly
-  // fill + matmul_forward_range + the bias/bias_relu pass, so every level
-  // is bit-identical to that three-step chain.
+  // per output element the value stream (ascending-k mul/add pairs, one
+  // bias add, the `> 0` clamp) is exactly fill + matmul_forward_range +
+  // the bias/bias_relu pass, so every level is bit-identical to that
+  // three-step chain. Vector levels run register tiles of 3 rows x up to
+  // 4 vectors (each B vector load serves 3 rows) and add the aval == 0
+  // products the chain skips: +/-0 added to a sum that starts at +0
+  // changes no bit.
   void (*linear_bias_act)(const float* a, const float* b, const float* bias,
                           float* out, int m, int k, int n, int relu);
   // dst[i] += src[i] over n floats (the packed pipeline's residual adds).
@@ -156,15 +159,19 @@ struct Kernels {
   // splitting the rows across threads). Each dA element is one complete
   // ascending-j dot accumulated in a register and added to dA once — the
   // vector levels run lanes across the p (dA column) dimension of bt's
-  // rows, so every lane's dot keeps the scalar's ascending-j order and the
-  // single final add.
+  // rows, in tiles of 3 dA rows that share each bt vector load, so every
+  // lane's dot keeps the scalar's ascending-j order and the single final
+  // add.
   void (*matmul_backward_a)(const float* og, const float* bt, float* ag,
                             int i0, int i1, int k, int n);
   // dB[p0:p1, :] += (A^T * dOut)[p0:p1, :] with A [m, k], dOut [m, n]:
-  // rank-1 row updates, i accumulated in ascending order per output
-  // element regardless of the p partition, with the seed's aval == 0 skip
-  // kept at every level (same value subsequence, so same bits). Vector
-  // levels run lanes across the j (dB column) dimension.
+  // i accumulated in ascending order per output element regardless of
+  // the p partition. The scalar table makes the seed's rank-1 row
+  // updates with its aval == 0 skip. Vector levels hold tiles of 4 dB
+  // rows x 2 vectors in registers — one load, every input row's term in
+  // ascending i, one store — and add the skipped products too: a
+  // gradient buffer starts at +0 and is never -0, so a +/-0 product
+  // changes no bit (finite dOut assumed; see MatMulBackwardBT).
   void (*matmul_backward_b)(const float* av, const float* og, float* bg,
                             int p0, int p1, int m, int k, int n);
   // Backward of bias_relu: for elements where the forward output ov was
@@ -234,10 +241,12 @@ struct Kernels {
 inline constexpr int kInt8TileK = 16;
 inline constexpr int kInt8TileN = 4;
 
-inline int Int8PackedKPad(int k) {
+// Internal linkage, like the helpers of nn/simd_kernels_inl.h: the ISA
+// translation units call Int8PackedKPad too.
+static inline int Int8PackedKPad(int k) {
   return ((k + kInt8TileK - 1) / kInt8TileK) * kInt8TileK;
 }
-inline size_t Int8PackedSize(int k, int n) {
+static inline size_t Int8PackedSize(int k, int n) {
   const size_t tiles = static_cast<size_t>((n + kInt8TileN - 1) / kInt8TileN);
   return tiles * static_cast<size_t>(Int8PackedKPad(k)) * kInt8TileN;
 }

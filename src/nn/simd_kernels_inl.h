@@ -34,7 +34,6 @@
 // same dispatch table, so batched-vs-single bit-equality still holds at
 // every level; only cross-level equality is epsilon-gated.
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -43,14 +42,33 @@
 
 namespace qpe::nn::simd {
 
+// Every helper in this header has internal linkage, and kernel bodies
+// call the C library's sqrtf/logf/expf/truncf/copysignf rather than their
+// std:: wrappers. Each ISA translation unit compiles this header with its
+// own -m flags; an inline function with external linkage that it emits
+// (an unoptimized build emits every one it calls) is a weak symbol the
+// linker may pick for portable code too, running vector instructions on
+// a CPU that never reported them (scripts/check_isa_weak_symbols.sh).
+// MaxOf and MinOf are std::max and std::min, definition for definition:
+// the same result for every input, NaN and signed zeros included.
+template <typename T>
+static inline const T& MaxOf(const T& a, const T& b) {
+  return a < b ? b : a;
+}
+template <typename T>
+static inline const T& MinOf(const T& a, const T& b) {
+  return b < a ? b : a;
+}
+
 // Row statistics of the fused LayerNorm, replicating the original autograd
 // chain's arithmetic exactly: mean and variance accumulate in ascending
 // column order and scale by a precomputed 1/n, and the reciprocal standard
 // deviation goes through the same clamped sqrt/log/exp chain the composite
 // forward used (Sqrt -> Log -> Scale(-1) -> Exp). Shared by the forward
 // kernels here and the (scalar) backward closure in nn/tensor.cc.
-inline void LayerNormRowStats(const float* __restrict row, int n, float invn,
-                              float* mean_out, float* recip_out) {
+static inline void LayerNormRowStats(const float* __restrict row, int n,
+                                     float invn, float* mean_out,
+                                     float* recip_out) {
   constexpr float kLogEps = 1e-12f;
   float total = 0;
   for (int c = 0; c < n; ++c) total += row[c];
@@ -61,10 +79,10 @@ inline void LayerNormRowStats(const float* __restrict row, int n, float invn,
     sq += d * d;
   }
   const float var = sq * invn;
-  const float inv_std = std::sqrt(std::max(var + 1e-5f, 0.0f));
-  const float log_std = std::log(std::max(inv_std, kLogEps));
+  const float inv_std = sqrtf(MaxOf(var + 1e-5f, 0.0f));
+  const float log_std = logf(MaxOf(inv_std, kLogEps));
   *mean_out = mean;
-  *recip_out = std::exp(std::min(-log_std, 30.0f));
+  *recip_out = expf(MinOf(-log_std, 30.0f));
 }
 
 // MatMul tile sizes, identical to the pre-SIMD blocked kernel: a
@@ -95,9 +113,9 @@ void MatMulForwardRangeT(const float* __restrict av, const float* __restrict bv,
                          float* __restrict ov, int i0, int i1, int k, int n) {
   constexpr int L = V::kLanes;
   for (int p0 = 0; p0 < k; p0 += kSimdMatMulKC) {
-    const int p1 = std::min(k, p0 + kSimdMatMulKC);
+    const int p1 = MinOf(k, p0 + kSimdMatMulKC);
     for (int j0 = 0; j0 < n; j0 += kSimdMatMulNC) {
-      const int j1 = std::min(n, j0 + kSimdMatMulNC);
+      const int j1 = MinOf(n, j0 + kSimdMatMulNC);
       for (int i = i0; i < i1; ++i) {
         const float* __restrict arow = av + static_cast<size_t>(i) * k;
         float* __restrict orow = ov + static_cast<size_t>(i) * n;
@@ -196,6 +214,179 @@ void BiasReluT(const float* __restrict av, const float* __restrict bv,
   }
 }
 
+// --- Register tiles ------------------------------------------------------
+//
+// The vector bodies of the GEMM-shaped kernels — the packed forward
+// linear, both matmul backwards and the attention backward's gradient
+// phase — run in register tiles of R rows x NV vectors. Each step loads
+// every B (or source) vector of the tile once and uses it for all R rows,
+// and each output vector is zeroed or loaded once, accumulates in a
+// register and is stored once. Per element the terms and their order are
+// those of the width-1 loop; the loads and stores that disappear never
+// round, so every element keeps its exact sequence of roundings.
+
+// Calls f.template operator()<R>(t) for the row tiles [t, t + R) of
+// [0, n): R = kRows, then one remainder tile of fewer rows.
+template <int kRows, typename F>
+inline void ForRowTiles(int n, F&& f) {
+  static_assert(kRows >= 1 && kRows <= 4);
+  int t = 0;
+  for (; t + kRows <= n; t += kRows) f.template operator()<kRows>(t);
+  const int rest = n - t;
+  if constexpr (kRows > 3) {
+    if (rest == 3) f.template operator()<3>(t);
+  }
+  if constexpr (kRows > 2) {
+    if (rest == 2) f.template operator()<2>(t);
+  }
+  if constexpr (kRows > 1) {
+    if (rest == 1) f.template operator()<1>(t);
+  }
+}
+
+// One register tile of a from-zero GEMM: for R rows t of a (at stride
+// lda) and NV column vectors from c,
+//   acc[t][v] = sum_u a[t * lda + u] * b[u * ldb + c + v * L],
+// each sum starting at +0 and taking one mul-then-add per u, ascending, in
+// a register. Then epi(t, c + v * L, acc[t][v]) consumes every
+// accumulator.
+template <typename V, int R, int NV, typename Epi>
+inline void DotTileT(const float* __restrict a, int lda,
+                     const float* __restrict b, int ldb, int nu, int c,
+                     Epi& epi) {
+  constexpr int L = V::kLanes;
+  typename V::Vec acc[R][NV];
+  for (int t = 0; t < R; ++t) {
+    for (int v = 0; v < NV; ++v) acc[t][v] = V::Broadcast(0.0f);
+  }
+  for (int u = 0; u < nu; ++u) {
+    const float* __restrict brow = b + static_cast<size_t>(u) * ldb + c;
+    typename V::Vec x[NV];
+    for (int v = 0; v < NV; ++v) x[v] = V::Load(brow + v * L);
+    for (int t = 0; t < R; ++t) {
+      const auto at = V::Broadcast(a[static_cast<size_t>(t) * lda + u]);
+      for (int v = 0; v < NV; ++v) {
+        acc[t][v] = V::Add(acc[t][v], V::Mul(at, x[v]));
+      }
+    }
+  }
+  for (int t = 0; t < R; ++t) {
+    for (int v = 0; v < NV; ++v) epi(t, c + v * L, acc[t][v]);
+  }
+}
+
+// DotTileT over rows [0, m) of a and the whole vectors of columns
+// [0, n): tiles of 3 rows (then one of 2 or 1) by 4, 2 or 1 vectors.
+// 3 x 4 accumulators and 4 b vectors fill AVX2's 16 registers; a 4 x 4
+// tile spills. epi(i, c, acc) receives the row i in [0, m). The columns
+// past the last whole vector are left to the caller.
+template <typename V, typename Epi>
+inline void DotRowsT(const float* __restrict a, int lda,
+                     const float* __restrict b, int ldb, int nu, int m, int n,
+                     Epi&& epi) {
+  constexpr int L = V::kLanes;
+  ForRowTiles<3>(m, [&]<int R>(int i) {
+    const float* __restrict ai = a + static_cast<size_t>(i) * lda;
+    auto tile_epi = [&](int t, int c, typename V::Vec acc) {
+      epi(i + t, c, acc);
+    };
+    int c = 0;
+    for (; c + 4 * L <= n; c += 4 * L) {
+      DotTileT<V, R, 4>(ai, lda, b, ldb, nu, c, tile_epi);
+    }
+    for (; c + 2 * L <= n; c += 2 * L) {
+      DotTileT<V, R, 2>(ai, lda, b, ldb, nu, c, tile_epi);
+    }
+    for (; c + L <= n; c += L) {
+      DotTileT<V, R, 1>(ai, lda, b, ldb, nu, c, tile_epi);
+    }
+  });
+}
+
+// One register tile of an accumulating GEMM: for R destination rows t (at
+// stride ld) and NV column vectors starting at c0 (and c1),
+//   dst[t][c] += coef[t * ct + u * cu] * src[u][c]   for u = 0 .. nu - 1,
+// in that order. Every vector of the tile is loaded before any is stored,
+// so an overlapping tail vector (c1 = ncols - L) starts from the prior
+// contents of the lanes it shares with c0, never from a half-accumulated
+// value; both copies of a shared lane receive the same terms and store
+// the same bits.
+template <typename V, int R, int NV>
+inline void GradTileT(float* __restrict dst, const float* __restrict src,
+                      int ld, const float* __restrict coef, int ct, int cu,
+                      int nu, int c0, int c1) {
+  const int cols[2] = {c0, c1};
+  typename V::Vec acc[R][NV];
+  for (int t = 0; t < R; ++t) {
+    for (int v = 0; v < NV; ++v) {
+      acc[t][v] = V::Load(dst + static_cast<size_t>(t) * ld + cols[v]);
+    }
+  }
+  for (int u = 0; u < nu; ++u) {
+    const float* __restrict srow = src + static_cast<size_t>(u) * ld;
+    const float* __restrict w = coef + static_cast<size_t>(u) * cu;
+    typename V::Vec x[NV];
+    for (int v = 0; v < NV; ++v) x[v] = V::Load(srow + cols[v]);
+    for (int t = 0; t < R; ++t) {
+      const auto wt = V::Broadcast(w[t * ct]);
+      for (int v = 0; v < NV; ++v) {
+        acc[t][v] = V::Add(acc[t][v], V::Mul(wt, x[v]));
+      }
+    }
+  }
+  for (int t = 0; t < R; ++t) {
+    for (int v = 0; v < NV; ++v) {
+      V::Store(dst + static_cast<size_t>(t) * ld + cols[v], acc[t][v]);
+    }
+  }
+}
+
+// dst rows [0, nrows), columns [0, ncols):
+//   dst[t][c] += coef[t * ct + u * cu] * src[u][c]   for u ascending,
+// in GradTileT tiles of up to 4 rows. Column vectors go in pairs, an odd
+// one out first on its own, so the overlapping tail vector (ncols not a
+// multiple of L) shares a tile with the last whole vector — the only one
+// it overlaps. Below one vector (ncols < L) each element sums in a scalar
+// register, in the same order. 4 rows x 2 vectors of accumulators, 2
+// source vectors and a broadcast fit AVX2's 16 registers.
+template <typename V>
+inline void GradRowsT(float* __restrict dst, const float* __restrict src,
+                      int ld, const float* __restrict coef, int ct, int cu,
+                      int nrows, int nu, int ncols) {
+  constexpr int L = V::kLanes;
+  if (ncols < L) {
+    for (int t = 0; t < nrows; ++t) {
+      float* __restrict drow = dst + static_cast<size_t>(t) * ld;
+      const float* __restrict w = coef + static_cast<size_t>(t) * ct;
+      for (int c = 0; c < ncols; ++c) {
+        float acc = drow[c];
+        for (int u = 0; u < nu; ++u) {
+          acc += w[static_cast<size_t>(u) * cu] *
+                 src[static_cast<size_t>(u) * ld + c];
+        }
+        drow[c] = acc;
+      }
+    }
+    return;
+  }
+  const int nfull = ncols / L;
+  const int nvec = nfull + (ncols % L != 0 ? 1 : 0);
+  auto col = [&](int v) { return v < nfull ? v * L : ncols - L; };
+  ForRowTiles<4>(nrows, [&]<int R>(int t) {
+    float* __restrict d = dst + static_cast<size_t>(t) * ld;
+    const float* __restrict w = coef + static_cast<size_t>(t) * ct;
+    int v = 0;
+    if (nvec % 2 != 0) {
+      GradTileT<V, R, 1>(d, src, ld, w, ct, cu, nu, col(0), 0);
+      v = 1;
+    }
+    for (; v < nvec; v += 2) {
+      GradTileT<V, R, 2>(d, src, ld, w, ct, cu, nu, col(v), col(v + 1));
+    }
+  });
+}
+
+
 // Fused linear layer for the packed pipeline: out = act(A * B + bias) with
 // A [m, k], B [k, n], bias [n], act = ReLU when `relu` is nonzero, identity
 // otherwise. Per output element this is the op chain's exact sequence —
@@ -205,7 +396,9 @@ void BiasReluT(const float* __restrict av, const float* __restrict bv,
 // makes the zero-fill and bias passes over the output. Dropping the
 // k-panel split changes only where intermediate sums sit (registers vs a
 // stored row reloaded exactly), so every level is bit-identical to fill +
-// matmul_forward_range + bias (+ bias_relu's clamp).
+// matmul_forward_range + bias (+ bias_relu's clamp). The vector body runs
+// DotRowsT tiles (3 rows share each B vector load), with the columns past
+// the last whole vector as scalar dots.
 //
 // Unlike MatMulForwardRangeT, the vector path has no aval == 0 skip: on
 // the ReLU-sparse ff2 input (~50% random zeros) the data-dependent branch
@@ -215,10 +408,13 @@ void BiasReluT(const float* __restrict av, const float* __restrict bv,
 // sum that starts at +0 can never become -0 (exact cancellation rounds to
 // +0, and adding a zero of either sign to +0 yields +0) — so every aval ==
 // 0 step adds a +/-0 product to a non-negative-zero accumulator, which
-// never changes a bit. matmul_forward_range cannot make that argument (its
-// out is caller-provided and may hold -0), which is one more reason the
-// fused kernel is separate. The width-1 policy keeps the seed's saxpy
-// shape, skip included.
+// never changes a bit. The argument assumes finite B: 0 * inf is NaN
+// where the skip adds nothing, so non-finite weights (a diverged model)
+// may give different NaN placement across levels.
+// matmul_forward_range cannot make that argument (its out is
+// caller-provided and may hold -0), which is one more reason the fused
+// kernel is separate. The width-1 policy keeps the seed's saxpy shape,
+// skip included.
 template <typename V>
 void LinearBiasActT(const float* __restrict av, const float* __restrict bv,
                     const float* __restrict biasv, float* __restrict ov,
@@ -249,67 +445,15 @@ void LinearBiasActT(const float* __restrict av, const float* __restrict bv,
     return;
   }
   const auto zero = V::Broadcast(0.0f);
+  DotRowsT<V>(av, k, bv, n, k, m, n, [&](int i, int j, typename V::Vec acc) {
+    acc = V::Add(acc, V::Load(biasv + j));
+    if (relu != 0) acc = V::Max(acc, zero);
+    V::Store(ov + static_cast<size_t>(i) * n + j, acc);
+  });
   for (int i = 0; i < m; ++i) {
     const float* __restrict arow = av + static_cast<size_t>(i) * k;
     float* __restrict orow = ov + static_cast<size_t>(i) * n;
-    int j = 0;
-    for (; j + 4 * L <= n; j += 4 * L) {
-      auto a0 = zero;
-      auto a1 = zero;
-      auto a2 = zero;
-      auto a3 = zero;
-      for (int p = 0; p < k; ++p) {
-        const float* __restrict brow = bv + static_cast<size_t>(p) * n + j;
-        const auto va = V::Broadcast(arow[p]);
-        a0 = V::Add(a0, V::Mul(va, V::Load(brow)));
-        a1 = V::Add(a1, V::Mul(va, V::Load(brow + L)));
-        a2 = V::Add(a2, V::Mul(va, V::Load(brow + 2 * L)));
-        a3 = V::Add(a3, V::Mul(va, V::Load(brow + 3 * L)));
-      }
-      a0 = V::Add(a0, V::Load(biasv + j));
-      a1 = V::Add(a1, V::Load(biasv + j + L));
-      a2 = V::Add(a2, V::Load(biasv + j + 2 * L));
-      a3 = V::Add(a3, V::Load(biasv + j + 3 * L));
-      if (relu != 0) {
-        a0 = V::Max(a0, zero);
-        a1 = V::Max(a1, zero);
-        a2 = V::Max(a2, zero);
-        a3 = V::Max(a3, zero);
-      }
-      V::Store(orow + j, a0);
-      V::Store(orow + j + L, a1);
-      V::Store(orow + j + 2 * L, a2);
-      V::Store(orow + j + 3 * L, a3);
-    }
-    for (; j + 2 * L <= n; j += 2 * L) {
-      auto a0 = zero;
-      auto a1 = zero;
-      for (int p = 0; p < k; ++p) {
-        const float* __restrict brow = bv + static_cast<size_t>(p) * n + j;
-        const auto va = V::Broadcast(arow[p]);
-        a0 = V::Add(a0, V::Mul(va, V::Load(brow)));
-        a1 = V::Add(a1, V::Mul(va, V::Load(brow + L)));
-      }
-      a0 = V::Add(a0, V::Load(biasv + j));
-      a1 = V::Add(a1, V::Load(biasv + j + L));
-      if (relu != 0) {
-        a0 = V::Max(a0, zero);
-        a1 = V::Max(a1, zero);
-      }
-      V::Store(orow + j, a0);
-      V::Store(orow + j + L, a1);
-    }
-    for (; j + L <= n; j += L) {
-      auto a0 = zero;
-      for (int p = 0; p < k; ++p) {
-        a0 = V::Add(a0, V::Mul(V::Broadcast(arow[p]),
-                               V::Load(bv + static_cast<size_t>(p) * n + j)));
-      }
-      a0 = V::Add(a0, V::Load(biasv + j));
-      if (relu != 0) a0 = V::Max(a0, zero);
-      V::Store(orow + j, a0);
-    }
-    for (; j < n; ++j) {
+    for (int j = (n / L) * L; j < n; ++j) {
       float acc = 0.0f;
       for (int p = 0; p < k; ++p) {
         acc += arow[p] * bv[static_cast<size_t>(p) * n + j];
@@ -361,7 +505,7 @@ void LayerNormRowsT(const float* __restrict xv, const float* __restrict gv,
 
 // Softmax numerator in place over prow[0, len): the row max (vectorized —
 // max is exact), then prow[j] = exp(prow[j] - max), V::Exp over whole
-// vectors and std::exp on the tail.
+// vectors and expf on the tail.
 template <typename V>
 inline void SoftmaxExpRowT(float* __restrict prow, int len) {
   constexpr int L = V::kLanes;
@@ -373,12 +517,12 @@ inline void SoftmaxExpRowT(float* __restrict prow, int len) {
     for (j = L; j + L <= len; j += L) vmax = V::Max(vmax, V::Load(prow + j));
     max_v = V::HMax(vmax);
   }
-  for (; j < len; ++j) max_v = std::max(max_v, prow[j]);
+  for (; j < len; ++j) max_v = MaxOf(max_v, prow[j]);
   const auto vm = V::Broadcast(max_v);
   for (j = 0; j < lenv; j += L) {
     V::Store(prow + j, V::Exp(V::Sub(V::Load(prow + j), vm)));
   }
-  for (; j < len; ++j) prow[j] = std::exp(prow[j] - max_v);
+  for (; j < len; ++j) prow[j] = expf(prow[j] - max_v);
 }
 
 // prow[j] /= sum over prow[0, len): the softmax normalization.
@@ -898,114 +1042,80 @@ void AttentionForwardBlockedT(const float* __restrict qv,
 // under round-to-nearest a sum can only produce -0 when both operands
 // are -0 — so by induction a grad element is never -0, and adding a +/-0
 // term to it leaves its bits unchanged. That is what makes the masked
-// adds in BiasActBackwardT bit-safe.
+// adds in BiasActBackwardT and the skip-free tiles of MatMulBackwardBT
+// bit-safe.
 
 // dA[i0:i1, :] += dOut[i0:i1, :] * B^T, reading B transposed: bt [n, k]
 // (the caller transposes once, before splitting rows across threads).
 // The seed closure computes each dA element as one complete ascending-j
 // dot in a register, added to dA once — note this is *not* the forward's
 // accumulate-into-out shape, so the vector path cannot reuse
-// MatMulForwardRangeT. Instead it runs register-tiled lanes across the p
-// (dA column) dimension of bt's rows: each lane's dot still starts at zero
-// and accumulates ascending j, followed by the one final add, so every
-// level produces the seed's bits. The width-1 body is the seed loop over
-// bt's columns.
+// MatMulForwardRangeT. Instead it runs DotRowsT tiles over bt's rows,
+// lanes across the p (dA column) dimension, 3 dA rows sharing each bt
+// vector load: each lane's dot still starts at zero and accumulates
+// ascending j, followed by the one final add, so every level produces the
+// seed's bits. The seed loop over bt's columns is the width-1 body and
+// the vector body's tail past the last whole vector.
 template <typename V>
 void MatMulBackwardAT(const float* __restrict og, const float* __restrict btv,
                       float* __restrict ag, int i0, int i1, int k, int n) {
   constexpr int L = V::kLanes;
-  if constexpr (L == 1) {
-    for (int i = i0; i < i1; ++i) {
-      const float* __restrict orow = og + static_cast<size_t>(i) * n;
-      float* __restrict arow = ag + static_cast<size_t>(i) * k;
-      for (int p = 0; p < k; ++p) {
-        float dot = 0.0f;
-        for (int j = 0; j < n; ++j) {
-          dot += orow[j] * btv[static_cast<size_t>(j) * k + p];
-        }
-        arow[p] += dot;
+  // Columns from p_tail on take the seed loop: all of them at width 1.
+  int p_tail = 0;
+  if constexpr (L > 1) {
+    float* __restrict ab = ag + static_cast<size_t>(i0) * k;
+    DotRowsT<V>(og + static_cast<size_t>(i0) * n, n, btv, k, n, i1 - i0, k,
+                [&](int i, int p, typename V::Vec dot) {
+                  float* __restrict a = ab + static_cast<size_t>(i) * k + p;
+                  V::Store(a, V::Add(V::Load(a), dot));
+                });
+    p_tail = (k / L) * L;
+  }
+  for (int i = i0; i < i1; ++i) {
+    const float* __restrict orow = og + static_cast<size_t>(i) * n;
+    float* __restrict arow = ag + static_cast<size_t>(i) * k;
+    for (int p = p_tail; p < k; ++p) {
+      float dot = 0.0f;
+      for (int j = 0; j < n; ++j) {
+        dot += orow[j] * btv[static_cast<size_t>(j) * k + p];
       }
-    }
-  } else {
-    const auto zero = V::Broadcast(0.0f);
-    for (int i = i0; i < i1; ++i) {
-      const float* __restrict orow = og + static_cast<size_t>(i) * n;
-      float* __restrict arow = ag + static_cast<size_t>(i) * k;
-      int p = 0;
-      for (; p + 4 * L <= k; p += 4 * L) {
-        auto a0 = zero;
-        auto a1 = zero;
-        auto a2 = zero;
-        auto a3 = zero;
-        for (int j = 0; j < n; ++j) {
-          const float* __restrict btrow = btv + static_cast<size_t>(j) * k + p;
-          const auto vo = V::Broadcast(orow[j]);
-          a0 = V::Add(a0, V::Mul(vo, V::Load(btrow)));
-          a1 = V::Add(a1, V::Mul(vo, V::Load(btrow + L)));
-          a2 = V::Add(a2, V::Mul(vo, V::Load(btrow + 2 * L)));
-          a3 = V::Add(a3, V::Mul(vo, V::Load(btrow + 3 * L)));
-        }
-        V::Store(arow + p, V::Add(V::Load(arow + p), a0));
-        V::Store(arow + p + L, V::Add(V::Load(arow + p + L), a1));
-        V::Store(arow + p + 2 * L, V::Add(V::Load(arow + p + 2 * L), a2));
-        V::Store(arow + p + 3 * L, V::Add(V::Load(arow + p + 3 * L), a3));
-      }
-      for (; p + L <= k; p += L) {
-        auto a0 = zero;
-        for (int j = 0; j < n; ++j) {
-          a0 = V::Add(a0, V::Mul(V::Broadcast(orow[j]),
-                                 V::Load(btv + static_cast<size_t>(j) * k + p)));
-        }
-        V::Store(arow + p, V::Add(V::Load(arow + p), a0));
-      }
-      for (; p < k; ++p) {
-        float dot = 0.0f;
-        for (int j = 0; j < n; ++j) {
-          dot += orow[j] * btv[static_cast<size_t>(j) * k + p];
-        }
-        arow[p] += dot;
-      }
+      arow[p] += dot;
     }
   }
 }
 
-// dB[p0:p1, :] += (A^T * dOut)[p0:p1, :] as rank-1 row updates: for each
-// i ascending, axpy dOut row i into the dB rows selected by A row i. Per
-// output element the i dimension accumulates in ascending order
-// regardless of the p partition, and the seed's aval == 0 skip (ReLU
-// inputs are often sparse) is kept at every level — the surviving value
-// subsequence is identical, so so are the bits. The vector path runs
-// lanes across the contiguous j dimension of the axpy.
+// dB[p0:p1, :] += (A^T * dOut)[p0:p1, :]: per output element the terms
+// A[i, p] * dOut[i, j] in ascending i, wherever the p range is split. The
+// width-1 body is the seed's rank-1 row updates, with its aval == 0 skip
+// (ReLU inputs are often sparse). The vector body is GradRowsT with A's
+// columns as the coefficients: a tile of 4 dB rows x 2 vectors is loaded
+// once, takes every input row's term in ascending i in registers and is
+// stored once — where a rank-1 update loads, adds and stores a whole dB
+// row per (i, p) behind a data-dependent branch. It has no aval == 0
+// skip: a dB element is never -0 (the note above), so adding a +/-0
+// product leaves its bits unchanged, as in BiasActBackwardT. The argument
+// assumes a finite dOut: 0 * inf is NaN where the skip adds nothing, so a
+// diverged step with a non-finite gradient may place its NaNs differently
+// across levels.
 template <typename V>
 void MatMulBackwardBT(const float* __restrict av, const float* __restrict og,
                       float* __restrict bg, int p0, int p1, int m, int k,
                       int n) {
   constexpr int L = V::kLanes;
-  for (int i = 0; i < m; ++i) {
-    const float* __restrict arow = av + static_cast<size_t>(i) * k;
-    const float* __restrict orow = og + static_cast<size_t>(i) * n;
-    for (int p = p0; p < p1; ++p) {
-      const float aval = arow[p];
-      if (aval == 0.0f) continue;
-      float* __restrict brow = bg + static_cast<size_t>(p) * n;
-      if constexpr (L == 1) {
+  if constexpr (L == 1) {
+    for (int i = 0; i < m; ++i) {
+      const float* __restrict arow = av + static_cast<size_t>(i) * k;
+      const float* __restrict orow = og + static_cast<size_t>(i) * n;
+      for (int p = p0; p < p1; ++p) {
+        const float aval = arow[p];
+        if (aval == 0.0f) continue;
+        float* __restrict brow = bg + static_cast<size_t>(p) * n;
         for (int j = 0; j < n; ++j) brow[j] += aval * orow[j];
-      } else {
-        const auto va = V::Broadcast(aval);
-        int j = 0;
-        for (; j + 2 * L <= n; j += 2 * L) {
-          V::Store(brow + j,
-                   V::Add(V::Load(brow + j), V::Mul(va, V::Load(orow + j))));
-          V::Store(brow + j + L, V::Add(V::Load(brow + j + L),
-                                        V::Mul(va, V::Load(orow + j + L))));
-        }
-        for (; j + L <= n; j += L) {
-          V::Store(brow + j,
-                   V::Add(V::Load(brow + j), V::Mul(va, V::Load(orow + j))));
-        }
-        for (; j < n; ++j) brow[j] += aval * orow[j];
       }
     }
+  } else {
+    GradRowsT<V>(bg + static_cast<size_t>(p0) * n, og, n, av + p0, /*ct=*/1,
+                 /*cu=*/k, p1 - p0, m, n);
   }
 }
 
@@ -1159,27 +1269,6 @@ void LayerNormRowsBackwardT(const float* __restrict xv,
 // never rounded, so every element keeps its exact sequence of roundings
 // and the vector levels produce the seed's bits.
 
-// Calls f.template operator()<R>(t) for the row tiles [t, t + R) of
-// [0, n): R = 4, then one remainder tile of 3, 2 or 1 rows.
-template <typename F>
-inline void ForRowTiles(int n, F&& f) {
-  int t = 0;
-  for (; t + 4 <= n; t += 4) f.template operator()<4>(t);
-  switch (n - t) {
-    case 3:
-      f.template operator()<3>(t);
-      break;
-    case 2:
-      f.template operator()<2>(t);
-      break;
-    case 1:
-      f.template operator()<1>(t);
-      break;
-    default:
-      break;
-  }
-}
-
 // Scores and d_probs of R queries (q and og rows at stride ld) against
 // the L keys from j, over the head's transposed keys and values kt and vt
 // (row c holds column c of every key, at stride ldk):
@@ -1287,88 +1376,6 @@ inline void SoftmaxBackwardRowsT(float* __restrict p, float* __restrict dp,
     }
     for (; j < len; ++j) dprow[j] = scale * prow[j] * (dprow[j] - dot[t]);
   }
-}
-
-// One register tile of the gradient accumulations: for R destination rows
-// t (at stride ld) and NV head-column vectors starting at c0 (and c1),
-//   dst[t][c] += coef[t * ct + u * cu] * src[u][c]   for u = 0 .. nu - 1,
-// in that order. Every vector of the tile is loaded before any is stored,
-// so an overlapping tail vector (c1 = head_dim - L) starts from the prior
-// contents of the lanes it shares with c0, never from a half-accumulated
-// value; both copies of a shared lane receive the same terms and store
-// the same bits.
-template <typename V, int R, int NV>
-inline void GradTileT(float* __restrict dst, const float* __restrict src,
-                      int ld, const float* __restrict coef, int ct, int cu,
-                      int nu, int c0, int c1) {
-  const int cols[2] = {c0, c1};
-  typename V::Vec acc[R][NV];
-  for (int t = 0; t < R; ++t) {
-    for (int v = 0; v < NV; ++v) {
-      acc[t][v] = V::Load(dst + static_cast<size_t>(t) * ld + cols[v]);
-    }
-  }
-  for (int u = 0; u < nu; ++u) {
-    const float* __restrict srow = src + static_cast<size_t>(u) * ld;
-    const float* __restrict w = coef + static_cast<size_t>(u) * cu;
-    typename V::Vec x[NV];
-    for (int v = 0; v < NV; ++v) x[v] = V::Load(srow + cols[v]);
-    for (int t = 0; t < R; ++t) {
-      const auto wt = V::Broadcast(w[t * ct]);
-      for (int v = 0; v < NV; ++v) {
-        acc[t][v] = V::Add(acc[t][v], V::Mul(wt, x[v]));
-      }
-    }
-  }
-  for (int t = 0; t < R; ++t) {
-    for (int v = 0; v < NV; ++v) {
-      V::Store(dst + static_cast<size_t>(t) * ld + cols[v], acc[t][v]);
-    }
-  }
-}
-
-// dst rows [0, nrows), head columns [0, dh):
-//   dst[t][c] += coef[t * ct + u * cu] * src[u][c]   for u ascending,
-// in GradTileT tiles of up to 4 rows. Column vectors go in pairs, an odd
-// one out first on its own, so the overlapping tail vector (dh not a
-// multiple of L) shares a tile with the last whole vector — the only one
-// it overlaps. Below one vector (dh < L) each element sums in a scalar
-// register, in the same order.
-template <typename V>
-inline void GradRowsT(float* __restrict dst, const float* __restrict src,
-                      int ld, const float* __restrict coef, int ct, int cu,
-                      int nrows, int nu, int dh) {
-  constexpr int L = V::kLanes;
-  if (dh < L) {
-    for (int t = 0; t < nrows; ++t) {
-      float* __restrict drow = dst + static_cast<size_t>(t) * ld;
-      const float* __restrict w = coef + static_cast<size_t>(t) * ct;
-      for (int c = 0; c < dh; ++c) {
-        float acc = drow[c];
-        for (int u = 0; u < nu; ++u) {
-          acc += w[static_cast<size_t>(u) * cu] *
-                 src[static_cast<size_t>(u) * ld + c];
-        }
-        drow[c] = acc;
-      }
-    }
-    return;
-  }
-  const int nfull = dh / L;
-  const int nvec = nfull + (dh % L != 0 ? 1 : 0);
-  auto col = [&](int v) { return v < nfull ? v * L : dh - L; };
-  ForRowTiles(nrows, [&]<int R>(int t) {
-    float* __restrict d = dst + static_cast<size_t>(t) * ld;
-    const float* __restrict w = coef + static_cast<size_t>(t) * ct;
-    int v = 0;
-    if (nvec % 2 != 0) {
-      GradTileT<V, R, 1>(d, src, ld, w, ct, cu, nu, col(0), 0);
-      v = 1;
-    }
-    for (; v < nvec; v += 2) {
-      GradTileT<V, R, 2>(d, src, ld, w, ct, cu, nu, col(v), col(v + 1));
-    }
-  });
 }
 
 // Backward of attention_forward_packed. `scratch` holds
@@ -1484,7 +1491,7 @@ void AttentionBackwardPackedT(const float* __restrict qv,
             vt[static_cast<size_t>(c) * len + j] = vrow[c];
           }
         }
-        ForRowTiles(len, [&]<int R>(int i) {
+        ForRowTiles<4>(len, [&]<int R>(int i) {
           const size_t at = base + static_cast<size_t>(i) * dim;
           const size_t row = static_cast<size_t>(i) * len;
           ScoreRowsT<V, R>(qv + at, og + at, dim, kt, vt, len, len, dh,
@@ -1626,7 +1633,7 @@ void AdamStepT(float* __restrict value, const float* __restrict grad,
     v[j] = beta2 * v[j] + (1.0f - beta2) * grad[j] * grad[j];
     const float m_hat = m[j] / bias1;
     const float v_hat = v[j] / bias2;
-    value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+    value[j] -= lr * m_hat / (sqrtf(v_hat) + eps);
   }
 }
 
@@ -1634,16 +1641,16 @@ void AdamStepT(float* __restrict value, const float* __restrict grad,
 // ties away from zero, saturate to [-127, 127]. Written as
 // trunc(t + copysign(0.5, t)) — every operation is an exact IEEE op, so a
 // vector lane computing the same expression produces the same int8.
-inline int8_t QuantizeOneRef(float x, float inv_scale) {
+static inline int8_t QuantizeOneRef(float x, float inv_scale) {
   const float t = x * inv_scale;
-  const float r = std::trunc(t + std::copysign(0.5f, t));
+  const float r = truncf(t + copysignf(0.5f, t));
   if (r >= 127.0f) return 127;
   if (r <= -127.0f) return -127;
   return static_cast<int8_t>(r);
 }
 
-inline void QuantizeBufferRef(const float* x, int n, float inv_scale,
-                              int8_t* out) {
+static inline void QuantizeBufferRef(const float* x, int n,
+                                     float inv_scale, int8_t* out) {
   for (int i = 0; i < n; ++i) out[i] = QuantizeOneRef(x[i], inv_scale);
 }
 
@@ -1651,9 +1658,10 @@ inline void QuantizeBufferRef(const float* x, int n, float inv_scale,
 // accumulation is exact in any order, so this is the bit-exactness anchor
 // for the vector micro-kernels — and, because the padding contributes
 // exact zeros, equal to a plain int32 dot loop on the unpacked operands.
-inline void Int8GemmPackedRef(const int8_t* a, const int16_t* bp, float* c,
-                              int m, int k, int n, const float* a_scale,
-                              const float* b_scale, const float* bias) {
+static inline void Int8GemmPackedRef(const int8_t* a, const int16_t* bp,
+                                     float* c, int m, int k, int n,
+                                     const float* a_scale,
+                                     const float* b_scale, const float* bias) {
   const int kp = Int8PackedKPad(k);
   const int kb = kp / kInt8TileK;
   const int tiles = (n + kInt8TileN - 1) / kInt8TileN;

@@ -255,29 +255,113 @@ TEST(SimdParityTest, AttentionForwardPacked) {
 // Gradient buffers accumulate (+=), so each case seeds both tables' buffers
 // with identical random prior values to cover the accumulate path too.
 
+// The GEMM kernels (linear_bias_act and both matmul backwards) run in
+// register tiles of several rows by up to four vectors. Their sweeps cover
+// every row-tile remainder (m = 1..9), the training batch (m = 100), and
+// widths that take every column-tile branch and scalar tail at 4 and 8
+// lanes, with inputs holding exact +0 and -0 entries (ReLU outputs) and
+// row or p ranges split at positions that are not multiples of a tile. The
+// vector table runs the split ranges and the scalar table one whole range:
+// each element's terms and their order do not depend on the split.
+constexpr int kGemmRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 100};
+constexpr int kGemmWidths[] = {1, 3, 8, 12, 16, 24, 40, 48, 96, 97};
+
+// About 30% +0 and 15% -0 entries, the rest uniform in (-1, 1).
+std::vector<float> SparseVec(size_t n, util::Rng* rng) {
+  std::vector<float> v = RandomVec(n, rng);
+  for (float& x : v) {
+    const double u = rng->Uniform();
+    if (u < 0.30) {
+      x = 0.0f;
+    } else if (u < 0.45) {
+      x = -0.0f;
+    }
+  }
+  return v;
+}
+
+// [0, n) cut at 1, 6 and n / 2 + 1 where they fall inside it, in order.
+// At the swept sizes no range but the first starts on a multiple of 4.
+std::vector<int> SplitPoints(int n) {
+  std::vector<int> cuts = {0};
+  for (int c : {1, 6, n / 2 + 1}) {
+    if (c > cuts.back() && c < n) cuts.push_back(c);
+  }
+  cuts.push_back(n);
+  return cuts;
+}
+
+// Bit-for-bit equality, so -0 differs from +0.
+void ExpectBitsEqual(const std::vector<float>& want,
+                     const std::vector<float>& got, const char* what, int m,
+                     int k, int n) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    uint32_t a = 0, b = 0;
+    std::memcpy(&a, &want[i], sizeof(a));
+    std::memcpy(&b, &got[i], sizeof(b));
+    ASSERT_EQ(a, b) << what << " m=" << m << " k=" << k << " n=" << n
+                    << " index " << i << ": " << want[i] << " vs " << got[i];
+  }
+}
+
+TEST(SimdParityTest, LinearBiasActBitExact) {
+  const Kernels* vec = VectorTable();
+  const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
+  util::Rng rng(50);
+  for (int m : kGemmRows) {
+    for (int k : kGemmWidths) {
+      for (int n : kGemmWidths) {
+        const std::vector<float> x =
+            SparseVec(static_cast<size_t>(m) * k, &rng);
+        const std::vector<float> w =
+            RandomVec(static_cast<size_t>(k) * n, &rng);
+        const std::vector<float> bias = RandomVec(n, &rng);
+        for (int relu : {0, 1}) {
+          // Both outputs start as NaN: every element must be written.
+          std::vector<float> y_s(static_cast<size_t>(m) * n, std::nanf(""));
+          std::vector<float> y_v = y_s;
+          scalar->linear_bias_act(x.data(), w.data(), bias.data(),
+                                  y_s.data(), m, k, n, relu);
+          const std::vector<int> cuts = SplitPoints(m);
+          for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+            const size_t i0 = cuts[c];
+            vec->linear_bias_act(x.data() + i0 * k, w.data(), bias.data(),
+                                 y_v.data() + i0 * n, cuts[c + 1] - cuts[c],
+                                 k, n, relu);
+          }
+          ASSERT_NO_FATAL_FAILURE(ExpectBitsEqual(
+              y_s, y_v, relu ? "linear relu" : "linear", m, k, n));
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdParityTest, MatMulBackwardABitExact) {
   const Kernels* vec = VectorTable();
   const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
   util::Rng rng(51);
-  const int shapes[][3] = {{1, 1, 1},   {3, 7, 5},    {17, 48, 33},
-                           {129, 64, 129}, {2, 3, 300}, {5, 129, 17}};
-  for (const auto& s : shapes) {
-    const int m = s[0], k = s[1], n = s[2];
-    const std::vector<float> og = RandomVec(static_cast<size_t>(m) * n, &rng);
-    // The kernel reads B [k, n] through its transpose bt [n, k].
-    const std::vector<float> bt = RandomVec(static_cast<size_t>(n) * k, &rng);
-    std::vector<float> ag_s = RandomVec(static_cast<size_t>(m) * k, &rng);
-    std::vector<float> ag_v = ag_s;
-    // Split the row range to exercise the sharded [i0, i1) entry point.
-    const int mid = m / 2;
-    scalar->matmul_backward_a(og.data(), bt.data(), ag_s.data(), 0, mid, k,
-                              n);
-    scalar->matmul_backward_a(og.data(), bt.data(), ag_s.data(), mid, m, k,
-                              n);
-    vec->matmul_backward_a(og.data(), bt.data(), ag_v.data(), 0, mid, k, n);
-    vec->matmul_backward_a(og.data(), bt.data(), ag_v.data(), mid, m, k, n);
-    for (size_t i = 0; i < ag_s.size(); ++i) {
-      ASSERT_EQ(ag_s[i], ag_v[i]) << "index " << i;
+  for (int m : kGemmRows) {
+    for (int k : kGemmWidths) {
+      for (int n : kGemmWidths) {
+        const std::vector<float> og =
+            SparseVec(static_cast<size_t>(m) * n, &rng);
+        // The kernel reads B [k, n] through its transpose bt [n, k].
+        const std::vector<float> bt =
+            RandomVec(static_cast<size_t>(n) * k, &rng);
+        std::vector<float> ag_s = RandomVec(static_cast<size_t>(m) * k, &rng);
+        std::vector<float> ag_v = ag_s;
+        scalar->matmul_backward_a(og.data(), bt.data(), ag_s.data(), 0, m, k,
+                                  n);
+        // The sharded [i0, i1) entry point, at unaligned row splits.
+        const std::vector<int> cuts = SplitPoints(m);
+        for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+          vec->matmul_backward_a(og.data(), bt.data(), ag_v.data(), cuts[c],
+                                 cuts[c + 1], k, n);
+        }
+        ASSERT_NO_FATAL_FAILURE(ExpectBitsEqual(ag_s, ag_v, "dA", m, k, n));
+      }
     }
   }
 }
@@ -286,25 +370,33 @@ TEST(SimdParityTest, MatMulBackwardBBitExact) {
   const Kernels* vec = VectorTable();
   const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
   util::Rng rng(52);
-  const int shapes[][3] = {{1, 1, 1},   {3, 7, 5},    {17, 48, 33},
-                           {129, 64, 129}, {2, 3, 300}, {5, 129, 17}};
-  for (const auto& s : shapes) {
-    const int m = s[0], k = s[1], n = s[2];
-    std::vector<float> a = RandomVec(static_cast<size_t>(m) * k, &rng);
-    // Sprinkle zeros: the aval == 0 skip must be kept at every level.
-    for (size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
-    const std::vector<float> og = RandomVec(static_cast<size_t>(m) * n, &rng);
-    std::vector<float> bg_s = RandomVec(static_cast<size_t>(k) * n, &rng);
-    std::vector<float> bg_v = bg_s;
-    const int mid = k / 2;
-    scalar->matmul_backward_b(a.data(), og.data(), bg_s.data(), 0, mid, m, k,
-                              n);
-    scalar->matmul_backward_b(a.data(), og.data(), bg_s.data(), mid, k, m, k,
-                              n);
-    vec->matmul_backward_b(a.data(), og.data(), bg_v.data(), 0, mid, m, k, n);
-    vec->matmul_backward_b(a.data(), og.data(), bg_v.data(), mid, k, m, k, n);
-    for (size_t i = 0; i < bg_s.size(); ++i) {
-      ASSERT_EQ(bg_s[i], bg_v[i]) << "index " << i;
+  for (int m : kGemmRows) {
+    for (int k : kGemmWidths) {
+      for (int n : kGemmWidths) {
+        // The width-1 body skips aval == 0 terms and the vector body adds
+        // them: +/-0 products must leave the (never -0) gradient unchanged,
+        // whether it holds earlier terms or starts at +0 as in training.
+        const std::vector<float> a =
+            SparseVec(static_cast<size_t>(m) * k, &rng);
+        const std::vector<float> og =
+            SparseVec(static_cast<size_t>(m) * n, &rng);
+        for (bool zero_start : {false, true}) {
+          std::vector<float> bg_s =
+              zero_start ? std::vector<float>(static_cast<size_t>(k) * n)
+                         : RandomVec(static_cast<size_t>(k) * n, &rng);
+          std::vector<float> bg_v = bg_s;
+          scalar->matmul_backward_b(a.data(), og.data(), bg_s.data(), 0, k,
+                                    m, k, n);
+          // The op chain splits the p range across threads anywhere.
+          const std::vector<int> cuts = SplitPoints(k);
+          for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+            vec->matmul_backward_b(a.data(), og.data(), bg_v.data(), cuts[c],
+                                   cuts[c + 1], m, k, n);
+          }
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectBitsEqual(bg_s, bg_v, "dB", m, k, n));
+        }
+      }
     }
   }
 }
