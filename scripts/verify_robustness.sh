@@ -3,7 +3,7 @@
 #
 #  1. Builds with AddressSanitizer (-DQPE_SANITIZE=address) and runs the
 #     robustness suites — framed-file and checkpoint corruption matrices,
-#     transactional LoadModule, fault-injection sweeps, bit-exact resume —
+#     transactional module loading, fault-injection sweeps, bit-exact resume —
 #     under ASan, so any leak or out-of-bounds access on an error path
 #     fails the run.
 #  2. Ingestion fuzz sweep: 10k seeded byte-level mutations of EXPLAIN text

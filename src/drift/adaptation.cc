@@ -14,6 +14,7 @@
 #include "plan/serialize.h"
 #include "serve/warm_state.h"
 #include "smatch/smatch.h"
+#include "util/bytes.h"
 #include "util/durable_file.h"
 #include "util/rng.h"
 

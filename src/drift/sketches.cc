@@ -7,12 +7,7 @@
 
 namespace qpe::drift {
 
-uint64_t MixU64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+using util::Mix64;
 
 BloomFilter::BloomFilter(size_t bits, int hashes)
     : bits_(((std::max<size_t>(bits, 64) + 63) / 64) * 64),
@@ -20,8 +15,8 @@ BloomFilter::BloomFilter(size_t bits, int hashes)
       words_(bits_ / 64, 0) {}
 
 void BloomFilter::Insert(uint64_t key) {
-  const uint64_t h1 = MixU64(key);
-  const uint64_t h2 = MixU64(key ^ 0xA24BAED4963EE407ULL) | 1;  // odd stride
+  const uint64_t h1 = Mix64(key);
+  const uint64_t h2 = Mix64(key ^ 0xA24BAED4963EE407ULL) | 1;  // odd stride
   for (int i = 0; i < hashes_; ++i) {
     const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bits_;
     words_[bit >> 6] |= (1ULL << (bit & 63));
@@ -30,8 +25,8 @@ void BloomFilter::Insert(uint64_t key) {
 }
 
 bool BloomFilter::MightContain(uint64_t key) const {
-  const uint64_t h1 = MixU64(key);
-  const uint64_t h2 = MixU64(key ^ 0xA24BAED4963EE407ULL) | 1;
+  const uint64_t h1 = Mix64(key);
+  const uint64_t h2 = Mix64(key ^ 0xA24BAED4963EE407ULL) | 1;
   for (int i = 0; i < hashes_; ++i) {
     const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bits_;
     if ((words_[bit >> 6] & (1ULL << (bit & 63))) == 0) return false;
@@ -53,7 +48,7 @@ CountMinSketch::CountMinSketch(size_t width, int depth)
 void CountMinSketch::Add(uint64_t key, uint64_t count) {
   for (int row = 0; row < depth_; ++row) {
     const uint64_t h =
-        MixU64(key ^ (0x6C62272E07BB0142ULL * static_cast<uint64_t>(row + 1)));
+        Mix64(key ^ (0x6C62272E07BB0142ULL * static_cast<uint64_t>(row + 1)));
     counts_[static_cast<size_t>(row) * width_ + h % width_] += count;
   }
   total_ += count;
@@ -63,7 +58,7 @@ uint64_t CountMinSketch::Estimate(uint64_t key) const {
   uint64_t best = std::numeric_limits<uint64_t>::max();
   for (int row = 0; row < depth_; ++row) {
     const uint64_t h =
-        MixU64(key ^ (0x6C62272E07BB0142ULL * static_cast<uint64_t>(row + 1)));
+        Mix64(key ^ (0x6C62272E07BB0142ULL * static_cast<uint64_t>(row + 1)));
     best = std::min(best,
                     counts_[static_cast<size_t>(row) * width_ + h % width_]);
   }

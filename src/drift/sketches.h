@@ -14,10 +14,6 @@ namespace qpe::drift {
 // sit on the daemon's serving hot path, and the acceptance bar is <5% of
 // daemon_p99_ms for the whole Observe step.
 
-// Full-avalanche 64-bit mix (splitmix64 finalizer, Steele et al.) — the
-// same mixer the plan fingerprint uses, so nearby keys disperse.
-uint64_t MixU64(uint64_t x);
-
 // Classic Bloom filter over 64-bit keys with double hashing: hash i is
 // h1 + i*h2 over the bit space, which preserves the standard false-positive
 // bound without re-hashing per probe (Kirsch & Mitzenmacher). Used for

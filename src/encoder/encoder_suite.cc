@@ -1,13 +1,16 @@
 #include "encoder/encoder_suite.h"
 
+#include <utility>
+
 #include "nn/serialize.h"
 
 namespace qpe::encoder {
 
 namespace {
 
-const char* const kPerfFileNames[4] = {"perf_scan.qpe", "perf_join.qpe",
-                                       "perf_sort.qpe", "perf_aggregate.qpe"};
+const char* const kFileNames[5] = {"structure.qpe", "perf_scan.qpe",
+                                   "perf_join.qpe", "perf_sort.qpe",
+                                   "perf_aggregate.qpe"};
 
 }  // namespace
 
@@ -31,31 +34,37 @@ tasks::EmbeddingFeaturizer::Config EncoderSuite::FeaturizerConfig(
   return featurizer_config;
 }
 
-bool EncoderSuite::SaveToDirectory(const std::string& directory) const {
-  if (!nn::SaveModuleToFile(*structure_, directory + "/structure.qpe")) {
-    return false;
-  }
-  for (int g = 0; g < 4; ++g) {
-    if (!nn::SaveModuleToFile(*performance_[g],
-                              directory + "/" + kPerfFileNames[g])) {
-      return false;
-    }
-  }
-  return true;
+std::array<nn::Module*, 5> EncoderSuite::Modules() const {
+  return {structure_.get(), performance_[0].get(), performance_[1].get(),
+          performance_[2].get(), performance_[3].get()};
 }
 
-bool EncoderSuite::LoadFromDirectory(const std::string& directory) {
-  if (!nn::LoadModuleFromFile(structure_.get(),
-                              directory + "/structure.qpe")) {
-    return false;
-  }
-  for (int g = 0; g < 4; ++g) {
-    if (!nn::LoadModuleFromFile(performance_[g].get(),
-                                directory + "/" + kPerfFileNames[g])) {
-      return false;
+util::Status EncoderSuite::SaveToDirectory(const std::string& directory) const {
+  const std::array<nn::Module*, 5> modules = Modules();
+  for (size_t i = 0; i < modules.size(); ++i) {
+    if (util::Status s = nn::SaveModuleToFileStatus(
+            *modules[i], directory + "/" + kFileNames[i]);
+        !s.ok()) {
+      return s;
     }
   }
-  return true;
+  return util::OkStatus();
+}
+
+util::Status EncoderSuite::LoadFromDirectory(const std::string& directory) {
+  const std::array<nn::Module*, 5> modules = Modules();
+  nn::internal::StagedModule staged[5];
+  for (size_t i = 0; i < modules.size(); ++i) {
+    if (util::Status s = nn::internal::StageModuleFile(
+            modules[i], directory + "/" + kFileNames[i], &staged[i]);
+        !s.ok()) {
+      return s;
+    }
+  }
+  for (size_t i = 0; i < modules.size(); ++i) {
+    nn::internal::CommitModule(modules[i], std::move(staged[i]));
+  }
+  return util::OkStatus();
 }
 
 }  // namespace qpe::encoder

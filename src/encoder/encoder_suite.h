@@ -1,12 +1,14 @@
 #ifndef QPE_ENCODER_ENCODER_SUITE_H_
 #define QPE_ENCODER_ENCODER_SUITE_H_
 
+#include <array>
 #include <memory>
 #include <string>
 
 #include "encoder/performance_encoder.h"
 #include "encoder/structure_encoder.h"
 #include "tasks/embeddings.h"
+#include "util/status.h"
 
 namespace qpe::encoder {
 
@@ -40,14 +42,19 @@ class EncoderSuite {
       const catalog::Catalog* catalog) const;
 
   // Writes/reads structure.qpe and perf_{scan,join,sort,aggregate}.qpe under
-  // `directory` (which must exist). Load requires a suite constructed with
-  // the same Config.
-  bool SaveToDirectory(const std::string& directory) const;
-  bool LoadFromDirectory(const std::string& directory);
+  // `directory` (which must exist); errors name the file and the field
+  // (nn/serialize.h). Load requires a suite constructed with the same Config
+  // and is transactional: all five files are staged, and the encoders are
+  // overwritten only once every one of them parsed.
+  util::Status SaveToDirectory(const std::string& directory) const;
+  util::Status LoadFromDirectory(const std::string& directory);
 
   const Config& config() const { return config_; }
 
  private:
+  // The five encoders, in file order.
+  std::array<nn::Module*, 5> Modules() const;
+
   Config config_;
   std::unique_ptr<TransformerPlanEncoder> structure_;
   std::unique_ptr<PerformanceEncoder> performance_[4];

@@ -1,10 +1,10 @@
 #include "nn/checkpoint.h"
 
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "nn/serialize.h"
+#include "util/bytes.h"
 #include "util/durable_file.h"
 
 namespace qpe::nn {
@@ -29,9 +29,8 @@ std::string BuildPayload(const Module& module, const Optimizer& optimizer,
   util::PutU32(&payload, state.rng.has_cached_normal ? 1 : 0);
   util::PutF64(&payload, state.rng.cached_normal);
   // Module section (the nn/serialize format, embedded verbatim).
-  std::ostringstream module_os(std::ios::binary);
-  SaveModule(module, module_os);
-  const std::string module_bytes = module_os.str();
+  std::string module_bytes;
+  SaveModule(module, &module_bytes);
   util::PutU64(&payload, module_bytes.size());
   payload.append(module_bytes);
   // Optimizer state.
@@ -77,22 +76,20 @@ util::Status ParsePayload(const std::string& payload, Module* module,
   if (s = reader.F64(&staged_state->rng.cached_normal, "rng cached normal");
       !s.ok())
     return s;
-  // Module section.
+  // Module section, staged in place: it must end exactly where its size
+  // field says.
   uint64_t module_size = 0;
   if (s = reader.U64(&module_size, "module section size"); !s.ok()) return s;
-  if (module_size > reader.remaining()) {
+  const size_t module_start = reader.pos();
+  if (s = internal::StageModule(module, reader, staged_module); !s.ok())
+    return s;
+  if (reader.pos() - module_start != module_size) {
     return util::DataLossError(
-        "checkpoint module section claims " + std::to_string(module_size) +
-        " byte(s) but only " + std::to_string(reader.remaining()) +
-        " remain at offset " + std::to_string(reader.pos()));
+        "checkpoint module section size field says " +
+        std::to_string(module_size) + " byte(s) but the module at offset " +
+        std::to_string(module_start) + " is " +
+        std::to_string(reader.pos() - module_start));
   }
-  std::string module_bytes(module_size, '\0');
-  if (s = reader.Bytes(module_bytes.data(), module_size, "module section");
-      !s.ok())
-    return s;
-  std::istringstream module_is(module_bytes, std::ios::binary);
-  if (s = internal::StageModule(module, module_is, staged_module); !s.ok())
-    return s;
   // Optimizer state.
   if (s = reader.Str(&staged_opt->kind, "optimizer kind"); !s.ok()) return s;
   if (s = reader.I64(&staged_opt->step_count, "optimizer step count"); !s.ok())

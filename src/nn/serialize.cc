@@ -1,8 +1,6 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -15,104 +13,109 @@ namespace {
 
 constexpr uint32_t kMagic = 0x51504531;  // "QPE1"
 
-void WriteU32(std::ostream& os, uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+// Prefixes a failed read with the tensor it was staging.
+util::Status InTensor(const util::Status& s, size_t i,
+                      const std::string& name) {
+  return util::Status(s.code(), "tensor " + std::to_string(i) + " ('" + name +
+                                    "'): " + s.message());
 }
 
-bool ReadU32(std::istream& is, uint32_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(is);
-}
-
-void WriteString(std::ostream& os, const std::string& s) {
-  WriteU32(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream& is, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadU32(is, &len)) return false;
-  s->resize(len);
-  is.read(s->data(), static_cast<std::streamsize>(len));
-  return static_cast<bool>(is);
+// Stages a whole module input: nothing may follow the last tensor.
+util::Status StageModuleBytes(Module* module, std::string_view bytes,
+                              internal::StagedModule* staged) {
+  if (util::Status s = util::InjectFault("module.load.read"); !s.ok()) {
+    return s;
+  }
+  util::PayloadReader reader(bytes, "module");
+  if (util::Status s = internal::StageModule(module, reader, staged); !s.ok()) {
+    return s;
+  }
+  return reader.Finish("the last tensor");
 }
 
 }  // namespace
 
-void SaveModule(const Module& module, std::ostream& os) {
+void SaveModule(const Module& module, std::string* out) {
   const auto named = module.NamedParameters();
-  WriteU32(os, kMagic);
-  WriteU32(os, static_cast<uint32_t>(named.size()));
+  util::PutU32(out, kMagic);
+  util::PutU32(out, static_cast<uint32_t>(named.size()));
   for (const auto& [name, tensor] : named) {
-    WriteString(os, name);
-    WriteU32(os, static_cast<uint32_t>(tensor.rows()));
-    WriteU32(os, static_cast<uint32_t>(tensor.cols()));
-    os.write(reinterpret_cast<const char*>(tensor.value().data()),
-             static_cast<std::streamsize>(tensor.numel() * sizeof(float)));
+    util::PutString(out, name);
+    util::PutU32(out, static_cast<uint32_t>(tensor.rows()));
+    util::PutU32(out, static_cast<uint32_t>(tensor.cols()));
+    util::PutBytes(out, tensor.value().data(),
+                   tensor.value().size() * sizeof(float));
   }
 }
 
 namespace internal {
 
-util::Status StageModule(Module* module, std::istream& is,
+util::Status StageModule(Module* module, util::PayloadReader& reader,
                          StagedModule* staged) {
   uint32_t magic = 0, count = 0;
-  if (!ReadU32(is, &magic)) {
-    return util::DataLossError("module stream truncated in header");
-  }
+  if (util::Status s = reader.U32(&magic, "magic"); !s.ok()) return s;
   if (magic != kMagic) {
     return util::DataLossError("bad module magic " + std::to_string(magic) +
                                ", expected " + std::to_string(kMagic));
   }
-  if (!ReadU32(is, &count)) {
-    return util::DataLossError("module stream truncated in parameter count");
+  if (util::Status s = reader.U32(&count, "parameter count"); !s.ok()) {
+    return s;
   }
   auto named = module->NamedParameters();
   if (count != named.size()) {
     return util::FailedPreconditionError(
-        "module stream has " + std::to_string(count) +
+        "module has " + std::to_string(count) +
         " parameter(s), destination module has " +
         std::to_string(named.size()));
   }
   // Stage phase: parse and validate every tensor against the destination
   // before touching any of its storage, so a failure anywhere leaves the
-  // module byte-identical to its pre-call state.
+  // module byte-identical to its pre-call state. Buffers are sized by the
+  // destination's shapes, never by a length read from the input.
   staged->values.assign(named.size(), {});
   for (size_t i = 0; i < named.size(); ++i) {
     const auto& [name, tensor] = named[i];
     std::string stored_name;
     uint32_t rows = 0, cols = 0;
-    if (!ReadString(is, &stored_name)) {
-      return util::DataLossError("module stream truncated in name of tensor " +
-                                 std::to_string(i) + " ('" + name + "')");
+    if (util::Status s = reader.Str(&stored_name, "name"); !s.ok()) {
+      return InTensor(s, i, name);
     }
     if (stored_name != name) {
       return util::FailedPreconditionError(
           "tensor " + std::to_string(i) + " is named '" + stored_name +
-          "' in the stream but '" + name + "' in the module");
+          "' in the module bytes but '" + name + "' in the module");
     }
-    if (!ReadU32(is, &rows) || !ReadU32(is, &cols)) {
-      return util::DataLossError("module stream truncated in shape of '" +
-                                 name + "'");
-    }
+    util::Status s = reader.U32(&rows, "rows");
+    if (s.ok()) s = reader.U32(&cols, "cols");
+    if (!s.ok()) return InTensor(s, i, name);
     if (static_cast<int>(rows) != tensor.rows() ||
         static_cast<int>(cols) != tensor.cols()) {
       return util::FailedPreconditionError(
           "tensor '" + name + "' is [" + std::to_string(rows) + ", " +
-          std::to_string(cols) + "] in the stream but [" +
+          std::to_string(cols) + "] in the module bytes but [" +
           std::to_string(tensor.rows()) + ", " + std::to_string(tensor.cols()) +
           "] in the module");
     }
-    staged->values[i].resize(static_cast<size_t>(tensor.numel()));
-    is.read(
-        reinterpret_cast<char*>(staged->values[i].data()),
-        static_cast<std::streamsize>(staged->values[i].size() * sizeof(float)));
-    if (!is) {
-      return util::DataLossError("module stream truncated in data of '" +
-                                 name + "'");
+    std::vector<float>& values = staged->values[i];
+    values.resize(static_cast<size_t>(tensor.numel()));
+    if (s = reader.Bytes(values.data(), values.size() * sizeof(float), "data");
+        !s.ok()) {
+      return InTensor(s, i, name);
     }
   }
   return util::OkStatus();
+}
+
+util::Status StageModuleFile(Module* module, const std::string& path,
+                             StagedModule* staged) {
+  if (util::Status s = util::InjectFault("module.load.open"); !s.ok()) {
+    return s;
+  }
+  util::StatusOr<std::string> bytes = util::ReadWholeFile(path, "module");
+  if (!bytes.ok()) return bytes.status();
+  util::Status s = StageModuleBytes(module, *bytes, staged);
+  if (!s.ok()) return util::Status(s.code(), "'" + path + "': " + s.message());
+  return s;
 }
 
 void CommitModule(Module* module, StagedModule&& staged) {
@@ -124,12 +127,9 @@ void CommitModule(Module* module, StagedModule&& staged) {
 
 }  // namespace internal
 
-util::Status LoadModuleStatus(Module* module, std::istream& is) {
-  if (util::Status s = util::InjectFault("module.load.read"); !s.ok()) {
-    return s;
-  }
+util::Status LoadModuleStatus(Module* module, std::string_view bytes) {
   internal::StagedModule staged;
-  if (util::Status s = internal::StageModule(module, is, &staged); !s.ok()) {
+  if (util::Status s = StageModuleBytes(module, bytes, &staged); !s.ok()) {
     return s;
   }
   internal::CommitModule(module, std::move(staged));
@@ -138,34 +138,19 @@ util::Status LoadModuleStatus(Module* module, std::istream& is) {
 
 util::Status SaveModuleToFileStatus(const Module& module,
                                     const std::string& path) {
-  std::ostringstream os(std::ios::binary);
-  SaveModule(module, os);
-  return util::WriteFileAtomic(path, os.str(), "module.save");
+  std::string bytes;
+  SaveModule(module, &bytes);
+  return util::WriteFileAtomic(path, bytes, "module.save");
 }
 
 util::Status LoadModuleFromFileStatus(Module* module, const std::string& path) {
-  if (util::Status s = util::InjectFault("module.load.open"); !s.ok()) {
+  internal::StagedModule staged;
+  if (util::Status s = internal::StageModuleFile(module, path, &staged);
+      !s.ok()) {
     return s;
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return util::NotFoundError("cannot open '" + path + "'");
-  util::Status s = LoadModuleStatus(module, is);
-  if (!s.ok()) {
-    return util::Status(s.code(), "'" + path + "': " + s.message());
-  }
-  return s;
-}
-
-bool LoadModule(Module* module, std::istream& is) {
-  return LoadModuleStatus(module, is).ok();
-}
-
-bool SaveModuleToFile(const Module& module, const std::string& path) {
-  return SaveModuleToFileStatus(module, path).ok();
-}
-
-bool LoadModuleFromFile(Module* module, const std::string& path) {
-  return LoadModuleFromFileStatus(module, path).ok();
+  internal::CommitModule(module, std::move(staged));
+  return util::OkStatus();
 }
 
 bool CopyParameters(const Module& source, Module* dest) {

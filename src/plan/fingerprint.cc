@@ -1,6 +1,7 @@
 #include "plan/fingerprint.h"
 
 #include "plan/linearize.h"
+#include "util/rng.h"
 
 namespace qpe::plan {
 
@@ -13,16 +14,6 @@ inline uint64_t FnvByte(uint64_t h, uint8_t b) {
   return (h ^ b) * kFnvPrime;
 }
 
-// splitmix64 finalizer (Steele et al.): full-avalanche mix of the FNV state.
-inline uint64_t Mix(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
 }  // namespace
 
 uint64_t FingerprintTokens(const std::vector<OperatorType>& tokens) {
@@ -32,7 +23,8 @@ uint64_t FingerprintTokens(const std::vector<OperatorType>& tokens) {
     h = FnvByte(h, t.level2);
     h = FnvByte(h, t.level3);
   }
-  return Mix(h);
+  // Full-avalanche mix of the FNV state.
+  return util::Mix64Finalize(h);
 }
 
 uint64_t FingerprintPlan(const PlanNode& root) {

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <utility>
+
+#include "util/rng.h"
 
 namespace qpe::serve {
 
@@ -20,16 +21,6 @@ util::Status WireErrorToStatus(const ErrorResponse& error) {
     return util::InvalidArgumentError(std::move(text));
   }
   return util::FailedPreconditionError(std::move(text));
-}
-
-// splitmix64 finalizer — the deterministic jitter stream. Seeded per
-// (policy.jitter_seed, retry index) so every retry of every client draws a
-// distinct but replayable offset.
-uint64_t JitterMix(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 // True iff the typed error invites a retry. kRetryNever means the request
@@ -75,31 +66,27 @@ util::StatusOr<Frame> DaemonClient::RoundTrip(FrameType type,
     }
     return s;
   }
-  uint32_t magic = 0, payload_size = 0;
-  uint8_t version = 0, raw_type = 0;
-  uint16_t reserved = 0;
-  std::memcpy(&magic, header, 4);
-  std::memcpy(&version, header + 4, 1);
-  std::memcpy(&raw_type, header + 5, 1);
-  std::memcpy(&reserved, header + 6, 2);
-  std::memcpy(&payload_size, header + 8, 4);
-  if (magic != kWireMagic || version < kWireVersionMin ||
-      version > kWireVersion || reserved != 0) {
+  FrameHeader parsed;
+  if (util::Status s =
+          ParseFrameHeader(std::string_view(header, sizeof(header)), &parsed);
+      !s.ok()) {
     fd_.Reset();
-    return util::DataLossError("daemon response has a corrupt frame header");
+    return util::DataLossError("daemon response has a corrupt frame header: " +
+                               s.message());
   }
-  if (payload_size > max_payload_bytes_) {
+  if (parsed.payload_size > max_payload_bytes_) {
     fd_.Reset();
     return util::DataLossError("daemon response payload of " +
-                               std::to_string(payload_size) +
+                               std::to_string(parsed.payload_size) +
                                " byte(s) exceeds the client limit");
   }
   Frame response;
-  response.type = static_cast<FrameType>(raw_type);
-  response.payload.resize(payload_size);
-  if (payload_size > 0) {
-    if (util::Status s =
-            util::ReadFull(fd_.get(), response.payload.data(), payload_size);
+  response.type = parsed.type;
+  response.version = parsed.version;
+  response.payload.resize(parsed.payload_size);
+  if (parsed.payload_size > 0) {
+    if (util::Status s = util::ReadFull(fd_.get(), response.payload.data(),
+                                        parsed.payload_size);
         !s.ok()) {
       fd_.Reset();
       return s;
@@ -187,7 +174,10 @@ util::StatusOr<EncodeResponse> DaemonClient::EncodeWithRetry(
     backoff <<= std::min(attempt, 20);
     backoff = std::max<uint64_t>(backoff, hint_ms);
     backoff = std::min<uint64_t>(backoff, policy.max_backoff_ms);
-    backoff += JitterMix(policy.jitter_seed ^ static_cast<uint64_t>(attempt)) %
+    // The jitter stream is seeded per (jitter_seed, retry index), so every
+    // retry of every client draws a distinct but replayable offset.
+    backoff += util::Mix64(policy.jitter_seed ^
+                           static_cast<uint64_t>(attempt)) %
                (backoff / 4 + 1);
     const auto backoff_ms = static_cast<uint32_t>(backoff);
     if (retry_stats != nullptr) retry_stats->backoffs_ms.push_back(backoff_ms);

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "nn/simd.h"
+#include "util/bytes.h"
 #include "util/checksum.h"
 #include "util/durable_file.h"
 

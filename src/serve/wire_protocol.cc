@@ -1,56 +1,13 @@
 #include "serve/wire_protocol.h"
 
-#include <cstring>
+#include <algorithm>
+#include <utility>
+
+#include "util/bytes.h"
 
 namespace qpe::serve {
 
 namespace {
-
-void PutU16(std::string* out, uint16_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-// Bounds-checked cursor over a payload; every failure names the field and
-// offset so a fuzzed frame is diagnosable, and no read ever passes the end.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  util::Status Bytes(void* out, size_t size, const char* what) {
-    if (size > data_.size() - pos_) {
-      return util::DataLossError(std::string("frame payload truncated reading ") +
-                                 what + " at offset " + std::to_string(pos_));
-    }
-    std::memcpy(out, data_.data() + pos_, size);
-    pos_ += size;
-    return util::OkStatus();
-  }
-  util::Status U16(uint16_t* v, const char* what) {
-    return Bytes(v, sizeof(*v), what);
-  }
-  util::Status U32(uint32_t* v, const char* what) {
-    return Bytes(v, sizeof(*v), what);
-  }
-  util::Status View(std::string_view* out, size_t size, const char* what) {
-    if (size > data_.size() - pos_) {
-      return util::DataLossError(std::string("frame payload truncated reading ") +
-                                 what + " at offset " + std::to_string(pos_));
-    }
-    *out = data_.substr(pos_, size);
-    pos_ += size;
-    return util::OkStatus();
-  }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 bool KnownFrameType(uint8_t type) {
   switch (static_cast<FrameType>(type)) {
@@ -66,11 +23,27 @@ bool KnownFrameType(uint8_t type) {
   return false;
 }
 
-util::Status TrailingBytes(const Cursor& cursor, const char* what) {
-  return util::DataLossError(std::string(what) + " payload has " +
-                             std::to_string(cursor.remaining()) +
-                             " trailing byte(s) at offset " +
-                             std::to_string(cursor.pos()));
+// Reads the encode-request head and validates its plan count, leaving the
+// reader at the first plan.
+util::Status ReadEncodeRequestHead(util::PayloadReader& reader,
+                                   size_t max_plans, EncodeRequestHead* head) {
+  uint16_t tenant_len = 0;
+  std::string_view tenant;
+  util::Status s = reader.U16(&tenant_len, "tenant length");
+  if (s.ok()) s = reader.View(&tenant, tenant_len, "tenant name");
+  if (s.ok()) s = reader.U32(&head->deadline_ms, "deadline_ms");
+  if (s.ok()) s = reader.U32(&head->plan_count, "plan count");
+  if (!s.ok()) return s;
+  head->tenant.assign(tenant);
+  if (head->plan_count == 0) {
+    return util::InvalidArgumentError("encode request carries zero plans");
+  }
+  if (head->plan_count > max_plans) {
+    return util::InvalidArgumentError(
+        "encode request carries " + std::to_string(head->plan_count) +
+        " plan(s), above the " + std::to_string(max_plans) + "-plan limit");
+  }
+  return util::OkStatus();
 }
 
 }  // namespace
@@ -95,13 +68,40 @@ std::string EncodeFrame(FrameType type, std::string_view payload,
                         uint8_t version) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  PutU32(&out, kWireMagic);
-  out.push_back(static_cast<char>(version));
-  out.push_back(static_cast<char>(type));
-  PutU16(&out, 0);  // reserved
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
+  util::PutU32(&out, kWireMagic);
+  util::PutU8(&out, version);
+  util::PutU8(&out, static_cast<uint8_t>(type));
+  util::PutU16(&out, 0);  // reserved
+  util::PutU32(&out, static_cast<uint32_t>(payload.size()));
   out.append(payload);
   return out;
+}
+
+util::Status ParseFrameHeader(std::string_view header, FrameHeader* out) {
+  util::PayloadReader reader(header.substr(0, kFrameHeaderSize),
+                             "frame header");
+  uint32_t magic = 0;
+  uint8_t type = 0;
+  uint16_t reserved = 0;
+  util::Status s = reader.U32(&magic, "magic");
+  if (s.ok()) s = reader.U8(&out->version, "version");
+  if (s.ok()) s = reader.U8(&type, "type");
+  if (s.ok()) s = reader.U16(&reserved, "reserved bits");
+  if (s.ok()) s = reader.U32(&out->payload_size, "payload size");
+  if (!s.ok()) return s;
+  if (magic != kWireMagic) return util::DataLossError("bad frame magic");
+  if (out->version < kWireVersionMin || out->version > kWireVersion) {
+    return util::DataLossError("unsupported frame version " +
+                               std::to_string(out->version));
+  }
+  if (reserved != 0) {
+    return util::DataLossError("non-zero reserved frame bits");
+  }
+  if (!KnownFrameType(type)) {
+    return util::DataLossError("unknown frame type " + std::to_string(type));
+  }
+  out->type = static_cast<FrameType>(type);
+  return util::OkStatus();
 }
 
 FrameParse NextFrame(std::string_view buf, size_t max_payload, Frame* out,
@@ -109,218 +109,146 @@ FrameParse NextFrame(std::string_view buf, size_t max_payload, Frame* out,
   *consumed = 0;
   if (buf.size() < kFrameHeaderSize) {
     // Reject garbage as early as possible: a wrong magic prefix can never
-    // grow into a valid frame.
-    uint32_t magic = 0;
-    const size_t have = std::min(buf.size(), sizeof(magic));
-    std::memcpy(&magic, buf.data(), have);
-    const uint32_t mask =
-        have >= 4 ? 0xFFFFFFFFu : ((1u << (8 * have)) - 1u);
-    if ((magic & mask) != (kWireMagic & mask)) {
-      *error = util::DataLossError("bad frame magic");
-      return FrameParse::kError;
+    // grow into a valid frame. The magic's bytes are little-endian.
+    for (size_t i = 0; i < std::min<size_t>(buf.size(), 4); ++i) {
+      if (static_cast<uint8_t>(buf[i]) !=
+          static_cast<uint8_t>(kWireMagic >> (8 * i))) {
+        *error = util::DataLossError("bad frame magic");
+        return FrameParse::kError;
+      }
     }
     return FrameParse::kNeedMore;
   }
-  uint32_t magic = 0, payload_size = 0;
-  uint16_t reserved = 0;
-  std::memcpy(&magic, buf.data(), 4);
-  const uint8_t version = static_cast<uint8_t>(buf[4]);
-  const uint8_t type = static_cast<uint8_t>(buf[5]);
-  std::memcpy(&reserved, buf.data() + 6, 2);
-  std::memcpy(&payload_size, buf.data() + 8, 4);
-  if (magic != kWireMagic) {
-    *error = util::DataLossError("bad frame magic");
+  FrameHeader header;
+  if (util::Status s = ParseFrameHeader(buf, &header); !s.ok()) {
+    *error = std::move(s);
     return FrameParse::kError;
   }
-  if (version < kWireVersionMin || version > kWireVersion) {
-    *error = util::DataLossError("unsupported frame version " +
-                                 std::to_string(version));
-    return FrameParse::kError;
-  }
-  if (reserved != 0) {
-    *error = util::DataLossError("non-zero reserved frame bits");
-    return FrameParse::kError;
-  }
-  if (!KnownFrameType(type)) {
-    *error =
-        util::DataLossError("unknown frame type " + std::to_string(type));
-    return FrameParse::kError;
-  }
-  if (payload_size > max_payload) {
+  if (header.payload_size > max_payload) {
     *error = util::InvalidArgumentError(
-        "frame payload of " + std::to_string(payload_size) +
+        "frame payload of " + std::to_string(header.payload_size) +
         " byte(s) exceeds the " + std::to_string(max_payload) + "-byte limit");
     return FrameParse::kError;
   }
-  if (buf.size() < kFrameHeaderSize + payload_size) return FrameParse::kNeedMore;
-  out->type = static_cast<FrameType>(type);
-  out->version = version;
-  out->payload.assign(buf.data() + kFrameHeaderSize, payload_size);
-  *consumed = kFrameHeaderSize + payload_size;
+  if (buf.size() - kFrameHeaderSize < header.payload_size) {
+    return FrameParse::kNeedMore;
+  }
+  out->type = header.type;
+  out->version = header.version;
+  out->payload.assign(buf.substr(kFrameHeaderSize, header.payload_size));
+  *consumed = kFrameHeaderSize + header.payload_size;
   return FrameParse::kFrame;
 }
 
 std::string EncodeEncodeRequestPayload(const EncodeRequest& request) {
   std::string out;
-  PutU16(&out, static_cast<uint16_t>(request.tenant.size()));
+  util::PutU16(&out, static_cast<uint16_t>(request.tenant.size()));
   out.append(request.tenant);
-  PutU32(&out, request.deadline_ms);
-  PutU32(&out, static_cast<uint32_t>(request.plans.size()));
-  for (const std::string& plan : request.plans) {
-    PutU32(&out, static_cast<uint32_t>(plan.size()));
-    out.append(plan);
-  }
+  util::PutU32(&out, request.deadline_ms);
+  util::PutU32(&out, static_cast<uint32_t>(request.plans.size()));
+  for (const std::string& plan : request.plans) util::PutString(&out, plan);
   return out;
 }
 
 util::StatusOr<EncodeRequestHead> PeekEncodeRequestHead(
     std::string_view payload, size_t max_plans) {
-  Cursor cursor(payload);
+  util::PayloadReader reader(payload, "encode request");
   EncodeRequestHead head;
-  uint16_t tenant_len = 0;
-  if (util::Status s = cursor.U16(&tenant_len, "tenant length"); !s.ok())
+  if (util::Status s = ReadEncodeRequestHead(reader, max_plans, &head); !s.ok())
     return s;
-  std::string_view tenant;
-  if (util::Status s = cursor.View(&tenant, tenant_len, "tenant name");
-      !s.ok())
-    return s;
-  head.tenant.assign(tenant);
-  if (util::Status s = cursor.U32(&head.deadline_ms, "deadline_ms"); !s.ok())
-    return s;
-  if (util::Status s = cursor.U32(&head.plan_count, "plan count"); !s.ok())
-    return s;
-  if (head.plan_count == 0) {
-    return util::InvalidArgumentError("encode request carries zero plans");
-  }
-  if (head.plan_count > max_plans) {
-    return util::InvalidArgumentError(
-        "encode request carries " + std::to_string(head.plan_count) +
-        " plan(s), above the " + std::to_string(max_plans) + "-plan limit");
-  }
   return head;
 }
 
 util::StatusOr<EncodeRequest> ParseEncodeRequestPayload(
     std::string_view payload, size_t max_plans) {
-  util::StatusOr<EncodeRequestHead> head =
-      PeekEncodeRequestHead(payload, max_plans);
-  if (!head.ok()) return head.status();
+  util::PayloadReader reader(payload, "encode request");
+  EncodeRequestHead head;
+  if (util::Status s = ReadEncodeRequestHead(reader, max_plans, &head); !s.ok())
+    return s;
   EncodeRequest request;
-  request.tenant = std::move(head->tenant);
-  request.deadline_ms = head->deadline_ms;
-  Cursor cursor(payload);
-  // Reposition past the head: tenant_len u16 + tenant + deadline + count.
-  uint16_t tenant_len = 0;
-  (void)cursor.U16(&tenant_len, "tenant length");
-  std::string_view skip;
-  (void)cursor.View(&skip, tenant_len, "tenant name");
-  uint32_t dummy = 0;
-  (void)cursor.U32(&dummy, "deadline_ms");
-  (void)cursor.U32(&dummy, "plan count");
-  request.plans.reserve(head->plan_count);
-  for (uint32_t i = 0; i < head->plan_count; ++i) {
-    uint32_t len = 0;
-    if (util::Status s = cursor.U32(&len, "plan length"); !s.ok()) return s;
-    std::string_view plan;
-    if (util::Status s = cursor.View(&plan, len, "plan body"); !s.ok())
-      return s;
-    request.plans.emplace_back(plan);
+  request.tenant = std::move(head.tenant);
+  request.deadline_ms = head.deadline_ms;
+  request.plans.resize(head.plan_count);
+  for (std::string& plan : request.plans) {
+    if (util::Status s = reader.Str(&plan, "plan"); !s.ok()) return s;
   }
-  if (cursor.remaining() != 0) return TrailingBytes(cursor, "encode request");
+  if (util::Status s = reader.Finish("the last plan"); !s.ok()) return s;
   return request;
 }
 
 std::string EncodeEncodeResponsePayload(const EncodeResponse& response,
                                         uint8_t version) {
   std::string out;
-  PutU32(&out, static_cast<uint32_t>(response.embeddings.size()));
-  PutU32(&out, response.dim);
+  util::PutU32(&out, static_cast<uint32_t>(response.embeddings.size()));
+  util::PutU32(&out, response.dim);
   for (const std::vector<float>& row : response.embeddings) {
-    out.append(reinterpret_cast<const char*>(row.data()),
-               row.size() * sizeof(float));
+    util::PutBytes(&out, row.data(), row.size() * sizeof(float));
   }
   if (version >= 2) {
-    out.push_back(static_cast<char>(response.stale ? 1 : 0));
-    out.push_back(static_cast<char>(response.drift_state));
-    out.append(reinterpret_cast<const char*>(&response.drift_score),
-               sizeof(response.drift_score));
+    util::PutU8(&out, response.stale ? 1 : 0);
+    util::PutU8(&out, response.drift_state);
+    util::PutF32(&out, response.drift_score);
   }
   return out;
 }
 
 util::StatusOr<EncodeResponse> ParseEncodeResponsePayload(
     std::string_view payload) {
-  Cursor cursor(payload);
+  util::PayloadReader reader(payload, "encode response");
   EncodeResponse response;
   uint32_t count = 0;
-  if (util::Status s = cursor.U32(&count, "embedding count"); !s.ok())
-    return s;
-  if (util::Status s = cursor.U32(&response.dim, "embedding dim"); !s.ok())
-    return s;
+  util::Status s = reader.U32(&count, "embedding count");
+  if (s.ok()) s = reader.U32(&response.dim, "embedding dim");
+  if (!s.ok()) return s;
   const size_t row_bytes = static_cast<size_t>(response.dim) * sizeof(float);
-  if (row_bytes == 0 || count > cursor.remaining() / row_bytes) {
+  if (row_bytes == 0 || count > reader.remaining() / row_bytes) {
     return util::DataLossError(
         "encode response claims " + std::to_string(count) + " x " +
         std::to_string(response.dim) + " floats but only " +
-        std::to_string(cursor.remaining()) + " byte(s) remain");
+        std::to_string(reader.remaining()) + " byte(s) remain");
   }
   response.embeddings.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    response.embeddings[i].resize(response.dim);
-    if (util::Status s = cursor.Bytes(response.embeddings[i].data(), row_bytes,
-                                      "embedding row");
-        !s.ok())
+  for (std::vector<float>& row : response.embeddings) {
+    row.resize(response.dim);
+    if (s = reader.Bytes(row.data(), row_bytes, "embedding row"); !s.ok())
       return s;
   }
   // Version auto-detect: a v1 payload ends exactly at the rows; a v2
   // payload carries the 6-byte drift trailer. Any other remainder is a
   // malformed frame.
-  if (cursor.remaining() == 0) return response;
+  if (reader.remaining() == 0) return response;
   constexpr size_t kDriftTrailerSize = 1 + 1 + sizeof(float);
-  if (cursor.remaining() != kDriftTrailerSize) {
-    return TrailingBytes(cursor, "encode response");
+  if (reader.remaining() != kDriftTrailerSize) {
+    return reader.Finish("the embedding rows");
   }
   uint8_t stale = 0;
-  if (util::Status s = cursor.Bytes(&stale, 1, "stale flag"); !s.ok()) return s;
+  s = reader.U8(&stale, "stale flag");
+  if (s.ok()) s = reader.U8(&response.drift_state, "drift state");
+  if (s.ok()) s = reader.F32(&response.drift_score, "drift score");
+  if (!s.ok()) return s;
   response.stale = stale != 0;
-  if (util::Status s = cursor.Bytes(&response.drift_state, 1, "drift state");
-      !s.ok())
-    return s;
-  if (util::Status s = cursor.Bytes(&response.drift_score,
-                                    sizeof(response.drift_score),
-                                    "drift score");
-      !s.ok())
-    return s;
   return response;
 }
 
 std::string EncodeErrorResponsePayload(const ErrorResponse& error) {
   std::string out;
-  PutU16(&out, static_cast<uint16_t>(error.code));
-  PutU32(&out, error.retry_after_ms);
-  PutU32(&out, static_cast<uint32_t>(error.message.size()));
-  out.append(error.message);
+  util::PutU16(&out, static_cast<uint16_t>(error.code));
+  util::PutU32(&out, error.retry_after_ms);
+  util::PutString(&out, error.message);
   return out;
 }
 
 util::StatusOr<ErrorResponse> ParseErrorResponsePayload(
     std::string_view payload) {
-  Cursor cursor(payload);
+  util::PayloadReader reader(payload, "error response");
   ErrorResponse error;
   uint16_t code = 0;
-  if (util::Status s = cursor.U16(&code, "error code"); !s.ok()) return s;
+  util::Status s = reader.U16(&code, "error code");
+  if (s.ok()) s = reader.U32(&error.retry_after_ms, "retry_after_ms");
+  if (s.ok()) s = reader.Str(&error.message, "message");
+  if (s.ok()) s = reader.Finish("the message");
+  if (!s.ok()) return s;
   error.code = static_cast<WireError>(code);
-  if (util::Status s = cursor.U32(&error.retry_after_ms, "retry_after_ms");
-      !s.ok())
-    return s;
-  uint32_t msg_len = 0;
-  if (util::Status s = cursor.U32(&msg_len, "message length"); !s.ok())
-    return s;
-  std::string_view msg;
-  if (util::Status s = cursor.View(&msg, msg_len, "message"); !s.ok())
-    return s;
-  error.message.assign(msg);
-  if (cursor.remaining() != 0) return TrailingBytes(cursor, "error response");
   return error;
 }
 

@@ -14,6 +14,9 @@ namespace qpe::serve {
 // clients, over a Unix-domain stream socket. No third-party deps: frames
 // are a fixed 12-byte header followed by a bounded payload, all fields
 // little-endian (same-host IPC; the daemon never crosses byte orders).
+// Every field is written with the util/bytes.h Put* helpers and read with
+// util::PayloadReader, whose static_assert refuses a big-endian build; a
+// "string" below is a u32 length followed by the bytes (util::PutString).
 //
 //   header:  magic u32 ("QPE1") | version u8 | type u8 | reserved u16 (0)
 //            | payload_size u32
@@ -27,7 +30,7 @@ namespace qpe::serve {
 //
 // ENCODE request payload:
 //   tenant_len u16 | tenant bytes | deadline_ms u32 | plan_count u32
-//   | plan_count x { plan_len u32 | serialized plan s-expr }
+//   | plan_count x { plan_len u32 | serialized plan s-expr }   (strings)
 // deadline_ms is the request's time budget measured from daemon receipt;
 // kNoDeadline disables it, 0 is already expired on arrival.
 //
@@ -42,6 +45,7 @@ namespace qpe::serve {
 // STATS  response payload: a JSON object (see ServingDaemon::StatsJson).
 // ERROR  response payload:
 //   code u16 (WireError) | retry_after_ms u32 | msg_len u32 | msg bytes
+//   (the message is a string)
 // retry_after_ms is the daemon's backoff hint; kRetryNever marks a request
 // that will never be admitted (e.g. a zero-quota tenant).
 
@@ -85,6 +89,17 @@ struct Frame {
   uint8_t version = kWireVersion;  // as carried on the wire
   std::string payload;
 };
+
+// The one frame-header parser, shared by NextFrame and DaemonClient. It
+// checks magic, version, reserved bits and frame type; every failure, and
+// a `header` shorter than kFrameHeaderSize, is kDataLoss. The payload-size
+// limit is the caller's.
+struct FrameHeader {
+  uint8_t version = kWireVersion;
+  FrameType type = FrameType::kPingRequest;
+  uint32_t payload_size = 0;
+};
+util::Status ParseFrameHeader(std::string_view header, FrameHeader* out);
 
 // Serializes a complete frame (header + payload). `version` is stamped
 // into the header; responders pass the version negotiated from the

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "util/bytes.h"
 #include "util/checksum.h"
 #include "util/fault_injection.h"
 
@@ -123,41 +124,51 @@ Status WriteFramedFileAtomic(const std::string& path, uint32_t magic,
   return WriteFileAtomic(path, file, site);
 }
 
+StatusOr<std::string> ReadWholeFile(const std::string& path,
+                                    std::string_view what) {
+  const std::string named = std::string(what) + " '" + path + "'";
+  const Fd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) {
+    return errno == ENOENT ? NotFoundError("cannot open " + named)
+                           : IoError("cannot open " + named + ": " +
+                                     std::strerror(errno));
+  }
+  std::string file;
+  char buffer[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd.get(), buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return IoError("read of " + named + " failed");
+    if (n == 0) break;
+    file.append(buffer, static_cast<size_t>(n));
+  }
+  return file;
+}
+
 StatusOr<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
                                      uint32_t version, std::string_view what,
                                      std::string_view site) {
   const std::string named = std::string(what) + " '" + path + "'";
   if (Status s = Fault(site, "read.open"); !s.ok()) return s;
-  std::string file;
-  {
-    const Fd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
-    if (fd.get() < 0) {
-      return errno == ENOENT ? NotFoundError("cannot open " + named)
-                             : IoError("cannot open " + named + ": " +
-                                       std::strerror(errno));
-    }
-    char buffer[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd.get(), buffer, sizeof(buffer));
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0) return IoError("read of " + named + " failed");
-      if (n == 0) break;
-      file.append(buffer, static_cast<size_t>(n));
-    }
-  }
+  StatusOr<std::string> read = ReadWholeFile(path, what);
+  if (!read.ok()) return read.status();
   if (Status s = Fault(site, "read"); !s.ok()) return s;
+  std::string& file = *read;
 
   if (file.size() < kFramedHeaderSize) {
     return DataLossError(named + " is " + std::to_string(file.size()) +
                          " byte(s), smaller than the " +
                          std::to_string(kFramedHeaderSize) + "-byte header");
   }
+  PayloadReader header(std::string_view(file).substr(0, kFramedHeaderSize),
+                       named);
   uint32_t file_magic = 0, file_version = 0, crc = 0;
   uint64_t payload_size = 0;
-  std::memcpy(&file_magic, file.data(), 4);
-  std::memcpy(&file_version, file.data() + 4, 4);
-  std::memcpy(&payload_size, file.data() + 8, 8);
-  std::memcpy(&crc, file.data() + 16, 4);
+  Status s = header.U32(&file_magic, "magic");
+  if (s.ok()) s = header.U32(&file_version, "version");
+  if (s.ok()) s = header.U64(&payload_size, "payload size");
+  if (s.ok()) s = header.U32(&crc, "payload CRC");
+  if (!s.ok()) return s;
   if (file_magic != magic) {
     return DataLossError(named + " has bad magic " +
                          std::to_string(file_magic) + ", expected " +
@@ -182,37 +193,7 @@ StatusOr<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
                          std::to_string(computed) + " (corrupted file)");
   }
   file.erase(0, kFramedHeaderSize);
-  return file;
-}
-
-Status PayloadReader::Truncated(size_t size, const char* field) const {
-  return DataLossError(std::string(what_) + " payload truncated reading " +
-                       field + " at offset " + std::to_string(pos_) +
-                       " (need " + std::to_string(size) + " byte(s), have " +
-                       std::to_string(remaining()) + ")");
-}
-
-Status PayloadReader::Bytes(void* out, size_t size, const char* field) {
-  if (size > remaining()) return Truncated(size, field);
-  std::memcpy(out, data_.data() + pos_, size);
-  pos_ += size;
-  return OkStatus();
-}
-
-Status PayloadReader::Str(std::string* s, const char* field) {
-  uint32_t len = 0;
-  if (Status st = U32(&len, field); !st.ok()) return st;
-  if (len > remaining()) return Truncated(len, field);
-  s->assign(data_.data() + pos_, len);
-  pos_ += len;
-  return OkStatus();
-}
-
-Status PayloadReader::Finish(const char* after) const {
-  if (remaining() == 0) return OkStatus();
-  return DataLossError(std::string(what_) + " payload has " +
-                       std::to_string(remaining()) +
-                       " trailing byte(s) after " + after);
+  return read;
 }
 
 }  // namespace qpe::util

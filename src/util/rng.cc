@@ -7,20 +7,15 @@ namespace qpe::util {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(&sm);
+  for (auto& s : s_) {
+    s = Mix64(seed);
+    seed += kSplitMixGamma;
+  }
 }
 
 uint64_t Rng::NextU64() {

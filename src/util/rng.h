@@ -6,6 +6,22 @@
 
 namespace qpe::util {
 
+// splitmix64 (Steele et al.): Mix64Finalize is its full-avalanche
+// finalizer, Mix64(x) its output for state x. Rng seeding, plan
+// fingerprints, drift sketch probes and retry jitter share them, and warm
+// snapshots and drift baselines persist bits derived from them.
+inline constexpr uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ULL;
+
+constexpr uint64_t Mix64Finalize(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+constexpr uint64_t Mix64(uint64_t x) {
+  return Mix64Finalize(x + kSplitMixGamma);
+}
+
 // Complete serializable snapshot of an Rng stream, including the Box-Muller
 // cache so a restored stream replays *exactly* — checkpoint/resume of a
 // training run depends on this being bit-faithful.

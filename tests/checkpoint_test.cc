@@ -3,8 +3,12 @@
 // injection through every IO site, and bit-exact interrupt/resume for all
 // three checkpointing trainers.
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -22,10 +26,36 @@
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "util/bytes.h"
+#include "util/checksum.h"
 #include "util/durable_file.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/status.h"
+
+// The largest single allocation made while tracking is on: the hostile-
+// length test proves a claimed length never sizes an allocation.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_largest_allocation.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with a new
+// expression and warn.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace qpe::nn {
 namespace {
@@ -275,6 +305,34 @@ TEST(CheckpointTest, CorruptionMatrixFailsCleanly) {
                          "bad magic");
   }
 
+  // Damage inside the module section under a valid CRC: the payload is
+  // patched and the header's CRC recomputed. The payload starts with the
+  // training state (6 x 8 bytes) and RNG state (4 x 8 + 4 + 8); then come
+  // the module section size (u64) and the module (magic, count, first name
+  // length).
+  constexpr size_t kModuleSectionSize = 48 + 44;
+  constexpr size_t kFirstNameLength = kModuleSectionSize + 8 + 4 + 4;
+  const auto write_patched = [&](size_t offset, uint32_t value) {
+    std::string payload = bytes.substr(kHeaderSize);
+    std::string patch;
+    util::PutU32(&patch, value);
+    payload.replace(offset, 4, patch);
+    std::string file = bytes.substr(0, kHeaderSize - 4);
+    util::PutU32(&file, util::Crc32(payload));
+    WriteFile(corrupt_path, file + payload);
+  };
+  // A hostile name length is rejected before anything is sized by it.
+  write_patched(kFirstNameLength, 0xFFFFFFF0u);
+  ExpectCleanRejection(corrupt_path, util::StatusCode::kDataLoss,
+                       "truncated reading name");
+  // A section size that disagrees with the module it frames.
+  uint64_t module_size = 0;
+  std::memcpy(&module_size, bytes.data() + kHeaderSize + kModuleSectionSize,
+              sizeof(module_size));
+  write_patched(kModuleSectionSize, static_cast<uint32_t>(module_size) + 1);
+  ExpectCleanRejection(corrupt_path, util::StatusCode::kDataLoss,
+                       "module section size");
+
   std::remove(corrupt_path.c_str());
   std::remove(saved.path.c_str());
 }
@@ -399,16 +457,14 @@ TEST(LoadModuleTest, ShapeMismatchLeavesDestinationUntouched) {
   // only after earlier tensors validated, and still mutate nothing.
   Mlp source({4, 6, 3}, Activation::kRelu, Activation::kNone, &r1);
   Mlp dest({4, 6, 4}, Activation::kRelu, Activation::kNone, &r2);
-  std::ostringstream os;
-  SaveModule(source, os);
+  std::string bytes;
+  SaveModule(source, &bytes);
   const auto values_before = AllValues(dest);
 
-  std::istringstream is(os.str());
-  EXPECT_FALSE(LoadModule(&dest, is));
+  EXPECT_FALSE(LoadModuleStatus(&dest, bytes).ok());
   EXPECT_EQ(AllValues(dest), values_before);
 
-  std::istringstream is2(os.str());
-  const util::Status s = LoadModuleStatus(&dest, is2);
+  const util::Status s = LoadModuleStatus(&dest, bytes);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), util::StatusCode::kFailedPrecondition) << s.ToString();
   // The diagnostic names the offending tensor and both shapes.
@@ -421,17 +477,38 @@ TEST(LoadModuleTest, TruncatedStreamLeavesDestinationUntouched) {
   util::Rng r1(3), r2(4);
   Mlp source({4, 6, 3}, Activation::kRelu, Activation::kNone, &r1);
   Mlp dest({4, 6, 3}, Activation::kRelu, Activation::kNone, &r2);
-  std::ostringstream os;
-  SaveModule(source, os);
-  const std::string bytes = os.str();
+  std::string bytes;
+  SaveModule(source, &bytes);
   const auto values_before = AllValues(dest);
 
   // Cut in the middle of the last tensor's data.
-  std::istringstream is(bytes.substr(0, bytes.size() - 5));
-  const util::Status s = LoadModuleStatus(&dest, is);
+  const util::Status s = LoadModuleStatus(
+      &dest, std::string_view(bytes).substr(0, bytes.size() - 5));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), util::StatusCode::kDataLoss) << s.ToString();
   EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.ToString();
+  EXPECT_EQ(AllValues(dest), values_before);
+}
+
+// A name length of 0xFFFFFFF0 in 12 bytes of input is kDataLoss naming the
+// field and offset, and no allocation is sized by the claimed length.
+TEST(LoadModuleTest, HostileNameLengthIsDataLossWithoutAllocation) {
+  util::Rng rng(7);
+  Linear dest(5, 3, &rng);
+  const auto values_before = AllValues(dest);
+  std::string bytes;
+  util::PutU32(&bytes, 0x51504531);  // module magic
+  util::PutU32(&bytes, 2);           // weight, bias
+  util::PutU32(&bytes, 0xFFFFFFF0u);
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  const util::Status s = LoadModuleStatus(&dest, bytes);
+  g_track_allocations = false;
+  EXPECT_EQ(s.code(), util::StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("truncated reading name at offset 12"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
   EXPECT_EQ(AllValues(dest), values_before);
 }
 
@@ -461,6 +538,48 @@ TEST(SaveModuleTest, FailedSaveKeepsThePreviousFile) {
     EXPECT_EQ(AllValues(loaded), AllValues(old_weights));
   }
   std::remove(path.c_str());
+}
+
+// --- Golden bytes ----------------------------------------------------------
+
+// The module file format and the checkpoint file are pinned by CRC-32: a
+// codec change must leave every byte on disk where it was.
+TEST(GoldenBytesTest, SaveModuleBytesArePinned) {
+  util::Rng rng(2021);
+  Linear linear(5, 3, &rng);
+  std::string bytes;
+  SaveModule(linear, &bytes);
+  EXPECT_EQ(bytes.size(), 4u + 4 + (4 + 6 + 8 + 60) + (4 + 4 + 8 + 12));
+  EXPECT_EQ(util::Crc32(bytes), 892794734u);
+}
+
+TEST(GoldenBytesTest, CheckpointBytesArePinned) {
+  util::Rng rng(2021);
+  Linear linear(5, 3, &rng);
+  Adam optimizer(linear.Parameters(), 1e-2f);
+  for (Tensor& p : linear.Parameters()) {
+    std::vector<float>& grad = p.grad();
+    for (size_t i = 0; i < grad.size(); ++i) {
+      grad[i] = 0.01f * static_cast<float>(i % 7) - 0.02f;
+    }
+  }
+  optimizer.Step();
+  TrainingState state;
+  state.next_epoch = 3;
+  state.global_step = 17;
+  state.skipped_batches = 1;
+  state.nonfinite_losses = 2;
+  state.best_val = 0.125;
+  state.best_epoch = 2;
+  util::Rng stream(7);
+  (void)stream.Normal();  // leaves a cached normal in the snapshot
+  state.rng = stream.GetState();
+  const std::string path = TempPath("qpe_ckpt_golden.ckpt");
+  ASSERT_TRUE(SaveTrainingCheckpoint(path, linear, optimizer, state).ok());
+  const std::string bytes = ReadFile(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(bytes.size(), 438u);
+  EXPECT_EQ(util::Crc32(bytes), 794882101u);
 }
 
 // --- Bit-exact interrupt/resume ------------------------------------------

@@ -273,6 +273,102 @@ TEST(WireProtocolTest, ErrorResponseRoundTrip) {
   EXPECT_EQ(parsed->message, error.message);
 }
 
+// Golden bytes: one fixed frame of each kind, pinned as hex. A codec change
+// must leave every byte on the wire where it was.
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return out;
+}
+
+TEST(WireProtocolTest, GoldenFrameBytes) {
+  EncodeRequest request;
+  request.tenant = "t1";
+  request.deadline_ms = 250;
+  request.plans = {"(a)", "(bc)"};
+  EncodeResponse response;
+  response.dim = 2;
+  response.embeddings = {{1.0f, -2.5f}};
+  EncodeResponse drifted = response;
+  drifted.stale = true;
+  drifted.drift_state = 2;
+  drifted.drift_score = 0.75f;
+  ErrorResponse error;
+  error.code = WireError::kResourceExhausted;
+  error.retry_after_ms = 40;
+  error.message = "busy";
+  const struct {
+    const char* name;
+    std::string frame;
+    const char* hex;
+  } cases[] = {
+      {"encode request",
+       serve::EncodeFrame(FrameType::kEncodeRequest,
+                          serve::EncodeEncodeRequestPayload(request)),
+       "51504531020100001b00000002007431fa00000002000000030000002861290400000028626329"},
+      {"v1 response",
+       serve::EncodeFrame(FrameType::kEncodeResponse,
+                          serve::EncodeEncodeResponsePayload(response, 1), 1),
+       "51504531011100001000000001000000020000000000803f000020c0"},
+      {"v2 response, default trailer",
+       serve::EncodeFrame(FrameType::kEncodeResponse,
+                          serve::EncodeEncodeResponsePayload(response, 2), 2),
+       "51504531021100001600000001000000020000000000803f000020c0000000000000"},
+      {"v2 response, drift trailer",
+       serve::EncodeFrame(FrameType::kEncodeResponse,
+                          serve::EncodeEncodeResponsePayload(drifted, 2), 2),
+       "51504531021100001600000001000000020000000000803f000020c001020000403f"},
+      {"error", serve::EncodeFrame(FrameType::kErrorResponse,
+                                   serve::EncodeErrorResponsePayload(error)),
+       "51504531021f00000e0000000200280000000400000062757379"},
+      {"ping", serve::EncodeFrame(FrameType::kPingRequest, ""), "515045310203000000000000"},
+      {"pong", serve::EncodeFrame(FrameType::kPongResponse, ""), "515045310213000000000000"},
+      {"stats request", serve::EncodeFrame(FrameType::kStatsRequest, ""),
+       "515045310202000000000000"},
+      {"stats response",
+       serve::EncodeFrame(FrameType::kStatsResponse, "{\"plans\":1}"), "51504531021200000b0000007b22706c616e73223a317d"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(Hex(c.frame), c.hex);
+  }
+
+  // The pinned bytes decode back to the inputs.
+  Frame frame;
+  size_t consumed = 0;
+  util::Status status;
+  ASSERT_EQ(serve::NextFrame(cases[3].frame, 1 << 20, &frame, &consumed,
+                             &status),
+            FrameParse::kFrame);
+  EXPECT_EQ(frame.version, 2);
+  const auto parsed = serve::ParseEncodeResponsePayload(frame.payload);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->embeddings, drifted.embeddings);
+  EXPECT_TRUE(parsed->stale);
+  EXPECT_EQ(parsed->drift_state, 2);
+  EXPECT_EQ(parsed->drift_score, 0.75f);
+  ASSERT_EQ(serve::NextFrame(cases[0].frame, 1 << 20, &frame, &consumed,
+                             &status),
+            FrameParse::kFrame);
+  const auto parsed_request = serve::ParseEncodeRequestPayload(frame.payload, 8);
+  ASSERT_TRUE(parsed_request.ok()) << parsed_request.status().ToString();
+  EXPECT_EQ(parsed_request->tenant, "t1");
+  EXPECT_EQ(parsed_request->deadline_ms, 250u);
+  EXPECT_EQ(parsed_request->plans, request.plans);
+  ASSERT_EQ(serve::NextFrame(cases[4].frame, 1 << 20, &frame, &consumed,
+                             &status),
+            FrameParse::kFrame);
+  const auto parsed_error = serve::ParseErrorResponsePayload(frame.payload);
+  ASSERT_TRUE(parsed_error.ok()) << parsed_error.status().ToString();
+  EXPECT_EQ(parsed_error->code, WireError::kResourceExhausted);
+  EXPECT_EQ(parsed_error->retry_after_ms, 40u);
+  EXPECT_EQ(parsed_error->message, "busy");
+}
+
 TEST(WireProtocolTest, FuzzedFramesNeverCrashOrOverRead) {
   EncodeRequest request;
   request.tenant = "fuzz";

@@ -290,9 +290,9 @@ TEST(PerformanceEncoderTest, SerializationRoundTrip) {
   PerformanceEncoder source(SmallPerfConfig(), &rng);
   util::Rng rng2(28);
   PerformanceEncoder dest(SmallPerfConfig(), &rng2);
-  std::stringstream buffer;
-  nn::SaveModule(source, buffer);
-  ASSERT_TRUE(nn::LoadModule(&dest, buffer));
+  std::string buffer;
+  nn::SaveModule(source, &buffer);
+  ASSERT_TRUE(nn::LoadModuleStatus(&dest, buffer).ok());
   const data::OperatorDataset dataset = MakeScanDataset();
   EXPECT_NEAR(EvaluatePerfMaeMs(source, dataset.test),
               EvaluatePerfMaeMs(dest, dataset.test), 1e-6);

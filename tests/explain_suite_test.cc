@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "config/db_config.h"
 #include "data/plan_corpus.h"
@@ -85,12 +86,12 @@ TEST(EncoderSuiteTest, SaveLoadRoundTrip) {
   encoder::EncoderSuite::Config config;
   config.seed = 5;
   encoder::EncoderSuite source(config);
-  ASSERT_TRUE(source.SaveToDirectory(dir));
+  ASSERT_TRUE(source.SaveToDirectory(dir).ok());
 
   encoder::EncoderSuite::Config other = config;
   other.seed = 99;  // different init, same shapes
   encoder::EncoderSuite loaded(other);
-  ASSERT_TRUE(loaded.LoadFromDirectory(dir));
+  ASSERT_TRUE(loaded.LoadFromDirectory(dir).ok());
 
   data::RandomPlanGenerator generator((util::Rng(3)));
   const auto plan = generator.Generate();
@@ -101,9 +102,51 @@ TEST(EncoderSuiteTest, SaveLoadRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+// Every parameter of the suite, as raw bytes in file order.
+std::string SuiteBytes(const encoder::EncoderSuite& suite) {
+  std::string bytes;
+  std::vector<const nn::Module*> modules = {suite.structure()};
+  for (int g = 0; g < 4; ++g) {
+    modules.push_back(suite.performance(static_cast<plan::OperatorGroup>(g)));
+  }
+  for (const nn::Module* module : modules) {
+    for (const auto& [name, tensor] : module->NamedParameters()) {
+      bytes.append(reinterpret_cast<const char*>(tensor.value().data()),
+                   tensor.value().size() * sizeof(float));
+    }
+  }
+  return bytes;
+}
+
+// A corrupt last file fails the whole load, and the four encoders whose
+// files parsed are not overwritten either.
+TEST(EncoderSuiteTest, CorruptLastFileLeavesEverySuiteParameterUntouched) {
+  const std::string dir =
+      std::filesystem::temp_directory_path() / "qpe_suite_corrupt_test";
+  std::filesystem::create_directories(dir);
+  encoder::EncoderSuite::Config config;
+  config.seed = 5;
+  ASSERT_TRUE(encoder::EncoderSuite(config).SaveToDirectory(dir).ok());
+  const std::string last = dir + "/perf_aggregate.qpe";
+  std::filesystem::resize_file(last, std::filesystem::file_size(last) - 5);
+
+  encoder::EncoderSuite::Config other = config;
+  other.seed = 99;
+  encoder::EncoderSuite loaded(other);
+  const std::string before = SuiteBytes(loaded);
+  const util::Status s = loaded.LoadFromDirectory(dir);
+  EXPECT_EQ(s.code(), util::StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("perf_aggregate.qpe"), std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.message().find("truncated reading data"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(SuiteBytes(loaded), before);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(EncoderSuiteTest, LoadFromMissingDirectoryFails) {
   encoder::EncoderSuite suite;
-  EXPECT_FALSE(suite.LoadFromDirectory("/nonexistent_qpe_dir"));
+  EXPECT_FALSE(suite.LoadFromDirectory("/nonexistent_qpe_dir").ok());
 }
 
 TEST(EncoderSuiteTest, FeaturizerConfigWiresAllEncoders) {

@@ -69,11 +69,11 @@ TEST(IntegrationTest, PretrainCheckpointLoadAndServeBothTasks) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "qpe_integration").string();
   std::filesystem::create_directories(dir);
-  ASSERT_TRUE(suite.SaveToDirectory(dir));
+  ASSERT_TRUE(suite.SaveToDirectory(dir).ok());
   encoder::EncoderSuite::Config fresh_config = suite_config;
   fresh_config.seed = 999;
   encoder::EncoderSuite loaded(fresh_config);
-  ASSERT_TRUE(loaded.LoadFromDirectory(dir));
+  ASSERT_TRUE(loaded.LoadFromDirectory(dir).ok());
   std::filesystem::remove_all(dir);
 
   // ---- 4. Downstream: latency prediction from the loaded suite ----------

@@ -127,9 +127,9 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   util::Rng rng(8);
   Mlp source({3, 8, 2}, Activation::kRelu, Activation::kNone, &rng);
   Mlp dest({3, 8, 2}, Activation::kRelu, Activation::kNone, &rng);
-  std::stringstream buffer;
-  SaveModule(source, buffer);
-  ASSERT_TRUE(LoadModule(&dest, buffer));
+  std::string buffer;
+  SaveModule(source, &buffer);
+  ASSERT_TRUE(LoadModuleStatus(&dest, buffer).ok());
   const Tensor x = Tensor::FromVector(1, 3, {0.5f, -0.2f, 1.0f});
   const Tensor ys = source.Forward(x);
   const Tensor yd = dest.Forward(x);
@@ -140,9 +140,9 @@ TEST(SerializeTest, ShapeMismatchRejected) {
   util::Rng rng(9);
   Mlp source({3, 8, 2}, Activation::kRelu, Activation::kNone, &rng);
   Mlp wrong({3, 9, 2}, Activation::kRelu, Activation::kNone, &rng);
-  std::stringstream buffer;
-  SaveModule(source, buffer);
-  EXPECT_FALSE(LoadModule(&wrong, buffer));
+  std::string buffer;
+  SaveModule(source, &buffer);
+  EXPECT_FALSE(LoadModuleStatus(&wrong, buffer).ok());
 }
 
 TEST(SerializeTest, CopyParameters) {

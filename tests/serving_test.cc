@@ -209,6 +209,15 @@ TEST(FingerprintTest, StableAndCloneInvariant) {
   }
 }
 
+// Warm snapshots are keyed by fingerprints, so their bits are pinned.
+TEST(FingerprintTest, BitsArePinned) {
+  std::vector<plan::OperatorType> tokens(3);
+  tokens[0].level1 = 1;
+  tokens[1].level2 = 2;
+  tokens[2].level3 = 3;
+  EXPECT_EQ(plan::FingerprintTokens(tokens), 0x6A1384DE0A9227E5ULL);
+}
+
 TEST(FingerprintTest, CollisionSanityOnAllWorkloadTemplates) {
   // One plan per template across all four benchmark workloads (the
   // repo's 175-template catalog: TPC-H 22, TPC-DS 20, JOB 113, Spatial 20).

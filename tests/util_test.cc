@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/bytes.h"
 #include "util/checksum.h"
 #include "util/durable_file.h"
 #include "util/fault_injection.h"
@@ -132,6 +133,18 @@ TEST(RngTest, ForkIndependentButDeterministic) {
   Rng fa = a.Fork();
   Rng fb = b.Fork();
   EXPECT_EQ(fa.NextU64(), fb.NextU64());
+}
+
+// splitmix64's published first output for seed 0, and bits recorded before
+// the library's copies were merged into Mix64: Rng streams, drift sketch
+// probes and retry jitter all depend on them.
+TEST(RngTest, SplitMixBitsArePinned) {
+  EXPECT_EQ(Mix64(0), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(Mix64(12345), 0x22118258A9D111A0ULL);
+  EXPECT_EQ(Mix64Finalize(12345 + kSplitMixGamma), Mix64(12345));
+  Rng rng(2021);
+  EXPECT_EQ(rng.NextU64(), 0xF61612C2FF4D9BC1ULL);
+  EXPECT_EQ(rng.NextU64(), 0x584F61AB0B9A78B4ULL);
 }
 
 TEST(StatsTest, MeanMedian) {
@@ -343,6 +356,30 @@ TEST(PayloadReaderTest, TruncationNamesFieldAndOffset) {
   EXPECT_EQ(s.message(),
             "test payload truncated reading tail field at offset 11 "
             "(need 8 byte(s), have 2)");
+}
+
+TEST(PayloadReaderTest, ViewIsZeroCopyAndBoundsChecked) {
+  std::string payload;
+  PutU16(&payload, 0xBEEF);
+  PutU8(&payload, 7);
+  payload.append("abc");
+  PayloadReader reader(payload, "test");
+  uint16_t u16 = 0;
+  uint8_t u8 = 0;
+  std::string_view view;
+  ASSERT_TRUE(reader.U16(&u16, "u16").ok());
+  ASSERT_TRUE(reader.U8(&u8, "u8").ok());
+  ASSERT_TRUE(reader.View(&view, 2, "view").ok());
+  EXPECT_EQ(u16, 0xBEEF);
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(view, "ab");
+  EXPECT_EQ(view.data(), payload.data() + 3);  // points into the payload
+  const Status s = reader.View(&view, 0xFFFFFFF0u, "hostile");
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(s.message(),
+            "test payload truncated reading hostile at offset 5 "
+            "(need 4294967280 byte(s), have 1)");
+  EXPECT_EQ(reader.pos(), 5u);  // a failed read consumes nothing
 }
 
 }  // namespace
