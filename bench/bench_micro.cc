@@ -433,9 +433,8 @@ BENCHMARK(BM_MatMulBackwardBScalar)->Apply(TrainingGemmShapes);
 BENCHMARK(BM_MatMulBackwardBSimd)->Apply(TrainingGemmShapes);
 
 void LayerNormKernel(benchmark::State& state,
-                     const qpe::nn::simd::Kernels& kern) {
+                     const qpe::nn::simd::Kernels& kern, int cols) {
   const int rows = static_cast<int>(state.range(0));
-  const int cols = 64;
   const std::vector<float> x =
       RandomBuffer(static_cast<size_t>(rows) * cols, 33);
   const std::vector<float> gamma = RandomBuffer(cols, 34);
@@ -451,13 +450,25 @@ void LayerNormKernel(benchmark::State& state,
   state.SetLabel(kern.name);
 }
 void BM_LayerNormScalar(benchmark::State& state) {
-  LayerNormKernel(state, ScalarKernels());
+  LayerNormKernel(state, ScalarKernels(), 64);
 }
 void BM_LayerNormSimd(benchmark::State& state) {
-  LayerNormKernel(state, BestKernels());
+  LayerNormKernel(state, BestKernels(), 64);
 }
 BENCHMARK(BM_LayerNormScalar)->Arg(256);
 BENCHMARK(BM_LayerNormSimd)->Arg(256);
+
+// Layer norm at the model width (48) over a row count that is not a
+// multiple of 8, so the row tiles of the statistics end in a partial one.
+// Arg: rows.
+void BM_LayerNormRowsScalar(benchmark::State& state) {
+  LayerNormKernel(state, ScalarKernels(), 48);
+}
+void BM_LayerNormRowsSimd(benchmark::State& state) {
+  LayerNormKernel(state, BestKernels(), 48);
+}
+BENCHMARK(BM_LayerNormRowsScalar)->Arg(100);
+BENCHMARK(BM_LayerNormRowsSimd)->Arg(100);
 
 // Packed ragged-batch attention at the model shape (48 dims, 4 heads),
 // 16 sequences of the given length. Arg: sequence length.
@@ -533,6 +544,52 @@ void BM_AttentionBlockedSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionBlockedScalar)->Arg(32);
 BENCHMARK(BM_AttentionBlockedSimd)->Arg(32);
+
+// Head-blocked attention over one ragged batch of serve_cold-like lengths
+// at the model shape, with the same per-layer repack. Unlike the equal
+// multiples of 8 above, these lengths end their query tiles with spare
+// lanes and their keys in remainder blocks and scalar exp tails.
+void AttentionBlockedRaggedKernel(benchmark::State& state,
+                                  const qpe::nn::simd::Kernels& kern) {
+  const std::vector<int> lengths = {9, 15, 23, 37, 64, 71, 100, 124};
+  const int num_seqs = static_cast<int>(lengths.size());
+  const int num_heads = 4, dim = 48;
+  std::vector<int> offsets(num_seqs);
+  int total = 0;
+  long long pairs = 0;
+  for (int s = 0; s < num_seqs; ++s) {
+    offsets[s] = total;
+    total += lengths[s];
+    pairs += static_cast<long long>(lengths[s]) * lengths[s];
+  }
+  const int max_len = *std::max_element(lengths.begin(), lengths.end());
+  const std::vector<float> q = RandomBuffer(static_cast<size_t>(total) * dim, 37);
+  const std::vector<float> k = RandomBuffer(static_cast<size_t>(total) * dim, 38);
+  const std::vector<float> v = RandomBuffer(static_cast<size_t>(total) * dim, 39);
+  std::vector<float> kbt(k.size()), vb(v.size());
+  std::vector<float> probs(static_cast<size_t>(max_len) * max_len);
+  std::vector<float> out(q.size());
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
+  for (auto _ : state) {
+    qpe::nn::RepackHeadsKT(k.data(), total, dim, num_heads, kbt.data());
+    qpe::nn::RepackHeadsVB(v.data(), total, dim, num_heads, vb.data());
+    kern.attention_forward_blocked(q.data(), kbt.data(), vb.data(),
+                                   out.data(), offsets.data(), lengths.data(),
+                                   num_seqs, num_heads, total, dim, scale,
+                                   probs.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * pairs * dim * 4);
+  state.SetLabel(kern.name);
+}
+void BM_AttentionBlockedRaggedScalar(benchmark::State& state) {
+  AttentionBlockedRaggedKernel(state, ScalarKernels());
+}
+void BM_AttentionBlockedRaggedSimd(benchmark::State& state) {
+  AttentionBlockedRaggedKernel(state, BestKernels());
+}
+BENCHMARK(BM_AttentionBlockedRaggedScalar);
+BENCHMARK(BM_AttentionBlockedRaggedSimd);
 
 // CLS-only attention at the same shape: every key and value of the batch,
 // one query per sequence — the engine's last layer. The repack is the

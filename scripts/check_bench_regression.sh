@@ -24,7 +24,8 @@
 #     training-step benchmarks (BM_TrainStepPpsr, BM_TrainStepPerfEncoder)
 #     or on the dispatched SIMD kernel benchmarks (BM_MatMulForwardSimd,
 #     BM_LinearBiasActSimd, BM_MatMulBackwardASimd, BM_MatMulBackwardBSimd,
-#     BM_LayerNormSimd, BM_AttentionPackedSimd, BM_AttentionBlockedSimd,
+#     BM_LayerNormSimd, BM_LayerNormRowsSimd, BM_AttentionPackedSimd,
+#     BM_AttentionBlockedSimd, BM_AttentionBlockedRaggedSimd,
 #     BM_AttentionClsSimd, BM_AttentionBackwardPackedSimd,
 #     BM_AttentionBackwardClsSimd, BM_EmbedGatherSimd, BM_Int8GemmPacked)
 #     fails with exit 1. The threshold is coarser than
@@ -81,7 +82,7 @@ trap 'rm -f "${FRESH_SERVING}" "${FRESH_MICRO}"' EXIT
 "./${BUILD_DIR}/bench/bench_serving" "${FRESH_SERVING}"
 echo
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LinearBiasActSimd|BM_MatMulBackwardASimd|BM_MatMulBackwardBSimd|BM_LayerNormSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_AttentionClsSimd|BM_AttentionBackwardPackedSimd|BM_AttentionBackwardClsSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
+  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LinearBiasActSimd|BM_MatMulBackwardASimd|BM_MatMulBackwardBSimd|BM_LayerNormSimd|BM_LayerNormRowsSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_AttentionBlockedRaggedSimd|BM_AttentionClsSimd|BM_AttentionBackwardPackedSimd|BM_AttentionBackwardClsSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -113,8 +114,10 @@ MICRO_PREFIXES = (
     "BM_MatMulBackwardASimd",
     "BM_MatMulBackwardBSimd",
     "BM_LayerNormSimd",
+    "BM_LayerNormRowsSimd",
     "BM_AttentionPackedSimd",
     "BM_AttentionBlockedSimd",
+    "BM_AttentionBlockedRaggedSimd",
     "BM_AttentionClsSimd",
     "BM_AttentionBackwardPackedSimd",
     "BM_AttentionBackwardClsSimd",

@@ -3,7 +3,9 @@
 # micro-benchmarks and the parallel-engine ones
 # (blocked vs reference MatMul kernels, fused vs unfused layer norm, the
 # scalar vs dispatched SIMD kernels — the training step's three GEMMs
-# among them — the packed int8 GEMM, and full
+# among them, and the layer norm and blocked attention at ragged
+# serve_cold-like shapes (BM_LayerNormRows, BM_AttentionBlockedRagged) —
+# the packed int8 GEMM, and full
 # training steps at 1 vs 4 threads) into BENCH_micro.json, then
 # builds bench_serving and records the end-to-end serving numbers
 # (per-plan vs batched vs warm-cache plans/sec, request latency

@@ -51,13 +51,6 @@ uint64_t PackedTrainBatch::BeginForward(float dropout, util::Rng* rng) {
       Ensure(&tape.layers[li].mask_ff, n);
     }
     const float keep = 1.0f / (1.0f - dropout);
-    // Draws `count` multipliers, keeping the first `kept` at dst.
-    auto draw = [&](float* dst, size_t count, size_t kept) {
-      for (size_t i = 0; i < count; ++i) {
-        const float m = rng->Bernoulli(dropout) ? 0.0f : keep;
-        if (i < kept) dst[i] = m;
-      }
-    };
     for (int ci = 0; ci < S; ++ci) {
       const int s = S - 1 - ci;
       const size_t count = static_cast<size_t>(layout.lengths[s]) * d;
@@ -68,8 +61,12 @@ uint64_t PackedTrainBatch::BeginForward(float dropout, util::Rng* rng) {
         const size_t base = last ? static_cast<size_t>(s) * d
                                  : static_cast<size_t>(layout.offsets[s]) * d;
         const size_t kept = last ? static_cast<size_t>(d) : count;
-        draw(tape.layers[li].mask_att.data() + base, count, kept);
-        draw(tape.layers[li].mask_ff.data() + base, count, kept);
+        rng->BernoulliFill(dropout, 0.0f, keep,
+                           tape.layers[li].mask_att.data() + base, kept,
+                           count);
+        rng->BernoulliFill(dropout, 0.0f, keep,
+                           tape.layers[li].mask_ff.data() + base, kept,
+                           count);
       }
     }
   }

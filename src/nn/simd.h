@@ -27,7 +27,9 @@ enum class Level : int {
 //
 // Numerics contract: the float kernels preserve each output element's
 // accumulation order (axpy- and elementwise-shaped loops vectorize across
-// independent output lanes, never across a reduction), and the vector
+// independent output lanes, never across a reduction; a reduction may run
+// with lanes across rows, each lane one row's chain in its order), and the
+// vector
 // variants use explicit mul+add — no FMA contraction. The one cross-level
 // deviation is exp: the scalar table calls std::exp, the vector tables a
 // polynomial (V::Exp, see nn/simd_kernels_inl.h), so every kernel that
@@ -49,10 +51,13 @@ struct Kernels {
   // out = max(a + bias, 0) over a row-major [m, n] block, bias [n].
   void (*bias_relu)(const float* a, const float* bias, float* out, int m,
                     int n);
-  // Row-wise layer norm: y = ((x - mean) * recip) * gamma + beta. Row
-  // statistics are computed scalar at every level (they are reductions;
-  // keeping them scalar keeps the kernel bit-exact), the normalize pass
-  // vectorizes across columns.
+  // Row-wise layer norm: y = ((x - mean) * recip) * gamma + beta. The row
+  // statistics keep the scalar chains (mean and variance summed in
+  // ascending column order, then the clamped sqrt/log/exp reciprocal), so
+  // every level gives the scalar bits: vector levels run the chains of L
+  // rows at once, one row per lane of a transposed row tile, and the libm
+  // calls per row. The normalize pass vectorizes across columns. Needs no
+  // scratch.
   void (*layer_norm_rows)(const float* x, const float* gamma,
                           const float* beta, float* out, int m, int n,
                           float invn);
@@ -80,10 +85,16 @@ struct Kernels {
   // total_rows) and values head-blocked as vb [head][total_rows][head_dim]
   // (contiguous head lanes), so the score and context loops stream
   // contiguous memory instead of striding across the interleaved heads.
-  // `probs` is caller-provided scratch of at least max(lengths)^2 floats —
-  // the kernel allocates nothing. Per output element the arithmetic
-  // sequence is identical to attention_forward_packed, so the two kernels
-  // agree bit for bit at every level.
+  // Vector levels run each head's queries in tiles of one query per lane:
+  // scores as ascending-c dots from +0 times scale, a per-lane max, V::Exp
+  // below floor(len / lanes) * lanes keys and expf beyond, the sum as an
+  // ascending add per key, and the context from the divided probabilities
+  // in ascending j. Per output element the arithmetic sequence is
+  // therefore identical to attention_forward_packed, so the two kernels
+  // agree bit for bit at every level. `probs` is caller-provided scratch
+  // of at least max(lengths)^2 floats — a tile holds len * lanes of them,
+  // and a sequence shorter than the lane count uses a stack tile — so the
+  // kernel allocates nothing.
   void (*attention_forward_blocked)(const float* q, const float* kbt,
                                     const float* vb, float* out,
                                     const int* offsets, const int* lengths,

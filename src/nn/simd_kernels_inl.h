@@ -13,13 +13,16 @@
 //
 // Exactness discipline (see simd.h): loops vectorize only across
 // independent output lanes. Reductions (row sums, exp sums, dot products)
-// stay scalar in ascending order; max reductions may vectorize because
-// float max is exactly associative and commutative on the finite inputs
-// these kernels see. Policies must implement Mul/Add as separate
-// operations (never a fused multiply-add), and the per-ISA translation
-// units compile with -ffp-contract=off so the compiler cannot re-fuse
-// them. Kernel bodies allocate nothing: every buffer is caller scratch,
-// sized in simd.h (scripts/check_kernel_scratch.sh).
+// keep the scalar ascending order: either along the row in a scalar chain,
+// or with lanes across rows, where each lane carries one row's own chain
+// (the attention forward's query tiles, the LayerNorm statistics). Max
+// reductions may vectorize because float max is exactly associative and
+// commutative on the finite inputs these kernels see. Policies must
+// implement Mul/Add as separate operations (never a fused multiply-add),
+// and the per-ISA translation units compile with -ffp-contract=off so the
+// compiler cannot re-fuse them. Kernel bodies allocate nothing: every
+// buffer is caller scratch, sized in simd.h, or a fixed-size stack tile
+// (scripts/check_kernel_scratch.sh).
 //
 // The one sanctioned deviation is V::Exp. The scalar policy's Exp is
 // std::exp — the scalar table therefore reproduces the pre-SIMD results
@@ -60,16 +63,25 @@ static inline const T& MinOf(const T& a, const T& b) {
   return b < a ? b : a;
 }
 
+// The reciprocal standard deviation of a LayerNorm row from its variance,
+// through the same clamped sqrt/log/exp chain the composite forward used
+// (Sqrt -> Log -> Scale(-1) -> Exp).
+static inline float LayerNormRecip(float var) {
+  constexpr float kLogEps = 1e-12f;
+  const float inv_std = sqrtf(MaxOf(var + 1e-5f, 0.0f));
+  const float log_std = logf(MaxOf(inv_std, kLogEps));
+  return expf(MinOf(-log_std, 30.0f));
+}
+
 // Row statistics of the fused LayerNorm, replicating the original autograd
 // chain's arithmetic exactly: mean and variance accumulate in ascending
-// column order and scale by a precomputed 1/n, and the reciprocal standard
-// deviation goes through the same clamped sqrt/log/exp chain the composite
-// forward used (Sqrt -> Log -> Scale(-1) -> Exp). Shared by the forward
-// kernels here and the (scalar) backward closure in nn/tensor.cc.
+// column order and scale by a precomputed 1/n, then LayerNormRecip. The
+// reference for the layer_norm_rows forward (which runs these chains in
+// lanes across rows, same bits) and the statistics the backward kernel
+// and the backward closure in nn/tensor.cc recompute.
 static inline void LayerNormRowStats(const float* __restrict row, int n,
                                      float invn, float* mean_out,
                                      float* recip_out) {
-  constexpr float kLogEps = 1e-12f;
   float total = 0;
   for (int c = 0; c < n; ++c) total += row[c];
   const float mean = total * invn;
@@ -78,11 +90,8 @@ static inline void LayerNormRowStats(const float* __restrict row, int n,
     const float d = row[c] - mean;
     sq += d * d;
   }
-  const float var = sq * invn;
-  const float inv_std = sqrtf(MaxOf(var + 1e-5f, 0.0f));
-  const float log_std = logf(MaxOf(inv_std, kLogEps));
   *mean_out = mean;
-  *recip_out = expf(MinOf(-log_std, 30.0f));
+  *recip_out = LayerNormRecip(sq * invn);
 }
 
 // MatMul tile sizes, identical to the pre-SIMD blocked kernel: a
@@ -242,6 +251,28 @@ inline void ForRowTiles(int n, F&& f) {
   if constexpr (kRows > 1) {
     if (rest == 1) f.template operator()<1>(t);
   }
+}
+
+// Calls f.template operator()<W>(c) for the blocks [c, c + W) of [0, n):
+// W = kRegisterBlock while it fits, then at most one block each of 8 and
+// of 4, and one of 3, 2 or 1. 12 accumulators, an operand and a broadcast
+// fit AVX2's 16 registers.
+inline constexpr int kRegisterBlock = 12;
+template <typename F>
+inline void ForRegisterBlocks(int n, F&& f) {
+  int c = 0;
+  for (; c + kRegisterBlock <= n; c += kRegisterBlock) {
+    f.template operator()<kRegisterBlock>(c);
+  }
+  if (c + 8 <= n) {
+    f.template operator()<8>(c);
+    c += 8;
+  }
+  if (c + 4 <= n) {
+    f.template operator()<4>(c);
+    c += 4;
+  }
+  ForRowTiles<3>(n - c, [&]<int W>(int t) { f.template operator()<W>(c + t); });
 }
 
 // One register tile of a from-zero GEMM: for R rows t of a (at stride
@@ -477,28 +508,85 @@ void AddRowsT(float* __restrict dst, const float* __restrict src, size_t n) {
   for (; i < n; ++i) dst[i] += src[i];
 }
 
-// y = ((x - mean) * recip) * gamma + beta. Stats stay scalar (reductions);
-// the normalize pass is elementwise and vectorizes bit-identically.
+// The LayerNorm normalize pass over one row: y = ((x - mean) * recip) *
+// gamma + beta, elementwise, so it vectorizes along the row
+// bit-identically.
+template <typename V>
+inline void NormalizeRowT(const float* __restrict xrow,
+                          const float* __restrict gv,
+                          const float* __restrict bv, float* __restrict orow,
+                          int n, float mean, float recip) {
+  constexpr int L = V::kLanes;
+  const int nv = (n / L) * L;
+  const auto vmean = V::Broadcast(mean);
+  const auto vrecip = V::Broadcast(recip);
+  int c = 0;
+  for (; c < nv; c += L) {
+    const auto xhat = V::Mul(V::Sub(V::Load(xrow + c), vmean), vrecip);
+    V::Store(orow + c, V::Add(V::Mul(xhat, V::Load(gv + c)), V::Load(bv + c)));
+  }
+  for (; c < n; ++c) {
+    orow[c] = ((xrow[c] - mean) * recip) * gv[c] + bv[c];
+  }
+}
+
+// Row-wise LayerNorm. The statistics run in lanes across rows: a tile of
+// L rows is transposed, kLnChunk columns at a time, into a stack block
+// xt [column][L], and LayerNormRowStats' mean and variance chains advance
+// as one vector per column, lane r carrying row r's chain — the same adds
+// in the same ascending column order, so each lane holds that row's scalar
+// bits, with L chains in flight instead of one. The last tile repeats its
+// last row in the spare lanes. At width 1 the row itself is that layout.
+// Then per row LayerNormRecip (scalar libm calls) and NormalizeRowT.
 template <typename V>
 void LayerNormRowsT(const float* __restrict xv, const float* __restrict gv,
                     const float* __restrict bv, float* __restrict ov, int m,
                     int n, float invn) {
   constexpr int L = V::kLanes;
-  const int nv = (n / L) * L;
-  for (int r = 0; r < m; ++r) {
-    const float* __restrict xrow = xv + static_cast<size_t>(r) * n;
-    float* __restrict orow = ov + static_cast<size_t>(r) * n;
-    float mean, recip;
-    LayerNormRowStats(xrow, n, invn, &mean, &recip);
-    const auto vmean = V::Broadcast(mean);
-    const auto vrecip = V::Broadcast(recip);
-    int c = 0;
-    for (; c < nv; c += L) {
-      const auto xhat = V::Mul(V::Sub(V::Load(xrow + c), vmean), vrecip);
-      V::Store(orow + c, V::Add(V::Mul(xhat, V::Load(gv + c)), V::Load(bv + c)));
+  constexpr int kLnChunk = 64;
+  const auto zero = V::Broadcast(0.0f);
+  const auto vinvn = V::Broadcast(invn);
+  float xt[kLnChunk * L];
+  float lane_mean[L];
+  float lane_var[L];
+  for (int r0 = 0; r0 < m; r0 += L) {
+    const int nr = MinOf(L, m - r0);
+    // Columns [c0, c1) of the tile's rows, [c - c0][L].
+    auto columns = [&](int c0, int c1) -> const float* {
+      if constexpr (L == 1) return xv + static_cast<size_t>(r0) * n + c0;
+      for (int r = 0; r < L; ++r) {
+        const float* __restrict xrow =
+            xv + static_cast<size_t>(r0 + MinOf(r, nr - 1)) * n;
+        for (int c = c0; c < c1; ++c) xt[(c - c0) * L + r] = xrow[c];
+      }
+      return xt;
+    };
+    const float* cols = nullptr;
+    auto total = zero;
+    for (int c0 = 0; c0 < n; c0 += kLnChunk) {
+      const int c1 = MinOf(n, c0 + kLnChunk);
+      cols = columns(c0, c1);
+      for (int c = c0; c < c1; ++c) {
+        total = V::Add(total, V::Load(cols + (c - c0) * L));
+      }
     }
-    for (; c < n; ++c) {
-      orow[c] = ((xrow[c] - mean) * recip) * gv[c] + bv[c];
+    const auto vmean = V::Mul(total, vinvn);
+    auto sq = zero;
+    for (int c0 = 0; c0 < n; c0 += kLnChunk) {
+      const int c1 = MinOf(n, c0 + kLnChunk);
+      // A row of at most kLnChunk columns is one chunk, still at cols.
+      if (n > kLnChunk) cols = columns(c0, c1);
+      for (int c = c0; c < c1; ++c) {
+        const auto d = V::Sub(V::Load(cols + (c - c0) * L), vmean);
+        sq = V::Add(sq, V::Mul(d, d));
+      }
+    }
+    V::Store(lane_mean, vmean);
+    V::Store(lane_var, V::Mul(sq, vinvn));
+    for (int t = 0; t < nr; ++t) {
+      const size_t r = static_cast<size_t>(r0 + t);
+      NormalizeRowT<V>(xv + r * n, gv, bv, ov + r * n, n, lane_mean[t],
+                       LayerNormRecip(lane_var[t]));
     }
   }
 }
@@ -728,31 +816,173 @@ void EmbedGatherAddT(const float* __restrict e1, const float* __restrict e2,
   }
 }
 
+// Vector body of attention_forward_blocked: lanes across queries. Each
+// (sequence, head) runs its queries in tiles of L, lane r holding query
+// i + r; the last tile repeats its last query in the spare lanes and
+// stores only its real rows. Per lane the arithmetic is the row kernel's
+// (the width-1 body below and AttentionForwardPackedT), step for step:
+//  - scores: S^T[j][r] = (sum over ascending c of q[r][c] * k[c][j], from
+//    +0) * scale, in ForRegisterBlocks blocks of keys that share each q^T
+//    vector. q^T, the tile's queries transposed [c][L], is gathered onto
+//    the stack kQtCols head columns at a time; a longer head carries its
+//    partial sums through S^T between column blocks, which never rounds.
+//  - max: per lane, folded over the key blocks. Max is exact, so the fold
+//    order changes no finite maximum but the sign of a zero one, and
+//    x - (+0) and x - (-0) differ only for a zero x, whose exp is 1 either
+//    way. A NaN score (a diverged model) may select another maximum than
+//    the row kernel's vector-then-scalar fold: the finite-input posture of
+//    every vector max reduction here.
+//  - exp: V::Exp for keys below floor(len / L) * L and expf beyond, the
+//    row kernel's split (it depends on len alone), and the normalizing sum
+//    as one vector add per key in ascending j, so lane r is row r's scalar
+//    ascending chain.
+//  - context: O^T[c][r] = sum over ascending j of (e[j][r] / sum[r]) *
+//    v[j][c], from +0, in ForRegisterBlocks column blocks (head_dim 12
+//    is one); the first block divides, and writes the probabilities back
+//    when more blocks follow. Then a transposed store of the real rows.
+// The row kernel paid a horizontal max, a scalar exp-sum chain and scalar
+// tail expf calls per query, and computed 16 context lanes to keep 12 at
+// head_dim 12; here every lane carries a query.
+//
+// S^T takes len * L floats: `probs` (max(lengths)^2 floats, simd.h) holds
+// it for len >= L, and a stack tile of L * L floats for shorter sequences.
+template <typename V>
+void AttentionQueryTilesT(const float* __restrict qv,
+                          const float* __restrict kbt,
+                          const float* __restrict vb, float* __restrict ov,
+                          const int* __restrict offsets,
+                          const int* __restrict lengths, int num_seqs,
+                          int num_heads, int total_rows, int dim, float scale,
+                          float* __restrict probs) {
+  using Vec = typename V::Vec;
+  constexpr int L = V::kLanes;
+  constexpr int kQtCols = 16;
+  const int dh = dim / num_heads;
+  const Vec zero = V::Broadcast(0.0f);
+  const Vec vs = V::Broadcast(scale);
+  float qt[kQtCols * L];
+  float short_tile[L * L];
+  float lane_max[L];
+  float ot[kRegisterBlock * L];
+  for (int s = 0; s < num_seqs; ++s) {
+    const int off = offsets[s];
+    const int len = lengths[s];
+    const int lenv = (len / L) * L;
+    float* __restrict st = len < L ? short_tile : probs;
+    for (int h = 0; h < num_heads; ++h) {
+      const int col0 = h * dh;
+      const float* __restrict ktb =
+          kbt + (static_cast<size_t>(h) * dh) * total_rows + off;
+      const float* __restrict vbb =
+          vb + (static_cast<size_t>(h) * total_rows + off) * dh;
+      for (int i = 0; i < len; i += L) {
+        const int nr = MinOf(L, len - i);
+        const float* __restrict q0 =
+            qv + static_cast<size_t>(off + i) * dim + col0;
+        float* __restrict o0 = ov + static_cast<size_t>(off + i) * dim + col0;
+        // --- Scores S^T and the per-lane max ---------------------------
+        Vec vmax = V::Broadcast(-INFINITY);
+        for (int c0 = 0; c0 < dh; c0 += kQtCols) {
+          const int c1 = MinOf(dh, c0 + kQtCols);
+          for (int r = 0; r < L; ++r) {
+            const float* __restrict qrow =
+                q0 + static_cast<size_t>(MinOf(r, nr - 1)) * dim;
+            for (int c = c0; c < c1; ++c) qt[(c - c0) * L + r] = qrow[c];
+          }
+          auto key_block = [&]<int NB>(int j) {
+            Vec acc[NB];
+            for (int b = 0; b < NB; ++b) {
+              acc[b] = c0 == 0 ? zero
+                               : V::Load(st + static_cast<size_t>(j + b) * L);
+            }
+            for (int c = c0; c < c1; ++c) {
+              const Vec qc = V::Load(qt + (c - c0) * L);
+              const float* __restrict krow =
+                  ktb + static_cast<size_t>(c) * total_rows + j;
+              for (int b = 0; b < NB; ++b) {
+                acc[b] = V::Add(acc[b], V::Mul(qc, V::Broadcast(krow[b])));
+              }
+            }
+            if (c1 == dh) {
+              for (int b = 0; b < NB; ++b) acc[b] = V::Mul(acc[b], vs);
+              Vec m = acc[0];
+              for (int b = 1; b < NB; ++b) m = V::Max(m, acc[b]);
+              vmax = V::Max(vmax, m);
+            }
+            for (int b = 0; b < NB; ++b) {
+              V::Store(st + static_cast<size_t>(j + b) * L, acc[b]);
+            }
+          };
+          ForRegisterBlocks(len, key_block);
+        }
+        // --- exp(S^T - max) and the normalizing sums --------------------
+        V::Store(lane_max, vmax);
+        Vec vsum = zero;
+        int j = 0;
+        for (; j < lenv; ++j) {
+          float* __restrict srow = st + static_cast<size_t>(j) * L;
+          const Vec e = V::Exp(V::Sub(V::Load(srow), vmax));
+          V::Store(srow, e);
+          vsum = V::Add(vsum, e);
+        }
+        for (; j < len; ++j) {
+          float* __restrict srow = st + static_cast<size_t>(j) * L;
+          for (int r = 0; r < nr; ++r) srow[r] = expf(srow[r] - lane_max[r]);
+          vsum = V::Add(vsum, V::Load(srow));
+        }
+        // --- Context O^T, divide folded in, transposed store ------------
+        auto ctx_block = [&]<int NC, bool kDivide>(int c0) {
+          const bool more = c0 + NC < dh;
+          Vec acc[NC];
+          for (int n = 0; n < NC; ++n) acc[n] = zero;
+          for (int jj = 0; jj < len; ++jj) {
+            float* __restrict srow = st + static_cast<size_t>(jj) * L;
+            Vec p = V::Load(srow);
+            if constexpr (kDivide) {
+              p = V::Div(p, vsum);
+              if (more) V::Store(srow, p);
+            }
+            const float* __restrict vrow =
+                vbb + static_cast<size_t>(jj) * dh + c0;
+            for (int n = 0; n < NC; ++n) {
+              acc[n] = V::Add(acc[n], V::Mul(p, V::Broadcast(vrow[n])));
+            }
+          }
+          for (int n = 0; n < NC; ++n) V::Store(ot + n * L, acc[n]);
+          for (int r = 0; r < nr; ++r) {
+            float* __restrict orow = o0 + static_cast<size_t>(r) * dim + c0;
+            for (int n = 0; n < NC; ++n) orow[n] = ot[n * L + r];
+          }
+        };
+        ForRegisterBlocks(dh, [&]<int NC>(int c0) {
+          if (c0 == 0) {
+            ctx_block.template operator()<NC, true>(c0);
+          } else {
+            ctx_block.template operator()<NC, false>(c0);
+          }
+        });
+      }
+    }
+  }
+}
+
 // Head-blocked attention forward (see simd.h for the layouts). This is
 // AttentionForwardPackedT with the per-sequence k^T repack hoisted out:
 // the caller transposes K once per layer into kbt [head][head_dim][rows]
 // and blocks V into vb [head][rows][head_dim], so the score loops stream
 // kbt rows (stride total_rows instead of a per-sequence pack) and the
 // context loops read contiguous head_dim lanes of vb instead of striding
-// `dim` floats between value rows.
-//
-// The vector path additionally tiles queries by kQueryTile: serving
-// sequences are short (tens of tokens) and head_dim is small, so a
-// single-query loop is latency-bound — one serially dependent
-// accumulator chain per output vector. Four queries share every kt/v
-// load and run four independent chains, which is what moves this kernel
-// from memory-latency-bound to throughput-bound at serving shapes.
-// Tiling across queries never touches any single element's accumulation
-// order (scores still sum ascending c, context ascending j, the scale
-// is one multiply on the finished dot either way), so the kernel stays
-// bit-identical to AttentionForwardPackedT at every level, and the
-// scalar level remains bit-identical to per-plan Encode.
+// `dim` floats between value rows. Vector levels run the query tiles of
+// AttentionQueryTilesT; the body below is the width-1 kernel, bit-identical
+// to per-plan Encode at the scalar level, and the CLS instantiation.
 //
 // kClsOnly instantiates attention_cls_blocked: one query per sequence,
 // its CLS token, with q and out compact [num_seqs, dim]. That query runs
-// the same single-query arithmetic a full call applies to query 0 (tile
-// and tail paths compute identical per-element streams), so its output
-// row equals row offsets[s] of the full kernel bit for bit.
+// the row kernel's arithmetic — scores in vectors along the keys (an
+// overlapping tail vector recomputes the same dots), SoftmaxRowT, the
+// context in vectors along head_dim — which per element is the query
+// tiles' arithmetic, so its output row equals row offsets[s] of the full
+// kernel bit for bit.
 template <typename V, bool kClsOnly = false>
 void AttentionForwardBlockedT(const float* __restrict qv,
                               const float* __restrict kbt,
@@ -763,7 +993,11 @@ void AttentionForwardBlockedT(const float* __restrict qv,
                               int num_heads, int total_rows, int dim,
                               float scale, float* __restrict probs) {
   constexpr int L = V::kLanes;
-  constexpr int kQueryTile = 4;
+  if constexpr (L > 1 && !kClsOnly) {
+    AttentionQueryTilesT<V>(qv, kbt, vb, ov, offsets, lengths, num_seqs,
+                            num_heads, total_rows, dim, scale, probs);
+    return;
+  }
   const int dh = dim / num_heads;
   for (int s = 0; s < num_seqs; ++s) {
     const int off = offsets[s];
@@ -784,7 +1018,7 @@ void AttentionForwardBlockedT(const float* __restrict qv,
       // floats.
       const float* __restrict vbb =
           vb + (static_cast<size_t>(h) * total_rows + off) * dh;
-      // --- Phase 1: scaled score rows, query-tiled ---------------------
+      // --- Phase 1: scaled score rows -----------------------------------
       if constexpr (L == 1) {
         for (int i = 0; i < nq; ++i) {
           const float* __restrict qrow = qv + (row0 + i) * dim + col0;
@@ -801,75 +1035,7 @@ void AttentionForwardBlockedT(const float* __restrict qv,
       } else {
         const auto zero = V::Broadcast(0.0f);
         const auto vs = V::Broadcast(scale);
-        int i = 0;
-        for (; i + kQueryTile <= nq; i += kQueryTile) {
-          const float* __restrict q0 = qv + (row0 + i) * dim + col0;
-          const float* __restrict q1 = q0 + dim;
-          const float* __restrict q2 = q1 + dim;
-          const float* __restrict q3 = q2 + dim;
-          float* __restrict p0 = probs + static_cast<size_t>(i) * len;
-          float* __restrict p1 = p0 + len;
-          float* __restrict p2 = p1 + len;
-          float* __restrict p3 = p2 + len;
-          int j = 0;
-          for (; j + L <= len; j += L) {
-            auto a0 = zero;
-            auto a1 = zero;
-            auto a2 = zero;
-            auto a3 = zero;
-            for (int c = 0; c < dh; ++c) {
-              const auto kt = V::Load(
-                  ktb + static_cast<size_t>(c) * total_rows + j);
-              a0 = V::Add(a0, V::Mul(V::Broadcast(q0[c]), kt));
-              a1 = V::Add(a1, V::Mul(V::Broadcast(q1[c]), kt));
-              a2 = V::Add(a2, V::Mul(V::Broadcast(q2[c]), kt));
-              a3 = V::Add(a3, V::Mul(V::Broadcast(q3[c]), kt));
-            }
-            V::Store(p0 + j, V::Mul(a0, vs));
-            V::Store(p1 + j, V::Mul(a1, vs));
-            V::Store(p2 + j, V::Mul(a2, vs));
-            V::Store(p3 + j, V::Mul(a3, vs));
-          }
-          if (j < len && len >= L) {
-            // Overlapping tail vector: recompute the last full vector of
-            // scores ending at `len`. Each overlapped element is the same
-            // ascending-c dot as before, so the second store writes the
-            // same bits — cheaper than a scalar tail and bit-identical.
-            const int jt = len - L;
-            auto a0 = zero;
-            auto a1 = zero;
-            auto a2 = zero;
-            auto a3 = zero;
-            for (int c = 0; c < dh; ++c) {
-              const auto kt = V::Load(
-                  ktb + static_cast<size_t>(c) * total_rows + jt);
-              a0 = V::Add(a0, V::Mul(V::Broadcast(q0[c]), kt));
-              a1 = V::Add(a1, V::Mul(V::Broadcast(q1[c]), kt));
-              a2 = V::Add(a2, V::Mul(V::Broadcast(q2[c]), kt));
-              a3 = V::Add(a3, V::Mul(V::Broadcast(q3[c]), kt));
-            }
-            V::Store(p0 + jt, V::Mul(a0, vs));
-            V::Store(p1 + jt, V::Mul(a1, vs));
-            V::Store(p2 + jt, V::Mul(a2, vs));
-            V::Store(p3 + jt, V::Mul(a3, vs));
-          } else {
-            for (; j < len; ++j) {
-              float c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-              for (int c = 0; c < dh; ++c) {
-                const float kc = ktb[static_cast<size_t>(c) * total_rows + j];
-                c0 += q0[c] * kc;
-                c1 += q1[c] * kc;
-                c2 += q2[c] * kc;
-                c3 += q3[c] * kc;
-              }
-              p0[j] = c0 * scale;
-              p1[j] = c1 * scale;
-              p2[j] = c2 * scale;
-              p3[j] = c3 * scale;
-            }
-          }
-        }
-        for (; i < nq; ++i) {
+        for (int i = 0; i < nq; ++i) {
           const float* __restrict qrow = qv + (row0 + i) * dim + col0;
           float* __restrict prow = probs + static_cast<size_t>(i) * len;
           int j = 0;
@@ -884,6 +1050,10 @@ void AttentionForwardBlockedT(const float* __restrict qv,
             V::Store(prow + j, V::Mul(a0, vs));
           }
           if (j < len && len >= L) {
+            // Overlapping tail vector: recompute the last full vector of
+            // scores ending at `len`. Each overlapped element is the same
+            // ascending-c dot as before, so the second store writes the
+            // same bits — cheaper than a scalar tail and bit-identical.
             const int jt = len - L;
             auto a0 = zero;
             for (int c = 0; c < dh; ++c) {
@@ -909,8 +1079,8 @@ void AttentionForwardBlockedT(const float* __restrict qv,
         SoftmaxRowT<V>(probs + static_cast<size_t>(i) * len, len);
       }
       // --- Phase 3: context = probs * vh over the contiguous rows of
-      // this head's value block, query-tiled like the scores; per element
-      // accumulates ascending j, like AttentionForwardPackedT ----------
+      // this head's value block; per element accumulates ascending j,
+      // like AttentionForwardPackedT -----------------------------------
       if constexpr (L == 1) {
         for (int i = 0; i < nq; ++i) {
           const float* __restrict prow = probs + static_cast<size_t>(i) * len;
@@ -925,74 +1095,7 @@ void AttentionForwardBlockedT(const float* __restrict qv,
       } else {
         const int dhv = (dh / L) * L;
         const auto zero = V::Broadcast(0.0f);
-        int i = 0;
-        for (; i + kQueryTile <= nq; i += kQueryTile) {
-          const float* __restrict p0 = probs + static_cast<size_t>(i) * len;
-          const float* __restrict p1 = p0 + len;
-          const float* __restrict p2 = p1 + len;
-          const float* __restrict p3 = p2 + len;
-          float* __restrict o0 = ov + (row0 + i) * dim + col0;
-          float* __restrict o1 = o0 + dim;
-          float* __restrict o2 = o1 + dim;
-          float* __restrict o3 = o2 + dim;
-          int c = 0;
-          for (; c < dhv; c += L) {
-            auto a0 = zero;
-            auto a1 = zero;
-            auto a2 = zero;
-            auto a3 = zero;
-            for (int j = 0; j < len; ++j) {
-              const auto vrow =
-                  V::Load(vbb + static_cast<size_t>(j) * dh + c);
-              a0 = V::Add(a0, V::Mul(V::Broadcast(p0[j]), vrow));
-              a1 = V::Add(a1, V::Mul(V::Broadcast(p1[j]), vrow));
-              a2 = V::Add(a2, V::Mul(V::Broadcast(p2[j]), vrow));
-              a3 = V::Add(a3, V::Mul(V::Broadcast(p3[j]), vrow));
-            }
-            V::Store(o0 + c, a0);
-            V::Store(o1 + c, a1);
-            V::Store(o2 + c, a2);
-            V::Store(o3 + c, a3);
-          }
-          if (c < dh && dh >= L) {
-            // Overlapping tail vector over the last L head columns: the
-            // overlapped lanes redo the same ascending-j sums and store
-            // the same bits (see the score tail above).
-            const int ct = dh - L;
-            auto a0 = zero;
-            auto a1 = zero;
-            auto a2 = zero;
-            auto a3 = zero;
-            for (int j = 0; j < len; ++j) {
-              const auto vrow =
-                  V::Load(vbb + static_cast<size_t>(j) * dh + ct);
-              a0 = V::Add(a0, V::Mul(V::Broadcast(p0[j]), vrow));
-              a1 = V::Add(a1, V::Mul(V::Broadcast(p1[j]), vrow));
-              a2 = V::Add(a2, V::Mul(V::Broadcast(p2[j]), vrow));
-              a3 = V::Add(a3, V::Mul(V::Broadcast(p3[j]), vrow));
-            }
-            V::Store(o0 + ct, a0);
-            V::Store(o1 + ct, a1);
-            V::Store(o2 + ct, a2);
-            V::Store(o3 + ct, a3);
-          } else {
-            for (; c < dh; ++c) {
-              float c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-              for (int j = 0; j < len; ++j) {
-                const float vv = vbb[static_cast<size_t>(j) * dh + c];
-                c0 += p0[j] * vv;
-                c1 += p1[j] * vv;
-                c2 += p2[j] * vv;
-                c3 += p3[j] * vv;
-              }
-              o0[c] = c0;
-              o1[c] = c1;
-              o2[c] = c2;
-              o3[c] = c3;
-            }
-          }
-        }
-        for (; i < nq; ++i) {
+        for (int i = 0; i < nq; ++i) {
           const float* __restrict prow = probs + static_cast<size_t>(i) * len;
           float* __restrict orow = ov + (row0 + i) * dim + col0;
           int c = 0;
@@ -1006,6 +1109,9 @@ void AttentionForwardBlockedT(const float* __restrict qv,
             V::Store(orow + c, a0);
           }
           if (c < dh && dh >= L) {
+            // Overlapping tail vector over the last L head columns: the
+            // overlapped lanes redo the same ascending-j sums and store
+            // the same bits (see the score tail above).
             const int ct = dh - L;
             auto a0 = zero;
             for (int j = 0; j < len; ++j) {

@@ -879,8 +879,8 @@ Tensor Dropout(const Tensor& a, float p, util::Rng* rng) {
   Tensor out = Tensor::MakeResult(m, n, {a.impl_, mask.impl_},
                                   Tensor::Fill::kOverwrite);
   float* mv = mask.impl_->value.data();
+  rng->BernoulliFill(p, 0.0f, scale, mv, m * n, m * n);
   for (int i = 0; i < m * n; ++i) {
-    mv[i] = rng->Bernoulli(p) ? 0.0f : scale;
     out.impl_->value[i] = a.impl_->value[i] * mv[i];
   }
   if (out.requires_grad()) {

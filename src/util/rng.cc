@@ -9,6 +9,19 @@ namespace {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// One xoshiro256** step over the state s.
+inline uint64_t Step(uint64_t* s) {
+  const uint64_t result = Rotl(s[1] * 5, 7) * 9;
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -18,17 +31,7 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
+uint64_t Rng::NextU64() { return Step(s_); }
 
 double Rng::Uniform() {
   // 53 high bits -> double in [0, 1).
@@ -64,6 +67,21 @@ double Rng::Normal(double mean, double stddev) {
 double Rng::LognormalFactor(double sigma) { return std::exp(Normal(0.0, sigma)); }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
+
+void Rng::BernoulliFill(double p, float hit, float miss, float* dst,
+                        size_t kept, size_t count) {
+  // Uniform() < p is (x >> 11) * 2^-53 < p. Scaling both sides by 2^53 is
+  // exact (a power of two; p * 2^53 overflows only to +inf, where both
+  // forms are true), so each trial is (x >> 11) < p * 2^53, with the
+  // integer below 2^53 converted exactly. The state stays in registers.
+  const double threshold = p * 0x1.0p53;
+  uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  for (size_t i = 0; i < kept; ++i) {
+    dst[i] = static_cast<double>(Step(s) >> 11) < threshold ? hit : miss;
+  }
+  for (size_t i = kept; i < count; ++i) Step(s);
+  for (int i = 0; i < 4; ++i) s_[i] = s[i];
+}
 
 int64_t Rng::Zipf(int64_t n, double theta) {
   if (n <= 1) return 0;

@@ -1,6 +1,7 @@
 #ifndef QPE_UTIL_RNG_H_
 #define QPE_UTIL_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,13 @@ class Rng {
 
   // True with probability p.
   bool Bernoulli(double p);
+
+  // Runs `count` Bernoulli(p) trials — the draws and outcomes of `count`
+  // Bernoulli(p) calls, leaving the same state — and writes `hit` for a
+  // true trial and `miss` for a false one to dst[0, kept); the trials past
+  // `kept` only advance the stream. Requires kept <= count.
+  void BernoulliFill(double p, float hit, float miss, float* dst,
+                     size_t kept, size_t count);
 
   // Zipf-like skew sample in [0, n): index i with weight 1/(i+1)^theta.
   int64_t Zipf(int64_t n, double theta);

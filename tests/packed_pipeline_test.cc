@@ -11,6 +11,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
@@ -28,6 +29,7 @@
 #include "nn/packed_forward.h"
 #include "nn/quant.h"
 #include "nn/simd.h"
+#include "nn/simd_kernels_inl.h"
 #include "nn/tensor.h"
 #include "nn/transformer.h"
 #include "plan/plan_node.h"
@@ -332,6 +334,124 @@ TEST(PackedKernelTest, AttentionClsMatchesBlockedClsRowsPerLevel) {
               << "level " << table->name << " head_dim " << head_dim
               << " length " << lengths[s] << " col " << c;
         }
+      }
+    }
+  }
+}
+
+// Bitwise equality (memcmp, so -0 and +0 differ), naming the first
+// differing index.
+void ExpectSameBits(const std::vector<float>& a, const std::vector<float>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0) return;
+  size_t i = 0;
+  while (std::memcmp(&a[i], &b[i], sizeof(float)) == 0) ++i;
+  ADD_FAILURE() << what << ": index " << i << " " << a[i] << " vs " << b[i];
+}
+
+TEST(PackedKernelTest, AttentionBlockedQueryTilesBitExactPerLevel) {
+  // The vector levels run the blocked forward with lanes across queries;
+  // every lane must still be the row kernel's arithmetic, so the blocked
+  // and interleaved kernels agree bit for bit at each level. Lengths 1-40
+  // cover every length below one vector (a batch of only those uses the
+  // stack tile), spare lanes in the last query tile and every key
+  // remainder block. head_dim 1-3 and 12 run one context block (the
+  // divide folded in), 5 and 16-24 two (the first writes the divided
+  // probabilities back), and 20 and 24 two q^T column blocks.
+  // Zeroed q rows tie a whole score row at +0, zeroed entries tie single
+  // products. The scratch is NaN-filled and exactly max(lengths)^2 floats,
+  // and the output NaN-filled: a read before a write, or an element never
+  // written, poisons the comparison.
+  util::Rng rng(95);
+  std::vector<int> long_lengths;
+  for (const int i : rng.Permutation(33)) long_lengths.push_back(8 + i);
+  long_lengths.insert(long_lengths.begin() + 5, 2);
+  long_lengths.insert(long_lengths.begin() + 20, 7);
+  const std::vector<std::vector<int>> batches = {{7, 1, 6, 2, 5, 3, 4},
+                                                 long_lengths};
+  const int num_heads = 2;
+  for (const std::vector<int>& lengths : batches) {
+    const BatchLayout layout = BatchLayout::FromLengths(lengths);
+    const int rows = layout.total_rows;
+    const int max_len = *std::max_element(lengths.begin(), lengths.end());
+    for (const int head_dim : {1, 2, 3, 5, 12, 16, 20, 24}) {
+      const int d = num_heads * head_dim;
+      const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+      const size_t rd = static_cast<size_t>(rows) * d;
+      std::vector<float> q = RandomVec(rd, &rng);
+      for (int r = 0; r < rows; r += 5) {
+        std::fill_n(q.begin() + static_cast<size_t>(r) * d, d, 0.0f);
+      }
+      for (size_t i = 3; i < rd; i += 7) q[i] = 0.0f;
+      const std::vector<float> k = RandomVec(rd, &rng);
+      const std::vector<float> v = RandomVec(rd, &rng);
+      std::vector<float> kbt(rd), vb(rd);
+      nn::RepackHeadsKT(k.data(), rows, d, num_heads, kbt.data());
+      nn::RepackHeadsVB(v.data(), rows, d, num_heads, vb.data());
+      std::vector<float> scratch(static_cast<size_t>(max_len) *
+                                 (max_len + head_dim));
+      for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+        const Kernels* table = nn::simd::TableFor(level);
+        if (table == nullptr) continue;
+        std::vector<float> out_packed(rd, 0.0f);
+        std::vector<float> out_blocked(rd, std::nanf(""));
+        std::vector<float> probs(static_cast<size_t>(max_len) * max_len,
+                                 std::nanf(""));
+        table->attention_forward_packed(
+            q.data(), k.data(), v.data(), out_packed.data(),
+            layout.offsets.data(), layout.lengths.data(), layout.size(),
+            num_heads, d, scale, scratch.data());
+        table->attention_forward_blocked(
+            q.data(), kbt.data(), vb.data(), out_blocked.data(),
+            layout.offsets.data(), layout.lengths.data(), layout.size(),
+            num_heads, rows, d, scale, probs.data());
+        ExpectSameBits(out_packed, out_blocked,
+                       std::string(table->name) + " head_dim " +
+                           std::to_string(head_dim) + " max_len " +
+                           std::to_string(max_len));
+      }
+    }
+  }
+}
+
+TEST(PackedKernelTest, LayerNormRowsMatchRowStatsPerLevel) {
+  // The statistics run with lanes across rows at vector levels; each row
+  // must still get LayerNormRowStats' bits. m covers every partial row
+  // tile at 4 and 8 lanes; n = 65 and 130 cross the transposed column
+  // chunk, so the variance pass transposes again.
+  util::Rng rng(96);
+  std::vector<int> ms;
+  for (int m = 1; m <= 17; ++m) ms.push_back(m);
+  ms.push_back(100);
+  for (const int n : {1, 7, 48, 64, 65, 130}) {
+    const std::vector<float> gamma = RandomVec(n, &rng);
+    const std::vector<float> beta = RandomVec(n, &rng);
+    const float invn = 1.0f / static_cast<float>(n);
+    for (const int m : ms) {
+      const size_t total = static_cast<size_t>(m) * n;
+      std::vector<float> x = RandomVec(total, &rng, 3.0f);
+      // A constant row: zero variance, the clamped end of the recip chain.
+      if (m > 2) std::fill_n(x.begin() + n, n, 0.25f);
+      std::vector<float> expect(total);
+      for (int r = 0; r < m; ++r) {
+        const float* xrow = x.data() + static_cast<size_t>(r) * n;
+        float mean, recip;
+        nn::simd::LayerNormRowStats(xrow, n, invn, &mean, &recip);
+        for (int c = 0; c < n; ++c) {
+          expect[static_cast<size_t>(r) * n + c] =
+              ((xrow[c] - mean) * recip) * gamma[c] + beta[c];
+        }
+      }
+      for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+        const Kernels* table = nn::simd::TableFor(level);
+        if (table == nullptr) continue;
+        std::vector<float> out(total, std::nanf(""));
+        table->layer_norm_rows(x.data(), gamma.data(), beta.data(),
+                               out.data(), m, n, invn);
+        ExpectSameBits(expect, out,
+                       std::string(table->name) + " m " + std::to_string(m) +
+                           " n " + std::to_string(n));
       }
     }
   }

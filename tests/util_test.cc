@@ -95,6 +95,26 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+TEST(RngTest, BernoulliFillMatchesPerCallLoop) {
+  // The bulk draw must reproduce Bernoulli's outcomes and leave the
+  // generator in the same state, including when only a prefix is kept.
+  for (const double p : {0.1, 0.5, 1.0}) {
+    for (const size_t kept : {size_t{0}, size_t{37}, size_t{1000}}) {
+      const size_t count = 1000;
+      Rng bulk(29), loop(29);
+      std::vector<float> got(count, -1.0f), want(count, -1.0f);
+      bulk.BernoulliFill(p, 0.0f, 2.5f, got.data(), kept, count);
+      for (size_t i = 0; i < count; ++i) {
+        const float m = loop.Bernoulli(p) ? 0.0f : 2.5f;
+        if (i < kept) want[i] = m;
+      }
+      EXPECT_EQ(got, want) << "p " << p << " kept " << kept;
+      const RngState a = bulk.GetState(), b = loop.GetState();
+      for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]) << "p " << p;
+    }
+  }
+}
+
 TEST(RngTest, ZipfSkewedTowardSmallIndices) {
   Rng rng(17);
   int first = 0, last = 0;
