@@ -192,7 +192,8 @@ qpe::nn::Tensor RandomTensor(int rows, int cols, uint64_t seed,
   return qpe::nn::Tensor::FromVector(rows, cols, data, requires_grad);
 }
 
-// Forward + full backward (dA and dB) through the blocked kernels.
+// Forward + full backward (dA and dB) through the linear node's kernels
+// (linear_bias_act, matmul_backward_a, matmul_backward_b).
 // Args: {size, threads}.
 void BM_MatMul(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));
@@ -218,8 +219,8 @@ BENCHMARK(BM_MatMul)
     ->Args({256, 4})
     ->Args({512, 4});
 
-// Same workload through the pre-blocking naive kernel (always
-// single-threaded): the baseline the blocked kernels are measured against.
+// Same workload through the naive reference kernel (always
+// single-threaded): the baseline the dispatched kernels are measured against.
 void BM_MatMulReference(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));
   qpe::util::SetMaxThreads(1);
@@ -310,32 +311,6 @@ std::vector<float> RandomBuffer(size_t n, uint64_t seed) {
   return v;
 }
 
-// Forward-only GEMM at the serving shape family. Args: {m, k, n}.
-void MatMulForwardKernel(benchmark::State& state,
-                         const qpe::nn::simd::Kernels& kern) {
-  const int m = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const int n = static_cast<int>(state.range(2));
-  const std::vector<float> a = RandomBuffer(static_cast<size_t>(m) * k, 31);
-  const std::vector<float> b = RandomBuffer(static_cast<size_t>(k) * n, 32);
-  std::vector<float> out(static_cast<size_t>(m) * n);
-  for (auto _ : state) {
-    std::fill(out.begin(), out.end(), 0.0f);
-    kern.matmul_forward_range(a.data(), b.data(), out.data(), 0, m, k, n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
-  state.SetLabel(kern.name);
-}
-void BM_MatMulForwardScalar(benchmark::State& state) {
-  MatMulForwardKernel(state, ScalarKernels());
-}
-void BM_MatMulForwardSimd(benchmark::State& state) {
-  MatMulForwardKernel(state, BestKernels());
-}
-BENCHMARK(BM_MatMulForwardScalar)->Args({256, 48, 48})->Args({256, 256, 256});
-BENCHMARK(BM_MatMulForwardSimd)->Args({256, 48, 48})->Args({256, 256, 256});
-
 // The three GEMMs of the packed training step at its shapes: m = 100 rows
 // and (k, n) = (48, 48) for the attention projections, (48, 96) for ff1
 // and (96, 48) for ff2. ff2's input is a ReLU output, so where a kernel
@@ -352,7 +327,8 @@ std::vector<float> ActivationBuffer(int m, int k, uint64_t seed) {
   return x;
 }
 
-// Y = act(X * W + b), the packed forward's linear sites.
+// Y = act(X * W + b), the one forward linear: the packed forward's sites and
+// the op chain's MatMul and Linear layers.
 void LinearBiasActKernel(benchmark::State& state,
                          const qpe::nn::simd::Kernels& kern) {
   const int m = static_cast<int>(state.range(0));
@@ -376,8 +352,16 @@ void BM_LinearBiasActScalar(benchmark::State& state) {
 void BM_LinearBiasActSimd(benchmark::State& state) {
   LinearBiasActKernel(state, BestKernels());
 }
-BENCHMARK(BM_LinearBiasActScalar)->Apply(TrainingGemmShapes);
-BENCHMARK(BM_LinearBiasActSimd)->Apply(TrainingGemmShapes);
+// Plus the serving batch shape and one square GEMM, as MatMul and the
+// Linear layers run them.
+BENCHMARK(BM_LinearBiasActScalar)
+    ->Apply(TrainingGemmShapes)
+    ->Args({256, 48, 48})
+    ->Args({256, 256, 256});
+BENCHMARK(BM_LinearBiasActSimd)
+    ->Apply(TrainingGemmShapes)
+    ->Args({256, 48, 48})
+    ->Args({256, 256, 256});
 
 // dX += dY * W^T over the caller's transpose of W, into a zeroed dX as
 // the step does.
@@ -762,7 +746,7 @@ BENCHMARK(BM_EmbedGatherSimd)->Arg(512);
 
 // Int8 GEMM over pre-packed weight tiles (the quantized serving engine's
 // layout after Quantize() packs). Packing happens once outside the loop,
-// exactly as in QuantizedLinear; compare against BM_MatMulForwardSimd at
+// exactly as in QuantizedLinear; compare against BM_LinearBiasActSimd at
 // the same shape for the quantization win on top of vectorization. Uses
 // the dispatched (best) table. Args: {m, k, n}.
 void BM_Int8GemmPacked(benchmark::State& state) {

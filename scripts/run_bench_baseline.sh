@@ -20,10 +20,9 @@
 # (the qpe_build_type JSON context / build_type JSON field, stamped from
 # CMAKE_BUILD_TYPE at compile time).
 #
-# Both baselines are portable-build numbers (no -march=native) so they are
-# reproducible on any x86-64 host; configure with -DQPE_NATIVE=ON for
-# arch-specific codegen when benchmarking a specific machine, but do not
-# commit those numbers over the portable baseline.
+# Both baselines are portable-build numbers (no -march=native; the SIMD
+# kernels are picked at run time) so they are reproducible on any x86-64
+# host.
 #
 # Read the *wall-clock* (real_time) column: google-benchmark's cpu_time only
 # measures the main thread, so it under-reports multi-threaded runs. On a

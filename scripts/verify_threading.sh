@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds the library with ThreadSanitizer (-DQPE_SANITIZE=thread) and runs
-# the threading test suite — thread-pool semantics, blocked-vs-naive MatMul
+# the threading test suite — thread-pool semantics, MatMul-vs-reference
 # equivalence, and the threads=1 vs threads=4 bit-exact determinism tests —
 # plus the serving suite (sharded embedding cache under concurrent
 # hit/miss/eviction traffic, EmbeddingService with data-parallel

@@ -20,10 +20,12 @@ enum class Level : int {
 // Kernel dispatch table, one per level, each built by MakeKernels in
 // nn/simd_kernels_inl.h. All kernels operate on raw row-major buffers so
 // every consumer shares them: the autograd ops of the per-plan op-chain
-// oracle (nn/tensor.cc), the packed inference and training engine
+// oracle (nn/tensor.cc, whose MatMul, LinearRowBias and LinearRowBiasRelu
+// all run linear_bias_act), the packed inference and training engine
 // (nn/packed_forward, nn/packed_train), the fused Adam step
 // (nn/optimizer.cc) and int8 calibration and serving (nn/quant.cc,
-// encoder/quantized_encoder.cc).
+// encoder/quantized_encoder.cc). MatMulReference (nn/tensor.h) stays off
+// the table: it is the GEMM oracle the table's linear is tested against.
 //
 // Numerics contract: the float kernels preserve each output element's
 // accumulation order (axpy- and elementwise-shaped loops vectorize across
@@ -43,11 +45,6 @@ struct Kernels {
   Level level = Level::kScalar;
   const char* name = "scalar";
 
-  // out[i0:i1, :] += A[i0:i1, :] * B with A [m,k], B [k,n]: the blocked
-  // MatMul forward micro-kernel. Per output element the k dimension
-  // accumulates in ascending order at every level.
-  void (*matmul_forward_range)(const float* a, const float* b, float* out,
-                               int i0, int i1, int k, int n);
   // out = max(a + bias, 0) over a row-major [m, n] block, bias [n].
   void (*bias_relu)(const float* a, const float* bias, float* out, int m,
                     int n);
@@ -136,17 +133,21 @@ struct Kernels {
   // lanes produce identical int8 for every input).
   void (*quantize_buffer)(const float* x, int n, float inv_scale,
                           int8_t* out);
-  // Fused linear for the packed pipeline: out = act(A * B + bias) with A
-  // [m, k], B [k, n], bias [n]; act is ReLU when `relu` is nonzero. The
-  // accumulators start at zero in registers and the bias/ReLU ride the
-  // GEMM epilogue, so no zero-fill or bias pass touches the output — yet
-  // per output element the value stream (ascending-k mul/add pairs, one
-  // bias add, the `> 0` clamp) is exactly fill + matmul_forward_range +
-  // the bias/bias_relu pass, so every level is bit-identical to that
-  // three-step chain. Vector levels run register tiles of 3 rows x up to
-  // 4 vectors (each B vector load serves 3 rows) and add the aval == 0
-  // products the chain skips: +/-0 added to a sum that starts at +0
-  // changes no bit.
+  // The one forward linear, for the packed pipeline and the op chain's
+  // MatMul / LinearRowBias / LinearRowBiasRelu alike: out = act(A * B +
+  // bias) with A [m, k], B [k, n], bias [n] or null (no bias add); act is
+  // ReLU when `relu` is nonzero. Writes every output element, reading none.
+  // Per output element the value stream is the seed saxpy loop's
+  // (MatMulReference): +0, the ascending-k mul/add pairs with the
+  // aval == 0 terms skipped, then — with a bias — one bias add, then the
+  // `> 0` clamp. Every level is bit-identical to that loop followed by the
+  // bias and bias_relu passes. The scalar table runs it as written. Vector
+  // levels keep the accumulators in registers, with the bias/ReLU in the
+  // GEMM epilogue, in register tiles of 3 rows x up to 4 vectors (each B
+  // vector load serves 3 rows), and add the aval == 0 products the seed
+  // skips: +/-0 added to a sum that starts at +0 changes no bit. That holds
+  // for finite B only: a 0 * inf product puts a NaN where the skip adds
+  // nothing.
   void (*linear_bias_act)(const float* a, const float* b, const float* bias,
                           float* out, int m, int k, int n, int relu);
   // dst[i] += src[i] over n floats (the packed pipeline's residual adds).

@@ -94,112 +94,6 @@ static inline void LayerNormRowStats(const float* __restrict row, int n,
   *recip_out = LayerNormRecip(sq * invn);
 }
 
-// MatMul tile sizes, identical to the pre-SIMD blocked kernel: a
-// [kKC x kNC] panel of B (64 KB) stays resident in L1/L2 while it is
-// streamed against every row of A.
-inline constexpr int kSimdMatMulKC = 64;
-inline constexpr int kSimdMatMulNC = 256;
-
-// out[i0:i1, :] += A[i0:i1, :] * B. Vector levels run register-tiled:
-// each output tile is held in accumulator registers across the whole
-// k-block instead of being streamed through memory on every k step. Per
-// output element this is the exact operation sequence of the original
-// saxpy loop — the same mul-then-add pairs, over the same aval != 0
-// subsequence of k, in the same ascending order; only the intermediate
-// loads/stores of the output row disappear, and those never round. Every
-// level therefore produces the same bits as the pre-SIMD kernel, for
-// every thread count. What the tiling buys is breaking the loop-carried
-// store-to-load dependency the saxpy form had (~10 cycles per k step
-// through the store buffer, vs one add latency per independent
-// accumulator) — on the model's small GEMMs this was the single largest
-// cost in an end-to-end forward. The width-1 scalar policy keeps the
-// original p-outer saxpy shape (same bits again): at one float per
-// "vector" the tiles would walk B column-wise with a sparsity branch per
-// tile instead of per k step, which measured ~1.4x slower than the
-// seed loop it is required to reproduce.
-template <typename V>
-void MatMulForwardRangeT(const float* __restrict av, const float* __restrict bv,
-                         float* __restrict ov, int i0, int i1, int k, int n) {
-  constexpr int L = V::kLanes;
-  for (int p0 = 0; p0 < k; p0 += kSimdMatMulKC) {
-    const int p1 = MinOf(k, p0 + kSimdMatMulKC);
-    for (int j0 = 0; j0 < n; j0 += kSimdMatMulNC) {
-      const int j1 = MinOf(n, j0 + kSimdMatMulNC);
-      for (int i = i0; i < i1; ++i) {
-        const float* __restrict arow = av + static_cast<size_t>(i) * k;
-        float* __restrict orow = ov + static_cast<size_t>(i) * n;
-        if constexpr (L == 1) {
-          for (int p = p0; p < p1; ++p) {
-            const float aval = arow[p];
-            if (aval == 0.0f) continue;  // Relu outputs are often sparse
-            const float* __restrict brow = bv + static_cast<size_t>(p) * n;
-            for (int j = j0; j < j1; ++j) orow[j] += aval * brow[j];
-          }
-          continue;
-        }
-        int j = j0;
-        // 4-vector tiles: 4 independent accumulator chains in flight.
-        for (; j + 4 * L <= j1; j += 4 * L) {
-          auto a0 = V::Load(orow + j);
-          auto a1 = V::Load(orow + j + L);
-          auto a2 = V::Load(orow + j + 2 * L);
-          auto a3 = V::Load(orow + j + 3 * L);
-          for (int p = p0; p < p1; ++p) {
-            const float aval = arow[p];
-            if (aval == 0.0f) continue;  // Relu outputs are often sparse
-            const float* __restrict brow =
-                bv + static_cast<size_t>(p) * n + j;
-            const auto va = V::Broadcast(aval);
-            a0 = V::Add(a0, V::Mul(va, V::Load(brow)));
-            a1 = V::Add(a1, V::Mul(va, V::Load(brow + L)));
-            a2 = V::Add(a2, V::Mul(va, V::Load(brow + 2 * L)));
-            a3 = V::Add(a3, V::Mul(va, V::Load(brow + 3 * L)));
-          }
-          V::Store(orow + j, a0);
-          V::Store(orow + j + L, a1);
-          V::Store(orow + j + 2 * L, a2);
-          V::Store(orow + j + 3 * L, a3);
-        }
-        // 2-vector and 1-vector remainder tiles.
-        for (; j + 2 * L <= j1; j += 2 * L) {
-          auto a0 = V::Load(orow + j);
-          auto a1 = V::Load(orow + j + L);
-          for (int p = p0; p < p1; ++p) {
-            const float aval = arow[p];
-            if (aval == 0.0f) continue;
-            const float* __restrict brow =
-                bv + static_cast<size_t>(p) * n + j;
-            const auto va = V::Broadcast(aval);
-            a0 = V::Add(a0, V::Mul(va, V::Load(brow)));
-            a1 = V::Add(a1, V::Mul(va, V::Load(brow + L)));
-          }
-          V::Store(orow + j, a0);
-          V::Store(orow + j + L, a1);
-        }
-        for (; j + L <= j1; j += L) {
-          auto a0 = V::Load(orow + j);
-          for (int p = p0; p < p1; ++p) {
-            const float aval = arow[p];
-            if (aval == 0.0f) continue;
-            a0 = V::Add(a0, V::Mul(V::Broadcast(aval),
-                                   V::Load(bv + static_cast<size_t>(p) * n + j)));
-          }
-          V::Store(orow + j, a0);
-        }
-        for (; j < j1; ++j) {
-          float acc = orow[j];
-          for (int p = p0; p < p1; ++p) {
-            const float aval = arow[p];
-            if (aval == 0.0f) continue;
-            acc += aval * bv[static_cast<size_t>(p) * n + j];
-          }
-          orow[j] = acc;
-        }
-      }
-    }
-  }
-}
-
 // out = max(a + bias, 0): elementwise, so vector lanes are bit-identical
 // to the scalar loop.
 template <typename V>
@@ -418,42 +312,35 @@ inline void GradRowsT(float* __restrict dst, const float* __restrict src,
 }
 
 
-// Fused linear layer for the packed pipeline: out = act(A * B + bias) with
-// A [m, k], B [k, n], bias [n], act = ReLU when `relu` is nonzero, identity
-// otherwise. Per output element this is the op chain's exact sequence —
-// zero, ascending-k mul/add pairs, one bias add, then bias_relu's `> 0`
-// clamp — but the zero lives in a register instead of a pre-filled buffer
-// and the bias/ReLU ride the GEMM epilogue, so the fused kernel never
-// makes the zero-fill and bias passes over the output. Dropping the
-// k-panel split changes only where intermediate sums sit (registers vs a
-// stored row reloaded exactly), so every level is bit-identical to fill +
-// matmul_forward_range + bias (+ bias_relu's clamp). The vector body runs
-// DotRowsT tiles (3 rows share each B vector load), with the columns past
-// the last whole vector as scalar dots.
+// The one forward linear: out = act(A * B + bias) with A [m, k], B [k, n],
+// bias [n] or null (no bias add), act = ReLU when `relu` is nonzero,
+// identity otherwise. The packed pipeline's GEMM sites and the op chain's
+// MatMul, LinearRowBias and LinearRowBiasRelu all run it. Per output
+// element this is the seed saxpy loop's exact sequence (MatMulReference):
+// +0, the ascending-k mul/add pairs, then one bias add and bias_relu's
+// `> 0` clamp. The vector body keeps the zero in a register and runs the
+// bias/ReLU in the GEMM epilogue, so no zero-fill or bias pass touches the
+// output: DotRowsT tiles (3 rows share each B vector load), with the
+// columns past the last whole vector as scalar dots.
 //
-// Unlike MatMulForwardRangeT, the vector path has no aval == 0 skip: on
-// the ReLU-sparse ff2 input (~50% random zeros) the data-dependent branch
+// Unlike the seed loop, the vector path has no aval == 0 skip: on the
+// ReLU-sparse ff2 input (~50% random zeros) the data-dependent branch
 // mispredicts constantly and measured 3.5x slower than just doing the
 // multiplies. Including the zero products is bit-identical to skipping
-// them here because the accumulator starts at +0 and a round-to-nearest
-// sum that starts at +0 can never become -0 (exact cancellation rounds to
-// +0, and adding a zero of either sign to +0 yields +0) — so every aval ==
-// 0 step adds a +/-0 product to a non-negative-zero accumulator, which
-// never changes a bit. The argument assumes finite B: 0 * inf is NaN
-// where the skip adds nothing, so non-finite weights (a diverged model)
-// may give different NaN placement across levels.
-// matmul_forward_range cannot make that argument (its out is
-// caller-provided and may hold -0), which is one more reason the fused
-// kernel is separate. The width-1 policy keeps the seed's saxpy shape,
-// skip included.
+// them because the accumulator starts at +0 and a round-to-nearest sum
+// that starts at +0 can never become -0 (exact cancellation rounds to +0,
+// and adding a zero of either sign to +0 yields +0) — so every aval == 0
+// step adds a +/-0 product to a non-negative-zero accumulator, which never
+// changes a bit. The argument assumes finite B: 0 * inf is NaN where the
+// skip adds nothing, so non-finite weights (a diverged model) may give
+// different NaN placement across levels. The width-1 policy keeps the
+// seed's saxpy shape, skip included, one output row at a time.
 template <typename V>
 void LinearBiasActT(const float* __restrict av, const float* __restrict bv,
                     const float* __restrict biasv, float* __restrict ov,
                     int m, int k, int n, int relu) {
   constexpr int L = V::kLanes;
   if constexpr (L == 1) {
-    // Width-1 policy: the p-outer saxpy shape of MatMulForwardRangeT (see
-    // the rationale there), then the op chain's bias/ReLU passes.
     for (int i = 0; i < m; ++i) {
       const float* __restrict arow = av + static_cast<size_t>(i) * k;
       float* __restrict orow = ov + static_cast<size_t>(i) * n;
@@ -464,32 +351,40 @@ void LinearBiasActT(const float* __restrict av, const float* __restrict bv,
         const float* __restrict brow = bv + static_cast<size_t>(p) * n;
         for (int j = 0; j < n; ++j) orow[j] += aval * brow[j];
       }
-      if (relu != 0) {
-        for (int j = 0; j < n; ++j) {
-          const float s = orow[j] + biasv[j];
-          orow[j] = s > 0 ? s : 0.0f;
-        }
-      } else {
+      if (biasv != nullptr) {
         for (int j = 0; j < n; ++j) orow[j] += biasv[j];
+      }
+      if (relu != 0) {
+        for (int j = 0; j < n; ++j) orow[j] = orow[j] > 0 ? orow[j] : 0.0f;
       }
     }
     return;
   }
+  // One instantiation of the tiles with the bias add and one without, so
+  // the null test stays out of the tile loops.
   const auto zero = V::Broadcast(0.0f);
-  DotRowsT<V>(av, k, bv, n, k, m, n, [&](int i, int j, typename V::Vec acc) {
-    acc = V::Add(acc, V::Load(biasv + j));
-    if (relu != 0) acc = V::Max(acc, zero);
-    V::Store(ov + static_cast<size_t>(i) * n + j, acc);
-  });
+  auto tiles = [&]<bool kBias>() {
+    DotRowsT<V>(av, k, bv, n, k, m, n,
+                [&](int i, int j, typename V::Vec acc) {
+                  if constexpr (kBias) acc = V::Add(acc, V::Load(biasv + j));
+                  if (relu != 0) acc = V::Max(acc, zero);
+                  V::Store(ov + static_cast<size_t>(i) * n + j, acc);
+                });
+  };
+  if (biasv != nullptr) {
+    tiles.template operator()<true>();
+  } else {
+    tiles.template operator()<false>();
+  }
   for (int i = 0; i < m; ++i) {
     const float* __restrict arow = av + static_cast<size_t>(i) * k;
     float* __restrict orow = ov + static_cast<size_t>(i) * n;
     for (int j = (n / L) * L; j < n; ++j) {
-      float acc = 0.0f;
+      float s = 0.0f;
       for (int p = 0; p < k; ++p) {
-        acc += arow[p] * bv[static_cast<size_t>(p) * n + j];
+        s += arow[p] * bv[static_cast<size_t>(p) * n + j];
       }
-      const float s = acc + biasv[j];
+      if (biasv != nullptr) s += biasv[j];
       orow[j] = (relu != 0 && !(s > 0)) ? 0.0f : s;
     }
   }
@@ -681,11 +576,11 @@ void AttentionForwardPackedT(const float* __restrict qv,
         const float* __restrict qrow =
             qv + static_cast<size_t>(off + i) * dim + col0;
         float* __restrict prow = probs + static_cast<size_t>(i) * len;
-        // Scores q·k, register-tiled over j like MatMulForwardRangeT: the
-        // per-element sum still accumulates ascending c from zero, so the
-        // bits match the old zero-then-axpy form at every level. The
-        // scalar policy keeps the axpy shape (identical bits, better
-        // locality at width 1 — same reasoning as MatMulForwardRangeT).
+        // Scores q·k, register-tiled over j: the per-element sum still
+        // accumulates ascending c from zero, so the bits match the old
+        // zero-then-axpy form at every level. The scalar policy keeps the
+        // axpy shape (identical bits, better locality at width 1 — as in
+        // LinearBiasActT's width-1 body).
         if constexpr (L == 1) {
           for (int j = 0; j < len; ++j) prow[j] = 0.0f;
           for (int c = 0; c < dh; ++c) {
@@ -1154,9 +1049,8 @@ void AttentionForwardBlockedT(const float* __restrict qv,
 // dA[i0:i1, :] += dOut[i0:i1, :] * B^T, reading B transposed: bt [n, k]
 // (the caller transposes once, before splitting rows across threads).
 // The seed closure computes each dA element as one complete ascending-j
-// dot in a register, added to dA once — note this is *not* the forward's
-// accumulate-into-out shape, so the vector path cannot reuse
-// MatMulForwardRangeT. Instead it runs DotRowsT tiles over bt's rows,
+// dot in a register, added to dA once. The vector path runs DotRowsT
+// tiles over bt's rows, as LinearBiasActT does over B's columns, with
 // lanes across the p (dA column) dimension, 3 dA rows sharing each bt
 // vector load: each lane's dot still starts at zero and accumulates
 // ascending j, followed by the one final add, so every level produces the
@@ -1815,7 +1709,6 @@ constexpr Kernels MakeKernels(
   return Kernels{
       .level = level,
       .name = name,
-      .matmul_forward_range = &MatMulForwardRangeT<V>,
       .bias_relu = &BiasReluT<V>,
       .layer_norm_rows = &LayerNormRowsT<V>,
       .attention_forward_packed = &AttentionForwardPackedT<V>,

@@ -272,7 +272,7 @@ GradientCapture::GradientCapture(const std::vector<Tensor>& targets,
 GradientCapture::~GradientCapture() { tl_grad_redirect = previous_; }
 
 // ---------------------------------------------------------------------------
-// MatMul: blocked forward/backward kernels
+// Linear: MatMul, LinearRowBias and LinearRowBiasRelu
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -281,14 +281,20 @@ namespace {
 // costs more than the multiply.
 constexpr int64_t kMatMulParallelFlops = 1 << 17;
 
-// The blocked MatMul forward micro-kernel lives in the SIMD dispatch table
-// (nn/simd.h): out[i0:i1, :] += A[i0:i1, :] * B with the k dimension
-// accumulated in ascending order per output element at every SIMD level,
-// so results are identical for every thread count and instruction set.
-// Tiling constants are kSimdMatMulKC/kSimdMatMulNC in simd_kernels_inl.h.
-inline void MatMulForwardRange(const float* av, const float* bv, float* ov,
-                               int i0, int i1, int k, int n) {
-  simd::K().matmul_forward_range(av, bv, ov, i0, i1, k, n);
+// Runs body(r0, r1) over the rows [0, rows) of one GEMM of `flops` flops:
+// inline below kMatMulParallelFlops, otherwise split across the pool at
+// one row per grain. The one place the linear ops decide to fan out. The
+// kernels it drives compute each output row on its own, in a fixed order,
+// so results are identical for every thread count and split.
+template <typename Body>
+void ForGemmRows(int64_t flops, int rows, const Body& body) {
+  if (flops < kMatMulParallelFlops) {
+    body(0, rows);
+    return;
+  }
+  util::ParallelFor(rows, /*grain=*/1, [&](int64_t r0, int64_t r1) {
+    body(static_cast<int>(r0), static_cast<int>(r1));
+  });
 }
 
 // Per-thread scratch for the dispatch kernels, which allocate nothing
@@ -310,71 +316,104 @@ void MatMulBackwardA(const float* og, const float* bv, float* ag, int m,
   float* bt = KernelScratch(static_cast<size_t>(k) * n);
   RepackHeadsKT(bv, k, n, /*num_heads=*/1, bt);  // one head: B^T
   const simd::Kernels& kern = simd::K();
-  if (2LL * m * k * n < kMatMulParallelFlops) {
-    kern.matmul_backward_a(og, bt, ag, 0, m, k, n);
-    return;
-  }
-  util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
-    kern.matmul_backward_a(og, bt, ag, static_cast<int>(i0),
-                           static_cast<int>(i1), k, n);
+  ForGemmRows(2LL * m * k * n, m, [&](int i0, int i1) {
+    kern.matmul_backward_a(og, bt, ag, i0, i1, k, n);
   });
 }
 
-// dB[p0:p1, :] += (A^T * dOut)[p0:p1, :] as rank-1 row updates with the i
-// dimension accumulated in ascending order per output element regardless
-// of the p partition (MatMulBackwardBT in the dispatch table).
-inline void MatMulBackwardB(const float* av, const float* og, float* bg,
-                            int p0, int p1, int m, int k, int n) {
-  simd::K().matmul_backward_b(av, og, bg, p0, p1, m, k, n);
-}
-
-}  // namespace
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  assert(a.cols() == b.rows());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  Tensor out = Tensor::MakeResult(m, n, {a.impl_, b.impl_});
-  const float* av = a.impl_->value.data();
-  const float* bv = b.impl_->value.data();
-  float* ov = out.impl_->value.data();  // pre-zeroed by MakeResult
+// act(x * w + bias) as one graph node, bias optional: MatMul (no bias),
+// LinearRowBias and LinearRowBiasRelu (relu). The forward is
+// linear_bias_act over row ranges; it writes every output element, so the
+// result skips the zero fill. The backward gates dOut through the ReLU
+// when there is one, then runs dX through MatMulBackwardA and dW through
+// matmul_backward_b (i ascending per element, for any p split).
+Tensor LinearNode(const Tensor& x, const Tensor& w, const Tensor* bias,
+                  bool relu) {
+  assert(x.cols() == w.rows());
+  const int m = x.rows(), k = x.cols(), n = w.cols();
+  assert(bias == nullptr || (bias->rows() == 1 && bias->cols() == n));
+  constexpr Tensor::Fill kFill = Tensor::Fill::kOverwrite;
+  Tensor out =
+      bias == nullptr
+          ? Tensor::MakeResult(m, n, {x.impl_, w.impl_}, kFill)
+          : Tensor::MakeResult(m, n, {x.impl_, w.impl_, bias->impl_}, kFill);
+  const float* xv = x.impl_->value.data();
+  const float* wv = w.impl_->value.data();
+  const float* biasv =
+      bias == nullptr ? nullptr : bias->impl_->value.data();
+  float* ov = out.impl_->value.data();
   const int64_t flops = 2LL * m * k * n;
-  if (flops < kMatMulParallelFlops) {
-    MatMulForwardRange(av, bv, ov, 0, m, k, n);
-  } else {
-    util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
-      MatMulForwardRange(av, bv, ov, static_cast<int>(i0),
-                         static_cast<int>(i1), k, n);
-    });
-  }
+  const simd::Kernels& kern = simd::K();
+  ForGemmRows(flops, m, [&](int i0, int i1) {
+    kern.linear_bias_act(xv + static_cast<size_t>(i0) * k, wv, biasv,
+                         ov + static_cast<size_t>(i0) * n, i1 - i0, k, n,
+                         relu ? 1 : 0);
+  });
   if (out.requires_grad()) {
     // Backward closures capture parent impls as raw pointers: the result's
     // `parents` vector owns them for the closure's whole lifetime, and the
     // smaller capture fits BackwardFn's inline storage.
-    Tensor::Impl* const ai = a.impl_.get();
-    Tensor::Impl* const bi = b.impl_.get();
+    Tensor::Impl* const xi = x.impl_.get();
+    Tensor::Impl* const wi = w.impl_.get();
+    Tensor::Impl* const bi = bias == nullptr ? nullptr : bias->impl_.get();
     Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [ai, bi, oi, m, k, n, flops]() {
+    out.impl_->backward_fn = [xi, wi, bi, oi, m, k, n, flops, relu]() {
+      const simd::Kernels& kern = simd::K();
+      float* bg = bi != nullptr && bi->requires_grad ? GradPtr(bi) : nullptr;
       const float* og = oi->grad.data();
-      if (ai->requires_grad) {
-        float* ag = GradPtr(ai);
-        const float* bv = bi->value.data();
-        MatMulBackwardA(og, bv, ag, m, k, n);
+      if (relu) {
+        // Recover the pre-activation gradient into a zero-filled scratch
+        // by gating dOut on out > 0 (out > 0 iff the pre-activation was
+        // > 0: the GEMM accumulator starts at +0 and IEEE addition only
+        // yields -0 from two -0 operands, so the clamp gates exactly the
+        // <= 0 pre-activations). Clamped entries stay exactly +0 — the
+        // same bits the separate Relu node's input-grad buffer holds in
+        // the chain — and the bias column sums ride the same gated pass in
+        // the chain's ascending row order, so all three gradients match
+        // the LinearRowBias + Relu chain bit for bit.
+        thread_local std::vector<float> d_pre;
+        d_pre.assign(static_cast<size_t>(m) * n, 0.0f);
+        kern.bias_act_backward(oi->value.data(), og, d_pre.data(), bg, m, n);
+        og = d_pre.data();
+        bg = nullptr;
       }
-      if (bi->requires_grad) {
-        float* bg = GradPtr(bi);
-        const float* av = ai->value.data();
-        if (flops < kMatMulParallelFlops) {
-          MatMulBackwardB(av, og, bg, 0, k, m, k, n);
-        } else {
-          util::ParallelFor(k, /*grain=*/1, [&](int64_t p0, int64_t p1) {
-            MatMulBackwardB(av, og, bg, static_cast<int>(p0),
-                            static_cast<int>(p1), m, k, n);
-          });
+      if (xi->requires_grad) {
+        MatMulBackwardA(og, wi->value.data(), GradPtr(xi), m, k, n);
+      }
+      if (wi->requires_grad) {
+        float* wg = GradPtr(wi);
+        const float* xv = xi->value.data();
+        ForGemmRows(flops, k, [&](int p0, int p1) {
+          kern.matmul_backward_b(xv, og, wg, p0, p1, m, k, n);
+        });
+      }
+      if (bg != nullptr) {
+        // Column sums without a ReLU (with one, the gated pass took them):
+        // one add_rows per dOut row keeps the ascending-row accumulation
+        // order per bias element.
+        for (int i = 0; i < m; ++i) {
+          kern.add_rows(bg, og + static_cast<size_t>(i) * n,
+                        static_cast<size_t>(n));
         }
       }
     };
   }
   return out;
+}
+
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  return LinearNode(a, b, /*bias=*/nullptr, /*relu=*/false);
+}
+
+Tensor LinearRowBias(const Tensor& x, const Tensor& w, const Tensor& bias) {
+  return LinearNode(x, w, &bias, /*relu=*/false);
+}
+
+Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w,
+                         const Tensor& bias) {
+  return LinearNode(x, w, &bias, /*relu=*/true);
 }
 
 Tensor MatMulReference(const Tensor& a, const Tensor& b) {
@@ -940,141 +979,12 @@ Tensor CrossEntropy(const Tensor& logits, const std::vector<int>& targets) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused serving kernels
+// Fused kernels
 // ---------------------------------------------------------------------------
 //
-// Contiguous row-major single-pass kernels; the __restrict qualifiers and
-// simple ascending inner loops are what lets the compiler vectorize them
-// (see -DQPE_NATIVE=ON for arch-specific codegen). Forward arithmetic is
-// bit-identical to the op chains they replace — see tensor.h.
-
-Tensor LinearRowBias(const Tensor& x, const Tensor& w, const Tensor& bias) {
-  assert(x.cols() == w.rows());
-  const int m = x.rows(), k = x.cols(), n = w.cols();
-  assert(bias.rows() == 1 && bias.cols() == n);
-  Tensor out = Tensor::MakeResult(m, n, {x.impl_, w.impl_, bias.impl_});
-  const float* xv = x.impl_->value.data();
-  const float* wv = w.impl_->value.data();
-  const float* biasv = bias.impl_->value.data();
-  float* ov = out.impl_->value.data();  // pre-zeroed by MakeResult
-  const int64_t flops = 2LL * m * k * n;
-  if (flops < kMatMulParallelFlops) {
-    MatMulForwardRange(xv, wv, ov, 0, m, k, n);
-  } else {
-    util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
-      MatMulForwardRange(xv, wv, ov, static_cast<int>(i0),
-                         static_cast<int>(i1), k, n);
-    });
-  }
-  // Bias is added after each output element's multiply fully accumulated —
-  // the same order as the Add(MatMul(x, w), bias) chain, so bit-identical.
-  for (int i = 0; i < m; ++i) {
-    float* __restrict orow = ov + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) orow[j] += biasv[j];
-  }
-  if (out.requires_grad()) {
-    Tensor::Impl* const xi = x.impl_.get();
-    Tensor::Impl* const wi = w.impl_.get();
-    Tensor::Impl* const bi = bias.impl_.get();
-    Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [xi, wi, bi, oi, m, k, n, flops]() {
-      const float* og = oi->grad.data();
-      if (xi->requires_grad) {
-        float* xg = GradPtr(xi);
-        const float* wv = wi->value.data();
-        MatMulBackwardA(og, wv, xg, m, k, n);
-      }
-      if (wi->requires_grad) {
-        float* wg = GradPtr(wi);
-        const float* xv = xi->value.data();
-        if (flops < kMatMulParallelFlops) {
-          MatMulBackwardB(xv, og, wg, 0, k, m, k, n);
-        } else {
-          util::ParallelFor(k, /*grain=*/1, [&](int64_t p0, int64_t p1) {
-            MatMulBackwardB(xv, og, wg, static_cast<int>(p0),
-                            static_cast<int>(p1), m, k, n);
-          });
-        }
-      }
-      if (bi->requires_grad) {
-        // Column sums: one add_rows per dOut row keeps the ascending-row
-        // accumulation order per bias element.
-        float* __restrict bg = GradPtr(bi);
-        for (int i = 0; i < m; ++i) {
-          simd::K().add_rows(bg, og + static_cast<size_t>(i) * n,
-                             static_cast<size_t>(n));
-        }
-      }
-    };
-  }
-  return out;
-}
-
-Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w,
-                         const Tensor& bias) {
-  assert(x.cols() == w.rows());
-  const int m = x.rows(), k = x.cols(), n = w.cols();
-  assert(bias.rows() == 1 && bias.cols() == n);
-  Tensor out = Tensor::MakeResult(m, n, {x.impl_, w.impl_, bias.impl_},
-                                  Tensor::Fill::kOverwrite);
-  const float* xv = x.impl_->value.data();
-  const float* wv = w.impl_->value.data();
-  const float* biasv = bias.impl_->value.data();
-  float* ov = out.impl_->value.data();
-  const int64_t flops = 2LL * m * k * n;
-  // linear_bias_act is bit-identical to fill + matmul_forward_range + the
-  // bias_relu pass (see nn/simd.h), and rows are independent, so splitting
-  // the row range across threads keeps LinearRowBias's parallel shape.
-  if (flops < kMatMulParallelFlops) {
-    simd::K().linear_bias_act(xv, wv, biasv, ov, m, k, n, /*relu=*/1);
-  } else {
-    util::ParallelFor(m, /*grain=*/1, [&](int64_t i0, int64_t i1) {
-      simd::K().linear_bias_act(xv + i0 * k, wv, biasv, ov + i0 * n,
-                                static_cast<int>(i1 - i0), k, n, /*relu=*/1);
-    });
-  }
-  if (out.requires_grad()) {
-    Tensor::Impl* const xi = x.impl_.get();
-    Tensor::Impl* const wi = w.impl_.get();
-    Tensor::Impl* const bi = bias.impl_.get();
-    Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [xi, wi, bi, oi, m, k, n, flops]() {
-      // Recover the pre-activation gradient into a zero-filled scratch by
-      // gating dOut on out > 0 (out > 0 iff the pre-activation was > 0:
-      // the GEMM accumulator starts at +0 and IEEE addition only yields
-      // -0 from two -0 operands, so the clamp gates exactly the <= 0
-      // pre-activations). Clamped entries stay exactly +0 — the same bits
-      // the separate Relu node's input-grad buffer held in the chain —
-      // and the bias column sums ride the same gated pass in the chain's
-      // ascending row order, so all three gradients match the
-      // LinearRowBias + Relu chain bit for bit.
-      thread_local std::vector<float> d_pre;
-      d_pre.assign(static_cast<size_t>(m) * n, 0.0f);
-      float* bg = bi->requires_grad ? GradPtr(bi) : nullptr;
-      simd::K().bias_act_backward(oi->value.data(), oi->grad.data(),
-                                  d_pre.data(), bg, m, n);
-      const float* og = d_pre.data();
-      if (xi->requires_grad) {
-        float* xg = GradPtr(xi);
-        const float* wv = wi->value.data();
-        MatMulBackwardA(og, wv, xg, m, k, n);
-      }
-      if (wi->requires_grad) {
-        float* wg = GradPtr(wi);
-        const float* xv = xi->value.data();
-        if (flops < kMatMulParallelFlops) {
-          MatMulBackwardB(xv, og, wg, 0, k, m, k, n);
-        } else {
-          util::ParallelFor(k, /*grain=*/1, [&](int64_t p0, int64_t p1) {
-            MatMulBackwardB(xv, og, wg, static_cast<int>(p0),
-                            static_cast<int>(p1), m, k, n);
-          });
-        }
-      }
-    };
-  }
-  return out;
-}
+// One graph node each for what was an op chain, running a dispatch-table
+// kernel (nn/simd.h). Forward arithmetic is bit-identical to the chains
+// they replace — see tensor.h.
 
 // Row statistics live in simd_kernels_inl.h (simd::LayerNormRowStats): the
 // forward and backward kernels of every SIMD level share one definition so

@@ -185,7 +185,7 @@ class Tensor {
   // How MakeResult prepares the result buffer. kOverwrite skips the zero
   // fill and hands back sized-but-stale storage when the buffer comes from
   // an arena — only valid for ops whose forward writes EVERY element
-  // (accumulating kernels like MatMul must use kZero).
+  // (accumulating kernels like MatMulReference must use kZero).
   enum class Fill { kZero, kOverwrite };
 
   explicit Tensor(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -203,6 +203,14 @@ class Tensor {
 // Namespace-scope declarations of the op set (the in-class friend
 // declarations alone are only found via ADL, which braced-init-list
 // arguments defeat).
+//
+// MatMul: a [m, k] times b [k, n]. It runs the dispatch table's one
+// forward linear (simd linear_bias_act, no bias, no activation), like
+// LinearRowBias and LinearRowBiasRelu below, and the same backward
+// kernels; every output element is the ascending-k sum MatMulReference
+// computes, bit for bit at every SIMD level and thread count (finite b:
+// vector levels multiply the a == 0 terms the reference skips, so a
+// non-finite weight can give NaN where the reference gives a sum).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
@@ -234,27 +242,28 @@ Tensor CrossEntropy(const Tensor& logits, const std::vector<int>& targets);
 // --- Fused kernels ----------------------------------------------------------
 //
 // Single-node forward/backward kernels for the serving hot path. Each one
-// replaces a chain of elementwise ops (and the graph nodes, allocations and
-// memory passes that come with it) by one pass over contiguous rows with
-// restrict-qualified pointers. Forward results are bit-identical to the op
-// chains they replace, so swapping them into a model changes no numbers.
+// replaces a chain of ops (and the graph nodes, allocations and memory
+// passes that come with it) by one dispatch-table kernel. Forward results
+// are bit-identical to the op chains they replace, so swapping them into a
+// model changes no numbers.
 
 // x * w + bias with x [m, k], w [k, n], bias [1, n]: Linear's whole forward
-// as one graph node instead of MatMul followed by a broadcasting Add. The
-// multiply completes before the bias row is added, so values are
-// bit-identical to the Add(MatMul(x, w), bias) chain while saving one graph
-// node, one [m, n] buffer and one full memory pass per Linear layer.
+// as one graph node instead of MatMul followed by a broadcasting Add. It is
+// MatMul's node with the bias added in the GEMM epilogue, after each
+// element's multiply has fully accumulated, so values are bit-identical to
+// Add(MatMulReference(x, w), bias) while saving one graph node, one [m, n]
+// buffer and one full memory pass per Linear layer.
 Tensor LinearRowBias(const Tensor& x, const Tensor& w, const Tensor& bias);
 
-// max(x * w + bias, 0): a whole Linear + ReLU layer as one graph node. The
-// forward runs the packed pipeline's linear_bias_act kernel (GEMM with the
-// bias add and ReLU clamp riding the epilogue), whose contract makes it
-// bit-identical to the LinearRowBias + Relu chain; the backward recovers
-// the pre-activation gradient by gating on the output (out > 0 iff the
-// pre-activation was > 0 — the GEMM accumulator never produces -0) and
-// reuses the matmul/bias backward kernels on it, so gradients match the
-// chain bit for bit too. Saves a graph node, an [m, n] buffer and two full
-// memory passes per hidden MLP layer; the MLP training hot path.
+// max(x * w + bias, 0): a whole Linear + ReLU layer as one graph node — the
+// same node with the ReLU clamp in the epilogue too, bit-identical to
+// Relu(Add(MatMulReference(x, w), bias)). The backward recovers the
+// pre-activation gradient by gating on the output (out > 0 iff the
+// pre-activation was > 0 — the GEMM accumulator never produces -0) and runs
+// the matmul/bias backward kernels on it, so gradients match the
+// LinearRowBias + Relu chain bit for bit too. Saves a graph node, an
+// [m, n] buffer and two full memory passes per hidden MLP layer; the MLP
+// training hot path.
 Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w, const Tensor& bias);
 
 // Row-wise layer normalization: y = (x - mean) / sqrt(var + 1e-5) * gamma
@@ -284,10 +293,13 @@ Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
                                 const std::vector<int>& lengths,
                                 int num_heads, float scale);
 
-// Naive triple-loop matrix multiply (the pre-blocking kernel), kept as the
-// reference implementation for the blocked/tiled MatMul: tests assert
-// forward/backward equivalence and the micro-benchmarks use it as the
-// baseline. Not for production paths.
+// Naive triple-loop matrix multiply (the seed saxpy loop), kept as the
+// oracle of the linear ops: it shares no kernel with them. Tests assert
+// that MatMul, LinearRowBias and LinearRowBiasRelu forwards match it bit
+// for bit and MatMul's backward within tolerance (matmul_backward_a sums
+// each dA element in a register before adding it, the reference adds term
+// by term), and the micro-benchmarks use it as the baseline. Not for
+// production paths.
 Tensor MatMulReference(const Tensor& a, const Tensor& b);
 
 // --- Threading / autograd interaction --------------------------------------

@@ -142,27 +142,6 @@ TEST(SimdDispatchTest, RequestAboveTheCpuResolvesToScalar) {
 // Row/column counts deliberately include 1, 3, 17 and 129: not multiples of
 // any vector width, so every kernel's tail-lane path executes.
 
-TEST(SimdParityTest, MatMulForwardRange) {
-  const Kernels* vec = VectorTable();
-  ASSERT_NE(vec, nullptr);
-  const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
-  util::Rng rng(42);
-  const int shapes[][3] = {{1, 1, 1},   {3, 7, 5},    {17, 48, 33},
-                           {129, 64, 129}, {2, 3, 300}, {5, 129, 17}};
-  for (const auto& s : shapes) {
-    const int m = s[0], k = s[1], n = s[2];
-    std::vector<float> a = RandomVec(static_cast<size_t>(m) * k, &rng);
-    // Sprinkle zeros so the sparsity skip in the kernel is exercised.
-    for (size_t i = 0; i < a.size(); i += 5) a[i] = 0.0f;
-    const std::vector<float> b = RandomVec(static_cast<size_t>(k) * n, &rng);
-    std::vector<float> out_s(static_cast<size_t>(m) * n, 0.0f);
-    std::vector<float> out_v(static_cast<size_t>(m) * n, 0.0f);
-    scalar->matmul_forward_range(a.data(), b.data(), out_s.data(), 0, m, k, n);
-    vec->matmul_forward_range(a.data(), b.data(), out_v.data(), 0, m, k, n);
-    ExpectAllNear(out_s, out_v);
-  }
-}
-
 TEST(SimdParityTest, BiasRelu) {
   const Kernels* vec = VectorTable();
   const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
@@ -317,21 +296,26 @@ TEST(SimdParityTest, LinearBiasActBitExact) {
         const std::vector<float> w =
             RandomVec(static_cast<size_t>(k) * n, &rng);
         const std::vector<float> bias = RandomVec(n, &rng);
-        for (int relu : {0, 1}) {
-          // Both outputs start as NaN: every element must be written.
-          std::vector<float> y_s(static_cast<size_t>(m) * n, std::nanf(""));
-          std::vector<float> y_v = y_s;
-          scalar->linear_bias_act(x.data(), w.data(), bias.data(),
-                                  y_s.data(), m, k, n, relu);
-          const std::vector<int> cuts = SplitPoints(m);
-          for (size_t c = 0; c + 1 < cuts.size(); ++c) {
-            const size_t i0 = cuts[c];
-            vec->linear_bias_act(x.data() + i0 * k, w.data(), bias.data(),
-                                 y_v.data() + i0 * n, cuts[c + 1] - cuts[c],
-                                 k, n, relu);
+        // MatMul passes no bias and no ReLU.
+        const float* const biases[] = {bias.data(), nullptr};
+        for (const float* b : biases) {
+          for (int relu : {0, 1}) {
+            // Both outputs start as NaN: every element must be written.
+            std::vector<float> y_s(static_cast<size_t>(m) * n,
+                                   std::nanf(""));
+            std::vector<float> y_v = y_s;
+            scalar->linear_bias_act(x.data(), w.data(), b, y_s.data(), m, k,
+                                    n, relu);
+            const std::vector<int> cuts = SplitPoints(m);
+            for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+              const size_t i0 = cuts[c];
+              vec->linear_bias_act(x.data() + i0 * k, w.data(), b,
+                                   y_v.data() + i0 * n,
+                                   cuts[c + 1] - cuts[c], k, n, relu);
+            }
+            ASSERT_NO_FATAL_FAILURE(ExpectBitsEqual(
+                y_s, y_v, relu ? "linear relu" : "linear", m, k, n));
           }
-          ASSERT_NO_FATAL_FAILURE(ExpectBitsEqual(
-              y_s, y_v, relu ? "linear relu" : "linear", m, k, n));
         }
       }
     }
@@ -675,17 +659,25 @@ TEST(SimdParityTest, DispatchedOpsBitIdenticalScalarVsVector) {
 
 // --- LinearRowBias ----------------------------------------------------------
 
+// The forward oracle is the chain over MatMulReference, which shares no
+// kernel with the fused node (MatMul runs the node's own linear_bias_act),
+// at the forced scalar level and at the hardware level.
 TEST(LinearRowBiasTest, ForwardBitIdenticalToChain) {
+  SimdLevelGuard guard;
   util::Rng rng(49);
   const nn::Tensor x = nn::Tensor::Xavier(13, 29, &rng);
   const nn::Tensor w = nn::Tensor::Xavier(29, 11, &rng);
   const nn::Tensor bias = nn::Tensor::Xavier(1, 11, &rng);
-  const nn::Tensor fused = LinearRowBias(x, w, bias);
-  const nn::Tensor chain = Add(MatMul(x, w), bias);
-  ASSERT_EQ(fused.rows(), chain.rows());
-  ASSERT_EQ(fused.cols(), chain.cols());
-  for (int i = 0; i < fused.numel(); ++i) {
-    ASSERT_EQ(fused.value()[i], chain.value()[i]) << "index " << i;
+  const nn::Tensor chain = Add(MatMulReference(x, w), bias);
+  for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+    nn::simd::ForceLevel(level);
+    const nn::Tensor fused = LinearRowBias(x, w, bias);
+    ASSERT_EQ(fused.rows(), chain.rows());
+    ASSERT_EQ(fused.cols(), chain.cols());
+    for (int i = 0; i < fused.numel(); ++i) {
+      ASSERT_EQ(fused.value()[i], chain.value()[i])
+          << nn::simd::LevelName(level) << " index " << i;
+    }
   }
 }
 
@@ -716,16 +708,21 @@ TEST(LinearRowBiasTest, BackwardMatchesChain) {
 // --- LinearRowBiasRelu ------------------------------------------------------
 
 TEST(LinearRowBiasReluTest, ForwardBitIdenticalToChain) {
+  SimdLevelGuard guard;
   util::Rng rng(57);
   const nn::Tensor x = nn::Tensor::Xavier(13, 29, &rng);
   const nn::Tensor w = nn::Tensor::Xavier(29, 11, &rng);
   const nn::Tensor bias = nn::Tensor::Xavier(1, 11, &rng);
-  const nn::Tensor fused = LinearRowBiasRelu(x, w, bias);
-  const nn::Tensor chain = Relu(Add(MatMul(x, w), bias));
-  ASSERT_EQ(fused.rows(), chain.rows());
-  ASSERT_EQ(fused.cols(), chain.cols());
-  for (int i = 0; i < fused.numel(); ++i) {
-    ASSERT_EQ(fused.value()[i], chain.value()[i]) << "index " << i;
+  const nn::Tensor chain = Relu(Add(MatMulReference(x, w), bias));
+  for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+    nn::simd::ForceLevel(level);
+    const nn::Tensor fused = LinearRowBiasRelu(x, w, bias);
+    ASSERT_EQ(fused.rows(), chain.rows());
+    ASSERT_EQ(fused.cols(), chain.cols());
+    for (int i = 0; i < fused.numel(); ++i) {
+      ASSERT_EQ(fused.value()[i], chain.value()[i])
+          << nn::simd::LevelName(level) << " index " << i;
+    }
   }
 }
 

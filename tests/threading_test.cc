@@ -1,11 +1,13 @@
 // Tests for the parallel compute layer: the thread pool itself, the
-// autograd/threading primitives (GradientCapture, NoGradGuard), the blocked
-// MatMul kernels against the naive reference, and — most importantly — the
+// autograd/threading primitives (GradientCapture, NoGradGuard), MatMul
+// against the naive reference kernel, and — most importantly — the
 // determinism contract: every parallel path must produce identical results
 // for threads=1 and threads=N given the same seed.
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
 #include "nn/parallel.h"
+#include "nn/simd.h"
 #include "nn/tensor.h"
 #include "simdb/workload_runner.h"
 #include "simdb/workloads.h"
@@ -154,45 +157,73 @@ TEST(ParallelGradientStepTest, MatchesSequentialAccumulation) {
   for (int i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(w.grad()[i], expected[i]);
 }
 
-// --- Blocked MatMul vs the naive reference kernel --------------------------
+// --- MatMul vs the naive reference kernel ---------------------------------
+//
+// MatMulReference is the seed saxpy loop and shares no code with MatMul,
+// which runs the dispatch table's linear_bias_act. The forward must match
+// it bit for bit at the forced scalar level and at the hardware level, at
+// 1 and 4 threads. A holds +0 and -0 entries (and one all-zero row), which
+// the reference skips and the vector levels multiply; B holds -0 entries.
+// The backward is checked within tolerance: matmul_backward_a sums each dA
+// element in a register before adding it, the reference term by term.
+
+uint32_t Bits(float v) {
+  uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
 
 void CheckMatMulAgainstReference(int m, int k, int n, int threads) {
-  ThreadCountGuard guard(threads);
   util::Rng rng(static_cast<uint64_t>(m * 10007 + k * 101 + n));
   std::vector<float> a_data(static_cast<size_t>(m) * k);
   std::vector<float> b_data(static_cast<size_t>(k) * n);
   for (float& v : a_data) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
   for (float& v : b_data) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  // Sprinkle zeros so the sparsity fast path is exercised too.
   for (size_t i = 0; i < a_data.size(); i += 7) a_data[i] = 0.0f;
+  for (size_t i = 3; i < a_data.size(); i += 7) a_data[i] = -0.0f;
+  for (size_t i = 2; i < b_data.size(); i += 5) b_data[i] = -0.0f;
+  if (m > 1) {
+    const size_t row = static_cast<size_t>(m / 2) * k;
+    for (int p = 0; p < k; ++p) a_data[row + p] = p % 2 ? -0.0f : 0.0f;
+  }
 
-  nn::Tensor a1 = nn::Tensor::FromVector(m, k, a_data, true);
-  nn::Tensor b1 = nn::Tensor::FromVector(k, n, b_data, true);
   nn::Tensor a2 = nn::Tensor::FromVector(m, k, a_data, true);
   nn::Tensor b2 = nn::Tensor::FromVector(k, n, b_data, true);
-
-  const nn::Tensor out_blocked = MatMul(a1, b1);
   const nn::Tensor out_ref = MatMulReference(a2, b2);
-  ASSERT_EQ(out_blocked.rows(), m);
-  ASSERT_EQ(out_blocked.cols(), n);
-  for (int i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(out_blocked.value()[i], out_ref.value()[i],
-                1e-5 * (std::abs(out_ref.value()[i]) + 1.0))
-        << "forward mismatch at " << i;
-  }
-
-  // Non-uniform upstream gradient so transpose bugs cannot cancel out.
-  Sum(Square(out_blocked)).Backward();
   Sum(Square(out_ref)).Backward();
-  for (int i = 0; i < m * k; ++i) {
-    EXPECT_NEAR(a1.grad()[i], a2.grad()[i],
-                1e-4 * (std::abs(a2.grad()[i]) + 1.0))
-        << "dA mismatch at " << i;
-  }
-  for (int i = 0; i < k * n; ++i) {
-    EXPECT_NEAR(b1.grad()[i], b2.grad()[i],
-                1e-4 * (std::abs(b2.grad()[i]) + 1.0))
-        << "dB mismatch at " << i;
+
+  struct RestoreLevel {
+    nn::simd::Level saved = nn::simd::ActiveLevel();
+    ~RestoreLevel() { nn::simd::ForceLevel(saved); }
+  } restore;
+  for (const nn::simd::Level level :
+       {nn::simd::Level::kScalar, nn::simd::HardwareLevel()}) {
+    SCOPED_TRACE(nn::simd::LevelName(level));
+    nn::simd::ForceLevel(level);
+    ThreadCountGuard guard(threads);
+    nn::Tensor a1 = nn::Tensor::FromVector(m, k, a_data, true);
+    nn::Tensor b1 = nn::Tensor::FromVector(k, n, b_data, true);
+    const nn::Tensor out = MatMul(a1, b1);
+    ASSERT_EQ(out.rows(), m);
+    ASSERT_EQ(out.cols(), n);
+    for (int i = 0; i < m * n; ++i) {
+      ASSERT_EQ(Bits(out.value()[i]), Bits(out_ref.value()[i]))
+          << "forward mismatch at " << i << ": " << out.value()[i] << " vs "
+          << out_ref.value()[i];
+    }
+
+    // Non-uniform upstream gradient so transpose bugs cannot cancel out.
+    Sum(Square(out)).Backward();
+    for (int i = 0; i < m * k; ++i) {
+      EXPECT_NEAR(a1.grad()[i], a2.grad()[i],
+                  1e-4 * (std::abs(a2.grad()[i]) + 1.0))
+          << "dA mismatch at " << i;
+    }
+    for (int i = 0; i < k * n; ++i) {
+      EXPECT_NEAR(b1.grad()[i], b2.grad()[i],
+                  1e-4 * (std::abs(b2.grad()[i]) + 1.0))
+          << "dB mismatch at " << i;
+    }
   }
 }
 
@@ -203,14 +234,29 @@ TEST(MatMulEquivalenceTest, SmallNonSquareSingleThread) {
 
 TEST(MatMulEquivalenceTest, LargeAboveParallelThreshold) {
   // 2*64*130*70 flops crosses the parallel dispatch threshold, so the
-  // blocked kernels actually fan out to the pool here.
-  CheckMatMulAgainstReference(64, 130, 70, 4);
-  CheckMatMulAgainstReference(70, 64, 130, 4);
+  // kernels actually fan out to the pool at 4 threads.
+  for (const int threads : {1, 4}) {
+    CheckMatMulAgainstReference(64, 130, 70, threads);
+    CheckMatMulAgainstReference(70, 64, 130, threads);
+  }
 }
 
 TEST(MatMulEquivalenceTest, VectorShapes) {
   CheckMatMulAgainstReference(1, 48, 48, 1);   // row vector times matrix
   CheckMatMulAgainstReference(48, 48, 1, 4);   // matrix times column vector
+}
+
+// Widths that are not multiples of any vector width, so every row-tile
+// remainder, column-tile branch and scalar tail runs; 129 x 64 x 129
+// crosses the parallel threshold.
+TEST(MatMulEquivalenceTest, OddShapes) {
+  const int shapes[][3] = {{1, 1, 1},      {3, 7, 5},   {17, 48, 33},
+                           {129, 64, 129}, {2, 3, 300}, {5, 129, 17}};
+  for (const auto& s : shapes) {
+    for (const int threads : {1, 4}) {
+      CheckMatMulAgainstReference(s[0], s[1], s[2], threads);
+    }
+  }
 }
 
 TEST(MatMulDeterminismTest, ThreadCountInvariant) {
