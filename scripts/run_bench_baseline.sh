@@ -5,8 +5,8 @@
 # scalar vs dispatched SIMD kernels — the training step's three GEMMs
 # among them, and the layer norm and blocked attention at ragged
 # serve_cold-like shapes (BM_LayerNormRows, BM_AttentionBlockedRagged) —
-# the packed int8 GEMM, and full
-# training steps at 1 vs 4 threads) into BENCH_micro.json, then
+# the packed int8 GEMM, full training steps at 1 vs 4 threads, and the
+# Smatch hill climber that labels PPSR pairs) into BENCH_micro.json, then
 # builds bench_serving and records the end-to-end serving numbers
 # (per-plan vs batched vs warm-cache plans/sec, request latency
 # percentiles) into BENCH_serving.json at the repo root.
@@ -46,7 +46,7 @@ cmake --build "${BUILD_DIR}" --target bench_micro bench_serving -j"$(nproc)"
 # file cuts its size by ~4x (per-repetition rows added ~4.7k lines of
 # diff per re-record and carry no information the gate uses).
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_ParsePlanNode|BM_FingerprintPlan|BM_MatMul|BM_LinearBiasAct|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_AttentionPacked|BM_AttentionBlocked|BM_AttentionCls|BM_AttentionBackward|BM_EmbedGather|BM_Int8GemmPacked' \
+  --benchmark_filter='BM_ParsePlanNode|BM_FingerprintPlan|BM_MatMul|BM_LinearBiasAct|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_AttentionPacked|BM_AttentionBlocked|BM_AttentionCls|BM_AttentionBackward|BM_EmbedGather|BM_Int8GemmPacked|BM_SmatchScore' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \

@@ -17,6 +17,7 @@
 #include "util/bytes.h"
 #include "util/durable_file.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace qpe::drift {
 
@@ -104,7 +105,9 @@ util::StatusOr<std::vector<std::string>> LoadSlice(const std::string& dir) {
 }
 
 // Deterministic PPSR pairs over the slice: a pure function of (plans,
-// manifest) — the heart of the bit-exact resume guarantee.
+// manifest) — the heart of the bit-exact resume guarantee. The pairs are
+// built in order (that consumes the manifest RNG); the Smatch labels draw
+// nothing from it, so they are computed in parallel, one task per pair.
 std::vector<data::PlanPair> BuildSlicePairs(
     const std::vector<std::unique_ptr<plan::PlanNode>>& plans,
     const Manifest& manifest) {
@@ -116,19 +119,18 @@ std::vector<data::PlanPair> BuildSlicePairs(
   pairs.reserve(manifest.pairs);
   for (uint32_t p = 0; p < manifest.pairs; ++p) {
     const int i = static_cast<int>(rng.UniformInt(0, n - 1));
-    std::unique_ptr<plan::PlanNode> left = plans[i]->Clone();
-    std::unique_ptr<plan::PlanNode> right;
-    if (rng.Bernoulli(manifest.related_fraction)) {
-      right = generator.Mutate(*plans[i], /*mutation_rate=*/0.2);
-    } else {
-      right = plans[rng.UniformInt(0, n - 1)]->Clone();
-    }
     data::PlanPair pair;
-    pair.smatch = smatch::Score(*left, *right).f1;
-    pair.left = std::move(left);
-    pair.right = std::move(right);
+    pair.left = plans[i]->Clone();
+    if (rng.Bernoulli(manifest.related_fraction)) {
+      pair.right = generator.Mutate(*plans[i], /*mutation_rate=*/0.2);
+    } else {
+      pair.right = plans[rng.UniformInt(0, n - 1)]->Clone();
+    }
     pairs.push_back(std::move(pair));
   }
+  util::ParallelRun(static_cast<int>(pairs.size()), [&](int p) {
+    pairs[p].smatch = smatch::Score(*pairs[p].left, *pairs[p].right).f1;
+  });
   return pairs;
 }
 

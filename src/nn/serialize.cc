@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -101,6 +102,12 @@ util::Status StageModule(Module* module, util::PayloadReader& reader,
     if (s = reader.Bytes(values.data(), values.size() * sizeof(float), "data");
         !s.ok()) {
       return InTensor(s, i, name);
+    }
+    for (size_t k = 0; k < values.size(); ++k) {
+      if (!std::isfinite(values[k])) {
+        return util::DataLossError("tensor '" + name + "' holds a non-finite " +
+                                   "value at element " + std::to_string(k));
+      }
     }
   }
   return util::OkStatus();

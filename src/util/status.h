@@ -63,9 +63,6 @@ inline Status FailedPreconditionError(std::string message) {
 inline Status IoError(std::string message) {
   return Status(StatusCode::kIo, std::move(message));
 }
-inline Status InternalError(std::string message) {
-  return Status(StatusCode::kInternal, std::move(message));
-}
 
 // Minimal StatusOr: holds a value iff status().ok(). value() on a non-OK
 // StatusOr asserts in debug builds and returns a default-constructed T

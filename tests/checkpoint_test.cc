@@ -11,6 +11,7 @@
 #include <new>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -335,6 +336,29 @@ TEST(CheckpointTest, CorruptionMatrixFailsCleanly) {
 
   std::remove(corrupt_path.c_str());
   std::remove(saved.path.c_str());
+}
+
+// A CRC-valid checkpoint whose module holds one Inf weight is refused
+// during staging, naming the tensor, and leaves the destination untouched.
+TEST(CheckpointTest, NonFiniteWeightRejectedWithoutMutation) {
+  const std::string path = TempPath("qpe_ckpt_inf.ckpt");
+  Victim source;
+  auto named = source.model.NamedParameters();
+  named[0].second.value()[0] = std::numeric_limits<float>::infinity();
+  ASSERT_TRUE(SaveTrainingCheckpoint(path, source.model, source.optimizer,
+                                     TrainingState{})
+                  .ok());
+
+  Victim victim;
+  const auto values_before = AllValues(victim.model);
+  TrainingState state;
+  const util::Status s =
+      LoadTrainingCheckpoint(path, &victim.model, &victim.optimizer, &state);
+  EXPECT_EQ(s.code(), util::StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find(named[0].first), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(AllValues(victim.model), values_before);
+  std::remove(path.c_str());
 }
 
 // A checkpoint for a different architecture must be rejected without

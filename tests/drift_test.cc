@@ -47,6 +47,7 @@
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/socket.h"
+#include "util/thread_pool.h"
 
 namespace qpe {
 namespace {
@@ -493,6 +494,33 @@ TEST_F(AdaptationTest, AbortedRoundResumesBitExactly) {
 
   drift::ClearAdaptation(dir_full);
   drift::ClearAdaptation(dir_cut);
+}
+
+TEST_F(AdaptationTest, SliceLabelsAreThreadCountInvariant) {
+  // The slice pairs are labelled in parallel; the round must still be a
+  // pure function of (slice, manifest): same pairs, same labels, same
+  // weights at 1 and 4 threads.
+  const std::vector<std::string> slice = RandomPlanTexts(12, 33);
+  auto run = [&](int threads, const char* tag) {
+    util::SetMaxThreads(threads);
+    const std::string dir = TestDir(tag);
+    drift::ClearAdaptation(dir);
+    drift::AdaptationConfig config = Config(dir);
+    config.pairs = 24;
+    auto result = drift::RunAdaptation(base_, slice, config);
+    util::SetMaxThreads(0);
+    drift::ClearAdaptation(dir);
+    return result;
+  };
+  auto one = run(1, "adapt_threads1");
+  auto four = run(4, "adapt_threads4");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_TRUE(four.ok()) << four.status().ToString();
+  ASSERT_NE(one->encoder, nullptr);
+  ASSERT_NE(four->encoder, nullptr);
+  EXPECT_EQ(one->final_loss, four->final_loss);
+  EXPECT_EQ(serve::ModelFingerprint(*one->encoder),
+            serve::ModelFingerprint(*four->encoder));
 }
 
 TEST_F(AdaptationTest, EmptySliceIsRejectedBeforeAnyStateIsWritten) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -143,6 +144,25 @@ TEST(SerializeTest, ShapeMismatchRejected) {
   std::string buffer;
   SaveModule(source, &buffer);
   EXPECT_FALSE(LoadModuleStatus(&wrong, buffer).ok());
+}
+
+TEST(SerializeTest, NonFiniteWeightRejectedWithoutMutation) {
+  util::Rng rng(11);
+  Mlp source({3, 8, 2}, Activation::kRelu, Activation::kNone, &rng);
+  Mlp dest({3, 8, 2}, Activation::kRelu, Activation::kNone, &rng);
+  source.NamedParameters()[2].second.value()[5] =
+      std::numeric_limits<float>::infinity();
+  std::string buffer;
+  SaveModule(source, &buffer);
+  std::string before;
+  SaveModule(dest, &before);
+  const util::Status s = LoadModuleStatus(&dest, buffer);
+  EXPECT_EQ(s.code(), util::StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("layer1.weight"), std::string::npos)
+      << s.ToString();
+  std::string after;
+  SaveModule(dest, &after);
+  EXPECT_EQ(after, before);
 }
 
 TEST(SerializeTest, CopyParameters) {

@@ -1,5 +1,8 @@
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
+#include "data/plan_corpus.h"
 #include "gtest/gtest.h"
 #include "plan/plan_node.h"
 #include "plan/taxonomy.h"
@@ -152,6 +155,131 @@ TEST(SmatchTest, EmptyRightPlanGivesZero) {
   FlatPlan empty;
   const SmatchScore score = Score(Flatten(*a), empty);
   EXPECT_DOUBLE_EQ(score.f1, 0.0);
+}
+
+// --- Golden regression sweep -------------------------------------------------
+//
+// Smatch labels supervise the structure encoder, so every PPSR dataset and
+// trained model depends on the hill climber making exactly the same moves.
+// These values were recorded from the original hash-set implementation; any
+// change in move order, tie-breaking, the improvement test or the restart
+// RNG draws changes them. A truncated climb (2 passes) is included because
+// its result depends on which move each pass picks, not only on the optimum
+// the climbs converge to.
+
+struct GoldenPair {
+  int left_nodes = 0;
+  int right_nodes = 0;
+  int ab = 0;         // Score(a, b).matched_triples
+  int ba = 0;         // Score(b, a).matched_triples
+  int truncated = 0;  // Score(a, b, {restarts = 2, max_passes = 2})
+  int exact = -1;     // ScoreExact(a, b) when both sides have <= 8 nodes
+};
+
+std::unique_ptr<PlanNode> GeneratePlan(util::Rng* rng, int min_nodes,
+                                       int max_nodes) {
+  data::CorpusOptions options;
+  options.min_nodes = min_nodes;
+  options.max_nodes = max_nodes;
+  data::RandomPlanGenerator generator(rng->Fork(), options);
+  return generator.Generate();
+}
+
+// 520 pairs: mostly 2-60 nodes, every 8th 60-140, every 65th 150-200; half
+// the pairs relate the right side to the left by relabelling.
+std::vector<GoldenPair> GoldenSweep(uint64_t* digest) {
+  util::Rng rng(2026);
+  std::vector<GoldenPair> out;
+  uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  auto f1_bits = [](double f1) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &f1, sizeof(bits));
+    return bits;
+  };
+  for (int k = 0; k < 520; ++k) {
+    int lo = 2, hi = 60;
+    if (k % 65 == 64) {
+      lo = 150, hi = 196;
+    } else if (k % 8 == 7) {
+      lo = 60, hi = 136;
+    }
+    const int size = static_cast<int>(rng.UniformInt(lo, hi));
+    const auto a = GeneratePlan(&rng, size, size + 4);
+    std::unique_ptr<PlanNode> b;
+    if (rng.Bernoulli(0.5)) {
+      data::RandomPlanGenerator mutator(rng.Fork());
+      b = mutator.Mutate(*a, rng.Uniform(0.05, 0.5));
+    } else {
+      const int other = static_cast<int>(rng.UniformInt(lo, hi));
+      b = GeneratePlan(&rng, other, other + 4);
+    }
+    const SmatchScore ab = Score(*a, *b);
+    const SmatchScore ba = Score(*b, *a);
+    SmatchOptions truncated_options;
+    truncated_options.restarts = 2;
+    truncated_options.max_passes = 2;
+    truncated_options.seed = static_cast<uint64_t>(k);
+    GoldenPair pair;
+    pair.left_nodes = a->NumNodes();
+    pair.right_nodes = b->NumNodes();
+    pair.ab = ab.matched_triples;
+    pair.ba = ba.matched_triples;
+    pair.truncated = Score(*a, *b, truncated_options).matched_triples;
+    if (pair.left_nodes <= 8 && pair.right_nodes <= 8) {
+      pair.exact = ScoreExact(*a, *b).matched_triples;
+    }
+    for (int v : {pair.left_nodes, pair.right_nodes, pair.ab, pair.ba,
+                  pair.truncated, pair.exact}) {
+      mix(static_cast<uint64_t>(static_cast<int64_t>(v)));
+    }
+    mix(f1_bits(ab.f1));
+    mix(f1_bits(ba.f1));
+    out.push_back(pair);
+  }
+  *digest = h;
+  return out;
+}
+
+TEST(SmatchGoldenTest, SweepMatchesRecordedLabels) {
+  uint64_t digest = 0;
+  const std::vector<GoldenPair> sweep = GoldenSweep(&digest);
+  ASSERT_EQ(sweep.size(), 520u);
+  int exact_pairs = 0, max_nodes = 0;
+  for (const GoldenPair& p : sweep) {
+    if (p.exact >= 0) {
+      ++exact_pairs;
+      EXPECT_LE(p.ab, p.exact);
+    }
+    max_nodes = std::max({max_nodes, p.left_nodes, p.right_nodes});
+  }
+  EXPECT_EQ(exact_pairs, 20);
+  EXPECT_EQ(max_nodes, 197);
+  // {left nodes, right nodes, ab, ba, truncated, exact} of a few pairs.
+  const struct {
+    int k;
+    GoldenPair want;
+  } kSpelled[] = {
+      {0, {59, 6, 19, 19, 18, -1}},       {1, {41, 49, 115, 115, 108, -1}},
+      {2, {31, 42, 90, 90, 83, -1}},      {3, {5, 5, 17, 17, 17, 17}},
+      {7, {90, 90, 329, 329, 277, -1}},   {64, {178, 178, 616, 616, 548, -1}},
+      {519, {176, 176, 563, 563, 508, -1}},
+  };
+  for (const auto& [k, want] : kSpelled) {
+    const GoldenPair& got = sweep[k];
+    EXPECT_EQ(got.left_nodes, want.left_nodes) << "pair " << k;
+    EXPECT_EQ(got.right_nodes, want.right_nodes) << "pair " << k;
+    EXPECT_EQ(got.ab, want.ab) << "pair " << k;
+    EXPECT_EQ(got.ba, want.ba) << "pair " << k;
+    EXPECT_EQ(got.truncated, want.truncated) << "pair " << k;
+    EXPECT_EQ(got.exact, want.exact) << "pair " << k;
+  }
+  EXPECT_EQ(digest, 0x76804e46e12192beULL);
 }
 
 // Property sweep: restarts should never decrease the score.
