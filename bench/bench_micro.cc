@@ -769,13 +769,12 @@ void BM_Int8GemmPacked(benchmark::State& state) {
   }
   std::vector<int16_t> packed(qpe::nn::simd::Int8PackedSize(k, n));
   qpe::nn::simd::PackInt8WeightTiles(b.data(), k, n, packed.data());
-  const std::vector<float> a_scale(m, 0.01f);
   const std::vector<float> b_scale(n, 0.02f);
   const std::vector<float> bias = RandomBuffer(n, 41);
   std::vector<float> c(static_cast<size_t>(m) * n);
   for (auto _ : state) {
     kern.int8_gemm_packed(a.data(), packed.data(), c.data(), m, k, n,
-                          a_scale.data(), b_scale.data(), bias.data());
+                          0.01f, b_scale.data(), bias.data(), /*relu=*/0);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);

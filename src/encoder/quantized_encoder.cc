@@ -4,7 +4,6 @@
 
 #include "nn/arena.h"
 #include "nn/packed_forward.h"
-#include "nn/simd.h"
 
 namespace qpe::encoder {
 
@@ -108,32 +107,25 @@ std::vector<nn::Tensor> QuantizedPlanEncoder::EncodeBatch(
   int last_site = -1;
   const float* last_x = nullptr;
   int last_m = 0, last_in = 0;
-  auto int8_linear = [&](int site, const float* x, int m, int in, int out,
-                         float* y, bool relu) {
+  auto int8_linear = [&](int site, const float* x, int m, int in,
+                         [[maybe_unused]] int out, float* y, bool relu) {
     assert(sites_[site].in_features() == in &&
            sites_[site].out_features() == out);
     const bool reuse_qx =
         site == last_site + 1 && (site % 6 == 1 || site % 6 == 2) &&
         x == last_x && m == last_m && in == last_in &&
         sites_[site].input_scale() == sites_[last_site].input_scale();
+    // ff1's activation (relu) runs in the GEMM epilogue: the op chain's
+    // exact `> 0` clamp. wk and wv, the only sites that reuse, are linear.
     if (reuse_qx) {
-      sites_[site].ForwardPrequantized(m, y, ws.qx, &ws.row_scale);
+      sites_[site].ForwardPrequantized(m, y, ws.qx);
     } else {
-      sites_[site].Forward(x, m, y, &ws.qx, &ws.row_scale);
+      sites_[site].Forward(x, m, y, &ws.qx, relu);
     }
     last_site = site;
     last_x = x;
     last_m = m;
     last_in = in;
-    if (relu) {
-      // The engine delegates ff1's activation to the callback. bias_relu
-      // with a zero bias is the op chain's exact `> 0` clamp: adding +0.0f
-      // maps -0 to +0 and the clamp does the same, so every element comes
-      // out bit-identical to the plain scalar sweep — vectorized.
-      static thread_local std::vector<float> zeros;
-      if (zeros.size() < static_cast<size_t>(out)) zeros.resize(out, 0.0f);
-      nn::simd::K().bias_relu(y, zeros.data(), y, m, out);
-    }
   };
   const float* cls = nn::PackedEncodeForward(view_, ws, int8_linear);
   // Result tensors escape to the caller: construct them outside any active

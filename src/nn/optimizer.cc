@@ -44,51 +44,6 @@ util::Status Optimizer::ValidateState(const OptimizerState& state,
   return util::OkStatus();
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ > 0) {
-    velocity_.reserve(params_.size());
-    for (const Tensor& p : params_) {
-      velocity_.emplace_back(p.numel(), 0.0f);
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor p = params_[i];
-    std::vector<float>& value = p.value();
-    const std::vector<float>& grad = p.grad();
-    if (momentum_ > 0) {
-      std::vector<float>& vel = velocity_[i];
-      for (size_t j = 0; j < value.size(); ++j) {
-        vel[j] = momentum_ * vel[j] + grad[j];
-        value[j] -= lr_ * vel[j];
-      }
-    } else {
-      for (size_t j = 0; j < value.size(); ++j) {
-        value[j] -= lr_ * grad[j];
-      }
-    }
-  }
-}
-
-OptimizerState Sgd::ExportState() const {
-  OptimizerState state;
-  state.kind = "sgd";
-  if (momentum_ > 0) state.slots = {velocity_};
-  return state;
-}
-
-util::Status Sgd::ImportState(const OptimizerState& state) {
-  const size_t expected_slots = momentum_ > 0 ? 1 : 0;
-  if (util::Status s = ValidateState(state, "sgd", expected_slots); !s.ok()) {
-    return s;
-  }
-  if (momentum_ > 0) velocity_ = state.slots[0];
-  return util::OkStatus();
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps)
     : Optimizer(std::move(params)),

@@ -10,10 +10,11 @@
 
 namespace qpe::nn {
 
-// Serializable snapshot of an optimizer's mutable state. `kind` guards
-// against restoring, say, Adam moments into an Sgd; `slots` is one vector
-// of per-parameter buffers per state kind (Sgd momentum: {velocity};
-// Adam: {m, v}). Checkpoint/resume round-trips this bit-exactly.
+// Serializable snapshot of an optimizer's mutable state. `kind` names the
+// optimizer that exported it ("adam"), so a checkpoint from another
+// optimizer is refused rather than misread; `slots` is one vector of
+// per-parameter buffers per state kind (Adam: {m, v}). Checkpoint/resume
+// round-trips this bit-exactly.
 struct OptimizerState {
   std::string kind;
   int64_t step_count = 0;
@@ -46,23 +47,6 @@ class Optimizer {
                              size_t expected_slots) const;
 
   std::vector<Tensor> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-  OptimizerState ExportState() const override;
-  util::Status ImportState(const OptimizerState& state) override;
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
 };
 
 // Adam with the bias-corrected update of Kingma & Ba. Step() runs a fused

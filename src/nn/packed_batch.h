@@ -68,7 +68,7 @@ struct PackedRefs {
 // All buffers grow to the high-water batch shape and then persist, so a
 // steady-state micro-batch touches the heap zero times: the packer reuses
 // the id columns and layout vectors, the engine reuses the activation
-// matrices, and the quantized GEMM reuses the qx/row_scale scratch.
+// matrices, and the quantized GEMM reuses the qx scratch.
 //
 // One instance per thread via ThreadLocal(); nothing here is shared.
 class PackedBatch {
@@ -92,7 +92,6 @@ class PackedBatch {
 
   // --- quantized-linear scratch (QuantizedLinear::Forward) ---
   std::vector<int8_t> qx;
-  std::vector<float> row_scale;
 
   // Model view the fp32 encoder binds per call (the quantized encoder
   // carries its own stable view instead).

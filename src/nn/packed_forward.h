@@ -73,10 +73,11 @@ struct Fp32Linear {
 // x, m, in, out, y, relu)`; sites are layer-major wq, wk, wv, wo, ff1, ff2,
 // then the projection at num_layers * 6. `relu` is true exactly for the
 // ff1 site — the callback owns the activation so a fused implementation
-// (simd linear_bias_act) can apply it in the GEMM epilogue; implementations
-// must reproduce the bias_relu kernel's `> 0` clamp bit for bit. Returns a
-// pointer into ws (ws.cls or ws.proj) holding the [num_seqs, output_dim]
-// result — valid until the workspace's next use.
+// (simd linear_bias_act, int8_gemm_packed) can apply it in the GEMM
+// epilogue; implementations must reproduce the op chain's `> 0 ? y : 0`
+// clamp bit for bit. Returns a pointer into ws (ws.cls or ws.proj) holding
+// the [num_seqs, output_dim] result — valid until the workspace's next
+// use.
 //
 // Four callers share it: fp32 inference, int8 inference, the int8
 // calibration tap, and the recording training step, the one caller that

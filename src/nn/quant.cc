@@ -78,11 +78,9 @@ QuantizedLinear QuantizedLinear::FromLinear(const Tensor& weight,
 
 void QuantizedLinear::Forward(const float* x, int m, float* y,
                               std::vector<int8_t>* qx_scratch,
-                              std::vector<float>* row_scale_scratch) const {
+                              bool relu) const {
   assert(in_ > 0 && out_ > 0);
   const float inv = 1.0f / input_scale_;
-  // Static per-tensor activation scale: every row shares input_scale_.
-  row_scale_scratch->assign(static_cast<size_t>(m), input_scale_);
   const auto& kern = simd::K();
   // Activations quantized into [m, k_pad] rows with zeroed k tails (the
   // padding contributes exact zeros to the integer dots).
@@ -97,19 +95,17 @@ void QuantizedLinear::Forward(const float* x, int m, float* y,
     }
   }
   kern.int8_gemm_packed(qx_scratch->data(), packed_tiles_.data(), y, m, in_,
-                        out_, row_scale_scratch->data(), weight_scale_.data(),
-                        bias_.data());
+                        out_, input_scale_, weight_scale_.data(),
+                        bias_.data(), relu ? 1 : 0);
 }
 
 void QuantizedLinear::ForwardPrequantized(
-    int m, float* y, const std::vector<int8_t>& qx_scratch,
-    std::vector<float>* row_scale_scratch) const {
+    int m, float* y, const std::vector<int8_t>& qx_scratch) const {
   assert(in_ > 0 && out_ > 0);
-  row_scale_scratch->assign(static_cast<size_t>(m), input_scale_);
   assert(qx_scratch.size() == static_cast<size_t>(m) * k_pad_);
   simd::K().int8_gemm_packed(qx_scratch.data(), packed_tiles_.data(), y, m,
-                             in_, out_, row_scale_scratch->data(),
-                             weight_scale_.data(), bias_.data());
+                             in_, out_, input_scale_, weight_scale_.data(),
+                             bias_.data(), /*relu=*/0);
 }
 
 }  // namespace qpe::nn

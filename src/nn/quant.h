@@ -22,9 +22,9 @@ namespace qpe::nn {
 //
 // The matmul itself runs in int8 x int8 -> int32 over pre-packed weight
 // tiles (simd::Kernels::int8_gemm_packed, exact integer accumulation,
-// bit-identical across SIMD levels), and the
-// int32 result is rescaled to float by input_scale * weight_scale[channel]
-// before the float bias is added.
+// bit-identical across SIMD levels). Its epilogue rescales each int32
+// total to float by the one input_scale, then weight_scale[channel], adds
+// the float bias and, for a ReLU layer, clamps at zero.
 
 // Smallest representable scale: guards against absmax == 0 (a dead channel
 // or an all-zero calibration set) producing inf/NaN on dequantize.
@@ -68,14 +68,14 @@ class QuantizedLinear {
   static QuantizedLinear FromLinear(const Tensor& weight, const Tensor& bias,
                                     float input_scale);
 
-  // y[m, out] = dequant(int8gemm(quant(x), W)) + bias, with x [m, in]
-  // row-major. `qx_scratch` holds the quantized activations between calls
-  // (resized as needed); passing the same scratch across calls makes the
-  // hot loop allocation-free once warm. Thread-safe for concurrent callers
-  // with distinct scratch buffers.
+  // y[m, out] = act(dequant(int8gemm(quant(x), W)) + bias), with x
+  // [m, in] row-major and act the `> 0` clamp when `relu` is set (the
+  // ff1 site), identity otherwise. `qx_scratch` holds the quantized
+  // activations between calls (resized as needed); passing the same
+  // scratch across calls makes the hot loop allocation-free once warm.
+  // Thread-safe for concurrent callers with distinct scratch buffers.
   void Forward(const float* x, int m, float* y,
-               std::vector<int8_t>* qx_scratch,
-               std::vector<float>* row_scale_scratch) const;
+               std::vector<int8_t>* qx_scratch, bool relu) const;
 
   // Forward over activations a previous Forward already quantized into
   // `qx_scratch` — valid only when that call saw the same x, m, and an
@@ -83,10 +83,9 @@ class QuantizedLinear {
   // produce are bit-identical, so skipping the quantize pass cannot change
   // the result). The packed engine's q/k/v projections share one
   // calibrated input, which makes two of their three quantize passes
-  // redundant.
+  // redundant. No activation: those sites are linear.
   void ForwardPrequantized(int m, float* y,
-                           const std::vector<int8_t>& qx_scratch,
-                           std::vector<float>* row_scale_scratch) const;
+                           const std::vector<int8_t>& qx_scratch) const;
 
   int in_features() const { return in_; }
   int out_features() const { return out_; }

@@ -40,15 +40,50 @@ struct ScalarOps {
   static Vec Mul(Vec a, Vec b) { return a * b; }
   static Vec Div(Vec a, Vec b) { return a / b; }
   static Vec Max(Vec a, Vec b) { return a < b ? b : a; }
+  static Vec Min(Vec a, Vec b) { return b < a ? b : a; }
+  static Vec Trunc(Vec v) { return std::trunc(v); }
+  static Vec CopySign(Vec mag, Vec sgn) { return std::copysign(mag, sgn); }
+  static void StoreI8(int8_t* p, Vec v) { *p = static_cast<int8_t>(v); }
   static Vec Sqrt(Vec v) { return std::sqrt(v); }
   static float HMax(Vec v) { return v; }
   // std::exp, not a polynomial: the scalar table is the seed-bit-exact
   // reference, so its exp must be the libm call the pre-SIMD code made.
   static Vec Exp(Vec v) { return std::exp(v); }
+
+  // Int8 GEMM steps: one int32 sum per accumulator, the 16 products added
+  // in ascending order.
+  struct VecI16 {
+    int16_t v[kInt8TileK];
+  };
+  using AccI32 = int32_t;
+  static VecI16 WidenI8(const int8_t* p) {
+    VecI16 r;
+    for (int kk = 0; kk < kInt8TileK; ++kk) r.v[kk] = p[kk];
+    return r;
+  }
+  static VecI16 LoadI16(const int16_t* p) {
+    VecI16 r;
+    for (int kk = 0; kk < kInt8TileK; ++kk) r.v[kk] = p[kk];
+    return r;
+  }
+  static AccI32 ZeroI32() { return 0; }
+  static AccI32 MaddI16(AccI32 acc, const VecI16& a, const VecI16& b) {
+    for (int kk = 0; kk < kInt8TileK; ++kk) {
+      acc += static_cast<int32_t>(a.v[kk]) * static_cast<int32_t>(b.v[kk]);
+    }
+    return acc;
+  }
+  static void FoldSums4(AccI32 a0, AccI32 a1, AccI32 a2, AccI32 a3,
+                        int32_t* sums) {
+    sums[0] = a0;
+    sums[1] = a1;
+    sums[2] = a2;
+    sums[3] = a3;
+  }
 };
 
-constexpr Kernels kScalarTable = MakeKernels<ScalarOps>(
-    Level::kScalar, "scalar", &Int8GemmPackedRef, &QuantizeBufferRef);
+constexpr Kernels kScalarTable =
+    MakeKernels<ScalarOps>(Level::kScalar, "scalar");
 
 Level DetectHardwareLevel() {
 #if defined(QPE_HAVE_AVX2)

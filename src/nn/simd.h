@@ -45,9 +45,6 @@ struct Kernels {
   Level level = Level::kScalar;
   const char* name = "scalar";
 
-  // out = max(a + bias, 0) over a row-major [m, n] block, bias [n].
-  void (*bias_relu)(const float* a, const float* bias, float* out, int m,
-                    int n);
   // Row-wise layer norm: y = ((x - mean) * recip) * gamma + beta. The row
   // statistics keep the scalar chains (mean and variance summed in
   // ascending column order, then the clamped sqrt/log/exp reciprocal), so
@@ -111,22 +108,26 @@ struct Kernels {
                                 int num_seqs, int num_heads, int total_rows,
                                 int dim, float scale, float* probs);
   // Quantized GEMM with int32 accumulation over pre-packed weight tiles:
-  //   c[i, j] = dot(a[i, :], w[j, :]) * a_scale[i] * b_scale[j] + bias[j]
+  //   c[i, j] = act(dot(a[i, :], w[j, :]) * a_scale * b_scale[j] + bias[j])
   // where w [n][k] is the channel-major int8 weight matrix that
-  // PackInt8WeightTiles turned into bp; bias may be null. bp holds
-  // kInt8TileN output channels x kInt8TileK k-steps per tile in the exact
-  // order the micro-kernel consumes, zero-padded in both dimensions and
-  // pre-sign-extended to int16 — the values are still int8-range, but
-  // widening them once at pack time removes the per-step sign-extension
-  // shuffles from the hot loop (on AVX2 that was 4 of the 5 shuffles per
-  // k-block). a is [m, Int8PackedKPad(k)] row-major int8 with the k tail
-  // of every row zeroed by the caller. The padded entries contribute exact
+  // PackInt8WeightTiles turned into bp; a_scale is the one static
+  // activation scale every row shares; bias may be null (no bias add);
+  // act is the ReLU `> 0` clamp when `relu` is nonzero (the int8 ff1
+  // site), identity otherwise. bp holds kInt8TileN output channels x
+  // kInt8TileK k-steps per tile in the exact order the kernel consumes,
+  // zero-padded in both dimensions and pre-sign-extended to int16 — the
+  // values are still int8-range, but widening them once at pack time
+  // removes the per-step sign extension of the weight side from the hot
+  // loop. a is [m, Int8PackedKPad(k)] row-major int8 with the k tail of
+  // every row zeroed by the caller. The padded entries contribute exact
   // zeros and integer accumulation is exact, so the result is
-  // bit-identical to a plain int32 dot loop over the unpacked operands, at
-  // every level.
+  // bit-identical, at every level, to a plain int32 dot loop over the
+  // unpacked operands followed by ((total * a_scale) * b_scale[j]),
+  // + bias[j] and the clamp.
   void (*int8_gemm_packed)(const int8_t* a, const int16_t* bp, float* c,
-                           int m, int k, int n, const float* a_scale,
-                           const float* b_scale, const float* bias);
+                           int m, int k, int n, float a_scale,
+                           const float* b_scale, const float* bias,
+                           int relu);
   // Quantizes n floats with one shared scale: round to nearest, ties away
   // from zero, saturating to [-127, 127] (the QuantizeValue contract, as
   // trunc(t + copysign(0.5, t)) — exact IEEE ops, so scalar and vector
@@ -140,8 +141,9 @@ struct Kernels {
   // Per output element the value stream is the seed saxpy loop's
   // (MatMulReference): +0, the ascending-k mul/add pairs with the
   // aval == 0 terms skipped, then — with a bias — one bias add, then the
-  // `> 0` clamp. Every level is bit-identical to that loop followed by the
-  // bias and bias_relu passes. The scalar table runs it as written. Vector
+  // `> 0` clamp. Every level is bit-identical to that loop followed by a
+  // bias pass and a `> 0 ? y : 0` pass. The scalar table runs it as
+  // written. Vector
   // levels keep the accumulators in registers, with the bias/ReLU in the
   // GEMM epilogue, in register tiles of 3 rows x up to 4 vectors (each B
   // vector load serves 3 rows), and add the aval == 0 products the seed
@@ -186,8 +188,9 @@ struct Kernels {
   // changes no bit (finite dOut assumed; see MatMulBackwardBT).
   void (*matmul_backward_b)(const float* av, const float* og, float* bg,
                             int p0, int p1, int m, int k, int n);
-  // Backward of bias_relu: for elements where the forward output ov was
-  // > 0, ag[r, c] += og[r, c] and bg[c] += og[r, c]; gated elements are
+  // Backward of a bias add and ReLU (linear_bias_act with a bias and
+  // relu set): for elements where the forward output ov was > 0,
+  // ag[r, c] += og[r, c] and bg[c] += og[r, c]; gated elements are
   // untouched. ag / bg may be null to skip that gradient. bg accumulates
   // rows in ascending order per column at every level.
   void (*bias_act_backward)(const float* ov, const float* og, float* ag,

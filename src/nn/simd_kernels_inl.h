@@ -3,13 +3,14 @@
 
 // Kernel bodies shared by every SIMD level, and MakeKernels (at the end),
 // which binds them into a simd::Kernels table. Each instruction set
-// provides a small vector-ops policy (lane count, load/store/broadcast,
-// mul/add/max, horizontal max) plus its int8 GEMM and quantizer, and builds
-// its table with one MakeKernels call: nn/simd.cc for the scalar policy,
-// simd_avx2.cc / simd_neon.cc for the vector ones. One body per kernel and
-// one binding per entry keep the three tables in lockstep: a numerics fix
-// lands in all of them at once. Adding a kernel is a field in simd.h, a
-// body here and one line in MakeKernels.
+// provides a small ops policy (lane count, float load/store/broadcast,
+// arithmetic, min/max, horizontal max, and the few integer and rounding
+// steps of the int8 kernels) and builds its table with one MakeKernels
+// call: nn/simd.cc for the scalar policy, simd_avx2.cc / simd_neon.cc for
+// the vector ones. One body per kernel and one binding per entry keep the
+// three tables in lockstep: a numerics fix lands in all of them at once.
+// Adding a kernel is a field in simd.h, a body here and one line in
+// MakeKernels.
 //
 // Exactness discipline (see simd.h): loops vectorize only across
 // independent output lanes. Reductions (row sums, exp sums, dot products)
@@ -92,29 +93,6 @@ static inline void LayerNormRowStats(const float* __restrict row, int n,
   }
   *mean_out = mean;
   *recip_out = LayerNormRecip(sq * invn);
-}
-
-// out = max(a + bias, 0): elementwise, so vector lanes are bit-identical
-// to the scalar loop.
-template <typename V>
-void BiasReluT(const float* __restrict av, const float* __restrict bv,
-               float* __restrict ov, int m, int n) {
-  constexpr int L = V::kLanes;
-  const int nv = (n / L) * L;
-  const auto zero = V::Broadcast(0.0f);
-  for (int r = 0; r < m; ++r) {
-    const float* __restrict arow = av + static_cast<size_t>(r) * n;
-    float* __restrict orow = ov + static_cast<size_t>(r) * n;
-    int c = 0;
-    for (; c < nv; c += L) {
-      V::Store(orow + c,
-               V::Max(V::Add(V::Load(arow + c), V::Load(bv + c)), zero));
-    }
-    for (; c < n; ++c) {
-      const float s = arow[c] + bv[c];
-      orow[c] = s > 0 ? s : 0.0f;
-    }
-  }
 }
 
 // --- Register tiles ------------------------------------------------------
@@ -317,7 +295,7 @@ inline void GradRowsT(float* __restrict dst, const float* __restrict src,
 // identity otherwise. The packed pipeline's GEMM sites and the op chain's
 // MatMul, LinearRowBias and LinearRowBiasRelu all run it. Per output
 // element this is the seed saxpy loop's exact sequence (MatMulReference):
-// +0, the ascending-k mul/add pairs, then one bias add and bias_relu's
+// +0, the ascending-k mul/add pairs, then one bias add and the ReLU's
 // `> 0` clamp. The vector body keeps the zero in a register and runs the
 // bias/ReLU in the GEMM epilogue, so no zero-fill or bias pass touches the
 // output: DotRowsT tiles (3 rows share each B vector load), with the
@@ -1119,9 +1097,9 @@ void MatMulBackwardBT(const float* __restrict av, const float* __restrict og,
   }
 }
 
-// Backward of bias_relu, gated on the forward *output* (ov > 0 iff the
-// pre-activation was > 0). The vector path turns the branch into a mask:
-// gated lanes contribute And(og, 0) == +0, and adding +/-0 to a grad
+// Backward of a bias add and ReLU, gated on the forward *output* (ov > 0
+// iff the pre-activation was > 0). The vector path turns the branch into a
+// mask: gated lanes contribute And(og, 0) == +0, and adding +/-0 to a grad
 // element never changes its bits (grad buffers are never -0, see the
 // header note above) — so the masked add is bit-identical to the seed's
 // skip. bg accumulates rows in ascending order per column either way.
@@ -1649,74 +1627,130 @@ static inline int8_t QuantizeOneRef(float x, float inv_scale) {
   return static_cast<int8_t>(r);
 }
 
-static inline void QuantizeBufferRef(const float* x, int n,
-                                     float inv_scale, int8_t* out) {
-  for (int i = 0; i < n; ++i) out[i] = QuantizeOneRef(x[i], inv_scale);
+// quantize_buffer: QuantizeOneRef's sequence lane for lane. Scale,
+// V::CopySign(0.5, t), add, V::Trunc, clamp to [-127, 127] with V::Min and
+// V::Max, then V::StoreI8 narrows the L integral floats to int8. Each step
+// is an exact IEEE op, so every lane gives QuantizeOneRef's int8; the
+// elements past the last whole vector run QuantizeOneRef itself.
+template <typename V>
+void QuantizeBufferT(const float* __restrict x, int n, float inv_scale,
+                     int8_t* __restrict out) {
+  constexpr int L = V::kLanes;
+  const auto vs = V::Broadcast(inv_scale);
+  const auto half = V::Broadcast(0.5f);
+  const auto hi = V::Broadcast(127.0f);
+  const auto lo = V::Broadcast(-127.0f);
+  int i = 0;
+  for (; i + L <= n; i += L) {
+    const auto t = V::Mul(V::Load(x + i), vs);
+    const auto r = V::Trunc(V::Add(t, V::CopySign(half, t)));
+    V::StoreI8(out + i, V::Max(V::Min(r, hi), lo));
+  }
+  for (; i < n; ++i) out[i] = QuantizeOneRef(x[i], inv_scale);
 }
 
-// Reference walk of the packed int8 tile layout (see simd.h). Integer
-// accumulation is exact in any order, so this is the bit-exactness anchor
-// for the vector micro-kernels — and, because the padding contributes
-// exact zeros, equal to a plain int32 dot loop on the unpacked operands.
-static inline void Int8GemmPackedRef(const int8_t* a, const int16_t* bp,
-                                     float* c, int m, int k, int n,
-                                     const float* a_scale,
-                                     const float* b_scale, const float* bias) {
+// int8_gemm_packed over the PackInt8WeightTiles layout, one activation row
+// per pass. The policy's integer steps: V::WidenI8 loads 16 int8 values
+// sign-extended to a V::VecI16, V::LoadI16 loads 16 int16 values,
+// V::MaddI16 adds the 16 products a[kk] * b[kk] into a V::AccI32 of int32
+// partial sums, and V::FoldSums4 adds four accumulators up into four int32
+// totals. Per tile, each 16-value activation block is widened once and
+// multiplied against the tile's kInt8TileN channel rows, one accumulator
+// per channel, folded once at tile end. Integer sums are exact in any
+// grouping, so every level gets the totals of a plain int32 dot loop over
+// the unpacked operands (the zero padding adds exact zeros).
+//
+// The totals of up to kChunkTiles tiles wait in a stack tile, and the
+// epilogue dequantizes them together, L channels per vector:
+// (total * a_scale) * b_scale[j], then + bias[j], then, when relu is set,
+// the `> 0` clamp as a compare mask (And(GtZero(y), y) is y where y > 0
+// and +0 elsewhere, the bits of `y > 0 ? y : 0`). The channels past the
+// last whole vector run the same ops as scalars, so the bits match at
+// every level.
+template <typename V>
+void Int8GemmPackedT(const int8_t* __restrict a,
+                     const int16_t* __restrict bp, float* __restrict c,
+                     int m, int k, int n, float a_scale,
+                     const float* __restrict b_scale,
+                     const float* __restrict bias, int relu) {
+  constexpr int L = V::kLanes;
+  constexpr int kTile = kInt8TileN * kInt8TileK;
+  // 64 channels: the encoder's 48- and 96-wide sites take one or two
+  // epilogue passes per row, from 512 bytes of stack.
+  constexpr int kChunkTiles = 16;
+  constexpr int kChunk = kChunkTiles * kInt8TileN;
   const int kp = Int8PackedKPad(k);
   const int kb = kp / kInt8TileK;
   const int tiles = (n + kInt8TileN - 1) / kInt8TileN;
   for (int i = 0; i < m; ++i) {
-    const int8_t* arow = a + static_cast<size_t>(i) * kp;
-    float* crow = c + static_cast<size_t>(i) * n;
-    const float as = a_scale[i];
-    for (int t = 0; t < tiles; ++t) {
-      const int16_t* btile =
-          bp + static_cast<size_t>(t) * kb * (kInt8TileN * kInt8TileK);
-      int32_t acc[kInt8TileN] = {0, 0, 0, 0};
-      for (int b = 0; b < kb; ++b) {
-        const int8_t* ab = arow + b * kInt8TileK;
-        for (int ch = 0; ch < kInt8TileN; ++ch) {
-          const int16_t* bb =
-              btile + (static_cast<size_t>(b) * kInt8TileN + ch) * kInt8TileK;
-          int32_t sum = acc[ch];
-          for (int kk = 0; kk < kInt8TileK; ++kk) {
-            sum += static_cast<int32_t>(ab[kk]) * static_cast<int32_t>(bb[kk]);
-          }
-          acc[ch] = sum;
+    const int8_t* __restrict arow = a + static_cast<size_t>(i) * kp;
+    float* __restrict crow = c + static_cast<size_t>(i) * n;
+    for (int t0 = 0; t0 < tiles; t0 += kChunkTiles) {
+      const int t1 = MinOf(tiles, t0 + kChunkTiles);
+      int32_t sums[kChunk];
+      for (int t = t0; t < t1; ++t) {
+        const int16_t* __restrict btile =
+            bp + static_cast<size_t>(t) * kb * kTile;
+        auto acc0 = V::ZeroI32();
+        auto acc1 = V::ZeroI32();
+        auto acc2 = V::ZeroI32();
+        auto acc3 = V::ZeroI32();
+        for (int b = 0; b < kb; ++b) {
+          const auto a16 = V::WidenI8(arow + b * kInt8TileK);
+          const int16_t* __restrict bb =
+              btile + static_cast<size_t>(b) * kTile;
+          acc0 = V::MaddI16(acc0, a16, V::LoadI16(bb));
+          acc1 = V::MaddI16(acc1, a16, V::LoadI16(bb + kInt8TileK));
+          acc2 = V::MaddI16(acc2, a16, V::LoadI16(bb + 2 * kInt8TileK));
+          acc3 = V::MaddI16(acc3, a16, V::LoadI16(bb + 3 * kInt8TileK));
+        }
+        V::FoldSums4(acc0, acc1, acc2, acc3,
+                     sums + (t - t0) * kInt8TileN);
+      }
+      const int j0 = t0 * kInt8TileN;
+      const int nc = MinOf(n, t1 * kInt8TileN) - j0;
+      float totals[kChunk];
+      for (int ch = 0; ch < nc; ++ch) {
+        totals[ch] = static_cast<float>(sums[ch]);
+      }
+      const float* __restrict bs = b_scale + j0;
+      float* __restrict out = crow + j0;
+      int ch = 0;
+      if constexpr (L > 1) {
+        const auto vas = V::Broadcast(a_scale);
+        for (; ch + L <= nc; ch += L) {
+          auto y =
+              V::Mul(V::Mul(V::Load(totals + ch), vas), V::Load(bs + ch));
+          if (bias != nullptr) y = V::Add(y, V::Load(bias + j0 + ch));
+          if (relu != 0) y = V::And(V::GtZero(y), y);
+          V::Store(out + ch, y);
         }
       }
-      for (int ch = 0; ch < kInt8TileN; ++ch) {
-        const int j = t * kInt8TileN + ch;
-        if (j >= n) break;
-        float y = static_cast<float>(acc[ch]) * as * b_scale[j];
-        if (bias != nullptr) y += bias[j];
-        crow[j] = y;
+      for (; ch < nc; ++ch) {
+        float y = totals[ch] * a_scale * bs[ch];
+        if (bias != nullptr) y += bias[j0 + ch];
+        out[ch] = (relu != 0 && !(y > 0)) ? 0.0f : y;
       }
     }
   }
 }
 
-// The kernel table of one level: every generic entry bound straight to
-// its kernel body instantiated with the level's policy V, plus the level's
-// own int8 GEMM and quantizer (integer and rounding code that does not fit
-// the float policy). Each ISA translation unit builds its table with one
-// call, so every level binds the same bodies to the same entries.
+// The kernel table of one level: every entry bound straight to its kernel
+// body instantiated with the level's policy V. Each ISA translation unit
+// builds its table with one call, so every level binds the same bodies to
+// the same entries.
 template <typename V>
-constexpr Kernels MakeKernels(
-    Level level, const char* name,
-    decltype(Kernels::int8_gemm_packed) int8_gemm_packed,
-    decltype(Kernels::quantize_buffer) quantize_buffer) {
+constexpr Kernels MakeKernels(Level level, const char* name) {
   return Kernels{
       .level = level,
       .name = name,
-      .bias_relu = &BiasReluT<V>,
       .layer_norm_rows = &LayerNormRowsT<V>,
       .attention_forward_packed = &AttentionForwardPackedT<V>,
       .embed_gather_add = &EmbedGatherAddT<V>,
       .attention_forward_blocked = &AttentionForwardBlockedT<V>,
       .attention_cls_blocked = &AttentionForwardBlockedT<V, true>,
-      .int8_gemm_packed = int8_gemm_packed,
-      .quantize_buffer = quantize_buffer,
+      .int8_gemm_packed = &Int8GemmPackedT<V>,
+      .quantize_buffer = &QuantizeBufferT<V>,
       .linear_bias_act = &LinearBiasActT<V>,
       .add_rows = &AddRowsT<V>,
       .matmul_backward_a = &MatMulBackwardAT<V>,

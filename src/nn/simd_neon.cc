@@ -1,7 +1,8 @@
-// NEON (AdvSIMD) kernel table, compiled only on aarch64. The TU is built
-// with -ffp-contract=off and uses explicit vmulq/vaddq pairs — never
-// vmlaq/vfmaq — so the vector lanes stay bit-identical to the scalar
-// reference kernels.
+// NEON (AdvSIMD) kernel table: the NeonOps policy and its one MakeKernels
+// line (the kernel bodies are in simd_kernels_inl.h). Compiled only on
+// aarch64. The TU is built with -ffp-contract=off and the float steps use
+// explicit vmulq/vaddq pairs — never vmlaq/vfmaq — so the vector lanes
+// stay bit-identical to the scalar reference kernels.
 
 #if defined(QPE_HAVE_NEON)
 
@@ -25,6 +26,28 @@ struct NeonOps {
   static Vec Mul(Vec a, Vec b) { return vmulq_f32(a, b); }
   static Vec Div(Vec a, Vec b) { return vdivq_f32(a, b); }
   static Vec Max(Vec a, Vec b) { return vmaxq_f32(a, b); }
+  static Vec Min(Vec a, Vec b) { return vminq_f32(a, b); }
+  // Rounds toward zero; exact, the bits of truncf per lane.
+  static Vec Trunc(Vec v) { return vrndq_f32(v); }
+  // copysign(mag, sgn) for a mag whose sign bit is clear: ORs in sgn's
+  // sign bit.
+  static Vec CopySign(Vec mag, Vec sgn) {
+    return vreinterpretq_f32_u32(
+        vorrq_u32(vandq_u32(vreinterpretq_u32_f32(sgn),
+                            vdupq_n_u32(0x80000000u)),
+                  vreinterpretq_u32_f32(mag)));
+  }
+  // Stores the 4 lanes, integral values in [-127, 127], as int8: convert
+  // (exact on integral values), then two narrows, which the range keeps
+  // exact.
+  static void StoreI8(int8_t* p, Vec v) {
+    const int16x4_t q16 = vmovn_s32(vcvtq_s32_f32(v));
+    const int8x8_t q8 = vmovn_s16(vcombine_s16(q16, q16));
+    p[0] = vget_lane_s8(q8, 0);
+    p[1] = vget_lane_s8(q8, 1);
+    p[2] = vget_lane_s8(q8, 2);
+    p[3] = vget_lane_s8(q8, 3);
+  }
   // Correctly rounded per IEEE 754, same bits as scalar sqrtf per lane.
   static Vec Sqrt(Vec v) { return vsqrtq_f32(v); }
   static float HMax(Vec v) { return vmaxvq_f32(v); }
@@ -58,106 +81,38 @@ struct NeonOps {
         vshlq_n_s32(vaddq_s32(vcvtnq_s32_f32(n), vdupq_n_s32(127)), 23);
     return vmulq_f32(p, vreinterpretq_f32_s32(pow2));
   }
+
+  // Int8 GEMM steps: 16 int16 values are a pair of int16x8_t, and
+  // vmlal_s16 multiplies 4 pairs at a time, accumulating straight into 4
+  // int32 lanes. The weights were widened to int16 at pack time, so only
+  // the activation side is sign-extended here.
+  using VecI16 = int16x8x2_t;
+  using AccI32 = int32x4_t;
+  static VecI16 WidenI8(const int8_t* p) {
+    const int8x16_t v = vld1q_s8(p);
+    return {{vmovl_s8(vget_low_s8(v)), vmovl_s8(vget_high_s8(v))}};
+  }
+  static VecI16 LoadI16(const int16_t* p) {
+    return {{vld1q_s16(p), vld1q_s16(p + 8)}};
+  }
+  static AccI32 ZeroI32() { return vdupq_n_s32(0); }
+  static AccI32 MaddI16(AccI32 acc, VecI16 a, VecI16 b) {
+    acc = vmlal_s16(acc, vget_low_s16(a.val[0]), vget_low_s16(b.val[0]));
+    acc = vmlal_s16(acc, vget_high_s16(a.val[0]), vget_high_s16(b.val[0]));
+    acc = vmlal_s16(acc, vget_low_s16(a.val[1]), vget_low_s16(b.val[1]));
+    acc = vmlal_s16(acc, vget_high_s16(a.val[1]), vget_high_s16(b.val[1]));
+    return acc;
+  }
+  static void FoldSums4(AccI32 a0, AccI32 a1, AccI32 a2, AccI32 a3,
+                        int32_t* sums) {
+    sums[0] = vaddvq_s32(a0);
+    sums[1] = vaddvq_s32(a1);
+    sums[2] = vaddvq_s32(a2);
+    sums[3] = vaddvq_s32(a3);
+  }
 };
 
-// Packed-tile int8 GEMM: one widened activation block feeds four
-// multiply-accumulate-long dots against the four consecutive channel rows
-// of the tile (pre-sign-extended to int16 at pack time, so the weight
-// loads need no widening) — sequential weight reads, one vaddvq per
-// channel per tile instead of per k-step. vmlal_s16 accumulates straight
-// into int32 lanes, matching the op count of the old vmull_s8 + vpadal
-// pair. Exact integer arithmetic, bit-identical to Int8GemmPackedRef.
-void NeonInt8GemmPacked(const int8_t* a, const int16_t* bp, float* c, int m,
-                        int k, int n, const float* a_scale,
-                        const float* b_scale, const float* bias) {
-  const int kp = Int8PackedKPad(k);
-  const int kb = kp / kInt8TileK;
-  const int tiles = (n + kInt8TileN - 1) / kInt8TileN;
-  for (int i = 0; i < m; ++i) {
-    const int8_t* arow = a + static_cast<size_t>(i) * kp;
-    float* crow = c + static_cast<size_t>(i) * n;
-    const float as = a_scale[i];
-    for (int t = 0; t < tiles; ++t) {
-      const int16_t* btile =
-          bp + static_cast<size_t>(t) * kb * (kInt8TileN * kInt8TileK);
-      int32x4_t acc0 = vdupq_n_s32(0);
-      int32x4_t acc1 = vdupq_n_s32(0);
-      int32x4_t acc2 = vdupq_n_s32(0);
-      int32x4_t acc3 = vdupq_n_s32(0);
-      for (int b = 0; b < kb; ++b) {
-        const int8x16_t av = vld1q_s8(arow + b * kInt8TileK);
-        const int16x8_t alo = vmovl_s8(vget_low_s8(av));
-        const int16x8_t ahi = vmovl_s8(vget_high_s8(av));
-        const int16_t* bb =
-            btile + static_cast<size_t>(b) * (kInt8TileN * kInt8TileK);
-        const int16x8_t b0l = vld1q_s16(bb);
-        const int16x8_t b0h = vld1q_s16(bb + 8);
-        const int16x8_t b1l = vld1q_s16(bb + kInt8TileK);
-        const int16x8_t b1h = vld1q_s16(bb + kInt8TileK + 8);
-        const int16x8_t b2l = vld1q_s16(bb + 2 * kInt8TileK);
-        const int16x8_t b2h = vld1q_s16(bb + 2 * kInt8TileK + 8);
-        const int16x8_t b3l = vld1q_s16(bb + 3 * kInt8TileK);
-        const int16x8_t b3h = vld1q_s16(bb + 3 * kInt8TileK + 8);
-        acc0 = vmlal_s16(acc0, vget_low_s16(alo), vget_low_s16(b0l));
-        acc0 = vmlal_s16(acc0, vget_high_s16(alo), vget_high_s16(b0l));
-        acc0 = vmlal_s16(acc0, vget_low_s16(ahi), vget_low_s16(b0h));
-        acc0 = vmlal_s16(acc0, vget_high_s16(ahi), vget_high_s16(b0h));
-        acc1 = vmlal_s16(acc1, vget_low_s16(alo), vget_low_s16(b1l));
-        acc1 = vmlal_s16(acc1, vget_high_s16(alo), vget_high_s16(b1l));
-        acc1 = vmlal_s16(acc1, vget_low_s16(ahi), vget_low_s16(b1h));
-        acc1 = vmlal_s16(acc1, vget_high_s16(ahi), vget_high_s16(b1h));
-        acc2 = vmlal_s16(acc2, vget_low_s16(alo), vget_low_s16(b2l));
-        acc2 = vmlal_s16(acc2, vget_high_s16(alo), vget_high_s16(b2l));
-        acc2 = vmlal_s16(acc2, vget_low_s16(ahi), vget_low_s16(b2h));
-        acc2 = vmlal_s16(acc2, vget_high_s16(ahi), vget_high_s16(b2h));
-        acc3 = vmlal_s16(acc3, vget_low_s16(alo), vget_low_s16(b3l));
-        acc3 = vmlal_s16(acc3, vget_high_s16(alo), vget_high_s16(b3l));
-        acc3 = vmlal_s16(acc3, vget_low_s16(ahi), vget_low_s16(b3h));
-        acc3 = vmlal_s16(acc3, vget_high_s16(ahi), vget_high_s16(b3h));
-      }
-      const int32_t acc[kInt8TileN] = {vaddvq_s32(acc0), vaddvq_s32(acc1),
-                                       vaddvq_s32(acc2), vaddvq_s32(acc3)};
-      const int jmax = (n - t * kInt8TileN < kInt8TileN) ? n - t * kInt8TileN
-                                                         : kInt8TileN;
-      for (int ch = 0; ch < jmax; ++ch) {
-        const int j = t * kInt8TileN + ch;
-        float y = static_cast<float>(acc[ch]) * as * b_scale[j];
-        if (bias != nullptr) y += bias[j];
-        crow[j] = y;
-      }
-    }
-  }
-}
-
-// 4-lane quantize: the exact trunc(t + copysign(0.5, t)) sequence of
-// QuantizeOneRef lane by lane — every step an exact IEEE op.
-void NeonQuantizeBuffer(const float* x, int n, float inv_scale, int8_t* out) {
-  const float32x4_t vs = vdupq_n_f32(inv_scale);
-  const uint32x4_t sign = vdupq_n_u32(0x80000000u);
-  const float32x4_t half = vdupq_n_f32(0.5f);
-  const float32x4_t hi = vdupq_n_f32(127.0f);
-  const float32x4_t lo = vdupq_n_f32(-127.0f);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t t = vmulq_f32(vld1q_f32(x + i), vs);
-    const float32x4_t h = vreinterpretq_f32_u32(vorrq_u32(
-        vandq_u32(vreinterpretq_u32_f32(t), sign),
-        vreinterpretq_u32_f32(half)));
-    float32x4_t r = vrndq_f32(vaddq_f32(t, h));  // round toward zero
-    r = vmaxq_f32(vminq_f32(r, hi), lo);
-    const int32x4_t q32 = vcvtq_s32_f32(r);
-    const int16x4_t q16 = vmovn_s32(q32);
-    const int8x8_t q8 = vmovn_s16(vcombine_s16(q16, q16));
-    out[i] = vget_lane_s8(q8, 0);
-    out[i + 1] = vget_lane_s8(q8, 1);
-    out[i + 2] = vget_lane_s8(q8, 2);
-    out[i + 3] = vget_lane_s8(q8, 3);
-  }
-  for (; i < n; ++i) out[i] = QuantizeOneRef(x[i], inv_scale);
-}
-
-constexpr Kernels kNeonTable = MakeKernels<NeonOps>(
-    Level::kNeon, "neon", &NeonInt8GemmPacked, &NeonQuantizeBuffer);
+constexpr Kernels kNeonTable = MakeKernels<NeonOps>(Level::kNeon, "neon");
 
 }  // namespace
 

@@ -350,10 +350,4 @@ std::unique_ptr<PlanNode> ParsePlanNode(const std::string& text) {
   return parser.ParseNode();
 }
 
-std::optional<Plan> ParsePlan(const std::string& text) {
-  auto result = ParsePlanChecked(text);
-  if (!result.ok()) return std::nullopt;
-  return std::move(result.value());
-}
-
 }  // namespace qpe::plan

@@ -2,7 +2,6 @@
 #define QPE_PLAN_SERIALIZE_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "plan/plan_node.h"
@@ -31,9 +30,8 @@ util::StatusOr<std::unique_ptr<PlanNode>> ParsePlanNodeChecked(
     const std::string& text);
 util::StatusOr<Plan> ParsePlanChecked(const std::string& text);
 
-// Legacy wrappers: nullptr / nullopt on malformed input, diagnostics dropped.
+// Unchecked node parser: nullptr on malformed input, diagnostics dropped.
 std::unique_ptr<PlanNode> ParsePlanNode(const std::string& text);
-std::optional<Plan> ParsePlan(const std::string& text);
 
 }  // namespace qpe::plan
 

@@ -365,19 +365,31 @@ TEST(FusedOptimizerTest, AdamMatchesReferenceBitwise) {
 }
 
 TEST(FusedOptimizerTest, AdamStateIsNotInterchangeableWithSgd) {
-  // Both carry per-parameter moment slots; the kind tag is checked first,
-  // so each refuses the other's state by kind.
+  // A checkpoint is outside input: a state exported under another kind is
+  // refused by its tag even when its slots have Adam's exact shape, and
+  // the refusal leaves the moments and step count as they were.
   nn::Tensor p = nn::Tensor::FromVector(1, 2, {1.0f, 2.0f}, true);
   nn::Adam adam({p}, 0.01f);
-  nn::Sgd sgd({p}, 0.01f, /*momentum=*/0.9f);
-  EXPECT_EQ(adam.ExportState().kind, "adam");
-  const util::Status into_adam = adam.ImportState(sgd.ExportState());
-  EXPECT_FALSE(into_adam.ok());
-  EXPECT_NE(into_adam.message().find("kind"), std::string::npos);
-  const util::Status into_sgd = sgd.ImportState(adam.ExportState());
-  EXPECT_FALSE(into_sgd.ok());
-  EXPECT_NE(into_sgd.message().find("kind"), std::string::npos);
-  EXPECT_TRUE(adam.ImportState(adam.ExportState()).ok());
+  p.grad()[0] = 0.5f;
+  p.grad()[1] = -0.25f;
+  adam.Step();
+  const nn::OptimizerState before = adam.ExportState();
+  EXPECT_EQ(before.kind, "adam");
+  nn::OptimizerState foreign = before;
+  foreign.kind = "sgd";
+  foreign.step_count += 5;
+  for (auto& slot : foreign.slots) {
+    for (std::vector<float>& buffer : slot) {
+      for (float& x : buffer) x += 1.0f;
+    }
+  }
+  const util::Status status = adam.ImportState(foreign);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("kind"), std::string::npos);
+  const nn::OptimizerState after = adam.ExportState();
+  EXPECT_EQ(after.step_count, before.step_count);
+  EXPECT_EQ(after.slots, before.slots);
+  EXPECT_TRUE(adam.ImportState(before).ok());
 }
 
 // --- Telemetry --------------------------------------------------------------

@@ -8,6 +8,8 @@
 // micro-batch after warmup).
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -534,23 +536,24 @@ TEST(PackedKernelTest, AttentionBackwardClsMatchesPackedPerLevel) {
 // --- Packed int8 GEMM -------------------------------------------------------
 
 // Reference int8 GEMM over the unpacked operands: plain int32 dot products
-// of a [m, k] against channel-major w [n, k]. Integer arithmetic is exact,
-// so every level's packed kernel must match it bit for bit.
+// of a [m, k] against channel-major w [n, k], then the clamp `> 0 ? y : 0`
+// per element when relu is set. Integer arithmetic is exact, so every
+// level's packed kernel must match it bit for bit.
 void Int8GemmReference(const int8_t* a, const int8_t* w, float* c, int m,
-                       int k, int n, const float* a_scale,
-                       const float* b_scale, const float* bias) {
+                       int k, int n, float a_scale, const float* b_scale,
+                       const float* bias, int relu) {
   for (int i = 0; i < m; ++i) {
     const int8_t* arow = a + static_cast<size_t>(i) * k;
     float* crow = c + static_cast<size_t>(i) * n;
-    const float as = a_scale[i];
     for (int j = 0; j < n; ++j) {
       const int8_t* wrow = w + static_cast<size_t>(j) * k;
       int32_t acc = 0;
       for (int p = 0; p < k; ++p) {
         acc += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(wrow[p]);
       }
-      float y = static_cast<float>(acc) * as * b_scale[j];
+      float y = static_cast<float>(acc) * a_scale * b_scale[j];
       if (bias != nullptr) y += bias[j];
+      if (relu != 0) y = y > 0 ? y : 0.0f;
       crow[j] = y;
     }
   }
@@ -561,9 +564,15 @@ TEST(PackedKernelTest, Int8GemmPackedMatchesUnpackedBitwise) {
   const Kernels* vec = VectorTable();
   util::Rng rng(93);
   // k not a multiple of 16 and n not a multiple of 4 exercise both padding
-  // dimensions of the tile layout.
-  const int shapes[][3] = {{1, 1, 1},   {3, 7, 5},   {2, 16, 4},
-                           {5, 24, 6},  {17, 48, 33}, {4, 130, 99}};
+  // dimensions of the tile layout; m = 1..9 covers every row count up to
+  // past three tiles of 3 rows.
+  std::vector<std::array<int, 3>> shapes = {{1, 1, 1},   {3, 7, 5},
+                                            {2, 16, 4},  {5, 24, 6},
+                                            {17, 48, 33}, {4, 130, 99}};
+  for (int m = 1; m <= 9; ++m) {
+    shapes.push_back({m, 20, 7});
+    shapes.push_back({m, 48, 48});
+  }
   for (const auto& s : shapes) {
     const int m = s[0], k = s[1], n = s[2];
     const int k_pad = nn::simd::Int8PackedKPad(k);
@@ -571,7 +580,7 @@ TEST(PackedKernelTest, Int8GemmPackedMatchesUnpackedBitwise) {
                                              &rng);
     const std::vector<int8_t> w = RandomInt8(static_cast<size_t>(n) * k,
                                              &rng);
-    const std::vector<float> a_scale = RandomVec(m, &rng, 0.05f);
+    const float a_scale = 0.01f + 0.04f * static_cast<float>(rng.Uniform());
     const std::vector<float> b_scale = RandomVec(n, &rng, 0.05f);
     const std::vector<float> bias = RandomVec(n, &rng);
 
@@ -588,20 +597,25 @@ TEST(PackedKernelTest, Int8GemmPackedMatchesUnpackedBitwise) {
 
     for (const float* b_ptr : {bias.data(), static_cast<const float*>(
                                                 nullptr)}) {
-      std::vector<float> ref(static_cast<size_t>(m) * n, 0.0f);
-      Int8GemmReference(a.data(), w.data(), ref.data(), m, k, n,
-                        a_scale.data(), b_scale.data(), b_ptr);
-      for (const Kernels* table : {scalar, vec}) {
-        if (table == nullptr) continue;
-        std::vector<float> got(static_cast<size_t>(m) * n, -1.0f);
-        table->int8_gemm_packed(a_pad.data(), packed.data(), got.data(), m,
-                                k, n, a_scale.data(), b_scale.data(), b_ptr);
-        // Integer accumulation is exact, so the packed layout must
-        // reproduce the unpacked result bit for bit at every level.
-        for (size_t i = 0; i < ref.size(); ++i) {
-          ASSERT_EQ(ref[i], got[i]) << "level " << table->name << " shape "
-                                    << m << "x" << k << "x" << n << " index "
-                                    << i << (b_ptr ? " bias" : " no-bias");
+      for (const int relu : {0, 1}) {
+        std::vector<float> ref(static_cast<size_t>(m) * n, 0.0f);
+        Int8GemmReference(a.data(), w.data(), ref.data(), m, k, n, a_scale,
+                          b_scale.data(), b_ptr, relu);
+        for (const Kernels* table : {scalar, vec}) {
+          if (table == nullptr) continue;
+          std::vector<float> got(static_cast<size_t>(m) * n, -1.0f);
+          table->int8_gemm_packed(a_pad.data(), packed.data(), got.data(), m,
+                                  k, n, a_scale, b_scale.data(), b_ptr,
+                                  relu);
+          // Integer accumulation is exact, so the packed layout must
+          // reproduce the unpacked result bit for bit at every level.
+          for (size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<uint32_t>(ref[i]),
+                      std::bit_cast<uint32_t>(got[i]))
+                << "level " << table->name << " shape " << m << "x" << k
+                << "x" << n << " index " << i
+                << (b_ptr ? " bias" : " no-bias") << " relu " << relu;
+          }
         }
       }
     }
@@ -623,14 +637,27 @@ TEST(PackedKernelTest, QuantizeBufferMatchesQuantizeValue) {
                           0.124999f, 5.0f};
   std::vector<float> noise = RandomVec(21, &rng, 40.0f);
   x.insert(x.end(), noise.begin(), noise.end());
-  for (const int n : {1, 7, static_cast<int>(x.size())}) {
-    for (const Kernels* table : {scalar, vec}) {
-      if (table == nullptr) continue;
-      std::vector<int8_t> out(n, 99);
-      table->quantize_buffer(x.data(), n, inv, out.data());
-      for (int i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], nn::QuantizeValue(x[i], inv))
-            << "level " << table->name << " n " << n << " x " << x[i];
+  // n = 1..17 ends a buffer at every lane of two 8-lane vectors, and the
+  // offsets shift which values land in the vector body and which in the
+  // tail.
+  std::vector<int> lengths;
+  for (int n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(static_cast<int>(x.size()));
+  for (const int offset : {0, 5, 12}) {
+    for (const int n : lengths) {
+      if (offset + n > static_cast<int>(x.size())) continue;
+      const float* xs = x.data() + offset;
+      for (const Kernels* table : {scalar, vec}) {
+        if (table == nullptr) continue;
+        std::vector<int8_t> out(n + 1, 99);
+        table->quantize_buffer(xs, n, inv, out.data());
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], nn::QuantizeValue(xs[i], inv))
+              << "level " << table->name << " n " << n << " offset "
+              << offset << " x " << xs[i];
+        }
+        ASSERT_EQ(out[n], 99) << "level " << table->name << " n " << n
+                              << " wrote past the buffer";
       }
     }
   }

@@ -280,8 +280,8 @@ TEST(SerializeTest, PlanMetadataRoundTrip) {
   plan.benchmark = "tpch";
   plan.template_id = "Q5";
   plan.cluster_id = 7;
-  const auto parsed = ParsePlan(SerializePlan(plan));
-  ASSERT_TRUE(parsed.has_value());
+  const auto parsed = ParsePlanChecked(SerializePlan(plan));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed->benchmark, "tpch");
   EXPECT_EQ(parsed->template_id, "Q5");
   EXPECT_EQ(parsed->cluster_id, 7);
@@ -414,7 +414,7 @@ TEST(SerializeTest, MalformedInputRejected) {
   EXPECT_EQ(ParsePlanNode("(op"), nullptr);
   EXPECT_EQ(ParsePlanNode("(notop \"Sort\")"), nullptr);
   EXPECT_EQ(ParsePlanNode("(op \"Sort\" :bogus_prop 3)"), nullptr);
-  EXPECT_FALSE(ParsePlan("(op \"Sort\")").has_value());
+  EXPECT_FALSE(ParsePlanChecked("(op \"Sort\")").ok());
 }
 
 }  // namespace

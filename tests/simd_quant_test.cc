@@ -142,22 +142,6 @@ TEST(SimdDispatchTest, RequestAboveTheCpuResolvesToScalar) {
 // Row/column counts deliberately include 1, 3, 17 and 129: not multiples of
 // any vector width, so every kernel's tail-lane path executes.
 
-TEST(SimdParityTest, BiasRelu) {
-  const Kernels* vec = VectorTable();
-  const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
-  util::Rng rng(43);
-  for (const int m : {1, 3, 17, 129}) {
-    for (const int n : {1, 3, 8, 17, 48, 129}) {
-      const std::vector<float> a = RandomVec(static_cast<size_t>(m) * n, &rng);
-      const std::vector<float> bias = RandomVec(n, &rng);
-      std::vector<float> out_s(a.size()), out_v(a.size());
-      scalar->bias_relu(a.data(), bias.data(), out_s.data(), m, n);
-      vec->bias_relu(a.data(), bias.data(), out_v.data(), m, n);
-      ExpectAllNear(out_s, out_v);
-    }
-  }
-}
-
 TEST(SimdParityTest, LayerNormRows) {
   const Kernels* vec = VectorTable();
   const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
@@ -392,12 +376,16 @@ TEST(SimdParityTest, BiasActBackwardBitExact) {
   for (const int m : {1, 3, 17, 129}) {
     for (const int n : {1, 3, 17, 48, 129}) {
       const size_t total = static_cast<size_t>(m) * n;
-      // Forward output of bias_relu: nonnegative with exact zeros where the
-      // pre-activation was clamped, so the > 0 gate sees both branches.
+      // Forward output of a bias add and ReLU: nonnegative with exact
+      // zeros where the pre-activation was clamped, so the > 0 gate sees
+      // both branches.
       const std::vector<float> pre = RandomVec(total, &rng);
       const std::vector<float> bias = RandomVec(n, &rng, 0.25f);
       std::vector<float> ov(total);
-      scalar->bias_relu(pre.data(), bias.data(), ov.data(), m, n);
+      for (size_t i = 0; i < total; ++i) {
+        const float y = pre[i] + bias[i % n];
+        ov[i] = y > 0 ? y : 0.0f;
+      }
       const std::vector<float> og = RandomVec(total, &rng);
       std::vector<float> ag_s = RandomVec(total, &rng), ag_v = ag_s;
       std::vector<float> bg_s = RandomVec(n, &rng), bg_v = bg_s;
@@ -875,8 +863,7 @@ TEST(QuantTest, QuantizedLinearApproximatesFp32) {
   EXPECT_EQ(q.out_features(), out);
   std::vector<float> y(static_cast<size_t>(m) * out);
   std::vector<int8_t> qx;
-  std::vector<float> rs;
-  q.Forward(x.data(), m, y.data(), &qx, &rs);
+  q.Forward(x.data(), m, y.data(), &qx, /*relu=*/false);
   // fp32 reference.
   const std::vector<float>& wv = w.value();
   for (int i = 0; i < m; ++i) {
