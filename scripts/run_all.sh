@@ -6,12 +6,19 @@ set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# The tier-1 configure line (default generator), so an existing build/
+# tree is reused rather than refused for a generator mismatch.
+cmake -B build -S .
+cmake --build build -j"$(nproc)"
 
-# ctest includes the no-new-knobs lint (scripts/check_env_knobs.sh), the
-# kernel-table lint (scripts/check_kernel_callers.sh) and the one-file-layer
-# lint (scripts/check_durable_writes.sh).
+# ctest includes the seven lints: no new env knobs
+# (scripts/check_env_knobs.sh), the kernel table
+# (scripts/check_kernel_callers.sh), kernel scratch
+# (scripts/check_kernel_scratch.sh), no ISA weak symbols
+# (scripts/check_isa_weak_symbols.sh), one file layer
+# (scripts/check_durable_writes.sh), one byte codec
+# (scripts/check_byte_codec.sh) and no dead declarations
+# (scripts/check_dead_declarations.sh).
 ctest --test-dir build 2>&1 | tee test_output.txt
 
 # Benchmark self-test: qpebench compiles src/ into its own tree, so a

@@ -1,7 +1,6 @@
 #include "config/db_config.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace qpe::config {
 
@@ -62,16 +61,6 @@ int DbConfig::FeatureDim() {
     if (info.log_scale_feature) ++dim;
   }
   return dim;
-}
-
-std::string DbConfig::DebugString() const {
-  std::ostringstream oss;
-  const auto& table = KnobTable();
-  for (int i = 0; i < kNumKnobs; ++i) {
-    oss << table[i].name << "=" << values_[i];
-    if (i + 1 < kNumKnobs) oss << " ";
-  }
-  return oss.str();
 }
 
 }  // namespace qpe::config

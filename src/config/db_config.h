@@ -66,8 +66,6 @@ class DbConfig {
 
   static int FeatureDim();
 
-  std::string DebugString() const;
-
  private:
   std::array<double, kNumKnobs> values_;
 };

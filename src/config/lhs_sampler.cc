@@ -17,17 +17,4 @@ std::vector<DbConfig> LhsSampler::Sample(int n) {
   return configs;
 }
 
-std::vector<DbConfig> LhsSampler::SampleUniform(int n) {
-  std::vector<DbConfig> configs(n);
-  const auto& table = KnobTable();
-  for (int i = 0; i < n; ++i) {
-    for (int k = 0; k < kNumKnobs; ++k) {
-      const KnobInfo& info = table[k];
-      configs[i].Set(static_cast<Knob>(k),
-                     rng_.Uniform(info.min_value, info.max_value));
-    }
-  }
-  return configs;
-}
-
 }  // namespace qpe::config

@@ -19,10 +19,6 @@ class LhsSampler {
   // Generates `n` configurations covering each knob range uniformly.
   std::vector<DbConfig> Sample(int n);
 
-  // Generates `n` fully independent uniform configurations (no
-  // stratification); used as a baseline in tests.
-  std::vector<DbConfig> SampleUniform(int n);
-
  private:
   util::Rng rng_;
 };

@@ -111,17 +111,4 @@ util::StatusOr<std::vector<simdb::ExecutedQuery>> LoadExecutedQueriesChecked(
   return records;
 }
 
-bool SaveExecutedQueries(const std::vector<simdb::ExecutedQuery>& records,
-                         const std::string& path) {
-  return SaveExecutedQueriesStatus(records, path).ok();
-}
-
-std::vector<simdb::ExecutedQuery> LoadExecutedQueries(const std::string& path,
-                                                      bool* ok) {
-  auto result = LoadExecutedQueriesChecked(path);
-  if (ok != nullptr) *ok = result.ok();
-  if (!result.ok()) return {};
-  return std::move(result.value());
-}
-
 }  // namespace qpe::data

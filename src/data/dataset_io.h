@@ -25,14 +25,6 @@ util::Status SaveExecutedQueriesStatus(
 util::StatusOr<std::vector<simdb::ExecutedQuery>> LoadExecutedQueriesChecked(
     const std::string& path);
 
-// Legacy wrappers. Save returns false on IO failure. Load returns an empty
-// vector on malformed input or missing file; `ok` (if non-null)
-// distinguishes empty-file success from failure.
-bool SaveExecutedQueries(const std::vector<simdb::ExecutedQuery>& records,
-                         const std::string& path);
-std::vector<simdb::ExecutedQuery> LoadExecutedQueries(const std::string& path,
-                                                      bool* ok = nullptr);
-
 }  // namespace qpe::data
 
 #endif  // QPE_DATA_DATASET_IO_H_

@@ -18,6 +18,10 @@ namespace {
 using plan::OperatorType;
 using plan::PlanNode;
 
+// Average plan size: the probability of growing another join level below
+// depth 2.
+constexpr double kJoinGrowth = 0.55;
+
 OperatorType Op(const char* token) { return OperatorType::Parse(token); }
 
 const std::vector<OperatorType>& ScanPool() {
@@ -68,7 +72,7 @@ OperatorType RandomPlanGenerator::RandomUnaryType() {
 
 std::unique_ptr<PlanNode> RandomPlanGenerator::GenerateSubtree(int depth,
                                                                int* budget) {
-  if (*budget <= 1 || (depth > 2 && !rng_.Bernoulli(options_.join_growth))) {
+  if (*budget <= 1 || (depth > 2 && !rng_.Bernoulli(kJoinGrowth))) {
     *budget -= 1;
     return std::make_unique<PlanNode>(RandomScanType());
   }

@@ -21,8 +21,6 @@ namespace qpe::data {
 struct CorpusOptions {
   int min_nodes = 3;
   int max_nodes = 200;
-  // Average plan size knob: probability of growing another join level.
-  double join_growth = 0.55;
 };
 
 class RandomPlanGenerator {

@@ -10,6 +10,19 @@
 #include "util/rng.h"
 
 namespace qpe::drift {
+namespace {
+
+constexpr int kClusters = 4;
+constexpr int kKMeansIterations = 25;
+constexpr size_t kBloomBits = 1u << 16;
+constexpr int kBloomHashes = 4;
+// Quantile of training nearest-centroid distances used as the outlier
+// threshold; 1 - quantile of training points land in the outlier bucket
+// by construction, which is the bucket's baseline occupancy.
+constexpr double kOutlierQuantile = 0.95;
+constexpr uint64_t kKMeansSeed = 17;
+
+}  // namespace
 
 uint32_t TokenCode(const plan::OperatorType& type) {
   return (static_cast<uint32_t>(type.level1) << 16) |
@@ -33,15 +46,12 @@ std::string TokenCodeName(uint32_t code) {
 
 DriftBaseline BuildDriftBaseline(
     const encoder::PlanSequenceEncoder& encoder,
-    const std::vector<const plan::PlanNode*>& plans,
-    const DriftBaselineConfig& config) {
+    const std::vector<const plan::PlanNode*>& plans) {
   DriftBaseline baseline;
-  baseline.config = config;
   baseline.dim = encoder.output_dim();
   baseline.plans = plans.size();
-  baseline.bloom = BloomFilter(config.bloom_bits, config.bloom_hashes);
-  baseline.outlier_occupancy = std::clamp(1.0 - config.outlier_quantile,
-                                          0.0, 1.0);
+  baseline.bloom = BloomFilter(kBloomBits, kBloomHashes);
+  baseline.outlier_occupancy = 1.0 - kOutlierQuantile;
   if (plans.empty()) return baseline;
 
   // Token frequencies + fingerprint bloom straight off the linearizations.
@@ -65,7 +75,7 @@ DriftBaseline BuildDriftBaseline(
   }
 
   // Embedding-space summary: encode everything (eval mode), cluster, and
-  // set the outlier threshold at the configured quantile of the training
+  // set the outlier threshold at kOutlierQuantile of the training
   // nearest-centroid distances. Encoding goes in serving-sized chunks: the
   // calling thread's packed workspace keeps its high-water mark for the
   // thread's life, and one whole-corpus batch (rebuilt over ever larger
@@ -85,16 +95,16 @@ DriftBaseline BuildDriftBaseline(
       for (const nn::Tensor& t : embedded) points.push_back(t.value());
     }
   }
-  util::Rng rng(config.seed);
+  util::Rng rng(kKMeansSeed);
   std::vector<float> nearest;
-  baseline.centroids = KMeansCluster(points, config.clusters,
-                                     config.kmeans_iterations, &rng, &nearest);
+  baseline.centroids =
+      KMeansCluster(points, kClusters, kKMeansIterations, &rng, &nearest);
   if (!nearest.empty()) {
     std::sort(nearest.begin(), nearest.end());
-    const double q = std::clamp(config.outlier_quantile, 0.0, 1.0);
     const size_t idx = std::min(
         nearest.size() - 1,
-        static_cast<size_t>(q * static_cast<double>(nearest.size() - 1) + 0.5));
+        static_cast<size_t>(
+            kOutlierQuantile * static_cast<double>(nearest.size() - 1) + 0.5));
     baseline.centroids.outlier_threshold = nearest[idx];
   }
   return baseline;

@@ -23,18 +23,6 @@ bool IsStructuralToken(const plan::OperatorType& type);
 // Human-readable "Scan-Heap-Bitmap" style name for attribution output.
 std::string TokenCodeName(uint32_t code);
 
-struct DriftBaselineConfig {
-  int clusters = 4;
-  int kmeans_iterations = 25;
-  size_t bloom_bits = 1u << 16;
-  int bloom_hashes = 4;
-  // Quantile of training nearest-centroid distances used as the outlier
-  // threshold; 1 - quantile of training points land in the outlier bucket
-  // by construction, which is the bucket's baseline occupancy.
-  double outlier_quantile = 0.95;
-  uint64_t seed = 17;
-};
-
 // Frozen summary of the *training* distribution the detector compares the
 // live stream against: embedding-space centroids with occupancies and an
 // outlier threshold, exact operator-token frequencies, and a bloom filter
@@ -43,14 +31,15 @@ struct DriftBaselineConfig {
 struct DriftBaseline {
   int dim = 0;
   size_t plans = 0;
-  DriftBaselineConfig config;
   CentroidSet centroids;
   BloomFilter bloom;
   // Exact token-code frequency over the training plans (fraction of all
   // non-structural tokens). Small: bounded by the taxonomy cross-product
   // actually in use, not by corpus size.
   std::unordered_map<uint32_t, double> token_freq;
-  double outlier_occupancy = 0.05;  // 1 - outlier_quantile
+  // Share of training points past the outlier threshold: 1 - the
+  // threshold's quantile, the outlier bucket's baseline occupancy.
+  double outlier_occupancy = 0.05;
 };
 
 // Plans per EncodeBatch call while building a baseline: the serving
@@ -59,15 +48,16 @@ inline constexpr size_t kBaselineEncodeChunk = 16;
 
 // Builds the baseline by encoding `plans` with `encoder` (no dropout, no
 // autograd), kBaselineEncodeChunk plans at a time, and clustering the
-// embeddings. Deterministic given the config seed. `plans` should be (a
-// sample of) the corpus the serving encoder was trained on.
+// embeddings into 4 centroids (seeded k-means, so deterministic); the
+// outlier threshold is the 0.95 quantile of the training nearest-centroid
+// distances, and the bloom filter has 2^16 bits and 4 hashes. `plans`
+// should be (a sample of) the corpus the serving encoder was trained on.
 // After an adaptation, rebaseline by calling this again with the refreshed
 // encoder and the union of the original corpus and the drifted slice — the
 // adapted distribution becomes the new normal.
 DriftBaseline BuildDriftBaseline(
     const encoder::PlanSequenceEncoder& encoder,
-    const std::vector<const plan::PlanNode*>& plans,
-    const DriftBaselineConfig& config = {});
+    const std::vector<const plan::PlanNode*>& plans);
 
 }  // namespace qpe::drift
 

@@ -4,10 +4,17 @@
 #include <cmath>
 #include <utility>
 
-#include "plan/fingerprint.h"
-#include "plan/linearize.h"
-
 namespace qpe::drift {
+namespace {
+
+// Novel-plan slack: literal jitter and bloom saturation make a small
+// trickle of unseen fingerprints normal; only the excess scores.
+constexpr double kNovelTolerance = 0.05;
+constexpr size_t kTopAttributions = 3;
+constexpr size_t kSketchWidth = 1024;
+constexpr int kSketchDepth = 4;
+
+}  // namespace
 
 const char* DriftComponentName(DriftComponent component) {
   switch (component) {
@@ -25,7 +32,7 @@ DriftDetector::DriftDetector(DriftBaseline baseline,
                              const DriftDetectorConfig& config)
     : baseline_(std::move(baseline)),
       config_(config),
-      window_tokens_(config.sketch_width, config.sketch_depth) {
+      window_tokens_(kSketchWidth, kSketchDepth) {
   config_.window_size = std::max(config_.window_size, 1);
   ResetWindow();
 }
@@ -38,14 +45,6 @@ void DriftDetector::ResetWindow() {
   window_codes_.clear();
   window_cluster_counts_.assign(
       static_cast<size_t>(baseline_.centroids.cluster_count()) + 1, 0);
-}
-
-std::optional<DriftWindowReport> DriftDetector::Observe(
-    const plan::PlanNode& plan, const float* embedding, size_t dim) {
-  const std::vector<plan::OperatorType> tokens =
-      plan::LinearizeDfsBracket(plan);
-  return ObserveTokens(tokens, plan::FingerprintTokens(tokens), embedding,
-                       dim);
 }
 
 std::optional<DriftWindowReport> DriftDetector::ObserveTokens(
@@ -89,9 +88,8 @@ DriftWindowReport DriftDetector::CloseWindow() {
 
   // --- Novel-plan component: share of never-before-seen fingerprints. ---
   report.novel_rate = static_cast<double>(window_novel_) / n;
-  const double tol = std::clamp(config_.novel_tolerance, 0.0, 0.999);
-  report.novel_score =
-      std::max(0.0, (report.novel_rate - tol) / (1.0 - tol));
+  report.novel_score = std::max(
+      0.0, (report.novel_rate - kNovelTolerance) / (1.0 - kNovelTolerance));
 
   // --- Token component: total variation over the code registry (union of
   // baseline codes and codes seen this window). The count-min estimate only
@@ -124,7 +122,7 @@ DriftWindowReport DriftDetector::CloseWindow() {
   }
 
   // --- Cluster component: total variation over k clusters + the outlier
-  // bucket. The baseline's outlier bucket holds 1 - outlier_quantile of the
+  // bucket. The baseline's outlier bucket holds outlier_occupancy of the
   // training mass by construction; cluster occupancies are scaled by the
   // complement so the baseline distribution sums to 1. ---
   std::vector<ClusterAttribution> clusters;
@@ -171,9 +169,8 @@ DriftWindowReport DriftDetector::CloseWindow() {
   };
   std::sort(tokens.begin(), tokens.end(), by_abs_delta);
   std::sort(clusters.begin(), clusters.end(), by_abs_delta);
-  const size_t top = static_cast<size_t>(std::max(config_.top_attributions, 0));
-  if (tokens.size() > top) tokens.resize(top);
-  if (clusters.size() > top) clusters.resize(top);
+  if (tokens.size() > kTopAttributions) tokens.resize(kTopAttributions);
+  if (clusters.size() > kTopAttributions) clusters.resize(kTopAttributions);
   for (TokenAttribution& t : tokens) t.name = TokenCodeName(t.code);
   report.top_tokens = std::move(tokens);
   report.top_clusters = std::move(clusters);

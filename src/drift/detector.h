@@ -58,29 +58,21 @@ struct DriftWindowReport {
 
 struct DriftDetectorConfig {
   int window_size = 64;  // plans per window
-  // Novel-plan slack: literal jitter and bloom saturation make a small
-  // trickle of unseen fingerprints normal; only the excess scores.
-  double novel_tolerance = 0.05;
-  int top_attributions = 3;
-  size_t sketch_width = 1024;
-  int sketch_depth = 4;
 };
 
 // Folds one served plan + its embedding at a time into the current window;
 // when the window closes, compares it against the frozen DriftBaseline and
-// emits a DriftWindowReport. Single-threaded by design — the thread-safe
-// wrapper is drift::DriftSentinel.
+// emits a DriftWindowReport. Novel plans score only above a 5% rate, each
+// report attributes the top 3 tokens and clusters, and the window's token
+// counts live in a 1024 x 4 count-min sketch. Single-threaded by design —
+// the thread-safe wrapper is drift::DriftSentinel.
 class DriftDetector {
  public:
   DriftDetector(DriftBaseline baseline, const DriftDetectorConfig& config = {});
 
-  // `embedding` is the plan's served embedding (baseline().dim floats).
-  // Returns a report iff this observation closed a window.
-  std::optional<DriftWindowReport> Observe(const plan::PlanNode& plan,
-                                           const float* embedding, size_t dim);
-
-  // Hot-path variant for callers that already hold the linearization and
-  // its fingerprint (the sentinel computes both once per served plan).
+  // Folds in one served plan: its DFS-bracket linearization, that
+  // linearization's fingerprint, and its served embedding (baseline().dim
+  // floats). Returns a report iff this observation closed a window.
   std::optional<DriftWindowReport> ObserveTokens(
       const std::vector<plan::OperatorType>& tokens, uint64_t fingerprint,
       const float* embedding, size_t dim);

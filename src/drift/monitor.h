@@ -69,8 +69,6 @@ class DriftMonitor {
     return state_ == DriftState::kDrifted || state_ == DriftState::kAdapting;
   }
   uint64_t alarms() const { return alarms_; }
-  int high_streak() const { return high_streak_; }
-  int low_streak() const { return low_streak_; }
   double last_score() const { return last_score_; }
   const DriftMonitorConfig& config() const { return config_; }
 

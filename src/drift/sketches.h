@@ -28,8 +28,6 @@ class BloomFilter {
   void Insert(uint64_t key);
   bool MightContain(uint64_t key) const;
 
-  size_t bit_count() const { return bits_; }
-  int hash_count() const { return hashes_; }
   uint64_t inserted() const { return inserted_; }
   // Fraction of bits set — a saturation diagnostic for STATS.
   double FillRatio() const;

@@ -12,22 +12,6 @@ inline Tensor MseLoss(const Tensor& prediction, const Tensor& target) {
   return Mean(Square(Sub(prediction, target)));
 }
 
-inline Tensor L1Loss(const Tensor& prediction, const Tensor& target) {
-  return Mean(Abs(Sub(prediction, target)));
-}
-
-// Binary cross entropy on probabilities (apply Sigmoid first for logits).
-inline Tensor BceLoss(const Tensor& probability, const Tensor& target) {
-  const Tensor pos = Mul(target, Log(probability));
-  const Tensor one_minus_p = Sub(Tensor::Full(probability.rows(),
-                                              probability.cols(), 1.0f),
-                                 probability);
-  const Tensor one_minus_t =
-      Sub(Tensor::Full(target.rows(), target.cols(), 1.0f), target);
-  const Tensor neg = Mul(one_minus_t, Log(one_minus_p));
-  return Scale(Mean(Add(pos, neg)), -1.0f);
-}
-
 }  // namespace qpe::nn
 
 #endif  // QPE_NN_LOSS_H_

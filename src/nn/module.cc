@@ -41,12 +41,6 @@ void Module::CollectNamed(
   }
 }
 
-int Module::ParameterCount() const {
-  int count = 0;
-  for (const Tensor& p : CachedParameters()) count += p.numel();
-  return count;
-}
-
 void Module::SetTraining(bool training) {
   training_ = training;
   for (auto& [name, submodule] : submodules_) submodule->SetTraining(training);

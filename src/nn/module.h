@@ -30,8 +30,6 @@ class Module {
   // Parameters with stable dotted path names, e.g. "encoder.layer0.wq".
   std::vector<std::pair<std::string, Tensor>> NamedParameters() const;
 
-  int ParameterCount() const;
-
   // Training mode (affects Dropout and BatchNorm behaviour).
   void SetTraining(bool training);
   bool training() const { return training_; }

@@ -62,7 +62,6 @@ class Adam : public Optimizer {
   OptimizerState ExportState() const override;
   util::Status ImportState(const OptimizerState& state) override;
 
-  void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
 
  private:

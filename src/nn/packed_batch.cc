@@ -75,20 +75,6 @@ void PackedBatch::EnsureF(std::vector<float>* buf, size_t n) {
   if (buf->size() < n) buf->resize(n);
 }
 
-void PackedBatch::EnsureI(std::vector<int>* buf, size_t n) {
-  if (buf->capacity() < n) {
-    g_growth_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (buf->size() < n) buf->resize(n);
-}
-
-void PackedBatch::EnsureI8(std::vector<int8_t>* buf, size_t n) {
-  if (buf->capacity() < n) {
-    g_growth_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (buf->size() < n) buf->resize(n);
-}
-
 PackedBatch& PackedBatch::ThreadLocal() {
   thread_local PackedBatch ws;
   return ws;

@@ -113,8 +113,6 @@ class PackedBatch {
   // Grows a buffer to at least n elements, recording a growth event when
   // the capacity was insufficient.
   void EnsureF(std::vector<float>* buf, size_t n);
-  void EnsureI(std::vector<int>* buf, size_t n);
-  void EnsureI8(std::vector<int8_t>* buf, size_t n);
 
   static PackedBatch& ThreadLocal();
 

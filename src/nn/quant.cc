@@ -20,11 +20,6 @@ int8_t QuantizeValue(float x, float inv_scale) {
   return static_cast<int8_t>(scaled);
 }
 
-void QuantizeBuffer(const float* x, size_t n, float scale, int8_t* out) {
-  const float inv = 1.0f / scale;
-  simd::K().quantize_buffer(x, static_cast<int>(n), inv, out);
-}
-
 void QuantCalibrator::Observe(const float* x, size_t n) {
   float m = absmax_;
   for (size_t i = 0; i < n; ++i) {

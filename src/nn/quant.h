@@ -37,9 +37,6 @@ inline constexpr float kMinQuantScale = 1e-10f;
 // quantize_buffer kernel lanes reproduce it bit for bit.
 int8_t QuantizeValue(float x, float inv_scale);
 
-// Quantizes n values with one shared scale (activations).
-void QuantizeBuffer(const float* x, size_t n, float scale, int8_t* out);
-
 // Streams activation tensors during offline calibration and yields the
 // static per-tensor scale. Observe() is absmax tracking, so the order of
 // observations does not matter and calibration is deterministic.
@@ -90,8 +87,6 @@ class QuantizedLinear {
   int in_features() const { return in_; }
   int out_features() const { return out_; }
   float input_scale() const { return input_scale_; }
-  const std::vector<float>& weight_scales() const { return weight_scale_; }
-  const std::vector<int16_t>& packed_tiles() const { return packed_tiles_; }
 
  private:
   int in_ = 0;

@@ -13,6 +13,8 @@ namespace qpe::plan {
 namespace {
 
 constexpr size_t npos = std::string::npos;
+// Warning-log capacity; overflow is counted, not stored.
+constexpr size_t kMaxWarnings = 64;
 
 // --- Small line-scanner helpers -------------------------------------------
 
@@ -75,7 +77,7 @@ class ExplainParser {
   ExplainParser(const std::string& text, const ParseExplainOptions& options)
       : text_(text),
         strict_(options.policy == IngestionPolicy::kStrict),
-        result_{nullptr, {}, util::WarningLog(options.max_warnings)} {}
+        result_{nullptr, {}, util::WarningLog(kMaxWarnings)} {}
 
   util::StatusOr<ParsedExplain> Run() {
     size_t start = 0;

@@ -30,7 +30,6 @@ namespace qpe::plan {
 //     carrying "line L, col C: reason"; no partial tree is ever returned.
 struct ParseExplainOptions {
   IngestionPolicy policy = IngestionPolicy::kLenient;
-  size_t max_warnings = 64;  // warning-log capacity (overflow is counted)
 };
 
 struct ParsedExplain {

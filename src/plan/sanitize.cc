@@ -13,6 +13,9 @@ namespace qpe::plan {
 
 namespace {
 
+// Magnitude cap for every numeric property.
+constexpr double kMaxAbs = 1e12;
+
 // Every double-valued property is a count, size, or duration: finite,
 // non-negative, bounded. One table drives both repair and validation.
 struct DoubleField {
@@ -90,8 +93,7 @@ bool EnumInRange(int index, int code) {
 }
 
 // Repairs one node's operator ids and properties; returns defect counts.
-void SanitizeNode(PlanNode* node, const SanitizeLimits& limits,
-                  IngestionStats* stats) {
+void SanitizeNode(PlanNode* node, IngestionStats* stats) {
   const Taxonomy& tax = Taxonomy::Get();
   OperatorType type = node->type();
   bool fixed_type = false;
@@ -121,8 +123,8 @@ void SanitizeNode(PlanNode* node, const SanitizeLimits& limits,
     } else if (v < 0) {
       v = 0;
       ++stats->negative_values;
-    } else if (v > limits.max_abs) {
-      v = limits.max_abs;
+    } else if (v > kMaxAbs) {
+      v = kMaxAbs;
       ++stats->out_of_range_values;
     }
   }
@@ -141,8 +143,8 @@ void SanitizeNode(PlanNode* node, const SanitizeLimits& limits,
       p.actual_rows = p.plan_rows;
     }
     ++stats->missing_actuals;
-  } else if (p.actual_loops > limits.max_abs) {
-    p.actual_loops = limits.max_abs;
+  } else if (p.actual_loops > kMaxAbs) {
+    p.actual_loops = kMaxAbs;
     ++stats->out_of_range_values;
   }
 }
@@ -167,7 +169,7 @@ std::string IngestionStats::ToString() const {
   std::ostringstream out;
   out << "ingestion report: " << nodes << " node(s), " << TotalDefects()
       << " defect(s)";
-  if (Clean()) return out.str();
+  if (TotalDefects() == 0) return out.str();
   const std::pair<const char*, int> classes[] = {
       {"unknown operators", unknown_operators},
       {"non-finite values", nonfinite_values},
@@ -197,7 +199,7 @@ IngestionStats SanitizePlan(PlanNode* root, const SanitizeLimits& limits) {
     auto [node, depth] = stack.back();
     stack.pop_back();
     ++stats.nodes;
-    SanitizeNode(node, limits, &stats);
+    SanitizeNode(node, &stats);
 
     if (depth >= limits.max_depth && !node->children().empty()) {
       node->DropChildren();
@@ -259,7 +261,7 @@ util::Status ValidatePlan(const PlanNode& root, const SanitizeLimits& limits) {
         return fail(std::string(field.name) + " is negative (" +
                     std::to_string(v) + ")");
       }
-      if (v > limits.max_abs) {
+      if (v > kMaxAbs) {
         return fail(std::string(field.name) + " exceeds the magnitude cap (" +
                     std::to_string(v) + ")");
       }
@@ -273,7 +275,7 @@ util::Status ValidatePlan(const PlanNode& root, const SanitizeLimits& limits) {
       }
     }
     if (!std::isfinite(p.actual_loops) || p.actual_loops < 1 ||
-        p.actual_loops > limits.max_abs) {
+        p.actual_loops > kMaxAbs) {
       return fail("actual_loops out of range (" +
                   std::to_string(p.actual_loops) + ")");
     }

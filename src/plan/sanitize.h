@@ -26,7 +26,6 @@ struct SanitizeLimits {
   int max_depth = 64;       // nodes deeper than this lose their children
   int max_children = 16;    // per-node fan-out cap
   int max_nodes = 512;      // whole-tree budget (paper prunes >200-node plans)
-  double max_abs = 1e12;    // magnitude cap for every numeric property
 };
 
 // Per-defect-class counters, accumulated across parsing (ParseExplain),
@@ -36,7 +35,7 @@ struct IngestionStats {
   int unknown_operators = 0;   // names mapped to the UNKNOWN sub-type
   int nonfinite_values = 0;    // NaN/Inf properties zeroed
   int negative_values = 0;     // negative-where-count properties clamped to 0
-  int out_of_range_values = 0; // |v| > max_abs clamped to the cap
+  int out_of_range_values = 0; // |v| > 1e12 clamped to the cap
   int invalid_enums = 0;       // categorical codes outside the enum range
   int missing_actuals = 0;     // nodes degraded to estimate-only features
   int truncated_depth = 0;     // subtrees dropped at the depth cap
@@ -50,7 +49,6 @@ struct IngestionStats {
            truncated_depth + truncated_children + unparsed_lines +
            orphan_nodes;
   }
-  bool Clean() const { return TotalDefects() == 0; }
 
   void Merge(const IngestionStats& other);
 
@@ -61,7 +59,7 @@ struct IngestionStats {
 // Repairs a plan tree in place and reports what was repaired:
 //   - non-finite numeric properties -> 0            (nonfinite_values)
 //   - negative count/size properties -> 0           (negative_values)
-//   - |value| above limits.max_abs -> the cap       (out_of_range_values)
+//   - |value| above 1e12 -> 1e12                    (out_of_range_values)
 //   - categorical codes outside their enum -> 0     (invalid_enums)
 //   - actual_loops < 1 -> estimate-only degradation (missing_actuals)
 //   - depth/fan-out/node-budget overflow -> deterministic truncation

@@ -54,9 +54,6 @@ class Taxonomy {
   int Level3Rank(uint8_t id) const { return level3_.rank[id]; }
 
   // Ids of the special tokens (Level 1) and the per-level UNKNOWN tokens.
-  int nil1() const { return 0; }
-  int nil2() const { return 0; }
-  int nil3() const { return 0; }
   int br_open() const { return br_open_; }
   int br_close() const { return br_close_; }
   int cls() const { return cls_; }

@@ -81,9 +81,6 @@ class DaemonClient {
   // request in flight).
   void Close() { fd_.Reset(); }
 
-  // Raw access for tests that write deliberately hostile bytes.
-  int raw_fd() const { return fd_.get(); }
-
  private:
   util::StatusOr<Frame> RoundTrip(FrameType type, std::string_view payload);
 

@@ -24,16 +24,24 @@ namespace {
 
 constexpr double kInfiniteDeadline = std::numeric_limits<double>::infinity();
 constexpr int kPollTimeoutMs = 50;
+constexpr int kListenBacklog = 64;
+// An ENCODE request naming more plans is rejected with INVALID_ARGUMENT
+// before any plan is parsed.
+constexpr size_t kMaxPlansPerRequest = 1024;
+// SO_SNDTIMEO on client sockets: a consumer that stalls longer than this
+// while a worker is writing to it is disconnected.
+constexpr time_t kWriteTimeoutSeconds = 5;
 
 // Writes `s` as the body of a JSON string literal. Tenant names are
-// arbitrary client bytes, so quotes, backslashes and control bytes must be
-// escaped for STATS to stay valid JSON.
+// arbitrary client bytes, so quotes, backslashes, control bytes and every
+// byte >= 0x80 (which need not be valid UTF-8) are escaped: STATS stays
+// valid, pure-ASCII JSON.
 void WriteJsonEscaped(std::ostream& os, const std::string& s) {
   for (const char ch : s) {
     const unsigned char c = static_cast<unsigned char>(ch);
     if (c == '"' || c == '\\') {
       os << '\\' << ch;
-    } else if (c < 0x20) {
+    } else if (c < 0x20 || c >= 0x80) {
       char buf[8];
       std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
       os << buf;
@@ -87,7 +95,7 @@ util::Status ServingDaemon::Start() {
     return util::IoError("cannot create the drain self-pipe");
   }
   util::StatusOr<util::UniqueFd> listener =
-      util::ListenUnix(config_.socket_path, config_.listen_backlog);
+      util::ListenUnix(config_.socket_path, kListenBacklog);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);
   if (util::Status s = util::SetNonBlocking(listener_.get()); !s.ok()) {
@@ -192,8 +200,7 @@ util::Status ServingDaemon::InitDrift() {
   ptrs.reserve(corpus_plans_.size());
   for (const auto& p : corpus_plans_) ptrs.push_back(p.get());
   sentinel_ = std::make_unique<drift::DriftSentinel>(
-      drift::BuildDriftBaseline(*encoder_, ptrs, config_.drift_baseline),
-      config_.drift_sentinel);
+      drift::BuildDriftBaseline(*encoder_, ptrs), config_.drift_sentinel);
   return util::OkStatus();
 }
 
@@ -247,7 +254,7 @@ void ServingDaemon::HandleEncodeRequest(const ConnPtr& conn,
   // Admission runs on the head fields only — tenant, deadline, cost — so
   // shedding a request under overload never pays for plan parsing.
   util::StatusOr<EncodeRequestHead> head =
-      PeekEncodeRequestHead(payload, config_.max_plans_per_request);
+      PeekEncodeRequestHead(payload, kMaxPlansPerRequest);
   if (!head.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     SendError(conn, WireError::kInvalidArgument, 0, head.status().ToString());
@@ -325,8 +332,8 @@ void ServingDaemon::ProcessWork(QueuedRequest work) {
               "deadline expired while queued");
     return;
   }
-  util::StatusOr<EncodeRequest> request = ParseEncodeRequestPayload(
-      work.payload, config_.max_plans_per_request);
+  util::StatusOr<EncodeRequest> request =
+      ParseEncodeRequestPayload(work.payload, kMaxPlansPerRequest);
   if (!request.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     SendError(conn, WireError::kInvalidArgument, 0,
@@ -502,8 +509,7 @@ void ServingDaemon::InstallAdaptedEncoder(
   std::vector<const plan::PlanNode*> ptrs;
   ptrs.reserve(corpus_plans_.size());
   for (const auto& p : corpus_plans_) ptrs.push_back(p.get());
-  drift::DriftBaseline baseline =
-      drift::BuildDriftBaseline(*fresh, ptrs, config_.drift_baseline);
+  drift::DriftBaseline baseline = drift::BuildDriftBaseline(*fresh, ptrs);
   const uint64_t fingerprint = ModelFingerprint(*fresh);
   std::unique_ptr<encoder::TransformerPlanEncoder> retired;
   {
@@ -576,14 +582,9 @@ void ServingDaemon::IoLoop() {
         }
         // Reads are multiplexed with MSG_DONTWAIT; writes stay blocking
         // with a send timeout so a stalled consumer cannot pin a worker.
-        if (config_.write_timeout_seconds > 0) {
-          timeval tv{};
-          tv.tv_sec = static_cast<time_t>(config_.write_timeout_seconds);
-          tv.tv_usec = static_cast<suseconds_t>(
-              (config_.write_timeout_seconds - static_cast<double>(tv.tv_sec)) *
-              1e6);
-          ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        }
+        timeval tv{};
+        tv.tv_sec = kWriteTimeoutSeconds;
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
         auto conn = std::make_shared<Connection>();
         conn->fd.Reset(fd);
         conns.emplace(fd, std::move(conn));

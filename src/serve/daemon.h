@@ -64,9 +64,7 @@ namespace qpe::serve {
 struct ServingDaemonConfig {
   std::string socket_path;
   int workers = 2;
-  int listen_backlog = 64;
   size_t max_payload_bytes = 16u << 20;
-  size_t max_plans_per_request = 1024;
   AdmissionController::Config admission;
   EmbeddingServiceConfig service;
   // Warm-restart snapshot file; "" disables persistence entirely.
@@ -77,9 +75,6 @@ struct ServingDaemonConfig {
   // Upper bound on the drain phase: admitted-but-unserved work past this
   // deadline is failed with UNAVAILABLE and connections are closed.
   double drain_deadline_seconds = 5.0;
-  // SO_SNDTIMEO on client sockets: a consumer that stalls longer than this
-  // while a worker is writing to it is disconnected.
-  double write_timeout_seconds = 5.0;
   // Install the SIGTERM/SIGINT self-pipe handler (the qpe_served binary
   // does; tests usually call TriggerDrain() directly).
   bool install_signal_handlers = false;
@@ -94,7 +89,6 @@ struct ServingDaemonConfig {
   // encoder, and requires that encoder to be a TransformerPlanEncoder.
   bool enable_drift = false;
   std::vector<std::string> drift_corpus;
-  drift::DriftBaselineConfig drift_baseline;
   drift::DriftSentinelConfig drift_sentinel;
   // Self-healing: the crash-safe adaptation round's state directory lives in
   // adaptation.dir; "" keeps the sentinel alarm-only (detect + flag stale

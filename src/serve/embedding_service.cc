@@ -140,13 +140,4 @@ ServiceStats EmbeddingService::GetStats() const {
   return stats;
 }
 
-void EmbeddingService::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  requests_ = 0;
-  plans_ = 0;
-  encoded_plans_ = 0;
-  total_seconds_ = 0;
-  request_latencies_ms_.clear();
-}
-
 }  // namespace qpe::serve

@@ -95,7 +95,6 @@ class EmbeddingService {
   void SwapEncoder(const encoder::PlanSequenceEncoder* encoder);
 
   ServiceStats GetStats() const;
-  void ResetStats();
 
   EmbeddingCache* cache() { return cache_enabled_ ? &cache_ : nullptr; }
 

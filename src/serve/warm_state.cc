@@ -101,10 +101,4 @@ uint64_t ModelFingerprint(const nn::Module& module) {
   return (params << 32) | crc;
 }
 
-uint64_t QuantizedModelFingerprint(const nn::Module& fp32) {
-  // A fixed tag keeps the two engines' caches mutually exclusive; the
-  // constant is arbitrary but stable across builds.
-  return ModelFingerprint(fp32) ^ 0x5154385F5154385FULL;  // "QT8_QT8_"
-}
-
 }  // namespace qpe::serve

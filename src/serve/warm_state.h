@@ -22,10 +22,8 @@ namespace qpe::serve {
 // The model fingerprint gates restore: cached embeddings are only valid
 // for the exact weights that produced them, so a snapshot whose
 // fingerprint differs from the serving model's is refused
-// (kFailedPrecondition) and the daemon starts cold. Quantized and fp32
-// engines of the same weights fingerprint differently by construction
-// (see QuantizedModelFingerprint). The same weights still give different
-// bits under another kernel arithmetic (SIMD level or kernel revision), so
+// (kFailedPrecondition) and the daemon starts cold. The same weights give
+// different bits under another kernel arithmetic (SIMD level or kernel revision), so
 // SaveWarmState also stamps the active nn::simd::ArithmeticStamp(), and a
 // snapshot whose stamp differs from the loading process's is refused the
 // same way. The stamp is the snapshot's alone: ModelFingerprint stays a
@@ -57,12 +55,6 @@ util::Status LoadWarmState(const std::string& path,
 // The same function the crash-resume smoke test applies to training runs,
 // exposed here so the daemon can stamp snapshots.
 uint64_t ModelFingerprint(const nn::Module& module);
-
-// Fingerprint for an int8-quantized serving engine derived from `fp32`:
-// the fp32 fingerprint XOR a fixed tag, so a quantized daemon never
-// restores an fp32 daemon's cache (or vice versa) even though both came
-// from the same trained weights.
-uint64_t QuantizedModelFingerprint(const nn::Module& fp32);
 
 }  // namespace qpe::serve
 

@@ -10,6 +10,9 @@ namespace qpe::tasks {
 
 namespace {
 
+// Weight of the cluster cross-entropy regularizer in the training loss.
+constexpr float kClusterLossWeight = 0.5f;
+
 nn::Tensor RowsTensor(const std::vector<std::vector<float>>& rows,
                       std::span<const int> indices) {
   const int d = static_cast<int>(rows[indices[0]].size());
@@ -27,10 +30,8 @@ QueryClassifier::QueryClassifier(const Config& config, util::Rng* rng)
     : config_(config) {
   assert(static_cast<int>(config.template_to_cluster.size()) ==
          config.num_templates);
-  if (config.use_batchnorm) {
-    batchnorm_ = RegisterModule(
-        "batchnorm", std::make_unique<nn::BatchNorm1d>(config.feature_dim));
-  }
+  batchnorm_ = RegisterModule(
+      "batchnorm", std::make_unique<nn::BatchNorm1d>(config.feature_dim));
   mlp_ = RegisterModule(
       "mlp", std::make_unique<nn::Mlp>(
                  std::vector<int>{config.feature_dim, config.hidden_dim,
@@ -44,9 +45,7 @@ QueryClassifier::QueryClassifier(const Config& config, util::Rng* rng)
 }
 
 nn::Tensor QueryClassifier::Logits(const nn::Tensor& x) {
-  nn::Tensor h = x;
-  if (batchnorm_ != nullptr) h = batchnorm_->Forward(h);
-  return mlp_->Forward(h);
+  return mlp_->Forward(batchnorm_->Forward(x));
 }
 
 void QueryClassifier::Train(const std::vector<std::vector<float>>& features,
@@ -57,7 +56,7 @@ void QueryClassifier::Train(const std::vector<std::vector<float>>& features,
       .num_examples = static_cast<int>(features.size()),
       // The whole minibatch is one shard; batch norm needs two rows.
       .num_shards = [this](std::span<const int> batch, util::Rng*) {
-        return batch.size() < 2 && batchnorm_ != nullptr ? 0 : 1;
+        return batch.size() < 2 ? 0 : 1;
       }};
   task.shard_loss = [&](std::span<const int> indices, int) {
     const nn::Tensor x = RowsTensor(features, indices);
@@ -65,44 +64,28 @@ void QueryClassifier::Train(const std::vector<std::vector<float>>& features,
     targets.reserve(indices.size());
     for (int i : indices) targets.push_back(template_labels[i]);
     const nn::Tensor logits = Logits(x);
-    nn::Tensor loss = CrossEntropy(logits, targets);
-    if (config_.cluster_loss_weight > 0) {
-      // Cluster regularizer: sum template probabilities per cluster, then
-      // cross-entropy against the true cluster (§5.3).
-      const nn::Tensor probs = SoftmaxRows(logits);
-      const nn::Tensor cluster_probs = MatMul(probs, cluster_matrix_);
-      nn::Tensor one_hot = nn::Tensor::Zeros(static_cast<int>(indices.size()),
-                                             config_.num_clusters);
-      float* oh = one_hot.value().data();
-      for (size_t r = 0; r < indices.size(); ++r) {
-        oh[r * config_.num_clusters +
-           config_.template_to_cluster[targets[r]]] = 1.0f;
-      }
-      const nn::Tensor cluster_nll =
-          Scale(Mean(RowSum(Mul(Log(cluster_probs), one_hot))),
-                -static_cast<float>(config_.num_clusters));
-      // (RowSum picks the target cluster's log-prob; Mean divides by the
-      // cluster count, so rescale to a per-row average NLL.)
-      loss = Add(loss, Scale(cluster_nll, config_.cluster_loss_weight));
+    const nn::Tensor loss = CrossEntropy(logits, targets);
+    // Cluster regularizer: sum template probabilities per cluster, then
+    // cross-entropy against the true cluster (§5.3).
+    const nn::Tensor probs = SoftmaxRows(logits);
+    const nn::Tensor cluster_probs = MatMul(probs, cluster_matrix_);
+    nn::Tensor one_hot = nn::Tensor::Zeros(static_cast<int>(indices.size()),
+                                           config_.num_clusters);
+    float* oh = one_hot.value().data();
+    for (size_t r = 0; r < indices.size(); ++r) {
+      oh[r * config_.num_clusters + config_.template_to_cluster[targets[r]]] =
+          1.0f;
     }
-    return loss;
+    const nn::Tensor cluster_nll =
+        Scale(Mean(RowSum(Mul(Log(cluster_probs), one_hot))),
+              -static_cast<float>(config_.num_clusters));
+    // (RowSum picks the target cluster's log-prob; Mean divides by the
+    // cluster count, so rescale to a per-row average NLL.)
+    return Add(loss, Scale(cluster_nll, kClusterLossWeight));
   };
   nn::RunTrainLoop({.epochs = options.epochs, .batch_size = options.batch_size,
                     .lr = options.lr, .seed = options.seed, .grad_clip = 5.0f},
                    task, nullptr);
-}
-
-int QueryClassifier::PredictTemplate(const std::vector<float>& features) {
-  SetTraining(false);
-  const nn::Tensor x = nn::Tensor::FromVector(
-      1, static_cast<int>(features.size()), features);
-  const nn::Tensor logits = Logits(x);
-  const float* lv = logits.value().data();  // [1, num_templates]
-  int best = 0;
-  for (int t = 1; t < config_.num_templates; ++t) {
-    if (lv[t] > lv[best]) best = t;
-  }
-  return best;
 }
 
 QueryClassifier::Accuracy QueryClassifier::Evaluate(

@@ -10,11 +10,11 @@ namespace qpe::tasks {
 
 // Downstream task 2 (paper §4.2, §5.3): query classification on the Join
 // Order Benchmark — predict the template id (113-way) of a plan, with a
-// cluster-level (33-way) cross-entropy regularizer computed by summing the
-// template probabilities within each cluster. Inputs are fused embedding
-// features (structure and/or performance, from EmbeddingFeaturizer), passed
-// through batch normalization before the classifier MLP — both details the
-// paper reports as important.
+// cluster-level (33-way) cross-entropy regularizer, weighted 0.5, computed
+// by summing the template probabilities within each cluster. Inputs are
+// fused embedding features (structure and/or performance, from
+// EmbeddingFeaturizer), passed through batch normalization before the
+// classifier MLP — both details the paper reports as important.
 class QueryClassifier : public nn::Module {
  public:
   struct Config {
@@ -23,8 +23,6 @@ class QueryClassifier : public nn::Module {
     int num_templates = 113;
     int num_clusters = 33;
     std::vector<int> template_to_cluster;  // size num_templates
-    float cluster_loss_weight = 0.5f;
-    bool use_batchnorm = true;
   };
 
   QueryClassifier(const Config& config, util::Rng* rng);
@@ -48,14 +46,11 @@ class QueryClassifier : public nn::Module {
   Accuracy Evaluate(const std::vector<std::vector<float>>& features,
                     const std::vector<int>& template_labels);
 
-  // Predicted template id for one feature row.
-  int PredictTemplate(const std::vector<float>& features);
-
  private:
   nn::Tensor Logits(const nn::Tensor& x);
 
   Config config_;
-  nn::BatchNorm1d* batchnorm_ = nullptr;
+  nn::BatchNorm1d* batchnorm_;
   nn::Mlp* mlp_;
   nn::Tensor cluster_matrix_;  // [num_templates, num_clusters], constant 0/1
 };

@@ -68,16 +68,6 @@ double LatencyPredictor::PredictMs(const simdb::ExecutedQuery& record) const {
   return data::DecodeLabel(mlp_->Forward(x).at(0, 0));
 }
 
-std::vector<double> LatencyPredictor::PredictAllMs(
-    const std::vector<simdb::ExecutedQuery>& records) const {
-  std::vector<double> predictions;
-  predictions.reserve(records.size());
-  for (const simdb::ExecutedQuery& record : records) {
-    predictions.push_back(PredictMs(record));
-  }
-  return predictions;
-}
-
 double LatencyPredictor::EvaluateMaeMs(
     const std::vector<simdb::ExecutedQuery>& records) const {
   if (records.empty()) return 0;

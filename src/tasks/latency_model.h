@@ -36,10 +36,6 @@ class LatencyPredictor : public nn::Module {
   // MAE in milliseconds over a set.
   double EvaluateMaeMs(const std::vector<simdb::ExecutedQuery>& records) const;
 
-  // Per-record predictions (ms).
-  std::vector<double> PredictAllMs(
-      const std::vector<simdb::ExecutedQuery>& records) const;
-
  private:
   nn::Tensor FeatureTensor(
       const std::vector<std::vector<float>>& rows) const;

@@ -7,15 +7,23 @@
 #include "nn/train_loop.h"
 
 namespace qpe::tasks {
+namespace {
+
+// Size of the inter-unit data vectors.
+constexpr int kDataDim = 16;
+// Supervision weight for internal (non-root) nodes' latency outputs.
+constexpr float kInternalLossWeight = 0.5f;
+
+}  // namespace
 
 QppNet::QppNet(const Config& config, util::Rng* rng) : config_(config) {
-  const int input_dim = data::kNodeFeatureDim + 2 * config.data_dim;
+  const int input_dim = data::kNodeFeatureDim + 2 * kDataDim;
   for (int g = 0; g < plan::kNumOperatorGroups; ++g) {
     units_.push_back(RegisterModule(
         std::string("unit_") + plan::GroupName(static_cast<plan::OperatorGroup>(g)),
         std::make_unique<nn::Mlp>(
             std::vector<int>{input_dim, config.hidden_dim, config.hidden_dim,
-                             config.data_dim},
+                             kDataDim},
             nn::Activation::kRelu, nn::Activation::kNone, rng)));
   }
 }
@@ -23,8 +31,8 @@ QppNet::QppNet(const Config& config, util::Rng* rng) : config_(config) {
 nn::Tensor QppNet::ForwardNode(const plan::PlanNode& node) const {
   // Children data vectors, zero-padded to two slots; extra children are
   // summed into the second slot.
-  nn::Tensor left = nn::Tensor::Zeros(1, config_.data_dim);
-  nn::Tensor right = nn::Tensor::Zeros(1, config_.data_dim);
+  nn::Tensor left = nn::Tensor::Zeros(1, kDataDim);
+  nn::Tensor right = nn::Tensor::Zeros(1, kDataDim);
   const auto& children = node.children();
   if (!children.empty()) left = ForwardNode(*children[0]);
   for (size_t i = 1; i < children.size(); ++i) {
@@ -48,22 +56,20 @@ nn::Tensor QppNet::PlanLoss(const plan::PlanNode& root) const {
   while (!stack.empty()) {
     const plan::PlanNode* node = stack.back();
     stack.pop_back();
-    const float weight = node == &root ? 1.0f : config_.internal_loss_weight;
-    if (weight > 0) {
-      const nn::Tensor data_vector = ForwardNode(*node);
-      const nn::Tensor pred = SliceCols(data_vector, 0, 1);
-      const nn::Tensor target = nn::Tensor::Scalar(static_cast<float>(
-          data::EncodeLabel(node->props().actual_total_time_ms)));
-      total = Add(total, Scale(Square(Sub(pred, target)), weight));
-      weight_total += weight;
-    }
+    const float weight = node == &root ? 1.0f : kInternalLossWeight;
+    const nn::Tensor data_vector = ForwardNode(*node);
+    const nn::Tensor pred = SliceCols(data_vector, 0, 1);
+    const nn::Tensor target = nn::Tensor::Scalar(static_cast<float>(
+        data::EncodeLabel(node->props().actual_total_time_ms)));
+    total = Add(total, Scale(Square(Sub(pred, target)), weight));
+    weight_total += weight;
     // Only descend one level for internal supervision to bound cost: the
     // root plus its direct children cover the dominant operators.
     if (node == &root) {
       for (const auto& child : node->children()) stack.push_back(child.get());
     }
   }
-  return Scale(total, weight_total > 0 ? 1.0f / weight_total : 1.0f);
+  return Scale(total, 1.0f / weight_total);
 }
 
 void QppNet::Train(const std::vector<simdb::ExecutedQuery>& train) {

@@ -12,20 +12,18 @@ namespace qpe::tasks {
 // QPPNet (Marcus & Papaemmanouil [18]): plan-structured neural network.
 // One neural unit per operator group; a node's unit consumes the node's
 // features concatenated with its children's output *data vectors* and emits
-// a data vector whose first element is the predicted (encoded) latency of
-// the subtree. The network composes along the plan tree, so its shape
+// a 16-float data vector whose first element is the predicted (encoded)
+// latency of the subtree; internal nodes' outputs are supervised at half
+// the root's weight. The network composes along the plan tree, so its shape
 // mirrors the plan's shape — per-plan dynamic graphs, handled naturally by
 // the autograd substrate.
 class QppNet : public nn::Module, public LatencyBaseline {
  public:
   struct Config {
-    int data_dim = 16;    // size of the inter-unit data vectors
     int hidden_dim = 32;
     int epochs = 30;
     float lr = 2e-3f;
     uint64_t seed = 47;
-    // Supervision weight for internal (non-root) nodes' latency outputs.
-    float internal_loss_weight = 0.5f;
   };
 
   QppNet(const Config& config, util::Rng* rng);
@@ -35,7 +33,7 @@ class QppNet : public nn::Module, public LatencyBaseline {
   std::string name() const override { return "QPPNet"; }
 
  private:
-  // Returns the node's data vector [1, data_dim].
+  // Returns the node's data vector [1, 16].
   nn::Tensor ForwardNode(const plan::PlanNode& node) const;
   // Collects (prediction, encoded target, weight) terms for the loss.
   nn::Tensor PlanLoss(const plan::PlanNode& root) const;

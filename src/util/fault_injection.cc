@@ -38,16 +38,6 @@ void FaultInjector::Arm(std::string pattern, int nth) {
 
 void FaultInjector::Disarm() { Arm("", 0); }
 
-bool FaultInjector::armed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return nth_ > 0;
-}
-
-int FaultInjector::matching_calls() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
 Status FaultInjector::Inject(std::string_view site) {
   std::lock_guard<std::mutex> lock(mu_);
   if (nth_ <= 0) return OkStatus();

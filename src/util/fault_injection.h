@@ -32,11 +32,6 @@ class FaultInjector {
   // contains `pattern` fails. nth <= 0 disarms. Resets the call counter.
   void Arm(std::string pattern, int nth);
   void Disarm();
-  bool armed() const;
-
-  // Number of calls that matched the armed pattern so far (for tests that
-  // sweep nth until a path stops failing).
-  int matching_calls() const;
 
   Status Inject(std::string_view site);
 

@@ -83,31 +83,6 @@ void Rng::BernoulliFill(double p, float hit, float miss, float* dst,
   for (int i = 0; i < 4; ++i) s_[i] = s[i];
 }
 
-int64_t Rng::Zipf(int64_t n, double theta) {
-  if (n <= 1) return 0;
-  // Inverse-CDF sampling over the (unnormalized) weights 1/(i+1)^theta.
-  // For the modest n used in catalogs this linear scan is fine.
-  double total = 0.0;
-  for (int64_t i = 0; i < n; ++i) total += 1.0 / std::pow(i + 1, theta);
-  double u = Uniform() * total;
-  for (int64_t i = 0; i < n; ++i) {
-    u -= 1.0 / std::pow(i + 1, theta);
-    if (u <= 0) return i;
-  }
-  return n - 1;
-}
-
-int Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  double u = Uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u <= 0) return static_cast<int>(i);
-  }
-  return static_cast<int>(weights.size()) - 1;
-}
-
 std::vector<int> Rng::Permutation(int n) {
   std::vector<int> p(n);
   for (int i = 0; i < n; ++i) p[i] = i;

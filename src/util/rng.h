@@ -70,12 +70,6 @@ class Rng {
   void BernoulliFill(double p, float hit, float miss, float* dst,
                      size_t kept, size_t count);
 
-  // Zipf-like skew sample in [0, n): index i with weight 1/(i+1)^theta.
-  int64_t Zipf(int64_t n, double theta);
-
-  // Samples an index according to non-negative weights (need not sum to 1).
-  int Categorical(const std::vector<double>& weights);
-
   // Fisher-Yates shuffle of indices [0, n).
   std::vector<int> Permutation(int n);
 

@@ -1,7 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
 namespace qpe::util {
 
@@ -14,14 +14,6 @@ double Mean(const std::vector<double>& values) {
 
 double Median(std::vector<double> values) { return Percentile(std::move(values), 50.0); }
 
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double mean = Mean(values);
-  double ss = 0.0;
-  for (double v : values) ss += (v - mean) * (v - mean);
-  return std::sqrt(ss / static_cast<double>(values.size() - 1));
-}
-
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
@@ -31,53 +23,6 @@ double Percentile(std::vector<double> values, double p) {
   const size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double MeanAbsoluteError(const std::vector<double>& predictions,
-                         const std::vector<double>& targets) {
-  if (predictions.empty() || predictions.size() != targets.size()) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    sum += std::abs(predictions[i] - targets[i]);
-  }
-  return sum / static_cast<double>(predictions.size());
-}
-
-double RootMeanSquaredError(const std::vector<double>& predictions,
-                            const std::vector<double>& targets) {
-  if (predictions.empty() || predictions.size() != targets.size()) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    const double d = predictions[i] - targets[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum / static_cast<double>(predictions.size()));
-}
-
-double FractionWithinAbsoluteError(const std::vector<double>& predictions,
-                                   const std::vector<double>& targets,
-                                   double threshold) {
-  if (predictions.empty() || predictions.size() != targets.size()) return 0.0;
-  size_t hits = 0;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    if (std::abs(predictions[i] - targets[i]) <= threshold) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(predictions.size());
-}
-
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return 0.0;
-  const double mx = Mean(x);
-  const double my = Mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace qpe::util

@@ -11,27 +11,9 @@ namespace qpe::util {
 
 double Mean(const std::vector<double>& values);
 double Median(std::vector<double> values);
-double StdDev(const std::vector<double>& values);
 
 // Linear-interpolated percentile; p in [0, 100].
 double Percentile(std::vector<double> values, double p);
-
-// Mean absolute error between predictions and targets (sizes must match).
-double MeanAbsoluteError(const std::vector<double>& predictions,
-                         const std::vector<double>& targets);
-
-// Root mean squared error.
-double RootMeanSquaredError(const std::vector<double>& predictions,
-                            const std::vector<double>& targets);
-
-// Fraction of predictions whose absolute error is below `threshold`.
-double FractionWithinAbsoluteError(const std::vector<double>& predictions,
-                                   const std::vector<double>& targets,
-                                   double threshold);
-
-// Pearson correlation coefficient; 0 if degenerate.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
 
 }  // namespace qpe::util
 

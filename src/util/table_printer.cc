@@ -45,27 +45,4 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TablePrinter::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < header_.size(); ++c) {
-      const std::string& cell = c < row.size() ? row[c] : std::string();
-      // Quote cells containing separators.
-      if (cell.find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (char ch : cell) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-      os << (c + 1 < header_.size() ? "," : "");
-    }
-    os << "\n";
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace qpe::util

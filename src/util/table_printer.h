@@ -20,9 +20,6 @@ class TablePrinter {
 
   void Print(std::ostream& os) const;
 
-  // Machine-readable rendering (for plotting the bench series).
-  void PrintCsv(std::ostream& os) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -114,16 +114,5 @@ TEST(LhsSamplerTest, DeterministicForSameSeed) {
   }
 }
 
-TEST(LhsSamplerTest, UniformBaselineInRange) {
-  LhsSampler sampler(util::Rng(4));
-  for (const DbConfig& config : sampler.SampleUniform(20)) {
-    for (int k = 0; k < kNumKnobs; ++k) {
-      const KnobInfo& info = KnobTable()[k];
-      EXPECT_GE(config.Get(static_cast<Knob>(k)), info.min_value);
-      EXPECT_LE(config.Get(static_cast<Knob>(k)), info.max_value);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace qpe::config

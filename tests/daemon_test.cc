@@ -1015,22 +1015,25 @@ TEST_F(DaemonTest, StatsEscapesHostileTenantNames) {
   auto client = DaemonClient::Connect(config.socket_path);
   ASSERT_TRUE(client.ok());
   EncodeRequest request;
-  request.tenant = "a\"b\\c\n\x01";
+  request.tenant = "a\"b\\c\n\x01\x80\xff";
   request.plans = SamplePlanTexts(1, 7);
   ASSERT_TRUE(client->Encode(request).ok());
 
   const auto stats_json = client->StatsJson();
   ASSERT_TRUE(stats_json.ok()) << stats_json.status().ToString();
-  EXPECT_NE(stats_json->find("\"a\\\"b\\\\c\\u000a\\u0001\": {"),
+  EXPECT_NE(stats_json->find(
+                "\"a\\\"b\\\\c\\u000a\\u0001\\u0080\\u00ff\": {"),
             std::string::npos)
       << *stats_json;
   // Newlines separate the JSON lines; every other control byte must have
-  // been escaped.
+  // been escaped, and so must every byte >= 0x80 (a lone one is not
+  // UTF-8), so STATS is pure ASCII.
   for (const char ch : *stats_json) {
     const unsigned char c = static_cast<unsigned char>(ch);
     if (c != '\n') {
       EXPECT_GE(c, 0x20) << *stats_json;
     }
+    EXPECT_LT(c, 0x80) << *stats_json;
   }
   EXPECT_EQ(stats_json->find(request.tenant), std::string::npos);
   daemon.Stop();
@@ -1114,6 +1117,30 @@ TEST_F(DaemonTest, DeeplyNestedPlanIsRejectedAndDaemonKeepsServing) {
   EXPECT_TRUE(client->Ping().ok());
   request.plans = SamplePlanTexts(2, 8);
   EXPECT_TRUE(client->Encode(request).ok());
+  daemon.Stop();
+}
+
+TEST_F(DaemonTest, OverLimitPlanCountIsRejectedEndToEnd) {
+  // The daemon takes at most 1024 plans per ENCODE request. One more is
+  // refused with a typed INVALID_ARGUMENT naming the limit, and the
+  // connection keeps serving.
+  const ServingDaemonConfig config = BaseConfig("plancount");
+  ServingDaemon daemon(&encoder_, config);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  auto client = DaemonClient::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  EncodeRequest request;
+  request.tenant = "default";
+  request.plans.assign(1025, "(op \"Scan-Seq\")");
+  ErrorResponse error;
+  const auto response = client->Encode(request, &error);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(error.code, WireError::kInvalidArgument);
+  EXPECT_NE(error.message.find("1025 plan(s), above the 1024-plan limit"),
+            std::string::npos)
+      << error.message;
+  EXPECT_TRUE(client->Ping().ok());
   daemon.Stop();
 }
 

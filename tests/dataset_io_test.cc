@@ -11,7 +11,6 @@
 #include "util/status.h"
 #include "simdb/workload_runner.h"
 #include "simdb/workloads.h"
-#include "util/table_printer.h"
 
 namespace qpe::data {
 namespace {
@@ -30,10 +29,10 @@ std::string TempPath(const char* name) {
 TEST(DatasetIoTest, RoundTripPreservesEverything) {
   const auto original = SmallDataset();
   const std::string path = TempPath("qpe_dataset_io_test.txt");
-  ASSERT_TRUE(SaveExecutedQueries(original, path));
-  bool ok = false;
-  const auto loaded = LoadExecutedQueries(path, &ok);
-  ASSERT_TRUE(ok);
+  ASSERT_TRUE(SaveExecutedQueriesStatus(original, path).ok());
+  const auto checked = LoadExecutedQueriesChecked(path);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  const std::vector<simdb::ExecutedQuery>& loaded = *checked;
   ASSERT_EQ(loaded.size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_DOUBLE_EQ(loaded[i].latency_ms, original[i].latency_ms);
@@ -55,10 +54,8 @@ TEST(DatasetIoTest, RoundTripPreservesEverything) {
 }
 
 TEST(DatasetIoTest, MissingFileFails) {
-  bool ok = true;
-  const auto loaded = LoadExecutedQueries("/no/such/qpe_file.txt", &ok);
-  EXPECT_FALSE(ok);
-  EXPECT_TRUE(loaded.empty());
+  const auto loaded = LoadExecutedQueriesChecked("/no/such/qpe_file.txt");
+  EXPECT_FALSE(loaded.ok());
 }
 
 TEST(DatasetIoTest, MalformedLineRejected) {
@@ -67,20 +64,17 @@ TEST(DatasetIoTest, MalformedLineRejected) {
     std::ofstream os(path);
     os << "(record :latency banana)\n";
   }
-  bool ok = true;
-  const auto loaded = LoadExecutedQueries(path, &ok);
-  EXPECT_FALSE(ok);
-  EXPECT_TRUE(loaded.empty());
+  const auto loaded = LoadExecutedQueriesChecked(path);
+  EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, EmptyFileIsOkAndEmpty) {
   const std::string path = TempPath("qpe_dataset_io_empty.txt");
   { std::ofstream os(path); }
-  bool ok = false;
-  const auto loaded = LoadExecutedQueries(path, &ok);
-  EXPECT_TRUE(ok);
-  EXPECT_TRUE(loaded.empty());
+  const auto loaded = LoadExecutedQueriesChecked(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->empty());
   std::remove(path.c_str());
 }
 
@@ -89,7 +83,7 @@ TEST(DatasetIoTest, EmptyFileIsOkAndEmpty) {
 TEST(DatasetIoCheckedTest, ReportsLineNumberOfFirstMalformedRecord) {
   const auto dataset = SmallDataset();
   const std::string path = TempPath("qpe_dataset_io_lineno.txt");
-  ASSERT_TRUE(SaveExecutedQueries(dataset, path));
+  ASSERT_TRUE(SaveExecutedQueriesStatus(dataset, path).ok());
   {
     std::ofstream os(path, std::ios::app);
     os << "this is not a record\n";
@@ -121,7 +115,7 @@ TEST(DatasetIoCheckedTest, ReportsMissingTokenReason) {
 TEST(DatasetIoCheckedTest, ForwardsPlanParseDiagnostics) {
   const auto dataset = SmallDataset();
   const std::string path = TempPath("qpe_dataset_io_plan.txt");
-  ASSERT_TRUE(SaveExecutedQueries(dataset, path));
+  ASSERT_TRUE(SaveExecutedQueriesStatus(dataset, path).ok());
   // Corrupt the plan section of the saved record: the loader must forward
   // the plan parser's reason and offset, prefixed with the line number.
   std::ifstream is(path);
@@ -215,20 +209,6 @@ TEST(ParsePlanCheckedTest, UnterminatedPlanRejected) {
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("unterminated"), std::string::npos)
       << parsed.status().ToString();
-}
-
-TEST(TablePrinterCsvTest, EscapesAndAligns) {
-  util::TablePrinter table({"name", "value"});
-  table.AddRow({"plain", "1"});
-  table.AddRow({"with,comma", "2"});
-  table.AddRow({"with\"quote", "3"});
-  std::ostringstream oss;
-  table.PrintCsv(oss);
-  EXPECT_EQ(oss.str(),
-            "name,value\n"
-            "plain,1\n"
-            "\"with,comma\",2\n"
-            "\"with\"\"quote\",3\n");
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(ExplainParserTest, ParsesHandWrittenSnippet) {
   EXPECT_EQ(join.children()[0]->relations()[0], "lineitem");
   EXPECT_EQ(join.children()[1]->type(), OperatorType::Parse("Scan-Index"));
   EXPECT_TRUE(join.children()[1]->props().has_index_condition);
-  EXPECT_TRUE(parsed->stats.Clean());
+  EXPECT_EQ(parsed->stats.TotalDefects(), 0);
 }
 
 TEST(ExplainParserTest, EmptyInputIsAnErrorInBothModes) {

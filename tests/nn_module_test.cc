@@ -14,10 +14,23 @@
 namespace qpe::nn {
 namespace {
 
+// Binary cross entropy on probabilities, composed from autograd ops.
+Tensor BceLoss(const Tensor& probability, const Tensor& target) {
+  const Tensor pos = Mul(target, Log(probability));
+  const Tensor one_minus_p = Sub(
+      Tensor::Full(probability.rows(), probability.cols(), 1.0f), probability);
+  const Tensor one_minus_t =
+      Sub(Tensor::Full(target.rows(), target.cols(), 1.0f), target);
+  const Tensor neg = Mul(one_minus_t, Log(one_minus_p));
+  return Scale(Mean(Add(pos, neg)), -1.0f);
+}
+
 TEST(LinearTest, ShapesAndParameterCount) {
   util::Rng rng(1);
   Linear layer(4, 3, &rng);
-  EXPECT_EQ(layer.ParameterCount(), 4 * 3 + 3);
+  int parameter_count = 0;
+  for (const Tensor& p : layer.Parameters()) parameter_count += p.numel();
+  EXPECT_EQ(parameter_count, 4 * 3 + 3);
   const Tensor y = layer.Forward(Tensor::Zeros(5, 4));
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 3);

@@ -11,6 +11,22 @@
 namespace qpe::nn {
 namespace {
 
+// Binary cross entropy on probabilities, composed from autograd ops.
+Tensor BceLoss(const Tensor& probability, const Tensor& target) {
+  const Tensor pos = Mul(target, Log(probability));
+  const Tensor one_minus_p = Sub(
+      Tensor::Full(probability.rows(), probability.cols(), 1.0f), probability);
+  const Tensor one_minus_t =
+      Sub(Tensor::Full(target.rows(), target.cols(), 1.0f), target);
+  const Tensor neg = Mul(one_minus_t, Log(one_minus_p));
+  return Scale(Mean(Add(pos, neg)), -1.0f);
+}
+
+// Mean absolute error, composed from autograd ops.
+Tensor L1Loss(const Tensor& prediction, const Tensor& target) {
+  return Mean(Abs(Sub(prediction, target)));
+}
+
 // Pins the kernel dispatch to a level for a test's duration and restores
 // the previous level on exit. The fused-vs-chain comparisons below are
 // bitwise only at the scalar level (the chain ops use scalar std::exp;

@@ -451,11 +451,6 @@ TEST(EmbeddingServiceTest, LatencySamplesStayBoundedOverLongRuns) {
   EXPECT_EQ(stats.latency_samples, kWindow);
   EXPECT_GT(stats.p99_ms, 0.0);
   EXPECT_LE(stats.p50_ms, stats.p99_ms);
-
-  service.ResetStats();
-  EXPECT_EQ(service.GetStats().latency_samples, 0u);
-  (void)service.EncodeOne(*plans[0]);
-  EXPECT_EQ(service.GetStats().latency_samples, 1u);
 }
 
 TEST(EmbeddingServiceTest, ConcurrentCallersSeeConsistentEmbeddings) {

@@ -830,7 +830,8 @@ TEST(QuantTest, RoundTripErrorBoundedByHalfScale) {
   for (const float v : x) absmax = std::max(absmax, std::fabs(v));
   const float scale = absmax / 127.0f;
   std::vector<int8_t> q(x.size());
-  nn::QuantizeBuffer(x.data(), x.size(), scale, q.data());
+  nn::simd::K().quantize_buffer(x.data(), static_cast<int>(x.size()),
+                                1.0f / scale, q.data());
   for (size_t i = 0; i < x.size(); ++i) {
     const float dequant = static_cast<float>(q[i]) * scale;
     EXPECT_LE(std::fabs(dequant - x[i]), 0.5f * scale + 1e-6f) << "index " << i;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -11,7 +12,6 @@
 #include "simdb/workload_runner.h"
 #include "simdb/workloads.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace qpe::simdb {
 namespace {
@@ -450,7 +450,8 @@ TEST(WorkloadRunnerTest, RecordCountAndVariability) {
     if (record.template_index == 2) q3.push_back(record.latency_ms);
   }
   EXPECT_EQ(q3.size(), 8u);
-  EXPECT_GT(util::StdDev(q3), 0.0);
+  EXPECT_GT(*std::max_element(q3.begin(), q3.end()),
+            *std::min_element(q3.begin(), q3.end()));
 }
 
 TEST(WorkloadRunnerTest, DeterministicForSeed) {

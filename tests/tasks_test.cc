@@ -246,18 +246,5 @@ TEST(QueryClassifierTest, ClusterAccuracyAtLeastTemplateOnAmbiguous) {
   EXPECT_LT(accuracy.template_accuracy, 0.8);
 }
 
-TEST(QueryClassifierTest, PredictTemplateInRange) {
-  QueryClassifier::Config config;
-  config.feature_dim = 4;
-  config.num_templates = 6;
-  config.num_clusters = 2;
-  config.template_to_cluster = {0, 0, 0, 1, 1, 1};
-  util::Rng rng(7);
-  QueryClassifier classifier(config, &rng);
-  const int prediction = classifier.PredictTemplate({0.1f, 0.2f, 0.3f, 0.4f});
-  EXPECT_GE(prediction, 0);
-  EXPECT_LT(prediction, 6);
-}
-
 }  // namespace
 }  // namespace qpe::tasks

@@ -115,30 +115,6 @@ TEST(RngTest, BernoulliFillMatchesPerCallLoop) {
   }
 }
 
-TEST(RngTest, ZipfSkewedTowardSmallIndices) {
-  Rng rng(17);
-  int first = 0, last = 0;
-  for (int i = 0; i < 10000; ++i) {
-    const int64_t v = rng.Zipf(100, 1.0);
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, 100);
-    if (v == 0) ++first;
-    if (v == 99) ++last;
-  }
-  EXPECT_GT(first, last * 10);
-}
-
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(19);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 30000; ++i) {
-    ++counts[rng.Categorical({1.0, 2.0, 7.0})];
-  }
-  EXPECT_NEAR(counts[0] / 30000.0, 0.1, 0.02);
-  EXPECT_NEAR(counts[1] / 30000.0, 0.2, 0.02);
-  EXPECT_NEAR(counts[2] / 30000.0, 0.7, 0.02);
-}
-
 TEST(RngTest, PermutationIsPermutation) {
   Rng rng(23);
   const std::vector<int> p = rng.Permutation(50);
@@ -180,32 +156,6 @@ TEST(StatsTest, PercentileInterpolation) {
   EXPECT_DOUBLE_EQ(Percentile(v, 100), 50.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 50), 30.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 25), 20.0);
-}
-
-TEST(StatsTest, StdDevOfConstantIsZero) {
-  EXPECT_DOUBLE_EQ(StdDev({3, 3, 3, 3}), 0.0);
-}
-
-TEST(StatsTest, MaeAndRmse) {
-  const std::vector<double> pred = {1, 2, 3};
-  const std::vector<double> target = {2, 2, 5};
-  EXPECT_DOUBLE_EQ(MeanAbsoluteError(pred, target), 1.0);
-  EXPECT_NEAR(RootMeanSquaredError(pred, target), std::sqrt(5.0 / 3.0), 1e-12);
-}
-
-TEST(StatsTest, MismatchedSizesReturnZero) {
-  EXPECT_DOUBLE_EQ(MeanAbsoluteError({1, 2}, {1}), 0.0);
-}
-
-TEST(StatsTest, FractionWithinAbsoluteError) {
-  EXPECT_DOUBLE_EQ(
-      FractionWithinAbsoluteError({1, 2, 3, 4}, {1, 3, 10, 4}, 1.0), 0.75);
-}
-
-TEST(StatsTest, PearsonCorrelation) {
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {2, 4, 6}), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {6, 4, 2}), -1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {
