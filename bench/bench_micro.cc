@@ -455,44 +455,8 @@ BENCHMARK(BM_LayerNormRowsScalar)->Arg(100);
 BENCHMARK(BM_LayerNormRowsSimd)->Arg(100);
 
 // Packed ragged-batch attention at the model shape (48 dims, 4 heads),
-// 16 sequences of the given length. Arg: sequence length.
-void AttentionPackedKernel(benchmark::State& state,
-                           const qpe::nn::simd::Kernels& kern) {
-  const int len = static_cast<int>(state.range(0));
-  const int num_seqs = 16, num_heads = 4, dim = 48;
-  std::vector<int> offsets(num_seqs), lengths(num_seqs, len);
-  for (int s = 0; s < num_seqs; ++s) offsets[s] = s * len;
-  const int total = num_seqs * len;
-  const std::vector<float> q = RandomBuffer(static_cast<size_t>(total) * dim, 37);
-  const std::vector<float> k = RandomBuffer(static_cast<size_t>(total) * dim, 38);
-  const std::vector<float> v = RandomBuffer(static_cast<size_t>(total) * dim, 39);
-  std::vector<float> out(q.size());
-  std::vector<float> scratch(static_cast<size_t>(len) *
-                             (len + dim / num_heads));
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
-  for (auto _ : state) {
-    kern.attention_forward_packed(q.data(), k.data(), v.data(), out.data(),
-                                  offsets.data(), lengths.data(), num_seqs,
-                                  num_heads, dim, scale, scratch.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  // Scores + context: 2 * T^2 * dim MACs per sequence.
-  state.SetItemsProcessed(state.iterations() * num_seqs * 2LL * len * len *
-                          dim * 2);
-  state.SetLabel(kern.name);
-}
-void BM_AttentionPackedScalar(benchmark::State& state) {
-  AttentionPackedKernel(state, ScalarKernels());
-}
-void BM_AttentionPackedSimd(benchmark::State& state) {
-  AttentionPackedKernel(state, BestKernels());
-}
-BENCHMARK(BM_AttentionPackedScalar)->Arg(32);
-BENCHMARK(BM_AttentionPackedSimd)->Arg(32);
-
-// Head-blocked attention at the same shape, including the per-layer K/V
-// repack the engine pays — the pair against BM_AttentionPacked measures
-// what head blocking buys end to end. Arg: sequence length.
+// 16 sequences of the given length, including the per-layer K/V repack
+// into head blocks that every caller pays. Arg: sequence length.
 void AttentionBlockedKernel(benchmark::State& state,
                             const qpe::nn::simd::Kernels& kern) {
   const int len = static_cast<int>(state.range(0));
@@ -516,6 +480,7 @@ void AttentionBlockedKernel(benchmark::State& state,
                                    probs.data());
     benchmark::DoNotOptimize(out.data());
   }
+  // Scores + context: 2 * T^2 * dim MACs per sequence.
   state.SetItemsProcessed(state.iterations() * num_seqs * 2LL * len * len *
                           dim * 2);
   state.SetLabel(kern.name);

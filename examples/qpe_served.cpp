@@ -29,6 +29,8 @@
 //   --tenant=NAME:RATE:BURST:WEIGHT[:QUEUE]   per-tenant override
 //                          (repeatable; RATE=0 and BURST=0 is a zero-quota
 //                          tenant — always shed, retry "never")
+// A queue bound (N, QUEUE) must be a whole integer in 1..INT_MAX; anything
+// else exits 2 before the socket is created.
 //
 // Drift sentinel (see DESIGN.md "Drift detection & online adaptation"):
 //   --drift                enable the streaming drift sentinel: baseline
@@ -46,6 +48,8 @@
 //   --adapt-epochs=N       fine-tune epochs per round (default 6)
 //   --adapt-pairs=N        PPSR pairs built from the drifted slice (default 48)
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -67,6 +71,19 @@ bool FlagValue(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+// A per-tenant queue bound: the whole string is a decimal integer in
+// 1..INT_MAX. A bound below 1 would shed every request of the tenant.
+bool ParseQueueBound(const std::string& text, int* bound) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' || value < 1 || value > INT_MAX) {
+    return false;
+  }
+  *bound = static_cast<int>(value);
+  return true;
+}
+
 // NAME:RATE:BURST:WEIGHT[:QUEUE]
 bool ParseTenantSpec(const std::string& spec, std::string* name,
                      qpe::serve::TenantConfig* config) {
@@ -83,9 +100,9 @@ bool ParseTenantSpec(const std::string& spec, std::string* name,
   config->rate_plans_per_sec = std::atof(parts[1].c_str());
   config->burst_plans = std::atof(parts[2].c_str());
   config->weight = std::atof(parts[3].c_str());
-  if (parts.size() == 5) {
-    config->max_queued_requests =
-        static_cast<size_t>(std::atoll(parts[4].c_str()));
+  if (parts.size() == 5 &&
+      !ParseQueueBound(parts[4], &config->max_queued_requests)) {
+    return false;
   }
   return config->weight > 0;
 }
@@ -128,8 +145,14 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--default-burst", &v)) {
       config.admission.default_tenant.burst_plans = std::atof(v.c_str());
     } else if (FlagValue(argv[i], "--default-queue", &v)) {
-      config.admission.default_tenant.max_queued_requests =
-          static_cast<size_t>(std::atoll(v.c_str()));
+      if (!ParseQueueBound(
+              v, &config.admission.default_tenant.max_queued_requests)) {
+        std::fprintf(stderr,
+                     "qpe_served: bad --default-queue '%s' (want an integer "
+                     "in 1..%d)\n",
+                     v.c_str(), INT_MAX);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--drift") == 0) {
       config.enable_drift = true;
     } else if (FlagValue(argv[i], "--drift-window", &v)) {
@@ -150,8 +173,9 @@ int main(int argc, char** argv) {
       if (!ParseTenantSpec(v, &name, &tenant)) {
         std::fprintf(stderr,
                      "qpe_served: bad --tenant spec '%s' "
-                     "(want NAME:RATE:BURST:WEIGHT[:QUEUE])\n",
-                     v.c_str());
+                     "(want NAME:RATE:BURST:WEIGHT[:QUEUE], WEIGHT > 0, "
+                     "QUEUE an integer in 1..%d)\n",
+                     v.c_str(), INT_MAX);
         return 2;
       }
       config.admission.tenants[name] = tenant;

@@ -46,7 +46,7 @@ cmake --build "${BUILD_DIR}" --target bench_micro bench_serving -j"$(nproc)"
 # file cuts its size by ~4x (per-repetition rows added ~4.7k lines of
 # diff per re-record and carry no information the gate uses).
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_ParsePlanNode|BM_FingerprintPlan|BM_MatMul|BM_LinearBiasAct|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_AttentionPacked|BM_AttentionBlocked|BM_AttentionCls|BM_AttentionBackward|BM_EmbedGather|BM_Int8GemmPacked|BM_SmatchScore' \
+  --benchmark_filter='BM_ParsePlanNode|BM_FingerprintPlan|BM_MatMul|BM_LinearBiasAct|BM_TrainStep|Fused|BM_SoftmaxRows|BM_LayerNorm|BM_AttentionBlocked|BM_AttentionCls|BM_AttentionBackward|BM_EmbedGather|BM_Int8GemmPacked|BM_SmatchScore' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \

@@ -23,8 +23,9 @@ nn::Tensor PpsrModel::PredictSimilarity(const plan::PlanNode& left,
   // Both plans encode through one gradient-capable batch call: during
   // training the transformer encoder runs one columnar packed
   // forward/backward per pair (bit-identical to two per-plan Encode
-  // graphs, gradients included); under NoGradGuard and for the baseline
-  // encoders this is exactly the per-plan loop.
+  // graphs, gradients included), under NoGradGuard its packed inference
+  // engine (the same bits as Encode), and the baseline encoders their
+  // per-plan loop.
   const plan::PlanNode* batch[2] = {&left, &right};
   const std::vector<nn::Tensor> enc =
       encoder_->EncodeBatchGrad(batch, dropout_rng);

@@ -271,9 +271,8 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchPacked(
 std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchGrad(
     std::span<const plan::PlanNode* const> plans, util::Rng* dropout_rng) const {
   if (plans.empty()) return {};
-  if (!nn::GradEnabled()) {
-    return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
-  }
+  // Nothing to record: the inference engine gives the same bits.
+  if (!nn::GradEnabled()) return EncodeBatch(plans, dropout_rng);
   // Pack in REVERSE caller order: the autograd engine runs later-built
   // sibling subtrees' backward first, so under the reversed packing the
   // backward kernels' ascending-row accumulation reproduces the per-plan

@@ -126,8 +126,8 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   // chain's gradient arithmetic through the dispatched backward kernels.
   // Bit-identical to the per-plan loop (PlanSequenceEncoder's, the oracle)
   // — values, dropout streams and accumulated parameter gradients — at
-  // every SIMD level. Falls back to the per-plan loop under NoGradGuard (it
-  // would record no graph there).
+  // every SIMD level. Under NoGradGuard there is nothing to record, and it
+  // returns EncodeBatch.
   std::vector<nn::Tensor> EncodeBatchGrad(
       std::span<const plan::PlanNode* const> plans,
       util::Rng* dropout_rng) const override;

@@ -93,10 +93,10 @@ struct Fp32Linear {
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
 // the `> 0` select so -0.0 maps to +0.0 exactly like the fused kernel), so
 // with an exact fp32 `linear` this forward is bit-identical to per-plan
-// Encode at every SIMD level. Attention runs on K/V repacked into head
-// blocks; the head-blocked kernel is bit-identical to the interleaved
-// attention_forward_packed kernel per-plan Encode uses, at every level, so
-// the repack changes addressing, never bits.
+// Encode at every SIMD level. Attention runs attention_forward_blocked on
+// K/V repacked into head blocks — the kernel per-plan Encode runs too,
+// through nn::MultiHeadAttentionPacked — and the last layer runs its CLS
+// instantiation, whose rows equal the full kernel's bit for bit.
 template <typename LinearFn>
 const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
                                  LinearFn&& linear,

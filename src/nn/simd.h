@@ -55,15 +55,6 @@ struct Kernels {
   void (*layer_norm_rows)(const float* x, const float* gamma,
                           const float* beta, float* out, int m, int n,
                           float invn);
-  // Fused packed multi-head attention forward (see
-  // nn::MultiHeadAttentionPacked for the exact semantics). `scratch` is
-  // caller-provided, at least max_len * (max_len + head_dim) floats with
-  // max_len = max(lengths) and head_dim = dim / num_heads.
-  void (*attention_forward_packed)(const float* q, const float* k,
-                                   const float* v, float* out,
-                                   const int* offsets, const int* lengths,
-                                   int num_seqs, int num_heads, int dim,
-                                   float scale, float* scratch);
   // Fused embedding gather + positional add for the packed batch pipeline:
   //   out[r, :] = concat(e1[ids1[r]], e2[ids2[r]], e3[ids3[r]]) +
   //               pos[positions[r], :]
@@ -73,21 +64,22 @@ struct Kernels {
                            const float* pos, const int* ids1, const int* ids2,
                            const int* ids3, const int* positions, float* out,
                            int rows, int d1, int d2, int d3);
-  // Head-blocked variant of attention_forward_packed. q and out stay in the
-  // interleaved [total_rows, dim] projection layout; keys arrive
-  // pre-transposed per head as kbt [head][head_dim][total_rows] (row stride
-  // total_rows) and values head-blocked as vb [head][total_rows][head_dim]
-  // (contiguous head lanes), so the score and context loops stream
-  // contiguous memory instead of striding across the interleaved heads.
-  // Vector levels run each head's queries in tiles of one query per lane:
-  // scores as ascending-c dots from +0 times scale, a per-lane max, V::Exp
-  // below floor(len / lanes) * lanes keys and expf beyond, the sum as an
-  // ascending add per key, and the context from the divided probabilities
-  // in ascending j. Per output element the arithmetic sequence is
-  // therefore identical to attention_forward_packed, so the two kernels
-  // agree bit for bit at every level. `probs` is caller-provided scratch
-  // of at least max(lengths)^2 floats — a tile holds len * lanes of them,
-  // and a sequence shorter than the lane count uses a stack tile — so the
+  // Fused multi-head self-attention forward over a ragged packed batch
+  // (the semantics of nn::MultiHeadAttentionPacked): rows [offsets[s],
+  // offsets[s] + lengths[s]) form sequence s, and each query attends to
+  // the keys of its own sequence only. q and out are interleaved
+  // [total_rows, dim] projections; keys arrive transposed per head as kbt
+  // [head][head_dim][total_rows] (RepackHeadsKT) and values head-blocked
+  // as vb [head][total_rows][head_dim] (RepackHeadsVB), so the score and
+  // context loops stream contiguous memory. Per output element: scores as
+  // ascending-c dots from +0 times scale, the row max, exp(score - max)
+  // (V::Exp below floor(len / lanes) * lanes keys and expf beyond), the
+  // sum in ascending j, and the context from the divided probabilities in
+  // ascending j. The scalar table runs one query row at a time; vector
+  // levels run each head's queries in tiles of one query per lane, with
+  // the same arithmetic per lane. `probs` is caller-provided scratch of at
+  // least max(lengths)^2 floats — a tile holds len * lanes of them, and a
+  // sequence shorter than the lane count uses a stack tile — so the
   // kernel allocates nothing.
   void (*attention_forward_blocked)(const float* q, const float* kbt,
                                     const float* vb, float* out,
@@ -203,11 +195,13 @@ struct Kernels {
   void (*layer_norm_rows_backward)(const float* xv, const float* gv,
                                    const float* og, float* xg, float* gg,
                                    float* bg, int m, int n, float invn);
-  // Backward of attention_forward_packed: recomputes the probabilities
-  // (through V::Exp — see above) and accumulates qg / kg / vg, any of
-  // which may be null. `scratch` is caller-provided, at least
-  // 2 * max_len * (max_len + head_dim) floats with max_len = max(lengths)
-  // and head_dim = dim / num_heads — the kernel allocates nothing. All
+  // Backward of attention_forward_blocked, reading q, k and v in their
+  // interleaved [total_rows, dim] layout (the nn::MultiHeadAttentionPacked
+  // op's backward): recomputes the probabilities (through V::Exp — see
+  // above) and accumulates qg / kg / vg, any of which may be null.
+  // `scratch` is caller-provided, at least 2 * max_len * (max_len +
+  // head_dim) floats with max_len = max(lengths) and head_dim = dim /
+  // num_heads — the kernel allocates nothing. All
   // dot reductions keep the scalar's ascending order per lane (lanes run
   // across key positions for the scores and d_probs, and across head
   // columns for the gradients). Each gradient element receives the

@@ -512,151 +512,6 @@ inline void SoftmaxRowT(float* __restrict prow, int len) {
   SoftmaxDivRowT<V>(prow, len, sum);
 }
 
-// Fused packed multi-head attention forward (semantics documented at
-// nn::MultiHeadAttentionPacked). The score and context loops are
-// axpy-shaped and vectorize across their independent output lanes; the
-// softmax inside is SoftmaxRowT. `scratch` holds max_len * (max_len +
-// head_dim) floats: per sequence, the [len, len] probabilities and the
-// packed k^T head block [head_dim, len].
-template <typename V>
-void AttentionForwardPackedT(const float* __restrict qv,
-                             const float* __restrict kv,
-                             const float* __restrict vv, float* __restrict ov,
-                             const int* __restrict offsets,
-                             const int* __restrict lengths, int num_seqs,
-                             int num_heads, int dim, float scale,
-                             float* __restrict scratch) {
-  constexpr int L = V::kLanes;
-  const int dh = dim / num_heads;
-  const int dhv = (dh / L) * L;
-  for (int s = 0; s < num_seqs; ++s) {
-    const int off = offsets[s];
-    const int len = lengths[s];
-    const int lenv = (len / L) * L;
-    float* __restrict probs = scratch;
-    float* __restrict kt = scratch + static_cast<size_t>(len) * len;
-    for (int h = 0; h < num_heads; ++h) {
-      const int col0 = h * dh;
-      // Pack the head's key block transposed so the score loops run
-      // saxpy-style over a contiguous j dimension.
-      for (int j = 0; j < len; ++j) {
-        const float* __restrict krow =
-            kv + static_cast<size_t>(off + j) * dim + col0;
-        for (int c = 0; c < dh; ++c) {
-          kt[static_cast<size_t>(c) * len + j] = krow[c];
-        }
-      }
-      // Scores then row softmax: ascending-c accumulation scaled once
-      // after the sum, then max/exp/sum/divide per row — the same
-      // arithmetic as Scale(MatMul(qh, Transpose(kh)), scale) and
-      // SoftmaxRows, element for element.
-      for (int i = 0; i < len; ++i) {
-        const float* __restrict qrow =
-            qv + static_cast<size_t>(off + i) * dim + col0;
-        float* __restrict prow = probs + static_cast<size_t>(i) * len;
-        // Scores q·k, register-tiled over j: the per-element sum still
-        // accumulates ascending c from zero, so the bits match the old
-        // zero-then-axpy form at every level. The scalar policy keeps the
-        // axpy shape (identical bits, better locality at width 1 — as in
-        // LinearBiasActT's width-1 body).
-        if constexpr (L == 1) {
-          for (int j = 0; j < len; ++j) prow[j] = 0.0f;
-          for (int c = 0; c < dh; ++c) {
-            const float qc = qrow[c];
-            const float* __restrict ktrow =
-                kt + static_cast<size_t>(c) * len;
-            for (int j = 0; j < len; ++j) prow[j] += qc * ktrow[j];
-          }
-        } else {
-          const auto zero = V::Broadcast(0.0f);
-          int j = 0;
-          for (; j + 2 * L <= len; j += 2 * L) {
-            auto a0 = zero;
-            auto a1 = zero;
-            for (int c = 0; c < dh; ++c) {
-              const float* __restrict ktrow =
-                  kt + static_cast<size_t>(c) * len + j;
-              const auto vq = V::Broadcast(qrow[c]);
-              a0 = V::Add(a0, V::Mul(vq, V::Load(ktrow)));
-              a1 = V::Add(a1, V::Mul(vq, V::Load(ktrow + L)));
-            }
-            V::Store(prow + j, a0);
-            V::Store(prow + j + L, a1);
-          }
-          for (; j + L <= len; j += L) {
-            auto a0 = zero;
-            for (int c = 0; c < dh; ++c) {
-              a0 = V::Add(a0, V::Mul(V::Broadcast(qrow[c]),
-                                     V::Load(kt + static_cast<size_t>(c) * len +
-                                             j)));
-            }
-            V::Store(prow + j, a0);
-          }
-          for (; j < len; ++j) {
-            float acc = 0;
-            for (int c = 0; c < dh; ++c) {
-              acc += qrow[c] * kt[static_cast<size_t>(c) * len + j];
-            }
-            prow[j] = acc;
-          }
-        }
-        // Scale all scores, then take the row max (exact reduction).
-        {
-          const auto vs = V::Broadcast(scale);
-          int j = 0;
-          for (; j < lenv; j += L) {
-            V::Store(prow + j, V::Mul(V::Load(prow + j), vs));
-          }
-          for (; j < len; ++j) prow[j] *= scale;
-        }
-        SoftmaxRowT<V>(prow, len);
-      }
-      // Context = probs * vh: j-outer saxpy over the contiguous c lanes of
-      // v; per element this accumulates ascending j, exactly like
-      // MatMul(probs, vh).
-      for (int i = 0; i < len; ++i) {
-        const float* __restrict prow =
-            probs + static_cast<size_t>(i) * len;
-        float* __restrict orow = ov + static_cast<size_t>(off + i) * dim + col0;
-        // Context probs * vh, register-tiled over the head lanes c: the
-        // per-element sum accumulates ascending j from zero, exactly like
-        // the old zero-then-axpy form. The scalar policy keeps the axpy
-        // shape (identical bits, better locality at width 1).
-        if constexpr (L == 1) {
-          for (int c = 0; c < dh; ++c) orow[c] = 0.0f;
-          for (int j = 0; j < len; ++j) {
-            const float p = prow[j];
-            const float* __restrict vrow =
-                vv + static_cast<size_t>(off + j) * dim + col0;
-            for (int c = 0; c < dh; ++c) orow[c] += p * vrow[c];
-          }
-        } else {
-          const auto zero = V::Broadcast(0.0f);
-          int c = 0;
-          for (; c < dhv; c += L) {
-            auto a0 = zero;
-            for (int j = 0; j < len; ++j) {
-              a0 = V::Add(a0, V::Mul(V::Broadcast(prow[j]),
-                                     V::Load(vv + static_cast<size_t>(off + j) *
-                                                      dim +
-                                             col0 + c)));
-            }
-            V::Store(orow + c, a0);
-          }
-          for (; c < dh; ++c) {
-            float acc = 0;
-            for (int j = 0; j < len; ++j) {
-              acc +=
-                  prow[j] * vv[static_cast<size_t>(off + j) * dim + col0 + c];
-            }
-            orow[c] = acc;
-          }
-        }
-      }
-    }
-  }
-}
-
 // Fused embedding gather + positional add (see simd.h). Three contiguous
 // segment copies fused with the positional add into one pass per row:
 // out[c] = e[c] + pos[c], elementwise in ascending order, so every level
@@ -692,8 +547,9 @@ void EmbedGatherAddT(const float* __restrict e1, const float* __restrict e2,
 // Vector body of attention_forward_blocked: lanes across queries. Each
 // (sequence, head) runs its queries in tiles of L, lane r holding query
 // i + r; the last tile repeats its last query in the spare lanes and
-// stores only its real rows. Per lane the arithmetic is the row kernel's
-// (the width-1 body below and AttentionForwardPackedT), step for step:
+// stores only its real rows. Per lane the arithmetic is the row code's
+// (the width-1 and CLS body of AttentionForwardBlockedT below), step for
+// step:
 //  - scores: S^T[j][r] = (sum over ascending c of q[r][c] * k[c][j], from
 //    +0) * scale, in ForRegisterBlocks blocks of keys that share each q^T
 //    vector. q^T, the tile's queries transposed [c][L], is gathered onto
@@ -703,18 +559,18 @@ void EmbedGatherAddT(const float* __restrict e1, const float* __restrict e2,
 //    order changes no finite maximum but the sign of a zero one, and
 //    x - (+0) and x - (-0) differ only for a zero x, whose exp is 1 either
 //    way. A NaN score (a diverged model) may select another maximum than
-//    the row kernel's vector-then-scalar fold: the finite-input posture of
+//    the row code's vector-then-scalar fold: the finite-input posture of
 //    every vector max reduction here.
 //  - exp: V::Exp for keys below floor(len / L) * L and expf beyond, the
-//    row kernel's split (it depends on len alone), and the normalizing sum
+//    row code's split (it depends on len alone), and the normalizing sum
 //    as one vector add per key in ascending j, so lane r is row r's scalar
 //    ascending chain.
 //  - context: O^T[c][r] = sum over ascending j of (e[j][r] / sum[r]) *
 //    v[j][c], from +0, in ForRegisterBlocks column blocks (head_dim 12
 //    is one); the first block divides, and writes the probabilities back
 //    when more blocks follow. Then a transposed store of the real rows.
-// The row kernel paid a horizontal max, a scalar exp-sum chain and scalar
-// tail expf calls per query, and computed 16 context lanes to keep 12 at
+// The row code pays a horizontal max, a scalar exp-sum chain and scalar
+// tail expf calls per query, and computes 16 context lanes to keep 12 at
 // head_dim 12; here every lane carries a query.
 //
 // S^T takes len * L floats: `probs` (max(lengths)^2 floats, simd.h) holds
@@ -839,19 +695,18 @@ void AttentionQueryTilesT(const float* __restrict qv,
   }
 }
 
-// Head-blocked attention forward (see simd.h for the layouts). This is
-// AttentionForwardPackedT with the per-sequence k^T repack hoisted out:
-// the caller transposes K once per layer into kbt [head][head_dim][rows]
-// and blocks V into vb [head][rows][head_dim], so the score loops stream
-// kbt rows (stride total_rows instead of a per-sequence pack) and the
-// context loops read contiguous head_dim lanes of vb instead of striding
-// `dim` floats between value rows. Vector levels run the query tiles of
-// AttentionQueryTilesT; the body below is the width-1 kernel, bit-identical
-// to per-plan Encode at the scalar level, and the CLS instantiation.
+// The attention forward (see simd.h for the layouts). The caller
+// transposes K once into kbt [head][head_dim][rows] and blocks V into vb
+// [head][rows][head_dim], so the score loops stream kbt rows and the
+// context loops read contiguous head_dim lanes of vb. Vector levels run
+// the query tiles of AttentionQueryTilesT; the body below is the row code:
+// the width-1 kernel, whose scores, softmax and context are the
+// MatMul / SoftmaxRows / MatMul chain's loops element for element, and
+// the CLS instantiation.
 //
 // kClsOnly instantiates attention_cls_blocked: one query per sequence,
 // its CLS token, with q and out compact [num_seqs, dim]. That query runs
-// the row kernel's arithmetic — scores in vectors along the keys (an
+// the row code's arithmetic — scores in vectors along the keys (an
 // overlapping tail vector recomputes the same dots), SoftmaxRowT, the
 // context in vectors along head_dim — which per element is the query
 // tiles' arithmetic, so its output row equals row offsets[s] of the full
@@ -952,8 +807,8 @@ void AttentionForwardBlockedT(const float* __restrict qv,
         SoftmaxRowT<V>(probs + static_cast<size_t>(i) * len, len);
       }
       // --- Phase 3: context = probs * vh over the contiguous rows of
-      // this head's value block; per element accumulates ascending j,
-      // like AttentionForwardPackedT -----------------------------------
+      // this head's value block; per element accumulates ascending j
+      // from +0 --------------------------------------------------------
       if constexpr (L == 1) {
         for (int i = 0; i < nq; ++i) {
           const float* __restrict prow = probs + static_cast<size_t>(i) * len;
@@ -1356,10 +1211,10 @@ inline void SoftmaxBackwardRowsT(float* __restrict p, float* __restrict dp,
   }
 }
 
-// Backward of attention_forward_packed. `scratch` holds
-// 2 * max_len * (max_len + head_dim) floats (simd.h): per sequence, probs
-// and d_probs [len, len] and, at vector levels, the head's k^T and v^T
-// packs [head_dim, len]. The probabilities are recomputed rather than
+// Backward of attention_forward_blocked over interleaved q/k/v. `scratch`
+// holds 2 * max_len * (max_len + head_dim) floats (simd.h): per sequence,
+// probs and d_probs [len, len] and, at vector levels, the head's k^T and
+// v^T packs [head_dim, len]. The probabilities are recomputed rather than
 // cached across the graph's lifetime (the seed closure's trade-off, kept
 // here): per element the score dot accumulates ascending c from zero and
 // is scaled once, and the softmax is SoftmaxRowT's arithmetic — so at any
@@ -1745,7 +1600,6 @@ constexpr Kernels MakeKernels(Level level, const char* name) {
       .level = level,
       .name = name,
       .layer_norm_rows = &LayerNormRowsT<V>,
-      .attention_forward_packed = &AttentionForwardPackedT<V>,
       .embed_gather_add = &EmbedGatherAddT<V>,
       .attention_forward_blocked = &AttentionForwardBlockedT<V>,
       .attention_cls_blocked = &AttentionForwardBlockedT<V, true>,

@@ -1038,27 +1038,31 @@ Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
            offsets[s] + lengths[s] <= total);
   }
 #endif
-  // The fused forward (kt pack, scores, softmax, context) lives in the SIMD
-  // dispatch table; see AttentionForwardPackedT in simd_kernels_inl.h for
-  // the kernel body and its bit-exactness notes. Its scratch (nn/simd.h)
-  // is max_len * (max_len + head_dim) floats; the backward's is twice that.
+  // The forward is the packed engine's attention_forward_blocked: K and V
+  // are repacked into head blocks (pure copies) in one per-thread scratch
+  // slice, followed by the max_len^2 probabilities the kernel needs.
   size_t max_len = 0;
   for (const int len : lengths) {
     max_len = std::max(max_len, static_cast<size_t>(len));
   }
-  const size_t scratch = max_len * (max_len + dim / num_heads);
-  simd::K().attention_forward_packed(
-      q.impl_->value.data(), k.impl_->value.data(), v.impl_->value.data(),
-      out.impl_->value.data(), offsets.data(), lengths.data(),
-      static_cast<int>(lengths.size()), num_heads, dim, scale,
-      KernelScratch(scratch));
+  const size_t rd = static_cast<size_t>(total) * dim;
+  float* kbt = KernelScratch(2 * rd + max_len * max_len);
+  float* vb = kbt + rd;
+  RepackHeadsKT(k.impl_->value.data(), total, dim, num_heads, kbt);
+  RepackHeadsVB(v.impl_->value.data(), total, dim, num_heads, vb);
+  simd::K().attention_forward_blocked(
+      q.impl_->value.data(), kbt, vb, out.impl_->value.data(),
+      offsets.data(), lengths.data(), static_cast<int>(lengths.size()),
+      num_heads, total, dim, scale, vb + rd);
+  // The backward kernel's scratch (nn/simd.h).
+  const size_t backward_scratch = 2 * max_len * (max_len + dim / num_heads);
   if (out.requires_grad()) {
     Tensor::Impl* const qi = q.impl_.get();
     Tensor::Impl* const ki = k.impl_.get();
     Tensor::Impl* const vi = v.impl_.get();
     Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
     out.impl_->backward_fn = [qi, ki, vi, oi, offsets, lengths, num_heads,
-                              scale, dim, scratch]() {
+                              scale, dim, backward_scratch]() {
       // Probabilities are recomputed inside the kernel (cheaper than
       // caching [len, len] per sequence per head across the graph's
       // lifetime); see AttentionBackwardPackedT in simd_kernels_inl.h.
@@ -1069,7 +1073,7 @@ Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
           qi->value.data(), ki->value.data(), vi->value.data(),
           oi->grad.data(), qg, kg, vg, offsets.data(), lengths.data(),
           static_cast<int>(lengths.size()), num_heads, dim, scale,
-          KernelScratch(2 * scratch));
+          KernelScratch(backward_scratch));
     };
   }
   return out;

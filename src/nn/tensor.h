@@ -283,10 +283,11 @@ Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta);
 // but runs as one op instead of ~8 per sequence per head: on short plan
 // sequences the chain's per-op dispatch/allocation dominates the actual
 // arithmetic. Keys never cross sequence boundaries, so packing imposes an
-// exact attention mask by construction. MultiHeadSelfAttention::Forward
-// routes through this op, and the packed engine's head-blocked kernel
-// reproduces it bit for bit, so batched-vs-single agreement does not
-// depend on the attention kernel.
+// exact attention mask by construction. The forward repacks K and V into
+// head blocks and runs attention_forward_blocked, the packed engine's
+// kernel, so per-plan Encode (MultiHeadSelfAttention::Forward routes
+// through this op) and the packed batch share one attention forward. The
+// backward (attention_backward_packed) reads the interleaved q/k/v.
 Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
                                 const Tensor& v,
                                 const std::vector<int>& offsets,

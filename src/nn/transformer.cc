@@ -72,15 +72,13 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
   const Tensor k = wk_->Forward(x);
   const Tensor v = wv_->Forward(x);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Single sequence = a packed batch of one. Routing through the same
-  // fused kernel as the packed engine (instead of the per-head
-  // MatMul/SoftmaxRows/MatMul chain it replaced) keeps per-plan Encode and
-  // the packed batch in agreement at every dispatch level: under a vector
-  // level the kernel's exp is a polynomial (epsilon contract, see
-  // simd_kernels_inl.h), so an op-chain softmax here would diverge further
-  // from the batched path's. At the scalar level the kernel reproduces the
-  // old chain bit for bit, and the op carries a full backward, so training
-  // gradients flow exactly as before.
+  // Single sequence = a packed batch of one, through the packed engine's
+  // attention kernel, so per-plan Encode and the packed batch agree at
+  // every dispatch level: under a vector level the kernel's exp is a
+  // polynomial (epsilon contract, see simd_kernels_inl.h), which an
+  // op-chain softmax would not share. At the scalar level the kernel gives
+  // the per-head MatMul/SoftmaxRows/MatMul chain's bits, and the op
+  // carries a full backward.
   const Tensor context = MultiHeadAttentionPacked(q, k, v, {0}, {x.rows()},
                                                   num_heads_, scale);
   return wo_->Forward(context);

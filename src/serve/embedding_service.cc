@@ -133,8 +133,6 @@ ServiceStats EmbeddingService::GetStats() const {
     stats.p99_ms = util::Percentile(std::move(latencies_ms), 99.0);
   }
   if (cache_enabled_) stats.cache = cache_.GetStats();
-  stats.memory = nn::GlobalMemoryStats();
-  stats.peak_rss_bytes = nn::PeakRssBytes();
   stats.packed_growth_events = nn::PackedBatch::TotalGrowthEvents();
   stats.simd_level = nn::simd::LevelName(nn::simd::ActiveLevel());
   return stats;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "encoder/structure_encoder.h"
-#include "nn/arena.h"
 #include "nn/tensor.h"
 #include "plan/plan_node.h"
 #include "serve/embedding_cache.h"
@@ -37,10 +36,6 @@ struct ServiceStats {
   double p99_ms = 0;
   uint64_t latency_samples = 0;  // request latencies behind p50/p99
   EmbeddingCache::Stats cache;
-  // Process-wide allocation telemetry (all TensorArenas, not just this
-  // service's worker threads) plus peak RSS, snapshotted by GetStats().
-  nn::MemoryStats memory;
-  uint64_t peak_rss_bytes = 0;
   // Process-wide count of packed-workspace reallocation events
   // (nn::PackedBatch::TotalGrowthEvents). Flat once serving reaches steady
   // state — growth after warmup means the workspace high-water mark moved.

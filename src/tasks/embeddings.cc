@@ -97,9 +97,10 @@ std::vector<float> EmbeddingFeaturizer::FeaturizeImpl(
 
 std::vector<std::vector<float>> EmbeddingFeaturizer::FeaturizeAll(
     const std::vector<simdb::ExecutedQuery>& records) const {
-  // Batch the structural encodes across the whole dataset: EncodeBatch runs
-  // one packed forward under a caller's NoGradGuard, and the per-plan loop
-  // (same bits as Encode) otherwise.
+  // The encoders are fixed feature extractors: no graphs. Batch the
+  // structural encodes across the whole dataset into one packed forward
+  // (same bits as per-record Encode).
+  nn::NoGradGuard no_grad;
   std::vector<nn::Tensor> structure;
   if (config_.structure != nullptr) {
     std::vector<const plan::PlanNode*> roots;

@@ -39,9 +39,9 @@ class EmbeddingFeaturizer {
   int FeatureDim() const;
   std::vector<float> Featurize(const simdb::ExecutedQuery& record) const;
 
-  // Featurizes a whole dataset into an [N, FeatureDim] row-major matrix.
-  // The structure embeddings of all records are computed in one
-  // EncodeBatch call (bit-identical to per-record Encode).
+  // Featurizes a whole dataset into an [N, FeatureDim] row-major matrix,
+  // under a NoGradGuard. The structure embeddings of all records are
+  // computed in one EncodeBatch call (bit-identical to per-record Encode).
   std::vector<std::vector<float>> FeaturizeAll(
       const std::vector<simdb::ExecutedQuery>& records) const;
 

@@ -14,8 +14,9 @@ std::vector<double> WorkloadEmbedding(
   double total_theta = 0;
   for (const WeightedPlan& entry : workload) total_theta += entry.theta;
   if (total_theta <= 0) return embedding;
-  // Encode the whole workload in one batched forward (bit-identical to
-  // per-plan Encode, but the transformer GEMMs amortize across plans).
+  // Encode the whole workload in one batched forward without a graph
+  // (bit-identical to per-plan Encode, but the transformer GEMMs amortize
+  // across plans).
   std::vector<const plan::PlanNode*> plans;
   std::vector<double> weights;
   plans.reserve(workload.size());
@@ -25,6 +26,7 @@ std::vector<double> WorkloadEmbedding(
     plans.push_back(entry.plan);
     weights.push_back(entry.theta / total_theta);
   }
+  nn::NoGradGuard no_grad;
   const std::vector<nn::Tensor> encoded = encoder.EncodeBatch(plans, nullptr);
   for (size_t i = 0; i < encoded.size(); ++i) {
     const float* row = encoded[i].value().data();  // [1, dim]

@@ -349,42 +349,60 @@ TEST(FusedKernelTest, LayerNormRowsGradient) {
                  [&]() { return Sum(MatMul(LayerNormRows(x, gamma, beta), w)); });
 }
 
-// Compares the fused packed attention against the per-sequence, per-head
-// op chain attention used before the fused kernel existed. tol == 0
-// demands bitwise equality (valid at the scalar dispatch level); a
-// positive tol applies the epsilon contract (vector levels, where the
-// kernel's exp lanes are polynomial).
+// Compares the fused packed attention (attention_forward_blocked on K/V
+// repacked into head blocks) against the per-sequence, per-head op chain
+// attention. tol == 0 demands bitwise equality (valid at the scalar
+// dispatch level); a positive tol applies the epsilon contract (vector
+// levels, where the kernel's exp lanes are polynomial). The ragged batch
+// straddles the 8-query tile and the 12-key register block, with and
+// without tails; head_dim 12 runs one context block and 5 two.
 void CheckAttentionPackedAgainstChain(float tol) {
   util::Rng rng(79);
-  const int dim = 8, num_heads = 2, dh = dim / num_heads;
-  const std::vector<int> offsets = {0, 5};
-  const std::vector<int> lengths = {5, 3};
-  const Tensor q = RandTensor(8, dim, &rng);
-  const Tensor k = RandTensor(8, dim, &rng);
-  const Tensor v = RandTensor(8, dim, &rng);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const Tensor fused =
-      MultiHeadAttentionPacked(q, k, v, offsets, lengths, num_heads, scale);
-  for (size_t s = 0; s < lengths.size(); ++s) {
-    const Tensor qs = SliceRows(q, offsets[s], lengths[s]);
-    const Tensor ks = SliceRows(k, offsets[s], lengths[s]);
-    const Tensor vs = SliceRows(v, offsets[s], lengths[s]);
-    for (int h = 0; h < num_heads; ++h) {
-      const Tensor qh = SliceCols(qs, h * dh, dh);
-      const Tensor kh = SliceCols(ks, h * dh, dh);
-      const Tensor vh = SliceCols(vs, h * dh, dh);
-      const Tensor ctx =
-          MatMul(SoftmaxRows(Scale(MatMul(qh, Transpose(kh)), scale)), vh);
-      for (int i = 0; i < lengths[s]; ++i) {
-        for (int c = 0; c < dh; ++c) {
-          const float got = fused.at(offsets[s] + i, h * dh + c);
-          const float want = ctx.at(i, c);
-          if (tol == 0.0f) {
-            EXPECT_EQ(got, want)
-                << "seq " << s << " head " << h << " (" << i << "," << c << ")";
-          } else {
-            EXPECT_NEAR(got, want, tol)
-                << "seq " << s << " head " << h << " (" << i << "," << c << ")";
+  struct Case {
+    std::vector<int> lengths;
+    int dh;
+  };
+  const Case cases[] = {{{5, 3}, 4}, {{1, 7, 12, 17, 40}, 5},
+                        {{1, 7, 12, 17, 40}, 12}};
+  const int num_heads = 2;
+  for (const Case& tc : cases) {
+    const int dh = tc.dh, dim = num_heads * dh;
+    const std::vector<int>& lengths = tc.lengths;
+    std::vector<int> offsets;
+    int rows = 0;
+    for (const int len : lengths) {
+      offsets.push_back(rows);
+      rows += len;
+    }
+    const Tensor q = RandTensor(rows, dim, &rng);
+    const Tensor k = RandTensor(rows, dim, &rng);
+    const Tensor v = RandTensor(rows, dim, &rng);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    const Tensor fused =
+        MultiHeadAttentionPacked(q, k, v, offsets, lengths, num_heads, scale);
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      const Tensor qs = SliceRows(q, offsets[s], lengths[s]);
+      const Tensor ks = SliceRows(k, offsets[s], lengths[s]);
+      const Tensor vs = SliceRows(v, offsets[s], lengths[s]);
+      for (int h = 0; h < num_heads; ++h) {
+        const Tensor qh = SliceCols(qs, h * dh, dh);
+        const Tensor kh = SliceCols(ks, h * dh, dh);
+        const Tensor vh = SliceCols(vs, h * dh, dh);
+        const Tensor ctx =
+            MatMul(SoftmaxRows(Scale(MatMul(qh, Transpose(kh)), scale)), vh);
+        for (int i = 0; i < lengths[s]; ++i) {
+          for (int c = 0; c < dh; ++c) {
+            const float got = fused.at(offsets[s] + i, h * dh + c);
+            const float want = ctx.at(i, c);
+            if (tol == 0.0f) {
+              EXPECT_EQ(got, want) << "head_dim " << dh << " seq " << s
+                                   << " head " << h << " (" << i << "," << c
+                                   << ")";
+            } else {
+              EXPECT_NEAR(got, want, tol)
+                  << "head_dim " << dh << " seq " << s << " head " << h
+                  << " (" << i << "," << c << ")";
+            }
           }
         }
       }

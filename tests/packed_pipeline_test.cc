@@ -240,18 +240,75 @@ TEST(PackedKernelTest, EmbedGatherAddMatchesScalarBitwise) {
 
 // --- Head-blocked attention -------------------------------------------------
 
-TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
-  // The blocked kernel reproduces the interleaved kernel's arithmetic per
-  // output element, so within one level the two must agree bit for bit —
-  // including at vector levels, where both use the same polynomial exp.
+// Bitwise equality (memcmp, so -0 and +0 differ), naming the first
+// differing index.
+void ExpectSameBits(const std::vector<float>& a, const std::vector<float>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0) return;
+  size_t i = 0;
+  while (std::memcmp(&a[i], &b[i], sizeof(float)) == 0) ++i;
+  ADD_FAILURE() << what << ": index " << i << " " << a[i] << " vs " << b[i];
+}
+
+// Runs attention_forward_blocked at `table`'s level and checks every output
+// row offsets[s] + i against row s of attention_cls_blocked over a compact
+// query matrix whose row s is query offsets[s] + i (one call per query
+// index i, over the sequences longer than i). The CLS instantiation runs
+// the row code — scores along the keys, SoftmaxRowT, the context along
+// head_dim — so this holds the vector levels' query tiles to the row
+// arithmetic for every query, bit for bit. The probability scratch is
+// NaN-filled and exactly max(lengths)^2 (max(lengths) for the CLS
+// kernel) floats, and both outputs NaN-filled: a read before a write, or
+// an element never written, poisons the comparison.
+void ExpectBlockedRowsMatchClsRows(const Kernels& table,
+                                   const BatchLayout& layout,
+                                   const std::vector<float>& q,
+                                   const std::vector<float>& kbt,
+                                   const std::vector<float>& vb,
+                                   int num_heads, int d, float scale,
+                                   const std::string& what) {
+  const int rows = layout.total_rows;
+  const int max_len =
+      *std::max_element(layout.lengths.begin(), layout.lengths.end());
+  std::vector<float> out(static_cast<size_t>(rows) * d, std::nanf(""));
+  std::vector<float> probs(static_cast<size_t>(max_len) * max_len,
+                           std::nanf(""));
+  table.attention_forward_blocked(q.data(), kbt.data(), vb.data(),
+                                  out.data(), layout.offsets.data(),
+                                  layout.lengths.data(), layout.size(),
+                                  num_heads, rows, d, scale, probs.data());
+  for (int i = 0; i < max_len; ++i) {
+    std::vector<int> offsets, lengths;
+    std::vector<float> q_rows, want;
+    for (int s = 0; s < layout.size(); ++s) {
+      if (layout.lengths[s] <= i) continue;
+      offsets.push_back(layout.offsets[s]);
+      lengths.push_back(layout.lengths[s]);
+      const size_t row = static_cast<size_t>(layout.offsets[s] + i) * d;
+      q_rows.insert(q_rows.end(), q.begin() + row, q.begin() + row + d);
+      want.insert(want.end(), out.begin() + row, out.begin() + row + d);
+    }
+    const int n = static_cast<int>(offsets.size());
+    std::vector<float> got(static_cast<size_t>(n) * d, std::nanf(""));
+    std::vector<float> cls_probs(max_len, std::nanf(""));
+    table.attention_cls_blocked(q_rows.data(), kbt.data(), vb.data(),
+                                got.data(), offsets.data(), lengths.data(),
+                                n, num_heads, rows, d, scale,
+                                cls_probs.data());
+    ExpectSameBits(want, got, what + " query " + std::to_string(i));
+  }
+}
+
+TEST(PackedKernelTest, AttentionBlockedRowsMatchClsRowCodePerLevel) {
+  // Every query row of the blocked kernel against the CLS row code, at
+  // each level (see ExpectBlockedRowsMatchClsRows).
   util::Rng rng(92);
   const int num_heads = 3, head_dim = 5;
   const int d = num_heads * head_dim;
   const std::vector<int> lengths = {1, 7, 3, 1, 12};
   const BatchLayout layout = BatchLayout::FromLengths(lengths);
   const int rows = layout.total_rows;
-  int max_len = 0;
-  for (const int len : lengths) max_len = std::max(max_len, len);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
 
   const std::vector<float> q = RandomVec(static_cast<size_t>(rows) * d, &rng);
@@ -261,27 +318,12 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
   std::vector<float> vb(static_cast<size_t>(rows) * d);
   nn::RepackHeadsKT(k.data(), rows, d, num_heads, kbt.data());
   nn::RepackHeadsVB(v.data(), rows, d, num_heads, vb.data());
-  std::vector<float> probs(static_cast<size_t>(max_len) * max_len);
-  std::vector<float> scratch(static_cast<size_t>(max_len) *
-                             (max_len + head_dim));
 
   for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
     const Kernels* table = nn::simd::TableFor(level);
     if (table == nullptr) continue;
-    std::vector<float> out_packed(static_cast<size_t>(rows) * d, 0.0f);
-    std::vector<float> out_blocked(static_cast<size_t>(rows) * d, -1.0f);
-    table->attention_forward_packed(q.data(), k.data(), v.data(),
-                                    out_packed.data(), layout.offsets.data(),
-                                    layout.lengths.data(), layout.size(),
-                                    num_heads, d, scale, scratch.data());
-    table->attention_forward_blocked(
-        q.data(), kbt.data(), vb.data(), out_blocked.data(),
-        layout.offsets.data(), layout.lengths.data(), layout.size(),
-        num_heads, rows, d, scale, probs.data());
-    for (size_t i = 0; i < out_packed.size(); ++i) {
-      ASSERT_EQ(out_packed[i], out_blocked[i])
-          << "level " << table->name << " index " << i;
-    }
+    ExpectBlockedRowsMatchClsRows(*table, layout, q, kbt, vb, num_heads, d,
+                                  scale, table->name);
   }
 }
 
@@ -341,30 +383,17 @@ TEST(PackedKernelTest, AttentionClsMatchesBlockedClsRowsPerLevel) {
   }
 }
 
-// Bitwise equality (memcmp, so -0 and +0 differ), naming the first
-// differing index.
-void ExpectSameBits(const std::vector<float>& a, const std::vector<float>& b,
-                    const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  if (std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0) return;
-  size_t i = 0;
-  while (std::memcmp(&a[i], &b[i], sizeof(float)) == 0) ++i;
-  ADD_FAILURE() << what << ": index " << i << " " << a[i] << " vs " << b[i];
-}
-
 TEST(PackedKernelTest, AttentionBlockedQueryTilesBitExactPerLevel) {
   // The vector levels run the blocked forward with lanes across queries;
-  // every lane must still be the row kernel's arithmetic, so the blocked
-  // and interleaved kernels agree bit for bit at each level. Lengths 1-40
-  // cover every length below one vector (a batch of only those uses the
-  // stack tile), spare lanes in the last query tile and every key
-  // remainder block. head_dim 1-3 and 12 run one context block (the
-  // divide folded in), 5 and 16-24 two (the first writes the divided
-  // probabilities back), and 20 and 24 two q^T column blocks.
-  // Zeroed q rows tie a whole score row at +0, zeroed entries tie single
-  // products. The scratch is NaN-filled and exactly max(lengths)^2 floats,
-  // and the output NaN-filled: a read before a write, or an element never
-  // written, poisons the comparison.
+  // every lane must still be the row code's arithmetic, so each query row
+  // equals the CLS kernel's row for that query bit for bit at each level
+  // (ExpectBlockedRowsMatchClsRows). Lengths 1-40 cover every length below
+  // one vector (a batch of only those uses the stack tile), spare lanes in
+  // the last query tile and every key remainder block. head_dim 1-3 and 12
+  // run one context block (the divide folded in), 5 and 16-24 two (the
+  // first writes the divided probabilities back), and 20 and 24 two q^T
+  // column blocks. Zeroed q rows tie a whole score row at +0, zeroed
+  // entries tie single products.
   util::Rng rng(95);
   std::vector<int> long_lengths;
   for (const int i : rng.Permutation(33)) long_lengths.push_back(8 + i);
@@ -391,27 +420,14 @@ TEST(PackedKernelTest, AttentionBlockedQueryTilesBitExactPerLevel) {
       std::vector<float> kbt(rd), vb(rd);
       nn::RepackHeadsKT(k.data(), rows, d, num_heads, kbt.data());
       nn::RepackHeadsVB(v.data(), rows, d, num_heads, vb.data());
-      std::vector<float> scratch(static_cast<size_t>(max_len) *
-                                 (max_len + head_dim));
       for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
         const Kernels* table = nn::simd::TableFor(level);
         if (table == nullptr) continue;
-        std::vector<float> out_packed(rd, 0.0f);
-        std::vector<float> out_blocked(rd, std::nanf(""));
-        std::vector<float> probs(static_cast<size_t>(max_len) * max_len,
-                                 std::nanf(""));
-        table->attention_forward_packed(
-            q.data(), k.data(), v.data(), out_packed.data(),
-            layout.offsets.data(), layout.lengths.data(), layout.size(),
-            num_heads, d, scale, scratch.data());
-        table->attention_forward_blocked(
-            q.data(), kbt.data(), vb.data(), out_blocked.data(),
-            layout.offsets.data(), layout.lengths.data(), layout.size(),
-            num_heads, rows, d, scale, probs.data());
-        ExpectSameBits(out_packed, out_blocked,
-                       std::string(table->name) + " head_dim " +
-                           std::to_string(head_dim) + " max_len " +
-                           std::to_string(max_len));
+        ExpectBlockedRowsMatchClsRows(
+            *table, layout, q, kbt, vb, num_heads, d, scale,
+            std::string(table->name) + " head_dim " +
+                std::to_string(head_dim) + " max_len " +
+                std::to_string(max_len));
       }
     }
   }
@@ -940,6 +956,46 @@ TEST(PackedTrainTest, TrainPpsrPackedMatchesPerPlanAtOneAndFourThreads) {
             << (c.packed ? " packed" : " per-plan") << " threads "
             << c.threads;
       }
+    }
+  }
+}
+
+TEST(PackedTrainTest, EvaluatePpsrMaeMatchesPerPlanOracle) {
+  // EvaluatePpsrMae predicts under a NoGradGuard, where EncodeBatchGrad
+  // hands the pair to the packed inference engine; the oracle subclass
+  // runs the per-plan op chain. The MAE must carry the same bits, at the
+  // scalar level and the host's, at 1 and 4 threads.
+  data::PairDatasetOptions options;
+  options.num_pairs = 27;
+  options.corpus.min_nodes = 1;
+  options.corpus.max_nodes = 30;
+  const data::PlanPairDataset dataset = BuildCorpusPairDataset(options);
+
+  SimdLevelGuard level_guard;
+  ThreadCountGuard thread_guard;
+  encoder::StructureEncoderConfig config = SmallConfig();
+  config.dropout = 0.1f;
+  config.output_dim = 10;
+  auto mae = [&](bool packed) {
+    util::Rng rng(43);
+    std::unique_ptr<encoder::PlanSequenceEncoder> enc;
+    if (packed) {
+      enc = std::make_unique<encoder::TransformerPlanEncoder>(config, &rng);
+    } else {
+      enc = std::make_unique<PerPlanTrainEncoder>(config, &rng);
+    }
+    encoder::PpsrModel model(std::move(enc), &rng);
+    return EvaluatePpsrMae(model, dataset.train);
+  };
+  for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
+    if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
+    for (const int threads : {1, 4}) {
+      util::SetMaxThreads(threads);
+      const double want = mae(/*packed=*/false);
+      const double got = mae(/*packed=*/true);
+      EXPECT_EQ(std::bit_cast<uint64_t>(want), std::bit_cast<uint64_t>(got))
+          << want << " vs " << got << " level "
+          << nn::simd::LevelName(level) << " threads " << threads;
     }
   }
 }

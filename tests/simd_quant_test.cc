@@ -16,6 +16,7 @@
 #include "encoder/quantized_encoder.h"
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
+#include "nn/packed_forward.h"
 #include "nn/quant.h"
 #include "nn/simd.h"
 #include "nn/tensor.h"
@@ -193,18 +194,21 @@ TEST(SimdParityTest, AttentionForwardPacked) {
         RandomVec(static_cast<size_t>(total) * c.dim, &rng);
     const std::vector<float> v =
         RandomVec(static_cast<size_t>(total) * c.dim, &rng);
+    std::vector<float> kbt(q.size()), vb(q.size());
+    nn::RepackHeadsKT(k.data(), total, c.dim, c.num_heads, kbt.data());
+    nn::RepackHeadsVB(v.data(), total, c.dim, c.num_heads, vb.data());
     std::vector<float> out_s(q.size(), 0.0f), out_v(q.size(), 0.0f);
     const size_t max_len = static_cast<size_t>(
         *std::max_element(c.lengths.begin(), c.lengths.end()));
-    std::vector<float> scratch(max_len * (max_len + c.dim / c.num_heads));
-    scalar->attention_forward_packed(
-        q.data(), k.data(), v.data(), out_s.data(), offsets.data(),
+    std::vector<float> probs(max_len * max_len);
+    scalar->attention_forward_blocked(
+        q.data(), kbt.data(), vb.data(), out_s.data(), offsets.data(),
         c.lengths.data(), static_cast<int>(c.lengths.size()), c.num_heads,
-        c.dim, scale, scratch.data());
-    vec->attention_forward_packed(
-        q.data(), k.data(), v.data(), out_v.data(), offsets.data(),
+        total, c.dim, scale, probs.data());
+    vec->attention_forward_blocked(
+        q.data(), kbt.data(), vb.data(), out_v.data(), offsets.data(),
         c.lengths.data(), static_cast<int>(c.lengths.size()), c.num_heads,
-        c.dim, scale, scratch.data());
+        total, c.dim, scale, probs.data());
     ExpectAllNear(out_s, out_v);
   }
 }

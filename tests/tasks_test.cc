@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "config/lhs_sampler.h"
@@ -7,6 +8,7 @@
 #include "encoder/performance_encoder.h"
 #include "encoder/structure_encoder.h"
 #include "gtest/gtest.h"
+#include "nn/simd.h"
 #include "simdb/workload_runner.h"
 #include "simdb/workloads.h"
 #include "tasks/baselines.h"
@@ -153,6 +155,56 @@ TEST(EmbeddingFeaturizerTest, DimsAndAblations) {
   structure_only.include_db_features = false;
   EmbeddingFeaturizer s_featurizer(structure_only);
   EXPECT_EQ(s_featurizer.FeatureDim(), 24);
+}
+
+TEST(EmbeddingFeaturizerTest, FeaturizeAllMatchesPerRecordBitwise) {
+  // FeaturizeAll encodes every plan in one packed forward under a
+  // NoGradGuard; per-record Featurize runs the per-plan op chain. Every
+  // row must carry the same bits, at the scalar level and the host's.
+  util::Rng rng(5);
+  encoder::StructureEncoderConfig s_config;
+  s_config.level1_dim = 12;
+  s_config.level2_dim = 6;
+  s_config.level3_dim = 6;
+  s_config.num_heads = 2;
+  s_config.ff_dim = 32;
+  s_config.num_layers = 2;
+  s_config.output_dim = 10;
+  encoder::TransformerPlanEncoder structure(s_config, &rng);
+  encoder::PerfEncoderConfig p_config;
+  p_config.column_hidden = 8;
+  p_config.embed_dim = 8;
+  encoder::PerformanceEncoder scan_encoder(p_config, &rng);
+  encoder::PerformanceEncoder join_encoder(p_config, &rng);
+
+  const simdb::TpchWorkload tpch(0.05);
+  const auto executed = MakeExecuted(2);
+  EmbeddingFeaturizer::Config config;
+  config.structure = &structure;
+  config.performance[static_cast<int>(plan::OperatorGroup::kScan)] =
+      &scan_encoder;
+  config.performance[static_cast<int>(plan::OperatorGroup::kJoin)] =
+      &join_encoder;
+  config.catalog = &tpch.GetCatalog();
+  const EmbeddingFeaturizer featurizer(config);
+
+  const nn::simd::Level saved = nn::simd::ActiveLevel();
+  for (const nn::simd::Level level :
+       {nn::simd::Level::kScalar, nn::simd::HardwareLevel()}) {
+    if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
+    const std::vector<std::vector<float>> rows =
+        featurizer.FeaturizeAll(executed);
+    ASSERT_EQ(rows.size(), executed.size());
+    for (size_t i = 0; i < executed.size(); ++i) {
+      const std::vector<float> want = featurizer.Featurize(executed[i]);
+      ASSERT_EQ(rows[i].size(), want.size());
+      EXPECT_EQ(std::memcmp(rows[i].data(), want.data(),
+                            sizeof(float) * want.size()),
+                0)
+          << "record " << i << " level " << nn::simd::LevelName(level);
+    }
+  }
+  nn::simd::ForceLevel(saved);
 }
 
 TEST(LatencyPredictorTest, BeatsMeanPredictor) {
